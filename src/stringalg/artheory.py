@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import find_cyclic_witness
+from .classify import LetterAutomaton
 from .errors import InfiniteTypeError, StringAlgError, VerificationError
 from .homalg import Intertwiner, ShortExactSequence, hom_basis
 from .linalg import Matrix
@@ -72,13 +72,11 @@ class Catalog:
 
     def __init__(self, p: Presentation):
         require_string(p)
-        band = find_cyclic_witness(p)
+        automaton = LetterAutomaton(p)
+        band = automaton.cyclic_witness()
         if band is not None:
             raise InfiniteTypeError(format_walk(band.word.walk))
-        from .classify import LetterAutomaton
-
-        bound = LetterAutomaton(p).state_count
-        words = enumerate_words(p, bound)
+        words = enumerate_words(p, automaton.state_count)
         self.p = p
         self.entries: list[CatalogEntry] = []
         self._by_key: dict[tuple, CatalogEntry] = {}

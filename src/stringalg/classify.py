@@ -15,6 +15,8 @@ exact sequence.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +26,8 @@ from .linalg import Matrix
 from .presentation import Presentation, check_finite_dimensional, validate_axioms
 from .reps import (
     Representation,
+    _nodes_to_indices,
     cyclic_recipe_module,
-    make_representation,
 )
 from .words import (
     CyclicWord,
@@ -46,6 +48,7 @@ from .words import (
     letter_key,
     letter_source,
     letter_target,
+    walk_words,
     word,
 )
 
@@ -124,25 +127,29 @@ class LetterAutomaton:
                     stack.pop()
         return None
 
+    def cyclic_witness(self) -> CyclicWord | None:
+        """A primitive cyclic word, or None when no cyclic word exists.
+
+        Complete: the automaton has a cycle exactly when a cyclic word
+        exists (over a finite-dimensional presentation an all-direct cycle
+        would make the algebra infinite dimensional).
+        """
+        cycle = self.find_cycle()
+        if cycle is None:
+            return None
+        p = self.p
+        w = word(p, Walk(cycle))
+        if not is_cyclic(p, w):
+            raise StringAlgError(
+                "automaton cycle did not give a cyclic word; is the algebra finite dimensional?"
+            )
+        primitive, root, _ = is_primitive(p, w)
+        return cyclic_word(p, canonical_cyclic(p, w if primitive else root))
+
 
 def find_cyclic_witness(p: Presentation) -> CyclicWord | None:
-    """A primitive cyclic word, or None when no cyclic word exists.
-
-    Complete: the automaton has a cycle exactly when a cyclic word exists
-    (over a finite-dimensional presentation an all-direct cycle would make
-    the algebra infinite dimensional).
-    """
-    cycle = LetterAutomaton(p).find_cycle()
-    if cycle is None:
-        return None
-    w = word(p, Walk(cycle))
-    if not is_cyclic(p, w):
-        raise StringAlgError(
-            "automaton cycle did not give a cyclic word; is the algebra finite dimensional?"
-        )
-    primitive, root, _ = is_primitive(p, w)
-    base = w if primitive else root
-    return cyclic_word(p, canonical_cyclic(p, base))
+    """A primitive cyclic word, or None when no cyclic word exists."""
+    return LetterAutomaton(p).cyclic_witness()
 
 
 # ---------------------------------------------------------------------------
@@ -150,32 +157,11 @@ def find_cyclic_witness(p: Presentation) -> CyclicWord | None:
 # ---------------------------------------------------------------------------
 
 
-def _closed_words(p: Presentation, max_len: int, first: Letter | None = None):
-    """All valid words of length <= max_len, closed ones yielded.
-
-    With first set, only words starting with that letter are explored.
-    """
-    stack = []
-    if first is None:
-        for v in p.quiver.vertices:
-            stack.append(((), v))
-    else:
-        stack.append(((first,), letter_target(p, first)))
-    while stack:
-        letters, endv = stack.pop()
-        if letters and letter_source(p, letters[0]) == endv:
-            yield letters
-        if len(letters) >= max_len:
-            continue
-        for cand in reversed(_extensions(p, letters, endv)):
-            stack.append((letters + (cand,), letter_target(p, cand)))
-
-
 def find_bands(p: Presentation, max_len: int) -> list[CyclicWord]:
     """All primitive cyclic words of length <= max_len, canonical forms,
     one per rotation/inversion class."""
     found: dict[tuple, CyclicWord] = {}
-    for letters in _closed_words(p, max_len):
+    for letters in walk_words(p, max_len):
         w = Word(Walk(letters))
         if not is_cyclic(p, w):
             continue
@@ -192,15 +178,10 @@ def find_bands(p: Presentation, max_len: int) -> list[CyclicWord]:
 
 
 def _in_n_alpha(p: Presentation, letters: tuple[Letter, ...], alpha: str) -> bool:
-    if not letters:
+    """Membership test for a factor of a word, which is itself a word."""
+    if letters[0] != Letter(alpha, Direction.DIRECT) or letters[-1].is_direct:
         return False
-    if letters[0] != Letter(alpha, Direction.DIRECT):
-        return False
-    if letters[-1].is_direct:
-        return False
-    w = Word(Walk(letters))
-    ok, _ = is_word(p, Walk(letters))
-    return ok and is_cyclic(p, w)
+    return is_cyclic(p, Word(Walk(letters)))
 
 
 def n_alpha_generators(p: Presentation, alpha: str, max_len: int) -> list[Word]:
@@ -211,23 +192,25 @@ def n_alpha_generators(p: Presentation, alpha: str, max_len: int) -> list[Word]:
     is a generator when it is not a product of two members.
     """
     p.arrow(alpha)
-    members: list[tuple[Letter, ...]] = []
-    first = Letter(alpha, Direction.DIRECT)
-    for letters in _closed_words(p, max_len, first=first):
-        if _in_n_alpha(p, letters, alpha):
-            members.append(letters)
-    members.sort(key=lambda ls: (len(ls), [letter_key(p, l) for l in ls]))
-    member_set = {ls for ls in members}
-    gens = []
-    for ls in members:
-        product = False
-        for i in range(1, len(ls)):
-            if ls[:i] in member_set and _in_n_alpha(p, ls[i:], alpha):
-                product = True
-                break
-        if not product:
-            gens.append(Word(Walk(ls)))
-    return gens
+    return list(_iter_n_alpha_generators(p, alpha, max_len))
+
+
+def _iter_n_alpha_generators(p: Presentation, alpha: str, max_len: int):
+    """The generators of N(alpha) in (length, letter_key) order, lazily.
+
+    Members come in length order, so the factors of each candidate are
+    already known when it is tested.
+    """
+    members: set[tuple[Letter, ...]] = set()
+    for letters in walk_words(p, max_len, first=Letter(alpha, Direction.DIRECT)):
+        if not _in_n_alpha(p, letters, alpha):
+            continue
+        members.add(letters)
+        if not any(
+            letters[:i] in members and _in_n_alpha(p, letters[i:], alpha)
+            for i in range(1, len(letters))
+        ):
+            yield Word(Walk(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +253,7 @@ def classify(p: Presentation, bound: int | None = None) -> ClassificationCertifi
     if not finite:
         raise StringAlgError("classification needs a finite dimensional algebra")
     automaton = LetterAutomaton(p)
-    band = find_cyclic_witness(p)
+    band = automaton.cyclic_witness()
     if band is None:
         return ClassificationCertificate(
             "Finite", None, None, None, None, automaton.state_count
@@ -278,28 +261,12 @@ def classify(p: Presentation, bound: int | None = None) -> ClassificationCertifi
     if bound is None:
         bound = 4 * automaton.state_count
     for arrow in p.quiver.arrows:
-        gens: list[Word] = []
-        members: set[tuple[Letter, ...]] = set()
-        first = Letter(arrow.name, Direction.DIRECT)
-        # explore in length order so factor parts are always seen first
-        for length in range(2, bound + 1):
-            for letters in _closed_words(p, length, first=first):
-                if len(letters) != length or not _in_n_alpha(p, letters, arrow.name):
-                    continue
-                members.add(letters)
-                product = any(
-                    letters[:i] in members and _in_n_alpha(p, letters[i:], arrow.name)
-                    for i in range(1, len(letters))
-                )
-                if not product:
-                    gens.append(Word(Walk(letters)))
-                if len(gens) >= 2:
-                    g1, g2 = gens[0], gens[1]
-                    _check_distinct_roots(p, g1, g2)
-                    return ClassificationCertificate(
-                        "NonDomestic", band, (g1, g2), arrow.name, bound,
-                        automaton.state_count,
-                    )
+        gens = list(itertools.islice(_iter_n_alpha_generators(p, arrow.name, bound), 2))
+        if len(gens) == 2:
+            _check_distinct_roots(p, *gens)
+            return ClassificationCertificate(
+                "NonDomestic", band, tuple(gens), arrow.name, bound, automaton.state_count
+            )
     return ClassificationCertificate(
         "Domestic", band, None, None, bound, automaton.state_count
     )
@@ -314,8 +281,6 @@ def _check_distinct_roots(p: Presentation, g1: Word, g2: Word) -> None:
     # periodicity sanity oracle: their powers must disagree before the
     # Fine and Wilf threshold
     n, m = len(g1), len(g2)
-    import math
-
     threshold = n + m - math.gcd(n, m)
     x = (g1.letters * (threshold // n + 1))[:threshold]
     y = (g2.letters * (threshold // m + 1))[:threshold]
@@ -377,23 +342,7 @@ def find_witness_triple(p: Presentation, search_len: int = 6) -> WitnessTriple |
     cert = classify(p)
     if cert.verdict != "NonDomestic":
         raise StringAlgError("witness triples only exist over non-domestic presentations")
-    all_words: list[tuple[Letter, ...]] = []
-
-    def every_word(limit):
-        stack = [((), v) for v in reversed(p.quiver.vertices)]
-        while stack:
-            letters, endv = stack.pop()
-            if letters:
-                yield letters
-            if len(letters) >= limit:
-                continue
-            for cand in reversed(_extensions(p, letters, endv)):
-                stack.append((letters + (cand,), letter_target(p, cand)))
-
-    words = sorted(
-        (w for w in every_word(search_len) if not is_serial(Walk(w))),
-        key=lambda ls: (len(ls), [letter_key(p, l) for l in ls]),
-    )
+    words = [w for w in walk_words(p, search_len) if not is_serial(Walk(w))]
     ys = [w for w in words if w[0].is_direct and w[-1].is_direct]
     zs = [w for w in words if not w[0].is_direct and not w[-1].is_direct]
     for total in range(6, 3 * search_len + 1):
@@ -467,9 +416,8 @@ def build_witness(
     spanned by the v portion (the string on v minus its last letter) with
     quotient the string on u minus its last letter.  Gluing the two band
     modules B(u), B(v) themselves by modifying two actions always yields an
-    indecomposable middle instead (see glue_bands_quoted), so the bands are
-    returned for inspection but the exact sequence runs between the cut
-    strings.
+    indecomposable middle instead, so the bands are returned for inspection
+    but the exact sequence runs between the cut strings.
     """
     from .decomp import decompose
     from .homalg import Intertwiner, ShortExactSequence
@@ -511,7 +459,7 @@ def build_witness(
     right_word = word(p, Walk(u_letters[:-1]))
     left_rep, left_nodes = string_module_with_nodes(p, left_word)
     right_rep, right_nodes = string_module_with_nodes(p, right_word)
-    mid_place = _node_positions(p, uv_letters)
+    _, mid_place = _nodes_to_indices(p, [letter_source(p, l) for l in uv_letters])
     Lu = len(u_letters)
 
     incl_mats = {vx: np.zeros((left_rep.dim(vx), middle.dim(vx)), dtype=np.int64)
@@ -557,97 +505,3 @@ def build_witness(
         summand_dimvecs=dimvecs,
         seed=seed,
     )
-
-
-def glue_bands_quoted(
-    p: Presentation, triple: WitnessTriple, prime_p: int
-) -> Representation:
-    """The two-entry gluing of B(u) and B(v) along chosen factor occurrences:
-    i1 . beta = i2 + j1 and i2 . delta = -j2.
-
-    Kept for reference: the result is a verified extension of B(v) by B(u),
-    but its middle is indecomposable, so it does not witness many summands;
-    build_witness uses the cut-cycle construction instead.
-    """
-    triple.validate(p)
-    n = (prime_p - 1) // 2
-    x, y, z = triple.x.letters, triple.y.letters, triple.z.letters
-    block = x + y + x + z
-    u_letters = block * n + x + y
-    v_letters = x + z + block * n
-    band_u = cyclic_recipe_module(p, u_letters, 1, 1)
-    band_v = cyclic_recipe_module(p, v_letters, 1, 1)
-    delta_letter = z[-1]
-    gamma_letter = y[0]
-    iu = _find_factor(u_letters, (delta_letter,) + x + (gamma_letter,))
-    beta_letter = y[-1]
-    alpha_letter = z[0]
-    iv = _find_factor(v_letters, (beta_letter,) + x + (alpha_letter,))
-    Lu, Lv = len(u_letters), len(v_letters)
-    return _glue(p, band_u, band_v, u_letters, v_letters,
-                 beta_letter.arrow, iv, (iv + 1) % Lv,
-                 delta_letter.arrow, (iu + 1) % Lu, iu)
-
-
-def _find_factor(host: tuple[Letter, ...], pattern: tuple[Letter, ...]) -> int:
-    for i in range(len(host) - len(pattern) + 1):
-        if host[i : i + len(pattern)] == pattern:
-            return i
-    raise VerificationError("expected factor does not occur")
-
-
-def _glue(
-    p: Presentation,
-    band_u: Representation,
-    band_v: Representation,
-    u_letters: tuple[Letter, ...],
-    v_letters: tuple[Letter, ...],
-    beta: str,
-    i1: int,
-    i2: int,
-    delta: str,
-    j1: int,
-    j2: int,
-) -> Representation:
-    """Direct sum of the bands with the two modified actions
-    i1 . beta = i2 + j1 and i2 . delta = -j2 (u block first)."""
-    q = p.q
-    u_place = _node_positions(p, u_letters)
-    v_place = _node_positions(p, v_letters)
-    dims = {vx: band_u.dim(vx) + band_v.dim(vx) for vx in p.quiver.vertices}
-    mats = {}
-    for a in p.quiver.arrows:
-        du_s, dv_s = band_u.dim(a.source), band_v.dim(a.source)
-        du_t, dv_t = band_u.dim(a.target), band_v.dim(a.target)
-        m = np.zeros((du_s + dv_s, du_t + dv_t), dtype=np.int64)
-        m[:du_s, :du_t] = band_u.mats[a.name].a
-        m[du_s:, du_t:] = band_v.mats[a.name].a
-        mats[a.name] = m
-    # i1 . beta gains the extra image j1 in the u block
-    vtx_i1, coord_i1 = v_place[i1]
-    vtx_j1, coord_j1 = u_place[j1]
-    row = band_u.dim(vtx_i1) + coord_i1
-    col = coord_j1
-    mats[beta][row, col] = (mats[beta][row, col] + 1) % q
-    # i2 . delta is redefined to -j2
-    vtx_i2, coord_i2 = v_place[i2]
-    vtx_j2, coord_j2 = u_place[j2]
-    row = band_u.dim(vtx_i2) + coord_i2
-    col = coord_j2
-    if mats[delta][row].any():
-        raise VerificationError("the delta action on i2 was expected to vanish")
-    mats[delta][row, col] = (-1) % q
-    label = f"glued({band_u.label},{band_v.label})"
-    return make_representation(
-        p, dims, {k: Matrix(m, q) for k, m in mats.items()}, label=label
-    )
-
-
-def _node_positions(p: Presentation, letters: tuple[Letter, ...]):
-    counts: dict[str, int] = {v: 0 for v in p.quiver.vertices}
-    place = []
-    for l in letters:
-        vx = letter_source(p, l)
-        place.append((vx, counts[vx]))
-        counts[vx] += 1
-    return place

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success or a verified property, 1 for a mathematical
 failure (axioms violated, a census line with too many summands, an
-accounting mismatch), 2 for usage or input errors.
+accounting mismatch), 2 for usage or input errors, 3 when a construction
+certificate fails to verify (a VerificationError, which is a bug).
 
 Output formats: "text" for humans, "structured" for stable key=value lines,
 "json" for one JSON document.  All three start with a format tag and are
@@ -17,7 +18,7 @@ import sys
 
 from .artheory import ar_sequence, catalog_for
 from .classify import build_witness, classify, find_witness_triple
-from .errors import ParseError, StringAlgError
+from .errors import ParseError, StringAlgError, VerificationError
 from .homalg import ext1_dim, hom_dim, middle_census
 from .presentation import Presentation, load_presentation
 from .reps import Representation, load_module_literal, string_module
@@ -161,9 +162,10 @@ def cmd_middle_census(args) -> int:
         raise StringAlgError("census command caps the field order at 7")
     m = _module_spec(p, getattr(args, "from"))
     n = _module_spec(p, args.to)
-    census = middle_census(m, n, seed=args.seed, jobs=args.jobs)
-    if census.ext_dim > 3:
-        raise StringAlgError("census command caps the extension dimension at 3")
+    # at most three extension dimensions: the lines of P(F_q^3)
+    q = p.field_order
+    cap = (q**3 - 1) // (q - 1)
+    census = middle_census(m, n, max_lines=cap, seed=args.seed, jobs=args.jobs)
     rep = Report("middle-census")
     rep.add("ext_dim", census.ext_dim)
     rep.add("lines", len(census.lines))
@@ -192,7 +194,7 @@ def cmd_ar(args) -> int:
 
 def cmd_degeneration(args) -> int:
     p = _load(args)
-    report = degeneration_scan(p, args.max_dim, seed=args.seed)
+    report = degeneration_scan(p, args.max_dim)
     rep = Report("degeneration")
     rep.add("seed", args.seed)
     rep.add("modules", report.module_count)
@@ -322,6 +324,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except VerificationError as err:
+        print(f"error: a construction certificate failed to verify: {err}", file=sys.stderr)
+        return 3
     except (ParseError, StringAlgError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -53,5 +53,6 @@ class CatalogError(StringAlgError):
 class VerificationError(StringAlgError):
     """An internal certificate (exactness, defect identity, ...) failed to verify.
 
-    This signals a bug in the construction, not a mathematical outcome.
+    This signals a bug in the construction, not a mathematical outcome;
+    the command line exits with code 3 on it.
     """

@@ -261,18 +261,6 @@ def vstack(mats: list[Matrix]) -> Matrix:
     return Matrix(np.vstack([m.a for m in mats]), q)
 
 
-def block_diag(mats: list[Matrix], q: int) -> Matrix:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = np.zeros((rows, cols), dtype=np.int64)
-    r = c = 0
-    for m in mats:
-        out[r : r + m.rows, c : c + m.cols] = m.a
-        r += m.rows
-        c += m.cols
-    return Matrix(out, q)
-
-
 def matrix_power(m: Matrix, e: int) -> Matrix:
     if m.rows != m.cols:
         raise StringAlgError("matrix power needs a square matrix")

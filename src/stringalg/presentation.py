@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import NotFiniteDimensionalError, ParseError, StringAlgError
-from .linalg import is_prime
+from .linalg import _ACC_LIMIT, is_prime
 
 DEFAULT_FIELD_ORDER = 32003
 
@@ -80,6 +80,11 @@ class Presentation:
     def __post_init__(self):
         if not is_prime(self.field_order):
             raise StringAlgError(f"field order {self.field_order} is not prime")
+        if (self.field_order - 1) ** 2 >= _ACC_LIMIT:
+            raise StringAlgError(
+                f"field order {self.field_order} is too large for exact int64 "
+                "arithmetic: (q-1)^2 must stay below 2^62"
+            )
         amap = {a.name: a for a in self.quiver.arrows}
         object.__setattr__(self, "_arrow_map", amap)
         for rel in self.relations:

@@ -106,7 +106,7 @@ class DegenerationReport:
 
 def _direct_sums_up_to(cat: Catalog, max_dim: int):
     """All direct sums from the catalog with total dimension <= max_dim,
-    one per multiset, with labels."""
+    one per multiset, as (label, module, number of parts)."""
     reps = [(e.rep.total_dim, f"M({format_walk(e.word.walk)})", e.rep) for e in cat.entries]
     out = []
 
@@ -114,7 +114,7 @@ def _direct_sums_up_to(cat: Catalog, max_dim: int):
         if chosen:
             parts = [reps[i] for i in chosen]
             label = "+".join(lbl for _, lbl, _ in parts)
-            out.append((label, direct_sum([r for _, _, r in parts], label=label)))
+            out.append((label, direct_sum([r for _, _, r in parts], label=label), len(parts)))
         for i in range(start, len(reps)):
             d = reps[i][0]
             if d <= dim_left:
@@ -124,20 +124,22 @@ def _direct_sums_up_to(cat: Catalog, max_dim: int):
     return out
 
 
-def degeneration_scan(
-    p: Presentation, max_dim: int, seed: int = 0, trials: int = 50
-) -> DegenerationReport:
+def degeneration_scan(p: Presentation, max_dim: int) -> DegenerationReport:
     """Ordered pairs of catalog direct sums within each dimension-vector
     class: whenever the hom order holds, the summand counts must be ordered
-    and the accounting formula must equal their difference."""
+    and the accounting formula must equal their difference.
+
+    A sum of k catalog modules has exactly k indecomposable summands:
+    string modules are indecomposable (Butler and Ringel) and Krull-Schmidt
+    holds, so the counts come from the construction."""
     cat = catalog_for(p)
     sums = _direct_sums_up_to(cat, max_dim)
     by_dimvec: dict[tuple, list] = {}
     counts: dict[str, int] = {}
-    for label, m in sums:
+    for label, m, parts in sums:
         key = tuple(sorted(m.dimension_vector().items()))
         by_dimvec.setdefault(key, []).append((label, m))
-        counts[label] = decompose(m, seed=seed, trials=trials).summand_count
+        counts[label] = parts
     rows = []
     ok = True
     pair_count = 0

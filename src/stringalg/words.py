@@ -361,27 +361,37 @@ def _extensions(p: Presentation, letters: tuple[Letter, ...], at_vertex: str) ->
     return sorted(good, key=lambda l: letter_key(p, l))
 
 
+def walk_words(p: Presentation, max_len: int, first: Letter | None = None):
+    """Every nonempty word of length at most max_len as a letter tuple.
+
+    Words come level by level in (length, letter_key) order: each level
+    extends the previous one, in order, by the sorted extensions.  With
+    first set, only words starting with that letter are walked.
+    """
+    starts = all_letters(p) if first is None else [first]
+    level = [((l,), letter_target(p, l)) for l in starts]
+    for length in range(1, max_len + 1):
+        yield from (letters for letters, _ in level)
+        if length < max_len:
+            level = [
+                (letters + (cand,), letter_target(p, cand))
+                for letters, endv in level
+                for cand in _extensions(p, letters, endv)
+            ]
+
+
 def enumerate_words(p: Presentation, max_len: int) -> list[Word]:
     """All words of length at most max_len, one per inversion pair {w, w^-1}.
 
     Includes the trivial word at each vertex.  Output is sorted by length
     and then lexicographically by letter keys.
     """
-    out: list[Word] = [Word(trivial_walk(v)) for v in p.quiver.vertices]
-    frontier: list[tuple[tuple[Letter, ...], str]] = [((), v) for v in p.quiver.vertices]
-    for _ in range(max_len):
-        nxt = []
-        for letters, endv in frontier:
-            for cand in _extensions(p, letters, endv):
-                ext = letters + (cand,)
-                nxt.append((ext, letter_target(p, cand)))
-        frontier = nxt
-        for letters, _ in frontier:
-            keyed = [letter_key(p, l) for l in letters]
-            inv = [letter_key(p, l.inverse()) for l in reversed(letters)]
-            if keyed <= inv:
-                out.append(Word(Walk(letters)))
-    out.sort(key=lambda w: (len(w), [letter_key(p, l) for l in w.letters], str(w.walk.vertex)))
+    out: list[Word] = [Word(trivial_walk(v)) for v in sorted(p.quiver.vertices)]
+    for letters in walk_words(p, max_len):
+        keyed = [letter_key(p, l) for l in letters]
+        inv = [letter_key(p, l.inverse()) for l in reversed(letters)]
+        if keyed <= inv:
+            out.append(Word(Walk(letters)))
     return out
 
 

@@ -21,9 +21,9 @@ from stringalg.classify import build_witness, classify, find_witness_triple
 from stringalg.decomp import catalog_decompose, decompose
 from stringalg.homalg import ext1_dim, hom_dim, middle_census
 from stringalg.reps import direct_sum, load_module_literal, simple
-from stringalg.verify import middle_term_scan
+from stringalg.verify import _direct_sums_up_to, middle_term_scan
 from stringalg.words import Verdict, fine_wolf_common_power
-from stringalg.words import format_walk, is_primitive
+from stringalg.words import is_primitive
 
 
 def _announce(n, text):
@@ -33,26 +33,20 @@ def _announce(n, text):
 @pytest.fixture(scope="module")
 def pair_scan(a3, a3nr):
     """Ordered pairs of catalog direct sums of dimension at most 8 with
-    equal dimension vectors, per presentation, with summand counts."""
+    equal dimension vectors, per presentation, with summand counts.
+
+    The counts come from decompose; each must equal the number of catalog
+    modules the sum was built from, which is the count degeneration_scan
+    reports."""
     out = {}
     for name, p in (("a3", a3), ("a3nr", a3nr)):
         cat = catalog_for(p)
-        reps = [(e.rep.total_dim, f"M({format_walk(e.word.walk)})", e.rep) for e in cat.entries]
-        sums = []
-
-        def rec(start, chosen, dim_left):
-            if chosen:
-                parts = [reps[i] for i in chosen]
-                label = "+".join(l for _, l, _ in parts)
-                sums.append((label, direct_sum([r for _, _, r in parts], label=label)))
-            for i in range(start, len(reps)):
-                if reps[i][0] <= dim_left:
-                    rec(i, chosen + [i], dim_left - reps[i][0])
-
-        rec(0, [], 8)
-        counts = {label: decompose(m, seed=1).summand_count for label, m in sums}
+        sums = _direct_sums_up_to(cat, 8)
+        counts = {label: decompose(m, seed=1).summand_count for label, m, _ in sums}
+        for label, _, parts in sums:
+            assert counts[label] == parts, f"{name}: decompose({label}) != {parts}"
         groups = {}
-        for label, m in sums:
+        for label, m, _ in sums:
             key = tuple(sorted(m.dimension_vector().items()))
             groups.setdefault(key, []).append((label, m))
         true_pairs = []

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from stringalg.classify import (
@@ -11,11 +12,14 @@ from stringalg.classify import (
 )
 from stringalg.decomp import decompose
 from stringalg.errors import StringAlgError
+from stringalg.linalg import Matrix
+from stringalg.reps import _nodes_to_indices, cyclic_recipe_module, make_representation
 from stringalg.words import (
     canonical_cyclic,
     format_walk,
     is_cyclic,
     is_primitive,
+    letter_source,
 )
 
 
@@ -145,15 +149,60 @@ def test_build_witness_p11(gp):
     assert decompose(result.band_v, trials=15).summand_count == 1
 
 
+def _glue_bands_quoted(p, triple, prime_p):
+    """Direct sum B(u) + B(v) with two modified actions along chosen factor
+    occurrences: i1 . beta = i2 + j1 and i2 . delta = -j2 (u block first)."""
+    q = p.q
+    n = (prime_p - 1) // 2
+    x, y, z = triple.x.letters, triple.y.letters, triple.z.letters
+    block = x + y + x + z
+    u_letters = block * n + x + y
+    v_letters = x + z + block * n
+    band_u = cyclic_recipe_module(p, u_letters, 1, 1)
+    band_v = cyclic_recipe_module(p, v_letters, 1, 1)
+
+    def factor_at(host, pattern):
+        return next(
+            i for i in range(len(host) - len(pattern) + 1)
+            if host[i : i + len(pattern)] == pattern
+        )
+
+    def places(letters):
+        return _nodes_to_indices(p, [letter_source(p, l) for l in letters])[1]
+
+    beta, delta = y[-1], z[-1]
+    iu = factor_at(u_letters, (delta,) + x + (y[0],))
+    iv = factor_at(v_letters, (beta,) + x + (z[0],))
+    i1, i2 = iv, (iv + 1) % len(v_letters)
+    j1, j2 = (iu + 1) % len(u_letters), iu
+    u_place, v_place = places(u_letters), places(v_letters)
+    dims = {vx: band_u.dim(vx) + band_v.dim(vx) for vx in p.quiver.vertices}
+    mats = {}
+    for a in p.quiver.arrows:
+        du_s, du_t = band_u.dim(a.source), band_u.dim(a.target)
+        m = np.zeros((dims[a.source], dims[a.target]), dtype=np.int64)
+        m[:du_s, :du_t] = band_u.mats[a.name].a
+        m[du_s:, du_t:] = band_v.mats[a.name].a
+        mats[a.name] = m
+    # i1 . beta gains the extra image j1 in the u block
+    (vx1, c1), (_, d1) = v_place[i1], u_place[j1]
+    row = band_u.dim(vx1) + c1
+    mats[beta.arrow][row, d1] = (mats[beta.arrow][row, d1] + 1) % q
+    # i2 . delta, which vanished, is redefined to -j2
+    (vx2, c2), (_, d2) = v_place[i2], u_place[j2]
+    row = band_u.dim(vx2) + c2
+    assert not mats[delta.arrow][row].any()
+    mats[delta.arrow][row, d2] = q - 1
+    return make_representation(p, dims, {k: Matrix(m, q) for k, m in mats.items()})
+
+
 def test_quoted_band_gluing_is_indecomposable(gp):
     # the literal two-entry gluing of the bands is a verified extension of
     # B(v) by B(u) whose middle does not decompose; this is why the witness
     # middle is built on the cut uv cycle instead
-    from stringalg.classify import glue_bands_quoted
-
     p7 = gp.with_field(7)
     triple = find_witness_triple(p7, search_len=6)
-    glued = glue_bands_quoted(p7, triple, 3)
+    glued = _glue_bands_quoted(p7, triple, 3)
     assert glued.total_dim == 36
     assert decompose(glued, trials=12).summand_count == 1
 

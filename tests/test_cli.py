@@ -141,3 +141,44 @@ def test_field_override(capsys, fixture_dir):
         "--from", "e(1)", "--to", "e(2)",
     )
     assert code == 0 and "ext1_dim: 1" in out
+
+
+def test_verification_error_exits_3(capsys, fixture_dir, monkeypatch):
+    from stringalg.errors import VerificationError
+    from stringalg.homalg import ShortExactSequence
+
+    def broken(self):
+        raise VerificationError("injected exactness failure")
+
+    monkeypatch.setattr(ShortExactSequence, "verify", broken)
+    code = main(["ar", str(fixture_dir / "a3.sba"), "--word", "e(1)"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "certificate failed to verify" in err and "injected" in err
+
+
+def test_middle_census_rejects_ext_dim_4_before_decomposing(
+    capsys, fixture_dir, tmp_path, monkeypatch
+):
+    import stringalg.decomp
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decompose ran before the extension-dimension cap")
+
+    monkeypatch.setattr(stringalg.decomp, "decompose", forbidden)
+    # m2111 + m2111: Ext^1 into the simple at the sink has dimension 2 + 2
+    doubled = tmp_path / "m2111x2.mod"
+    doubled.write_text(
+        "module\n"
+        "dim: 0=4 1=2 2=2 3=2\n"
+        "map: a 1 0 0 0; 0 0 1 0\n"
+        "map: b 1 0 0 0; 0 0 1 0\n"
+        "map: c 1 0 0 0; 0 0 1 0\n"
+    )
+    code = main([
+        "middle-census", str(fixture_dir / "d4sub.sba"),
+        "--from", "@" + str(doubled), "--to", "e(0)",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "156 lines exceeds the cap of 31" in err

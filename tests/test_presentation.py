@@ -143,3 +143,27 @@ def test_s1_s2_imply_bounded_length2_paths(a3, a3nr, gp, kronecker):
 def test_relation_length_one_rejected():
     with pytest.raises((ParseError, StringAlgError)):
         parse_presentation("vertices: 1\narrow: a 1 1\nrelation: a")
+
+
+def test_field_too_large_for_int64_rejected(a3):
+    # above the limit rref overflows int64 silently: at this q a full-rank
+    # 6x6 matrix came back with pivots 0..5 but a non-identity reduced form
+    big = 4294967311
+    text = f"vertices: 1 2\narrow: a 1 2\nfield: {big}"
+    with pytest.raises(StringAlgError, match="too large"):
+        parse_presentation(text)
+    with pytest.raises(StringAlgError, match="too large"):
+        a3.with_field(big)
+
+
+def test_largest_accepted_field_reduces_exactly(a3):
+    from stringalg.linalg import Matrix
+
+    q = 2147483647  # the largest prime with (q-1)^2 < 2^62
+    assert a3.with_field(q).field_order == q
+    # a Vandermonde matrix on distinct nodes is invertible
+    nodes = [q - 1 - 987654 * i for i in range(6)]
+    m = Matrix([[pow(x, j, q) for j in range(6)] for x in nodes], q)
+    reduced, pivots = m.rref()
+    assert pivots == list(range(6))
+    assert reduced.a.tolist() == Matrix.identity(6, q).a.tolist()
