@@ -15,6 +15,13 @@ from .errors import StringAlgError
 
 # int64 accumulators stay exact as long as inner_dim * (q-1)^2 < 2^63.
 _ACC_LIMIT = 1 << 62
+# float64 represents every integer below 2^53, so a BLAS product of entries in
+# [0, q) is exact while inner_dim * (q-1)^2 < 2^53: every partial sum is such
+# an integer, whatever order or fused multiply-adds the library uses.
+_FLOAT_EXACT_LIMIT = 1 << 53
+# Below this many scalar multiplications numpy's own int64 loop beats the
+# float conversions (crossover near 16x16x16 with OpenBLAS).
+_BLAS_MIN_WORK = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -128,7 +135,12 @@ class Matrix:
             raise StringAlgError(f"dimension mismatch: {self.shape} @ {other.shape}")
         if self.cols * (self.q - 1) ** 2 >= _ACC_LIMIT:
             raise StringAlgError("matrix product would overflow int64 accumulators")
-        return Matrix((self.a @ other.a) % self.q, self.q)
+        if (self.rows * self.cols * other.cols >= _BLAS_MIN_WORK
+                and self.cols * (self.q - 1) ** 2 < _FLOAT_EXACT_LIMIT):
+            prod = (self.a.astype(np.float64) @ other.a.astype(np.float64)).astype(np.int64)
+        else:
+            prod = self.a @ other.a
+        return Matrix(prod % self.q, self.q)
 
     def __repr__(self):
         return f"Matrix({self.a.tolist()}, q={self.q})"
@@ -293,6 +305,16 @@ class Poly:
         self.q = q
 
     @classmethod
+    def _reduced(cls, c: list[int], q: int) -> "Poly":
+        """Wrap a list of ints already in [0, q); the list is taken, not copied."""
+        while c and c[-1] == 0:
+            c.pop()
+        p = cls.__new__(cls)
+        p.c = c
+        p.q = q
+        return p
+
+    @classmethod
     def x(cls, q: int) -> "Poly":
         return cls([0, 1], q)
 
@@ -352,16 +374,17 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         q = self.q
+        b = other.c
+        nb = len(b)
         rem = list(self.c)
-        quo = [0] * max(0, len(rem) - len(other.c) + 1)
-        inv_lead = inv_mod(other.c[-1], q)
-        for i in range(len(rem) - len(other.c), -1, -1):
-            coef = rem[i + len(other.c) - 1] * inv_lead % q
+        quo = [0] * max(0, len(rem) - nb + 1)
+        inv_lead = inv_mod(b[-1], q)
+        for i in range(len(rem) - nb, -1, -1):
+            coef = rem[i + nb - 1] * inv_lead % q
             if coef:
                 quo[i] = coef
-                for j, b in enumerate(other.c):
-                    rem[i + j] = (rem[i + j] - coef * b) % q
-        return Poly(quo, q), Poly(rem, q)
+                rem[i : i + nb] = [(r - coef * c) % q for r, c in zip(rem[i : i + nb], b)]
+        return Poly._reduced(quo, q), Poly._reduced(rem, q)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]

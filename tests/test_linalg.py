@@ -224,3 +224,46 @@ def test_inv_mod():
     assert inv_mod(3, 7) == 5
     with pytest.raises(ValueError):
         inv_mod(0, 7)
+
+
+def _exact_product_mod(a, b, q):
+    """Schoolbook product with Python integers, reduced mod q."""
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
+
+
+def test_matmul_exact_on_float_and_int_paths():
+    rng = random.Random(11)
+    # around the float path's exactness edge for inner dimension 64: the
+    # largest prime below it (float path) and the next prime above (int path)
+    below = above = int((2**53 / 64) ** 0.5)
+    while not (is_prime(below) and 64 * (below - 1) ** 2 < 2**53):
+        below -= 1
+    while not (is_prime(above) and 64 * (above - 1) ** 2 >= 2**53):
+        above += 1
+    far = 2**25 + 1  # a prime whose sums below overshoot 2^53 (int path)
+    while not is_prime(far):
+        far += 2
+    for q in (5, 32003, below, above, far):
+        for m, k, n in ((3, 4, 2), (20, 24, 18), (16, 64, 16)):
+            a = [[rng.randrange(q) for _ in range(k)] for _ in range(m)]
+            b = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+            assert (Matrix(a, q) @ Matrix(b, q)).a.tolist() == _exact_product_mod(a, b, q)
+        # partial sums near their largest, with an odd total, which float64
+        # would round once it passes 2^53
+        full_a = [[q - 1] * 63 + [1] for _ in range(16)]
+        full_b = [[q - 1] * 16 for _ in range(63)] + [[1] * 16]
+        got = (Matrix(full_a, q) @ Matrix(full_b, q)).a.tolist()
+        assert got == _exact_product_mod(full_a, full_b, q)
+
+
+def test_poly_divmod_reconstructs():
+    rng = random.Random(12)
+    for q in (2, 7, 32003):
+        for _ in range(20):
+            a = Poly([rng.randrange(q) for _ in range(rng.randrange(0, 12))], q)
+            b = Poly([rng.randrange(q) for _ in range(rng.randrange(0, 6))] + [rng.randrange(1, q)], q)
+            quo, rem = a.divmod(b)
+            assert quo * b + rem == a
+            assert rem.degree < b.degree
+            assert all(0 <= c < q for c in quo.c + rem.c)
+            assert all(p.c[-1] != 0 for p in (quo, rem) if p.c)
