@@ -33,8 +33,8 @@ from .reps import (
     simple,
     string_module,
 )
-from .homalg import ext1, ext1_basis, ext1_dim, extension_from_cocycle, hom_basis, hom_dim, middle_census
-from .decomp import DecompositionReport, catalog_decompose, decompose, fitting_split
+from .homalg import ext1, ext1_dim, hom_basis, hom_dim, middle_census
+from .decomp import DecompositionReport, catalog_decompose, decompose
 from .artheory import (
     Catalog,
     ar_sequence,

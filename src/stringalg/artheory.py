@@ -88,9 +88,9 @@ class Catalog:
         self.hom = [
             [len(hom_basis(u.rep, v.rep)) for v in self.entries] for u in self.entries
         ]
-        self._mark_projectives()
         self._ar_cache: dict[int, "ARSequence"] = {}
         self._hom_into_cache: dict[Representation, list[int]] = {}
+        self._mark_projectives()
 
     def _word_key(self, w: Word):
         p = self.p
@@ -108,8 +108,7 @@ class Catalog:
 
     def _mark_projectives(self):
         for v in self.p.quiver.vertices:
-            pv = projective(self.p, v)
-            profile = [len(hom_basis(u.rep, pv)) for u in self.entries]
+            profile = self.hom_into(projective(self.p, v))
             hits = [e for e in self.entries if self.hom_column(e) == profile]
             if len(hits) != 1:
                 raise VerificationError(
@@ -128,6 +127,15 @@ class Catalog:
             ]
         return self._hom_into_cache[m]
 
+    def direct_sum(self, parts: list[int], label: str) -> Representation:
+        """The direct sum of the members at the indices in parts.
+
+        Hom(U, -) is additive and hom[u][i] is dim Hom(U, member i), so the
+        sum's hom profile is the sum of the parts' columns of the table."""
+        m = direct_sum([self.entries[i].rep for i in parts], label=label)
+        self._hom_into_cache[m] = [sum(row[i] for i in parts) for row in self.hom]
+        return m
+
     def ar_sequence(self, e: CatalogEntry) -> "ARSequence":
         if e.index not in self._ar_cache:
             self._ar_cache[e.index] = _build_ar_sequence(self, e)
@@ -140,14 +148,12 @@ class Catalog:
         return len(self.entries)
 
 
-_catalog_cache: dict[int, Catalog] = {}
-
-
 def catalog_for(p: Presentation) -> Catalog:
-    key = id(p)
-    if key not in _catalog_cache:
-        _catalog_cache[key] = Catalog(p)
-    return _catalog_cache[key]
+    """The catalog of p, built once and held on p itself, so that it lives
+    exactly as long as the presentation."""
+    if p._catalog is None:
+        object.__setattr__(p, "_catalog", Catalog(p))
+    return p._catalog
 
 
 def enumerate_indecomposables(p: Presentation, max_dim: int) -> list[CatalogEntry]:

@@ -401,7 +401,6 @@ def build_witness(
     triple: WitnessTriple,
     prime_p: int,
     seed: int = 0,
-    trials: int = 50,
 ) -> WitnessResult:
     """The many-summand witness extension for a non-domestic presentation.
 
@@ -484,7 +483,7 @@ def build_witness(
         proj=Intertwiner(middle, right_rep, {k: Matrix(m, q) for k, m in proj_mats.items()}),
     )
     ses.verify()
-    report = decompose(middle, seed=seed, trials=trials)
+    report = decompose(middle, seed=seed)
     if report.summand_count < prime_p:
         raise VerificationError(
             f"middle decomposed into {report.summand_count} < {prime_p} summands"

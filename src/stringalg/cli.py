@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .artheory import ar_sequence, catalog_for
+from .artheory import ar_sequence, enumerate_indecomposables
 from .classify import build_witness, classify, find_witness_triple
 from .errors import ParseError, StringAlgError, VerificationError
 from .homalg import ext1_dim, hom_dim, middle_census
@@ -65,9 +65,9 @@ class Report:
 
 def _load(args) -> Presentation:
     p = load_presentation(args.presentation)
-    if getattr(args, "field", None):
+    if getattr(args, "field", None) is not None:
         p = p.with_field(args.field)
-    if getattr(args, "q", None):
+    if getattr(args, "q", None) is not None:
         p = p.with_field(args.q)
     return p
 
@@ -123,9 +123,8 @@ def cmd_classify(args) -> int:
 
 def cmd_modules(args) -> int:
     p = _load(args)
-    cat = catalog_for(p)
     rep = Report("modules")
-    entries = [e for e in cat.entries if e.rep.total_dim <= args.max_dim]
+    entries = enumerate_indecomposables(p, args.max_dim)
     rep.add("max_dim", args.max_dim)
     rep.add("count", len(entries))
     for e in entries:

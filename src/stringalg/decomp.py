@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CatalogError, StringAlgError
-from .linalg import Matrix, Poly, factor_poly, vstack
+from .linalg import Matrix, Poly, factor_poly
 from .homalg import Intertwiner, hom_basis, hom_dim
 from .reps import Representation, subrepresentation
 
@@ -135,28 +135,6 @@ def _primary_components(
         parts.append(sub)
     witness = "splitting factors: " + " * ".join(f"({g!r})" for g, _, _ in data)
     return parts, witness
-
-
-def fitting_split(
-    M: Representation, f: Intertwiner
-) -> tuple[Representation, Representation, str] | None:
-    """Split M into the first primary component of f and its complement,
-    or None when no splitting polynomial factor is found."""
-    if f.source is not M or f.target is not M:
-        raise StringAlgError("fitting_split needs an endomorphism of M")
-    f.verify()
-    data = _primary_rows(M, f)
-    if data is None:
-        return None
-    first_g, first_e, first_rows = data[0]
-    rest = {}
-    for v in M.pres.quiver.vertices:
-        mats = [rows[v] for _, _, rows in data[1:] if rows[v].rows]
-        rest[v] = vstack(mats) if mats else Matrix.zeros(0, M.dim(v), M.q)
-    M1, _ = subrepresentation(M, first_rows, label=f"{M.label}|{first_g!r}")
-    M2, _ = subrepresentation(M, rest, label=f"{M.label}|rest")
-    witness = f"splits off the ({first_g!r})-primary part"
-    return M1, M2, witness
 
 
 @dataclass

@@ -217,11 +217,6 @@ def projective_cover(M: Representation) -> CoverData:
     return CoverData(M, P0, epi, syz, incl, [v for v, _ in lifts])
 
 
-def syzygy(M: Representation) -> tuple[Representation, Intertwiner]:
-    data = projective_cover(M)
-    return data.syzygy, data.incl
-
-
 # ---------------------------------------------------------------------------
 # Ext^1
 # ---------------------------------------------------------------------------
@@ -273,10 +268,6 @@ def ext1(M: Representation, N: Representation) -> Ext1Context:
     return Ext1Context(M, N, cover, reps)
 
 
-def ext1_basis(M: Representation, N: Representation) -> list[Intertwiner]:
-    return ext1(M, N).basis
-
-
 def ext1_dim(M: Representation, N: Representation) -> int:
     return ext1(M, N).dim
 
@@ -321,11 +312,7 @@ def extension_of_cocycle(
     if c.target is not N:
         raise StringAlgError("cocycle must land in N")
     if c.source is not cover.syzygy:
-        # rebind onto this cover's syzygy; covers are deterministic, so a
-        # structurally equal syzygy carries the same coordinates
-        if c.source.dimension_vector() != cover.syzygy.dimension_vector():
-            raise StringAlgError("cocycle source does not match the cover's syzygy")
-        c = Intertwiner(cover.syzygy, N, c.mats)
+        raise StringAlgError("cocycle must start at the cover's syzygy")
     c.verify()
     amb = direct_sum([N, cover.cover], label="N+P0")
     wrows = {}
@@ -353,18 +340,6 @@ def extension_of_cocycle(
     )
     ses.verify()
     return ses
-
-
-def extension_from_cocycle(
-    M: Representation, N: Representation, c: Intertwiner
-) -> ShortExactSequence:
-    """Extension 0 -> N -> E -> M -> 0 from an intertwiner syzygy(M) -> N.
-
-    The projective cover is recomputed deterministically, so cocycles from
-    ext1(M, N) remain valid here.
-    """
-    cover = projective_cover(M)
-    return extension_of_cocycle(cover, N, c)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +385,6 @@ def middle_census(
     N: Representation,
     max_lines: int = 10_000,
     seed: int = 0,
-    trials: int = 50,
     jobs: int = 1,
 ) -> CensusReport:
     """Summand counts of extension middles over every line of P(Ext^1(M, N))."""
@@ -430,7 +404,7 @@ def middle_census(
 
     def run(coeffs):
         ses = ctx.extension(coeffs)
-        report = decompose(ses.middle, seed=seed, trials=trials)
+        report = decompose(ses.middle, seed=seed)
         dv = tuple(ses.middle.dim(v) for v in M.pres.quiver.vertices)
         return CensusLine(coeffs, report.summand_count, dv)
 

@@ -76,6 +76,8 @@ class Presentation:
     relations: tuple[tuple[str, ...], ...]  # arrow-name sequences, length >= 2
     field_order: int = DEFAULT_FIELD_ORDER
     _arrow_map: dict = field(default=None, repr=False, compare=False)
+    # the catalog built by artheory.catalog_for; not copied by with_field
+    _catalog: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.field_order):

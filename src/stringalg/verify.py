@@ -5,11 +5,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .artheory import Catalog, catalog_for, delta_count_formula, hom_leq
+from .artheory import Catalog, catalog_for, delta_count_formula, enumerate_indecomposables, hom_leq
 from .decomp import decompose
 from .homalg import hom_basis, middle_census
 from .presentation import Presentation, check_finite_dimensional, validate_axioms
-from .reps import Representation, direct_sum, projective, simple
+from .reps import Representation, projective, simple
 from .words import format_walk
 
 
@@ -34,7 +34,6 @@ def middle_term_scan(
     p: Presentation,
     max_dim: int,
     seed: int = 0,
-    trials: int = 50,
     jobs: int = 1,
     allow_non_string: bool = False,
     extra_modules: list[Representation] | None = None,
@@ -57,7 +56,7 @@ def middle_term_scan(
         for label, m in candidates:
             if m.total_dim == 0 or m.total_dim > max_dim:
                 continue
-            if decompose(m, seed=seed, trials=trials).summand_count != 1:
+            if decompose(m, seed=seed).summand_count != 1:
                 continue
             profile = tuple(len(hom_basis(u, m)) for u in probes)
             key = (tuple(sorted(m.dimension_vector().items())), profile)
@@ -66,13 +65,11 @@ def middle_term_scan(
             seen_profiles.append(key)
             modules.append((label, m))
     else:
-        cat = catalog_for(p)
-        for e in cat.entries:
-            if e.rep.total_dim <= max_dim:
-                modules.append((f"M({format_walk(e.word.walk)})", e.rep))
+        for e in enumerate_indecomposables(p, max_dim):
+            modules.append((f"M({format_walk(e.word.walk)})", e.rep))
     report = MiddleScanReport(ok=True, pair_count=0)
     for (la, ma), (lb, mb) in itertools.product(modules, repeat=2):
-        census = middle_census(ma, mb, seed=seed, trials=trials, jobs=jobs)
+        census = middle_census(ma, mb, seed=seed, jobs=jobs)
         if census.ext_dim == 0:
             continue
         report.pair_count += 1
@@ -106,17 +103,17 @@ class DegenerationReport:
 
 def _direct_sums_up_to(cat: Catalog, max_dim: int):
     """All direct sums from the catalog with total dimension <= max_dim,
-    one per multiset, as (label, module, number of parts)."""
-    reps = [(e.rep.total_dim, f"M({format_walk(e.word.walk)})", e.rep) for e in cat.entries]
+    one per multiset, as (label, module, number of parts).  Each is built by
+    Catalog.direct_sum, so its hom profile comes from the catalog's table."""
+    labels = [f"M({format_walk(e.word.walk)})" for e in cat.entries]
     out = []
 
     def rec(start: int, chosen: list[int], dim_left: int):
         if chosen:
-            parts = [reps[i] for i in chosen]
-            label = "+".join(lbl for _, lbl, _ in parts)
-            out.append((label, direct_sum([r for _, _, r in parts], label=label), len(parts)))
-        for i in range(start, len(reps)):
-            d = reps[i][0]
+            label = "+".join(labels[i] for i in chosen)
+            out.append((label, cat.direct_sum(chosen, label), len(chosen)))
+        for i in range(start, len(cat.entries)):
+            d = cat.entries[i].rep.total_dim
             if d <= dim_left:
                 rec(i, chosen + [i], dim_left - d)
 

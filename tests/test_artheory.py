@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -14,7 +16,9 @@ from stringalg.artheory import (
 from stringalg.decomp import decompose
 from stringalg.errors import InfiniteTypeError, StringAlgError
 from stringalg.homalg import hom_dim
+from stringalg.presentation import load_presentation
 from stringalg.reps import direct_sum, projective, simple
+from stringalg.verify import _direct_sums_up_to
 from stringalg.words import format_walk, parse_word
 
 
@@ -224,3 +228,27 @@ def test_ar_sequences_on_source_quiver():
         s = cat.ar_sequence(e)
         assert s.defect_checked
         assert s.middle_summand_count <= 2
+
+
+def test_catalog_dies_with_its_presentation(fixture_dir):
+    p = load_presentation(fixture_dir / "a3nr.sba")
+    catalog_for(p)
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
+
+
+def test_catalog_for_with_field_builds_a_new_catalog(a3nr):
+    assert catalog_for(a3nr).p is a3nr
+    assert catalog_for(a3nr.with_field(7)).p.field_order == 7
+
+
+def test_direct_sum_profiles_match_solved_hom(a3, a3nr):
+    # Catalog.direct_sum reads the profile off the hom table; solve each
+    # Hom system directly as the oracle
+    for p in (a3, a3nr):
+        cat = catalog_for(p)
+        for label, m, _ in _direct_sums_up_to(cat, 6):
+            solved = [hom_dim(u.rep, m) for u in cat.entries]
+            assert cat.hom_into(m) == solved, label

@@ -182,3 +182,17 @@ def test_middle_census_rejects_ext_dim_4_before_decomposing(
     err = capsys.readouterr().err
     assert code == 2
     assert "156 lines exceeds the cap of 31" in err
+
+
+def test_field_zero_refused(capsys, fixture_dir):
+    code = main([
+        "--field", "0", "hom", str(fixture_dir / "a3.sba"), "--from", "e(1)", "--to", "e(1)",
+    ])
+    assert code == 2
+    assert "field order 0 is not prime" in capsys.readouterr().err
+
+
+def test_witness_q_zero_refused(capsys, fixture_dir):
+    code = main(["witness", str(fixture_dir / "gp.sba"), "--p", "11", "--q", "0"])
+    assert code == 2
+    assert "field order 0 is not prime" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stringalg.decomp import catalog_decompose, decompose, fitting_split
+from stringalg.decomp import _primary_components, catalog_decompose, decompose
 from stringalg.errors import CatalogError, StringAlgError
 from stringalg.homalg import hom_dim, identity_map, zero_map
 from stringalg.linalg import Matrix
@@ -24,7 +24,7 @@ def a3_catalog(a3):
 
 def test_fitting_identity_gives_none(a3):
     p1 = projective(a3, "1")
-    assert fitting_split(p1, identity_map(p1)) is None
+    assert _primary_components(p1, identity_map(p1)) is None
 
 
 def test_fitting_projection_splits(a3):
@@ -33,19 +33,17 @@ def test_fitting_projection_splits(a3):
     # projection onto the first summand
     proj = zero_map(m, m)
     proj.mats["1"] = Matrix([[1]], a3.q)
-    split = fitting_split(m, proj)
+    split = _primary_components(m, proj)
     assert split is not None
-    m1, m2, _ = split
-    dims = sorted([tuple(sorted(m1.dimension_vector().items())),
-                   tuple(sorted(m2.dimension_vector().items()))])
-    assert {m1.total_dim, m2.total_dim} == {1}
-    assert m1.total_dim + m2.total_dim == 2
+    parts, _ = split
+    assert [part.total_dim for part in parts] == [1, 1]
+    assert sorted(part.dim("1") for part in parts) == [0, 1]
 
 
 def test_fitting_rejects_non_endo(a3):
     s1, s2 = simple(a3, "1"), simple(a3, "2")
     with pytest.raises(StringAlgError):
-        fitting_split(s1, zero_map(s1, s2))
+        _primary_components(s1, zero_map(s1, s2))
 
 
 def test_gp_imprimitive_square_splits_into_two_bands(gp):

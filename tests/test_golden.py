@@ -24,12 +24,27 @@ CASES = {
     "degeneration_a3_dim4_allpairs": ["degeneration", "a3.sba", "--max-dim", "4", "--all-pairs"],
     "degeneration_a3nr_dim6_seed0": ["--seed", "0", "degeneration", "a3nr.sba", "--max-dim", "6"],
     "degeneration_a3nr_dim6_seed1": ["--seed", "1", "degeneration", "a3nr.sba", "--max-dim", "6"],
+    "verify_main_theorem_a3nr_dim4": ["verify-main-theorem", "a3nr.sba", "--max-dim", "4"],
+    "middle_census_d4sub_m2111": [
+        "middle-census", "d4sub.sba", "--from", "@d4sub_m2111.mod", "--to", "e(0)",
+    ],
+    "ext_a3nr_e1_e2": ["ext", "a3nr.sba", "--from", "e(1)", "--to", "e(2)"],
+    "ar_a3_e1": ["ar", "a3.sba", "--word", "e(1)"],
 }
+
+
+def _fixture_arg(arg: str, fixture_dir: Path) -> str:
+    """Presentation files and @<name>.mod literals name files in fixtures/."""
+    if arg.endswith(".sba"):
+        return str(fixture_dir / arg)
+    if arg.startswith("@") and arg.endswith(".mod"):
+        return "@" + str(fixture_dir / arg[1:])
+    return arg
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys, fixture_dir):
-    argv = [str(fixture_dir / a) if a.endswith(".sba") else a for a in CASES[name]]
+    argv = [_fixture_arg(a, fixture_dir) for a in CASES[name]]
     code = main(["--format", "structured", *argv])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

@@ -7,12 +7,11 @@ from stringalg.errors import StringAlgError
 from stringalg.homalg import (
     ext1,
     ext1_dim,
-    extension_from_cocycle,
+    extension_of_cocycle,
     hom_basis,
     hom_dim,
     middle_census,
     projective_cover,
-    syzygy,
     zero_map,
 )
 from stringalg.reps import (
@@ -78,7 +77,7 @@ def test_projective_cover_of_projective(a3):
 
 def test_syzygy_of_simple_a3(a3):
     s1 = simple(a3, "1")
-    omega, incl = syzygy(s1)
+    omega = projective_cover(s1).syzygy
     # relation a b truncates: the syzygy is the simple at 2
     assert omega.dimension_vector() == {"1": 0, "2": 1, "3": 0}
 
@@ -129,7 +128,7 @@ def test_extension_from_cocycle_roundtrip(a3):
     s1, s2 = simple(a3, "1"), simple(a3, "2")
     ctx = ext1(s1, s2)
     c = ctx.cocycle([1])
-    ses = extension_from_cocycle(s1, s2, c)
+    ses = extension_of_cocycle(ctx.cover, s2, c)
     ses.verify()
     assert ses.middle.total_dim == 2
 
@@ -138,8 +137,13 @@ def test_extension_rejects_non_intertwiner(a3):
     s1, s2, s3 = (simple(a3, v) for v in "123")
     ctx = ext1(s1, s2)
     bad = zero_map(s1, s2)  # wrong source
-    with pytest.raises(StringAlgError):
-        extension_from_cocycle(s1, s2, bad)
+    with pytest.raises(StringAlgError, match="syzygy"):
+        extension_of_cocycle(ctx.cover, s2, bad)
+    # a cocycle on another cover's syzygy is refused too, even though that
+    # syzygy is structurally equal
+    other = ext1(s1, s2).cocycle([1])
+    with pytest.raises(StringAlgError, match="syzygy"):
+        extension_of_cocycle(ctx.cover, s2, other)
 
 
 def test_d4_ext_dimension_m2111(d4sub, fixture_dir):
@@ -211,6 +215,6 @@ def test_equal_ext_classes_give_equal_middles(a3):
     restricted = hom_basis(ctx.cover.cover, s2)
     for h in restricted:
         shifted = c.add(ctx.cover.incl.compose(h))
-        ses = extension_from_cocycle(s1, s2, shifted)
+        ses = extension_of_cocycle(ctx.cover, s2, shifted)
         got = [hom_dim(p_, ses.middle) for p_ in probes]
         assert got == base
