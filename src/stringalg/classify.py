@@ -227,18 +227,6 @@ class ClassificationCertificate:
     bound: int | None
     automaton_states: int
 
-    def describe(self) -> list[str]:
-        lines = [f"verdict={self.verdict}"]
-        if self.band_witness is not None:
-            lines.append(f"band={format_walk(self.band_witness.word.walk)}")
-        if self.generator_pair is not None:
-            g1, g2 = self.generator_pair
-            lines.append(f"generators[{self.generator_arrow}]={format_walk(g1.walk)} | {format_walk(g2.walk)}")
-        if self.bound is not None:
-            lines.append(f"bound={self.bound}")
-        lines.append(f"automaton_states={self.automaton_states}")
-        return lines
-
 
 def classify(p: Presentation, bound: int | None = None) -> ClassificationCertificate:
     """Finite / Domestic / NonDomestic verdict with evidence.

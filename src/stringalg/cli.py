@@ -19,7 +19,7 @@ import sys
 from .artheory import ar_sequence, enumerate_indecomposables
 from .classify import build_witness, classify, find_witness_triple
 from .errors import ParseError, StringAlgError, VerificationError
-from .homalg import ext1_dim, hom_dim, middle_census
+from .homalg import ext1_dim, hom_dim, middle_census, projective_cover
 from .presentation import Presentation, load_presentation
 from .reps import Representation, load_module_literal, string_module
 from .verify import axiom_summary, degeneration_scan, middle_term_scan
@@ -164,7 +164,7 @@ def cmd_middle_census(args) -> int:
     # at most three extension dimensions: the lines of P(F_q^3)
     q = p.field_order
     cap = (q**3 - 1) // (q - 1)
-    census = middle_census(m, n, max_lines=cap, seed=args.seed, jobs=args.jobs)
+    census = middle_census(projective_cover(m), n, max_lines=cap, seed=args.seed)
     rep = Report("middle-census")
     rep.add("ext_dim", census.ext_dim)
     rep.add("lines", len(census.lines))
@@ -238,7 +238,6 @@ def cmd_verify_main_theorem(args) -> int:
         p,
         args.max_dim,
         seed=args.seed,
-        jobs=args.jobs,
         allow_non_string=args.allow_non_string,
         extra_modules=extra,
     )
@@ -265,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--field", type=int, help="override the coefficient field order")
     parser.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap for parallel sections")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="accepted and ignored; every command runs serially"
+    )
     parser.add_argument(
         "--format", choices=("text", "structured", "json"), default="text"
     )

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CatalogError, StringAlgError
+from .errors import CatalogError, StringAlgError, VerificationError
 from .linalg import Matrix, Poly, factor_poly
 from .homalg import Intertwiner, hom_basis, hom_dim
 from .reps import Representation, subrepresentation
@@ -46,13 +46,16 @@ def _primary_kernel_rows(f: Intertwiner, factor: Poly, max_power: int):
 def _krylov_minpoly(M: Representation, f: Intertwiner, rng: random.Random) -> Poly:
     """Least common multiple of the minimal polynomials of f on a few random
     vectors.  Agrees with the true minimal polynomial with high probability
-    and always divides it, which keeps the split test one sided."""
+    and always divides it, which keeps the split test one sided.  A zero
+    start vector has minimal polynomial 1 and is skipped."""
     q = M.q
     verts = [v for v in M.pres.quiver.vertices if M.dim(v)]
     lcm = Poly([1], q)
     for _ in range(3):
         w = {v: np.array([[rng.randrange(q) for _ in range(M.dim(v))]], dtype=np.int64)
              for v in verts}
+        if not any(w[v].any() for v in verts):
+            continue
         flat = [np.concatenate([w[v][0] for v in verts])]
         cur = w
         for _ in range(M.total_dim):
@@ -66,7 +69,7 @@ def _krylov_minpoly(M: Representation, f: Intertwiner, rng: random.Random) -> Po
         target = Matrix(np.array([flat[d]], dtype=np.int64), q)
         sol = lead.solve_left(target)
         if sol is None:
-            raise StringAlgError("krylov dependence did not resolve")
+            raise VerificationError("krylov dependence did not resolve")
         coeffs = [(-int(sol.a[0, i])) % q for i in range(d)] + [1]
         m = Poly(coeffs, q)
         g = lcm.gcd(m)
@@ -111,7 +114,7 @@ def _primary_rows(M: Representation, f: Intertwiner, rng: random.Random | None =
         return None
     data = _split_rows_by_factors(M, f, factors)
     if data is None:
-        raise StringAlgError("primary components do not span; split failed")
+        raise VerificationError("primary components do not span; split failed")
     return data
 
 
@@ -131,7 +134,7 @@ def _primary_components(
     for g, eg, rows in data:
         sub, _ = subrepresentation(M, rows, label=f"{M.label}|{g!r}")
         if sub.total_dim == 0:
-            raise StringAlgError("empty primary component; split failed")
+            raise VerificationError("empty primary component; split failed")
         parts.append(sub)
     witness = "splitting factors: " + " * ".join(f"({g!r})" for g, _, _ in data)
     return parts, witness

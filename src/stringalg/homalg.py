@@ -12,6 +12,7 @@ an explicit short exact sequence by pushing P0 out along it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,6 @@ class Intertwiner:
         p = self.source.pres
         parts = [self.mats[v].a.reshape(-1) for v in p.quiver.vertices]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-    def rank(self) -> int:
-        return sum(self.mats[v].rank() for v in self.source.pres.quiver.vertices)
 
 
 def zero_map(M: Representation, N: Representation) -> Intertwiner:
@@ -160,7 +158,6 @@ class CoverData:
     epi: Intertwiner  # P0 -> M
     syzygy: Representation
     incl: Intertwiner  # syzygy -> P0
-    top_vertices: list[str]  # one entry per projective summand of P0
 
 
 def _radical_rows(M: Representation, v: str) -> Matrix:
@@ -214,7 +211,7 @@ def projective_cover(M: Representation) -> CoverData:
     syz, incl_mats = subrepresentation(P0, kernel_rows, label=f"syzygy({M.label})")
     incl = Intertwiner(syz, P0, incl_mats)
     incl.verify()
-    return CoverData(M, P0, epi, syz, incl, [v for v, _ in lifts])
+    return CoverData(M, P0, epi, syz, incl)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +221,8 @@ def projective_cover(M: Representation) -> CoverData:
 
 @dataclass
 class Ext1Context:
-    M: Representation
+    cover: CoverData  # projective cover of the left module M = cover.module
     N: Representation
-    cover: CoverData
     basis: list[Intertwiner]  # cocycles syzygy -> N representing an Ext basis
 
     @property
@@ -236,7 +232,7 @@ class Ext1Context:
     def cocycle(self, coeffs) -> Intertwiner:
         out = zero_map(self.cover.syzygy, self.N)
         for c, b in zip(coeffs, self.basis):
-            if int(c) % self.M.q:
+            if int(c) % self.N.q:
                 out = out.add(b.scale(int(c)))
         return out
 
@@ -244,32 +240,28 @@ class Ext1Context:
         return extension_of_cocycle(self.cover, self.N, self.cocycle(coeffs))
 
 
-def ext1(M: Representation, N: Representation) -> Ext1Context:
-    if M.pres is not N.pres:
+def ext1(cover: CoverData, N: Representation) -> Ext1Context:
+    """Ext^1(cover.module, N) on the given projective cover.
+
+    The restricted maps Hom(P0, N) -> Hom(S, N) come first and the cocycles
+    S -> N after them, as the columns of one matrix; a cocycle joins the
+    basis exactly when its column is a pivot, that is, when it is not in
+    the span of the restricted maps and the cocycles already chosen.
+    """
+    if cover.module.pres is not N.pres:
         raise StringAlgError("modules live over different presentations")
-    p = M.pres
-    cover = projective_cover(M)
     hom_syz = hom_basis(cover.syzygy, N)
-    hom_p0 = hom_basis(cover.cover, N)
-    q = M.q
-    width = sum(cover.syzygy.dim(v) * N.dim(v) for v in p.quiver.vertices)
-    restricted = [cover.incl.compose(h).flatten() for h in hom_p0]
-    span = np.array(restricted, dtype=np.int64).reshape(len(restricted), width)
-    current = Matrix(span, q)
-    rank = current.rank()
-    reps: list[Intertwiner] = []
-    for g in hom_syz:
-        cand = Matrix(np.vstack([current.a, g.flatten().reshape(1, width)]), q)
-        r = cand.rank()
-        if r > rank:
-            reps.append(g)
-            current = cand
-            rank = r
-    return Ext1Context(M, N, cover, reps)
+    restricted = [cover.incl.compose(h).flatten() for h in hom_basis(cover.cover, N)]
+    cols = restricted + [g.flatten() for g in hom_syz]
+    width = sum(cover.syzygy.dim(v) * N.dim(v) for v in N.pres.quiver.vertices)
+    stacked = np.array(cols, dtype=np.int64).reshape(len(cols), width)
+    _, pivots = Matrix(stacked.T, N.q).rref()
+    basis = [hom_syz[j - len(restricted)] for j in pivots if j >= len(restricted)]
+    return Ext1Context(cover, N, basis)
 
 
 def ext1_dim(M: Representation, N: Representation) -> int:
-    return ext1(M, N).dim
+    return ext1(projective_cover(M), N).dim
 
 
 # ---------------------------------------------------------------------------
@@ -363,36 +355,24 @@ class CensusReport:
 
 def projective_line_representatives(q: int, k: int):
     """One vector per 1-dimensional subspace of F_q^k: first nonzero entry 1."""
-    if k == 0:
-        return
-    coeffs = [0] * k
     for lead in range(k):
-        tail = k - lead - 1
-
-        def rec(pos, cur):
-            if pos == tail:
-                yield tuple(cur)
-                return
-            for a in range(q):
-                yield from rec(pos + 1, cur + [a])
-
-        for rest in rec(0, []):
-            yield tuple([0] * lead + [1] + list(rest))
+        for rest in itertools.product(range(q), repeat=k - lead - 1):
+            yield (0,) * lead + (1,) + rest
 
 
 def middle_census(
-    M: Representation,
+    cover: CoverData,
     N: Representation,
     max_lines: int = 10_000,
     seed: int = 0,
-    jobs: int = 1,
 ) -> CensusReport:
-    """Summand counts of extension middles over every line of P(Ext^1(M, N))."""
+    """Summand counts of extension middles over every line of P(Ext^1(M, N)),
+    where M = cover.module."""
     from .decomp import decompose
 
-    ctx = ext1(M, N)
+    ctx = ext1(cover, N)
     k = ctx.dim
-    q = M.q
+    q = N.q
     if k == 0:
         return CensusReport(0, [], {})
     nlines = (q**k - 1) // (q - 1)
@@ -400,22 +380,12 @@ def middle_census(
         raise StringAlgError(
             f"census over {nlines} lines exceeds the cap of {max_lines}"
         )
-    all_coeffs = list(projective_line_representatives(q, k))
-
-    def run(coeffs):
-        ses = ctx.extension(coeffs)
-        report = decompose(ses.middle, seed=seed)
-        dv = tuple(ses.middle.dim(v) for v in M.pres.quiver.vertices)
-        return CensusLine(coeffs, report.summand_count, dv)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            lines = list(pool.map(run, all_coeffs))
-    else:
-        lines = [run(c) for c in all_coeffs]
+    lines = []
     histogram: dict[int, int] = {}
-    for line in lines:
-        histogram[line.summands] = histogram.get(line.summands, 0) + 1
+    for coeffs in projective_line_representatives(q, k):
+        middle = ctx.extension(coeffs).middle
+        summands = decompose(middle, seed=seed).summand_count
+        dv = tuple(middle.dim(v) for v in N.pres.quiver.vertices)
+        lines.append(CensusLine(coeffs, summands, dv))
+        histogram[summands] = histogram.get(summands, 0) + 1
     return CensusReport(k, lines, dict(sorted(histogram.items())))

@@ -406,12 +406,6 @@ def format_walk(w: Walk) -> str:
     return " ".join(l.arrow + ("" if l.is_direct else "^-1") for l in w.letters)
 
 
-def format_word(w: Word | CyclicWord) -> str:
-    if isinstance(w, CyclicWord):
-        return format_walk(w.word.walk)
-    return format_walk(w.walk)
-
-
 def parse_walk(p: Presentation, text: str) -> Walk:
     text = text.strip()
     if text.startswith("e(") and text.endswith(")"):

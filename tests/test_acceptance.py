@@ -19,7 +19,7 @@ from stringalg.artheory import (
 )
 from stringalg.classify import build_witness, classify, find_witness_triple
 from stringalg.decomp import catalog_decompose, decompose
-from stringalg.homalg import ext1_dim, hom_dim, middle_census
+from stringalg.homalg import ext1_dim, hom_dim, middle_census, projective_cover
 from stringalg.reps import direct_sum, load_module_literal, simple
 from stringalg.verify import _direct_sums_up_to, middle_term_scan
 from stringalg.words import Verdict, fine_wolf_common_power
@@ -84,7 +84,7 @@ def test_criterion_2_d4_necessity(d4sub, fixture_dir):
     s0 = simple(d4sub, "0")
     assert d4sub.field_order == 5
     assert ext1_dim(m, s0) == 2
-    census = middle_census(m, s0, seed=0)
+    census = middle_census(projective_cover(m), s0, seed=0)
     assert len(census.lines) == 6
     assert census.histogram == {2: 3, 3: 3}
     elapsed = time.time() - t0

@@ -196,3 +196,36 @@ def test_witness_q_zero_refused(capsys, fixture_dir):
     code = main(["witness", str(fixture_dir / "gp.sba"), "--p", "11", "--q", "0"])
     assert code == 2
     assert "field order 0 is not prime" in capsys.readouterr().err
+
+
+def test_split_failure_exits_3(capsys, fixture_dir, monkeypatch):
+    import stringalg.decomp
+
+    # primary kernels that never span mean an internal certificate failed,
+    # not a usage error
+    monkeypatch.setattr(stringalg.decomp, "_split_rows_by_factors", lambda *args: None)
+    code = main([
+        "middle-census", str(fixture_dir / "d4sub.sba"),
+        "--from", "@" + str(fixture_dir / "d4sub_m2111.mod"), "--to", "e(0)",
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "certificate failed to verify" in err and "do not span" in err
+
+
+def test_literals_told_apart_by_their_maps(capsys, fixture_dir, tmp_path):
+    # the Kronecker (1,1) modules with maps (1, 1) and (1, 2) over F_3 share
+    # the dimension vector and every Hom dimension from the simples and
+    # projectives, but they are not isomorphic
+    paths = []
+    for i, b in enumerate((1, 2)):
+        path = tmp_path / f"k11_{b}.mod"
+        path.write_text(f"module\ndim: 1=1 2=1\nmap: a 1\nmap: b {b}\n")
+        paths += ["--module", str(path)]
+    code, out = run(
+        capsys, "--field", "3", "--allow-non-string", "verify-main-theorem",
+        str(fixture_dir / "kronecker.sba"), "--max-dim", "4", *paths,
+    )
+    assert code == 0
+    assert "ext(literal0, literal0) dim=1" in out
+    assert "ext(literal1, literal1) dim=1" in out

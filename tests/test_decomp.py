@@ -10,6 +10,7 @@ from stringalg.reps import (
     band_module,
     direct_sum,
     module_from_cyclic_word_unrestricted,
+    parse_module_literal,
     projective,
     simple,
     string_module,
@@ -163,3 +164,17 @@ def test_hom_additive_over_summands(a3):
     for u in catalog:
         total = sum(hom_dim(u, s) for s in report.summands)
         assert hom_dim(u, m) == total
+
+
+def test_zero_krylov_start_vector_is_skipped(kronecker):
+    # over F_3 a random Krylov start vector on a (2,2) module is all zeros
+    # with probability 1/81 per draw; its minimal polynomial is 1, not X.
+    # This regular band module has End = F_9, so an extra factor X would
+    # split off an empty primary component.
+    p = kronecker.with_field(3)
+    m = parse_module_literal(
+        p, "module\ndim: 1=2 2=2\nmap: a 0 1; 1 0\nmap: b 1 2; 0 1\n"
+    )
+    assert hom_dim(m, m) == 2
+    for seed in range(20):
+        assert decompose(m, seed=seed).summand_count == 1

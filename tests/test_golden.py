@@ -25,6 +25,12 @@ CASES = {
     "degeneration_a3nr_dim6_seed0": ["--seed", "0", "degeneration", "a3nr.sba", "--max-dim", "6"],
     "degeneration_a3nr_dim6_seed1": ["--seed", "1", "degeneration", "a3nr.sba", "--max-dim", "6"],
     "verify_main_theorem_a3nr_dim4": ["verify-main-theorem", "a3nr.sba", "--max-dim", "4"],
+    "verify_main_theorem_census_typeA_seed1_04_jobs1": [
+        "--jobs", "1", "verify-main-theorem", "census_typeA_seed1_04.sba", "--max-dim", "6",
+    ],
+    "verify_main_theorem_census_typeA_seed1_04_jobs2": [
+        "--jobs", "2", "verify-main-theorem", "census_typeA_seed1_04.sba", "--max-dim", "6",
+    ],
     "middle_census_d4sub_m2111": [
         "middle-census", "d4sub.sba", "--from", "@d4sub_m2111.mod", "--to", "e(0)",
     ],

@@ -105,7 +105,7 @@ def test_ext_a3_simples(a3):
 
 def test_extension_zero_cocycle_splits(a3):
     s1, s2 = simple(a3, "1"), simple(a3, "2")
-    ctx = ext1(s1, s2)
+    ctx = ext1(projective_cover(s1), s2)
     ses = ctx.extension([0] * ctx.dim)
     ses.verify()
     rep = decompose(ses.middle)
@@ -114,7 +114,7 @@ def test_extension_zero_cocycle_splits(a3):
 
 def test_extension_nonzero_cocycle_a3(a3):
     s1, s2 = simple(a3, "1"), simple(a3, "2")
-    ctx = ext1(s1, s2)
+    ctx = ext1(projective_cover(s1), s2)
     assert ctx.dim == 1
     ses = ctx.extension([1])
     ses.verify()
@@ -126,7 +126,7 @@ def test_extension_nonzero_cocycle_a3(a3):
 
 def test_extension_from_cocycle_roundtrip(a3):
     s1, s2 = simple(a3, "1"), simple(a3, "2")
-    ctx = ext1(s1, s2)
+    ctx = ext1(projective_cover(s1), s2)
     c = ctx.cocycle([1])
     ses = extension_of_cocycle(ctx.cover, s2, c)
     ses.verify()
@@ -135,13 +135,13 @@ def test_extension_from_cocycle_roundtrip(a3):
 
 def test_extension_rejects_non_intertwiner(a3):
     s1, s2, s3 = (simple(a3, v) for v in "123")
-    ctx = ext1(s1, s2)
+    ctx = ext1(projective_cover(s1), s2)
     bad = zero_map(s1, s2)  # wrong source
     with pytest.raises(StringAlgError, match="syzygy"):
         extension_of_cocycle(ctx.cover, s2, bad)
     # a cocycle on another cover's syzygy is refused too, even though that
     # syzygy is structurally equal
-    other = ext1(s1, s2).cocycle([1])
+    other = ext1(projective_cover(s1), s2).cocycle([1])
     with pytest.raises(StringAlgError, match="syzygy"):
         extension_of_cocycle(ctx.cover, s2, other)
 
@@ -159,14 +159,14 @@ def test_d4_ext_dimension_indecomposable_variant(d4sub, fixture_dir):
     m = load_module_literal(d4sub, fixture_dir / "d4sub_m2111_indec.mod")
     s0 = simple(d4sub, "0")
     assert ext1_dim(m, s0) == 1
-    census = middle_census(m, s0)
+    census = middle_census(projective_cover(m), s0)
     assert census.histogram == {3: 1}
 
 
 def test_d4_census_m2111(d4sub, fixture_dir):
     m = load_module_literal(d4sub, fixture_dir / "d4sub_m2111.mod")
     s0 = simple(d4sub, "0")
-    census = middle_census(m, s0)
+    census = middle_census(projective_cover(m), s0)
     assert census.ext_dim == 2
     assert len(census.lines) == 6  # (5^2-1)/(5-1)
     assert census.histogram == {2: 3, 3: 3}
@@ -175,7 +175,7 @@ def test_d4_census_m2111(d4sub, fixture_dir):
 
 
 def test_census_empty_when_ext_zero(a3):
-    census = middle_census(projective(a3, "1"), simple(a3, "2"))
+    census = middle_census(projective_cover(projective(a3, "1")), simple(a3, "2"))
     assert census.histogram == {}
     assert census.lines == []
 
@@ -185,7 +185,7 @@ def test_census_scaling_invariance(d4sub, fixture_dir):
     # so every vector on a census line has the middle summand count reported
     m = load_module_literal(d4sub, fixture_dir / "d4sub_m2111.mod")
     s0 = simple(d4sub, "0")
-    ctx = ext1(m, s0)
+    ctx = ext1(projective_cover(m), s0)
     for coeffs in [(1, 0), (1, 2)]:
         counts = set()
         for scalar in range(1, d4sub.q):
@@ -197,7 +197,7 @@ def test_census_scaling_invariance(d4sub, fixture_dir):
 
 def test_ses_dimension_additivity(a3):
     s1, s2 = simple(a3, "1"), simple(a3, "2")
-    ctx = ext1(s1, s2)
+    ctx = ext1(projective_cover(s1), s2)
     for coeffs in ([0], [1], [2]):
         ses = ctx.extension(coeffs)
         for v in a3.quiver.vertices:
@@ -208,7 +208,7 @@ def test_equal_ext_classes_give_equal_middles(a3):
     # cocycles differing by a restricted map from the cover give the same
     # middle up to iso; certified through hom dimension vectors
     s1, s2 = simple(a3, "1"), simple(a3, "2")
-    ctx = ext1(s1, s2)
+    ctx = ext1(projective_cover(s1), s2)
     c = ctx.cocycle([1])
     probes = [simple(a3, v) for v in a3.quiver.vertices]
     base = [hom_dim(p_, ctx.extension([1]).middle) for p_ in probes]
