@@ -27,6 +27,7 @@ from .presentation import Presentation, check_finite_dimensional, validate_axiom
 from .reps import (
     Representation,
     _nodes_to_indices,
+    band_module,
     cyclic_recipe_module,
 )
 from .words import (
@@ -379,24 +380,27 @@ class WitnessResult:
     left_end: Representation
     right_end: Representation
     sequence: object  # ShortExactSequence
-    summand_count: int
-    summand_dimvecs: list[tuple[int, ...]]
-    seed: int
+    embeddings: list  # verified Intertwiners B(xyxz, zeta^-1, 1) -> middle
+
+    @property
+    def summand_count(self) -> int:
+        return len(self.embeddings)
+
+    @property
+    def summand_dimvecs(self) -> list[tuple[int, ...]]:
+        vertices = self.middle.pres.quiver.vertices
+        return [tuple(f.source.dim(vx) for vx in vertices) for f in self.embeddings]
 
 
-def build_witness(
-    p: Presentation,
-    triple: WitnessTriple,
-    prime_p: int,
-    seed: int = 0,
-) -> WitnessResult:
+def build_witness(p: Presentation, triple: WitnessTriple, prime_p: int) -> WitnessResult:
     """The many-summand witness extension for a non-domestic presentation.
 
     With n = (prime_p - 1) / 2 the cyclic words u = (xyxz)^n xy and
     v = xz (xyxz)^n are primitive and uv = (xyxz)^prime_p.  The middle term
     is the band-recipe module on uv with eigenvalue -1; since the field
     satisfies q = 1 mod 2 prime_p, the polynomial X^prime_p + 1 splits and
-    the middle decomposes into exactly prime_p band summands.
+    the middle is the direct sum of the prime_p band modules
+    B(xyxz, zeta^-1, 1), one per root zeta.
 
     The middle is a verified extension of indecomposable string modules:
     cutting the uv cycle at its two wrap letters exhibits the submodule
@@ -405,8 +409,13 @@ def build_witness(
     modules B(u), B(v) themselves by modifying two actions always yields an
     indecomposable middle instead, so the bands are returned for inspection
     but the exact sequence runs between the cut strings.
+
+    The split is constructed, not searched for, and its certificate is
+    exact: prime_p verified monomorphisms from the bands into the middle
+    (see _split_witness_middle) whose stacked images have full rank at
+    every vertex, and each band module of the primitive word xyxz is
+    indecomposable (Butler and Ringel 1987).  No random trial is involved.
     """
-    from .decomp import decompose
     from .homalg import Intertwiner, ShortExactSequence
     from .linalg import is_prime
     from .reps import string_module_with_nodes
@@ -471,12 +480,7 @@ def build_witness(
         proj=Intertwiner(middle, right_rep, {k: Matrix(m, q) for k, m in proj_mats.items()}),
     )
     ses.verify()
-    report = decompose(middle, seed=seed)
-    if report.summand_count < prime_p:
-        raise VerificationError(
-            f"middle decomposed into {report.summand_count} < {prime_p} summands"
-        )
-    dimvecs = [tuple(s.dim(vx) for vx in p.quiver.vertices) for s in report.summands]
+    embeddings = _split_witness_middle(p, block, prime_p, middle, mid_place)
     return WitnessResult(
         u=u,
         v=v,
@@ -488,7 +492,62 @@ def build_witness(
         left_end=left_rep,
         right_end=right_rep,
         sequence=ses,
-        summand_count=report.summand_count,
-        summand_dimvecs=dimvecs,
-        seed=seed,
+        embeddings=embeddings,
     )
+
+
+def _roots_of_x_p_plus_1(prime_p: int, q: int) -> list[int]:
+    """The prime_p roots of X^prime_p + 1 in F_q, for q = 1 mod 2 prime_p.
+
+    They are the odd powers of a primitive (2 prime_p)-th root of unity c,
+    taken as the first a^((q-1) / (2 prime_p)) with c^prime_p = -1, c != -1.
+    """
+    e = (q - 1) // (2 * prime_p)
+    for a in range(2, q):
+        c = pow(a, e, q)
+        if c != q - 1 and pow(c, prime_p, q) == q - 1:
+            return [pow(c, 2 * k + 1, q) for k in range(prime_p)]
+    raise StringAlgError(f"X^{prime_p} + 1 does not split over F_{q}")
+
+
+def _split_witness_middle(
+    p: Presentation,
+    block: tuple[Letter, ...],
+    prime_p: int,
+    middle: Representation,
+    mid_place: list[tuple[str, int]],
+) -> list:
+    """Verified embeddings B(block, zeta^-1, 1) -> middle, one per root zeta
+    of X^prime_p + 1, whose images are a direct sum decomposition.
+
+    The middle's node j + k b (b = len(block), k < prime_p) lies in the k-th
+    copy of the block; node j of the band goes to sum_k zeta^-k e_{j + k b},
+    an eigenvector of the rotation of the middle by one block.  Each map is
+    checked with Intertwiner.verify, and at every vertex the stacked images
+    must form a square matrix of full rank.
+    """
+    from .homalg import Intertwiner
+
+    q = p.q
+    b = len(block)
+    band_word = cyclic_word(p, word(p, Walk(block)))
+    _, band_place = _nodes_to_indices(p, [letter_source(p, l) for l in block])
+    embeddings = []
+    for zeta in _roots_of_x_p_plus_1(prime_p, q):
+        zeta_inv = pow(zeta, -1, q)
+        band = band_module(p, band_word, zeta_inv, 1)
+        mats = {vx: np.zeros((band.dim(vx), middle.dim(vx)), dtype=np.int64)
+                for vx in p.quiver.vertices}
+        coeff = 1
+        for k in range(prime_p):
+            for j, (vx, row) in enumerate(band_place):
+                mats[vx][row, mid_place[j + k * b][1]] = coeff
+            coeff = coeff * zeta_inv % q
+        f = Intertwiner(band, middle, {vx: Matrix(m, q) for vx, m in mats.items()})
+        f.verify()
+        embeddings.append(f)
+    for vx in p.quiver.vertices:
+        stack = Matrix(np.vstack([f.mats[vx].a for f in embeddings]), q)
+        if stack.rows != middle.dim(vx) or stack.rank() != middle.dim(vx):
+            raise VerificationError(f"band images do not split the middle at vertex {vx}")
+    return embeddings

@@ -216,7 +216,7 @@ def cmd_witness(args) -> int:
     triple = find_witness_triple(p, search_len=args.search_len)
     if triple is None:
         raise StringAlgError("no witness triple found within the search bound")
-    result = build_witness(p, triple, args.p, seed=args.seed)
+    result = build_witness(p, triple, args.p)
     rep = Report("witness")
     rep.add("seed", args.seed)
     rep.add("p", result.prime_p)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CatalogError, StringAlgError, VerificationError
-from .linalg import Matrix, Poly, factor_poly
+from .linalg import Matrix, Poly, factor_poly, inv_mod
 from .homalg import Intertwiner, hom_basis, hom_dim
 from .reps import Representation, subrepresentation
 
@@ -57,13 +57,21 @@ def _krylov_minpoly(M: Representation, f: Intertwiner, rng: random.Random) -> Po
         if not any(w[v].any() for v in verts):
             continue
         flat = [np.concatenate([w[v][0] for v in verts])]
+        # echelon rows (pivot column, row scaled to 1 there) spanning the
+        # Krylov vectors so far: a new vector depends on them exactly when
+        # it reduces to zero
+        echelon = [_echelon_row(flat[0], q)]
         cur = w
         for _ in range(M.total_dim):
             cur = {v: (cur[v] @ f.mats[v].a) % q for v in verts}
             flat.append(np.concatenate([cur[v][0] for v in verts]))
-            K = Matrix(np.array(flat, dtype=np.int64), q)
-            if K.rank() < len(flat):
+            vec = flat[-1]
+            for col, row in echelon:
+                if vec[col]:
+                    vec = (vec - vec[col] * row) % q
+            if not vec.any():
                 break
+            echelon.append(_echelon_row(vec, q))
         d = len(flat) - 1
         lead = Matrix(np.array(flat[:d], dtype=np.int64), q)
         target = Matrix(np.array([flat[d]], dtype=np.int64), q)
@@ -75,6 +83,11 @@ def _krylov_minpoly(M: Representation, f: Intertwiner, rng: random.Random) -> Po
         g = lcm.gcd(m)
         lcm = (lcm * m) // g if not g.is_zero() else lcm * m
     return lcm
+
+
+def _echelon_row(vec: np.ndarray, q: int) -> tuple[int, np.ndarray]:
+    col = int(np.flatnonzero(vec)[0])
+    return col, vec * inv_mod(int(vec[col]), q) % q
 
 
 def _split_rows_by_factors(M: Representation, f: Intertwiner, factors):
@@ -140,6 +153,32 @@ def _primary_components(
     return parts, witness
 
 
+def _supports(basis: list[Intertwiner]):
+    """Per vertex, the flat indices and values of the nonzero entries of
+    each basis map; End bases of string and band modules are very sparse."""
+    out = {}
+    for v in basis[0].source.pres.quiver.vertices:
+        out[v] = []
+        for g in basis:
+            a = g.mats[v].a.ravel()
+            idx = np.flatnonzero(a)
+            out[v].append((idx, a[idx]))
+    return out
+
+
+def _combination(rep: Representation, support, coeffs: list[int]) -> Intertwiner:
+    """The endomorphism sum_i coeffs[i] basis[i], from the basis supports."""
+    q = rep.q
+    mats = {}
+    for v, parts in support.items():
+        acc = np.zeros(rep.dim(v) * rep.dim(v), dtype=np.int64)
+        for c, (idx, vals) in zip(coeffs, parts):
+            if c and idx.size:
+                acc[idx] = (acc[idx] + c * vals) % q
+        mats[v] = Matrix(acc.reshape(rep.dim(v), rep.dim(v)), q)
+    return Intertwiner(rep, rep, mats)
+
+
 @dataclass
 class DecompositionReport:
     module: Representation
@@ -181,12 +220,10 @@ def decompose(M: Representation, seed: int = 0, trials: int = 50) -> Decompositi
         def candidates():
             # random combinations split decomposables almost surely, so try
             # them first; the basis sweep completes the certificate
+            support = _supports(endo)
             for t in range(trials):
                 coeffs = [rng.randrange(rep.q) for _ in endo]
-                f = endo[0].scale(coeffs[0])
-                for c, g in zip(coeffs[1:], endo[1:]):
-                    f = f.add(g.scale(c))
-                yield f"random[{t}]", f
+                yield f"random[{t}]", _combination(rep, support, coeffs)
             for i, f in enumerate(endo):
                 yield f"basis[{i}]", f
 

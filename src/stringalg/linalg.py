@@ -7,6 +7,7 @@ are dense coefficient lists (low degree first) over the same field.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -245,18 +246,22 @@ class Matrix:
                     m = int(h[k, j]) * piv_inv % q
                     h[k] = (h[k] - m * h[j + 1]) % q
                     h[:, j + 1] = (h[:, j + 1] + m * h[:, k]) % q
-        # Expand det(X I - H) by leading principal minors.
+        # Expand det(X I - H) by leading principal minors.  beta is a product
+        # of subdiagonal entries, so once it vanishes every later term does.
+        hl = h.tolist()
         polys = [np.array([1], dtype=np.int64)]
         for k in range(1, n + 1):
             prev = polys[k - 1]
             cur = np.zeros(k + 1, dtype=np.int64)
             cur[1:] = prev
-            cur[:-1] = (cur[:-1] - int(h[k - 1, k - 1]) * prev) % q
+            cur[:-1] = (cur[:-1] - hl[k - 1][k - 1] * prev) % q
             cur[-1] %= q
             beta = 1
             for i in range(k - 1, 0, -1):
-                beta = beta * int(h[i, i - 1]) % q
-                coef = int(h[i - 1, k - 1]) * beta % q
+                beta = beta * hl[i][i - 1] % q
+                if not beta:
+                    break
+                coef = hl[i - 1][k - 1] * beta % q
                 if coef:
                     cur[: i] = (cur[: i] - coef * polys[i - 1]) % q
             polys.append(cur)
@@ -500,6 +505,23 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
             )
 
 
+def _single_root(f: Poly) -> int | None:
+    """The root r when f is a scalar times (X - r)^n with n prime to q, else None.
+
+    Characteristic polynomials of endomorphisms of modules with a local
+    endomorphism ring and residue field F_q have this form, and the
+    squarefree stage would spend n gcd rounds on them.  (X - r)^n has
+    X^(n-1) coefficient -n r, which names the only candidate root.
+    """
+    n, q = f.degree, f.q
+    if n < 1 or n % q == 0:
+        return None
+    g = f.monic()
+    r = -g.c[n - 1] * inv_mod(n, q) % q
+    power = [math.comb(n, k) * pow(-r, n - k, q) % q for k in range(n + 1)]
+    return r if g.c == power else None
+
+
 def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
     """Factor f into monic irreducibles with multiplicities.
 
@@ -508,6 +530,9 @@ def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
     """
     if f.is_zero():
         raise StringAlgError("cannot factor the zero polynomial")
+    root = _single_root(f)
+    if root is not None:
+        return [(Poly([-root, 1], f.q), f.degree)]
     rng = random.Random(0x5BA)
     factors: list[tuple[Poly, int]] = []
     for g, mult in _squarefree_parts(f):

@@ -142,11 +142,11 @@ def test_criterion_5_ar_certification(a3, a3nr):
 
 
 def test_criterion_6_nondomestic_witness(gp):
-    for prime_p, q, budget in ((11, 23, 120), (13, 53, 120)):
+    for prime_p, q, budget in ((11, 23, 120), (13, 53, 120), (17, 103, 120)):
         t0 = time.time()
         pres = gp.with_field(q)
         triple = find_witness_triple(pres, search_len=6)
-        result = build_witness(pres, triple, prime_p, seed=0)
+        result = build_witness(pres, triple, prime_p)
         result.sequence.verify()
         assert result.summand_count == prime_p
         assert decompose(result.band_u, seed=0, trials=15).summand_count == 1
@@ -157,7 +157,7 @@ def test_criterion_6_nondomestic_witness(gp):
         assert elapsed < budget
         print(f"  witness p={prime_p} q={q}: {result.summand_count} summands "
               f"({elapsed:.1f}s)")
-    _announce(6, "witness extensions decompose into exactly 11 and 13 summands")
+    _announce(6, "witness extensions decompose into exactly 11, 13 and 17 summands")
 
 
 def test_criterion_7_classification(a3, a3nr, kronecker, gp):

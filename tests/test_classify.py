@@ -11,9 +11,14 @@ from stringalg.classify import (
     n_alpha_generators,
 )
 from stringalg.decomp import decompose
-from stringalg.errors import StringAlgError
+from stringalg.errors import StringAlgError, VerificationError
 from stringalg.linalg import Matrix
-from stringalg.reps import _nodes_to_indices, cyclic_recipe_module, make_representation
+from stringalg.reps import (
+    _nodes_to_indices,
+    band_module,
+    cyclic_recipe_module,
+    make_representation,
+)
 from stringalg.words import (
     canonical_cyclic,
     format_walk,
@@ -136,6 +141,13 @@ def test_build_witness_p11(gp):
     result.sequence.verify()
     # all eleven summands are twelve dimensional
     assert sorted(sum(dv) for dv in result.summand_dimvecs) == [12] * 11
+    # independent oracle: the random Fitting search finds the same split
+    oracle = decompose(result.middle, seed=0)
+    assert oracle.summand_count == 11
+    vertices = p23.quiver.vertices
+    assert sorted(tuple(s.dim(vx) for vx in vertices) for s in oracle.summands) == sorted(
+        result.summand_dimvecs
+    )
     # the sequence ends are indecomposable
     assert decompose(result.left_end, trials=15).summand_count == 1
     assert decompose(result.right_end, trials=15).summand_count == 1
@@ -147,6 +159,41 @@ def test_build_witness_p11(gp):
     # the bands themselves are indecomposable
     assert decompose(result.band_u, trials=15).summand_count == 1
     assert decompose(result.band_v, trials=15).summand_count == 1
+
+
+def test_witness_split_with_wrong_band_parameter_fails(gp, fixture_dir, monkeypatch, capsys):
+    # node j of B(xyxz, zeta^-1, 1) goes to sum_k zeta^-k e_{j + k b}; with
+    # the band parameter zeta instead, those maps are not module maps
+    import importlib
+
+    from stringalg.cli import main
+
+    def band_with_zeta(p, w, lam, n):
+        return band_module(p, w, pow(lam, -1, p.q), n)
+
+    # the package re-exports the function classify under the module's name
+    monkeypatch.setattr(importlib.import_module("stringalg.classify"), "band_module", band_with_zeta)
+    p23 = gp.with_field(23)
+    triple = find_witness_triple(p23, search_len=6)
+    with pytest.raises(VerificationError, match="does not commute"):
+        build_witness(p23, triple, 11)
+    code = main(["witness", str(fixture_dir / "gp.sba"), "--p", "11", "--q", "23"])
+    assert code == 3
+    assert "certificate failed to verify" in capsys.readouterr().err
+
+
+def test_witness_split_with_repeated_root_fails(gp, monkeypatch):
+    # p copies of one verified embedding have one image, so the stacked
+    # images are not of full rank and the middle is not their direct sum
+    import importlib
+
+    module = importlib.import_module("stringalg.classify")
+    roots = module._roots_of_x_p_plus_1
+    monkeypatch.setattr(module, "_roots_of_x_p_plus_1", lambda p, q: roots(p, q)[:1] * p)
+    p23 = gp.with_field(23)
+    triple = find_witness_triple(p23, search_len=6)
+    with pytest.raises(VerificationError, match="do not split"):
+        build_witness(p23, triple, 11)
 
 
 def _glue_bands_quoted(p, triple, prime_p):

@@ -2,10 +2,17 @@ import random
 
 import pytest
 
-from stringalg.decomp import _primary_components, catalog_decompose, decompose
+from stringalg.decomp import (
+    _combination,
+    _krylov_minpoly,
+    _primary_components,
+    _supports,
+    catalog_decompose,
+    decompose,
+)
 from stringalg.errors import CatalogError, StringAlgError
-from stringalg.homalg import hom_dim, identity_map, zero_map
-from stringalg.linalg import Matrix
+from stringalg.homalg import hom_basis, hom_dim, identity_map, zero_map
+from stringalg.linalg import Matrix, Poly
 from stringalg.reps import (
     band_module,
     direct_sum,
@@ -178,3 +185,52 @@ def test_zero_krylov_start_vector_is_skipped(kronecker):
     assert hom_dim(m, m) == 2
     for seed in range(20):
         assert decompose(m, seed=seed).summand_count == 1
+
+
+def _krylov_by_rank(M, f, rng):
+    """Reference: each start vector's minimal polynomial found by re-ranking
+    the whole Krylov matrix at every step, then their least common multiple."""
+    q = M.q
+    verts = [v for v in M.pres.quiver.vertices if M.dim(v)]
+    lcm = Poly([1], q)
+    for _ in range(3):
+        w = {v: [rng.randrange(q) for _ in range(M.dim(v))] for v in verts}
+        vec = Matrix([sum((w[v] for v in verts), [])], q)
+        if vec.is_zero():
+            continue
+        rows = [vec.a[0]]
+        cur = {v: Matrix([w[v]], q) for v in verts}
+        while Matrix(rows, q).rank() == len(rows):
+            cur = {v: cur[v] @ f.mats[v] for v in verts}
+            rows.append(sum((list(cur[v].a[0]) for v in verts), []))
+        d = len(rows) - 1
+        sol = Matrix(rows[:d], q).solve_left(Matrix([rows[d]], q))
+        m = Poly([-int(x) for x in sol.a[0]] + [1], q)
+        lcm = lcm * m // lcm.gcd(m)
+    return lcm
+
+
+def test_krylov_minpoly_matches_rank_reference(a3, gp):
+    band = band_module(gp, cyclic_word(gp, parse_word(gp, "a b a^-1 b^-1")), 2, 2)
+    for m in (band, direct_sum(a3_catalog(a3) + [projective(a3, "1")])):
+        endo = hom_basis(m, m)
+        for seed in range(6):
+            rng = random.Random(seed)
+            f = _combination(m, _supports(endo), [rng.randrange(m.q) for _ in endo])
+            want = _krylov_by_rank(m, f, random.Random(100 + seed))
+            assert _krylov_minpoly(m, f, random.Random(100 + seed)) == want
+
+
+def test_random_combination_matches_scaled_sum(a3, gp):
+    band = band_module(gp, cyclic_word(gp, parse_word(gp, "a b a^-1 b^-1")), 2, 2)
+    for m in (band, direct_sum(a3_catalog(a3))):
+        endo = hom_basis(m, m)
+        rng = random.Random(7)
+        for _ in range(5):
+            coeffs = [rng.randrange(m.q) for _ in endo]
+            want = endo[0].scale(coeffs[0])
+            for c, g in zip(coeffs[1:], endo[1:]):
+                want = want.add(g.scale(c))
+            got = _combination(m, _supports(endo), coeffs)
+            assert got.source is m and got.target is m
+            assert all(got.mats[v] == want.mats[v] for v in m.pres.quiver.vertices)

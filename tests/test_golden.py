@@ -36,6 +36,8 @@ CASES = {
     ],
     "ext_a3nr_e1_e2": ["ext", "a3nr.sba", "--from", "e(1)", "--to", "e(2)"],
     "ar_a3_e1": ["ar", "a3.sba", "--word", "e(1)"],
+    "witness_gp_p11_q23": ["witness", "gp.sba", "--p", "11", "--q", "23"],
+    "witness_gp_p13_q53": ["witness", "gp.sba", "--p", "13", "--q", "53"],
 }
 
 

@@ -110,6 +110,19 @@ def test_charpoly_matches_brute_force():
                 assert m.charpoly() == Poly(brute_charpoly(rows, q), q)
 
 
+def test_charpoly_of_sparse_matrices_matches_brute_force():
+    # mostly-zero matrices keep zeros on the Hessenberg subdiagonal, where
+    # the minor expansion stops early
+    rng = random.Random(4)
+    for q in (2, 5, 23):
+        for n in (3, 4, 5):
+            for _ in range(12):
+                rows = [[rng.randrange(1, q) if rng.random() < 0.3 else 0 for _ in range(n)]
+                        for _ in range(n)]
+                m = Matrix(rows, q)
+                assert m.charpoly() == Poly(brute_charpoly(rows, q), q)
+
+
 def test_charpoly_cayley_hamilton():
     rng = random.Random(11)
     q = 23
@@ -151,6 +164,22 @@ def test_factor_product_reconstructs():
                 # irreducible: no root-free proper factor of degree <= 2 sanity
                 if p.degree > 1:
                     assert all(p(x) != 0 for x in range(q))or p.degree > 3
+
+
+def test_factor_powers_of_one_linear_factor():
+    # (X - r)^n, scaled, and times one more linear factor; the single-root
+    # shortcut applies only when q does not divide n
+    for q in (2, 3, 23):
+        for r in range(q):
+            for n in (1, 2, q - 1, q, q + 1, 2 * q + 3):
+                f = Poly([1], q)
+                for _ in range(n):
+                    f = f * Poly([-r, 1], q)
+                assert factor_poly(f.scale(q - 1)) == [(Poly([-r, 1], q), n)]
+                g = f * Poly([-(r + 1), 1], q)
+                want = sorted([(Poly([-r, 1], q), n), (Poly([-(r + 1), 1], q), 1)],
+                              key=lambda pm: tuple(pm[0].c))
+                assert factor_poly(g) == want
 
 
 def test_x11_plus_1_over_f23_splits_into_11_linears():
