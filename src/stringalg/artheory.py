@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import LetterAutomaton
 from .errors import InfiniteTypeError, StringAlgError, VerificationError
 from .homalg import Intertwiner, ShortExactSequence, hom_basis
 from .linalg import Matrix
@@ -34,9 +33,9 @@ from .reps import (
 )
 from .words import (
     Letter,
+    LetterAutomaton,
     Walk,
     Word,
-    _extensions,
     format_walk,
     inverse,
     letter_key,
@@ -78,6 +77,7 @@ class Catalog:
             raise InfiniteTypeError(format_walk(band.word.walk))
         words = enumerate_words(p, automaton.state_count)
         self.p = p
+        self.automaton = automaton
         self.entries: list[CatalogEntry] = []
         self._by_key: dict[tuple, CatalogEntry] = {}
         for w in words:
@@ -170,8 +170,8 @@ def enumerate_indecomposables(p: Presentation, max_dim: int) -> list[CatalogEntr
 # ---------------------------------------------------------------------------
 
 
-def _direct_extensions(p: Presentation, letters: tuple[Letter, ...], endv: str):
-    return [m for m in _extensions(p, letters, endv) if m.is_direct]
+def _direct_extensions(aut: LetterAutomaton, letters: tuple[Letter, ...], endv: str):
+    return [m for m in aut.extensions(letters, endv) if m.is_direct]
 
 
 def _walk_end(p: Presentation, letters: tuple[Letter, ...], start: str) -> str:
@@ -189,13 +189,13 @@ def _invert_pair(p: Presentation, pair):
     return tuple(l.inverse() for l in reversed(letters)), letter_target(p, letters[-1])
 
 
-def _add_hook_right(p: Presentation, pair, beta: Letter):
+def _add_hook_right(aut: LetterAutomaton, pair, beta: Letter):
     """Append the direct letter beta and then the maximal inverse run."""
     letters, anchor = pair
     out = letters + (beta,)
     while True:
-        endv = _walk_end(p, out, anchor)
-        inv = [m for m in _extensions(p, out, endv) if not m.is_direct]
+        endv = _walk_end(aut.p, out, anchor)
+        inv = [m for m in aut.extensions(out, endv) if not m.is_direct]
         if not inv:
             return out, anchor
         if len(inv) > 1:
@@ -225,15 +225,15 @@ class _EndOp:
     beta: Letter | None = None
 
 
-def _apply_right(p: Presentation, op: _EndOp, pair):
+def _apply_right(aut: LetterAutomaton, op: _EndOp, pair):
     if op.kind == "add":
-        return _add_hook_right(p, pair, op.beta)
-    return _delete_cohook_right(p, pair)
+        return _add_hook_right(aut, pair, op.beta)
+    return _delete_cohook_right(aut.p, pair)
 
 
-def _apply_left(p: Presentation, op: _EndOp, pair):
-    out = _apply_right(p, op, _invert_pair(p, pair))
-    return None if out is None else _invert_pair(p, out)
+def _apply_left(aut: LetterAutomaton, op: _EndOp, pair):
+    out = _apply_right(aut, op, _invert_pair(aut.p, pair))
+    return None if out is None else _invert_pair(aut.p, out)
 
 
 def _pair_word(p: Presentation, pair) -> Word:
@@ -275,9 +275,10 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
     start = walk_source(p, w.walk)
     base = (letters, start)
 
-    right_cands = _direct_extensions(p, letters, _walk_end(p, letters, start))
+    aut = cat.automaton
+    right_cands = _direct_extensions(aut, letters, _walk_end(p, letters, start))
     rev_pair = _invert_pair(p, base)
-    left_cands = _direct_extensions(p, rev_pair[0], _walk_end(p, rev_pair[0], rev_pair[1]))
+    left_cands = _direct_extensions(aut, rev_pair[0], _walk_end(p, rev_pair[0], rev_pair[1]))
     if not letters:
         # the two ends of a trivial word take distinct extensions
         pool = sorted(right_cands, key=lambda l: letter_key(p, l))
@@ -290,18 +291,18 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
     op_l = _EndOp("add", left_cands[0]) if left_cands else _EndOp("delete")
 
     # middle summands: one-sided surgery on w
-    pair_r = _apply_right(p, op_r, base)
-    pair_l = _apply_left(p, op_l, base)
+    pair_r = _apply_right(aut, op_r, base)
+    pair_l = _apply_left(aut, op_l, base)
 
     # translate: both ends, additions before deletions so that a deletion
     # may consume into freshly added material on serial words
     t = base
     for op, side in ((op_r, "r"), (op_l, "l")):
         if op.kind == "add":
-            t = _apply_right(p, op, t) if side == "r" else _apply_left(p, op, t)
+            t = _apply_right(aut, op, t) if side == "r" else _apply_left(aut, op, t)
     for op, side in ((op_r, "r"), (op_l, "l")):
         if t is not None and op.kind == "delete":
-            t = _apply_right(p, op, t) if side == "r" else _apply_left(p, op, t)
+            t = _apply_right(aut, op, t) if side == "r" else _apply_left(aut, op, t)
     if t is None:
         raise StringAlgError("surgery deleted everything; input looks projective")
 

@@ -34,10 +34,10 @@ from .words import (
     CyclicWord,
     Direction,
     Letter,
+    LetterAutomaton,
     Verdict,
     Walk,
     Word,
-    _extensions,
     canonical_cyclic,
     cyclic_word,
     fine_wolf_common_power,
@@ -55,97 +55,8 @@ from .words import (
 
 
 # ---------------------------------------------------------------------------
-# letter automaton
+# bands and N(alpha) on the letter automaton
 # ---------------------------------------------------------------------------
-
-
-class LetterAutomaton:
-    """Extension automaton: states are (vertex, trailing letter window).
-
-    The window length is max(relation length - 1, 1), which is enough to
-    test both the l l^-1 condition and relation factors in either reading.
-    Transitions are exactly the single-letter extensions of valid words.
-    """
-
-    def __init__(self, p: Presentation):
-        self.p = p
-        self.window = max(p.max_relation_length() - 1, 1)
-        self.nodes: list[tuple[str, tuple[Letter, ...]]] = []
-        self.edges: dict[tuple[str, tuple[Letter, ...]], list] = {}
-        seen = set()
-        todo = [(v, ()) for v in p.quiver.vertices]
-        while todo:
-            node = todo.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            self.nodes.append(node)
-            endv, win = node
-            outs = []
-            for letter in _extensions(p, win, endv):
-                nwin = (win + (letter,))[-self.window:]
-                nxt = (letter_target(p, letter), nwin)
-                outs.append((nxt, letter))
-                if nxt not in seen:
-                    todo.append(nxt)
-            self.edges[node] = outs
-        self.nodes.sort(key=lambda n: (n[0], [letter_key(p, l) for l in n[1]]))
-
-    @property
-    def state_count(self) -> int:
-        return len(self.nodes)
-
-    def find_cycle(self) -> tuple[Letter, ...] | None:
-        """Letters along some cycle, or None when the automaton is acyclic."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {n: WHITE for n in self.nodes}
-        parent: dict = {}
-        for start in self.nodes:
-            if color[start] != WHITE:
-                continue
-            stack = [(start, iter(self.edges[start]))]
-            color[start] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt, letter in it:
-                    if color[nxt] == GRAY:
-                        cycle = [letter]
-                        cur = node
-                        while cur != nxt:
-                            cur, lab = parent[cur]
-                            cycle.append(lab)
-                        cycle.reverse()
-                        return tuple(cycle)
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
-                        parent[nxt] = (node, letter)
-                        stack.append((nxt, iter(self.edges[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return None
-
-    def cyclic_witness(self) -> CyclicWord | None:
-        """A primitive cyclic word, or None when no cyclic word exists.
-
-        Complete: the automaton has a cycle exactly when a cyclic word
-        exists (over a finite-dimensional presentation an all-direct cycle
-        would make the algebra infinite dimensional).
-        """
-        cycle = self.find_cycle()
-        if cycle is None:
-            return None
-        p = self.p
-        w = word(p, Walk(cycle))
-        if not is_cyclic(p, w):
-            raise StringAlgError(
-                "automaton cycle did not give a cyclic word; is the algebra finite dimensional?"
-            )
-        primitive, root, _ = is_primitive(p, w)
-        return cyclic_word(p, canonical_cyclic(p, w if primitive else root))
 
 
 def find_cyclic_witness(p: Presentation) -> CyclicWord | None:
@@ -153,19 +64,16 @@ def find_cyclic_witness(p: Presentation) -> CyclicWord | None:
     return LetterAutomaton(p).cyclic_witness()
 
 
-# ---------------------------------------------------------------------------
-# band and N(alpha) enumeration
-# ---------------------------------------------------------------------------
-
-
 def find_bands(p: Presentation, max_len: int) -> list[CyclicWord]:
     """All primitive cyclic words of length <= max_len, canonical forms,
     one per rotation/inversion class."""
+    automaton = LetterAutomaton(p)
+    letters = automaton.letters
     found: dict[tuple, CyclicWord] = {}
-    for letters in walk_words(p, max_len):
-        w = Word(Walk(letters))
-        if not is_cyclic(p, w):
+    for codes, state in automaton.walk(max_len):
+        if not automaton.is_cyclic(codes, state):
             continue
+        w = Word(Walk(tuple(letters[c] for c in codes)))
         primitive, _, _ = is_primitive(p, w)
         if not primitive:
             continue
@@ -178,13 +86,6 @@ def find_bands(p: Presentation, max_len: int) -> list[CyclicWord]:
     )
 
 
-def _in_n_alpha(p: Presentation, letters: tuple[Letter, ...], alpha: str) -> bool:
-    """Membership test for a factor of a word, which is itself a word."""
-    if letters[0] != Letter(alpha, Direction.DIRECT) or letters[-1].is_direct:
-        return False
-    return is_cyclic(p, Word(Walk(letters)))
-
-
 def n_alpha_generators(p: Presentation, alpha: str, max_len: int) -> list[Word]:
     """Free generators found in N(alpha) up to the length bound.
 
@@ -193,25 +94,26 @@ def n_alpha_generators(p: Presentation, alpha: str, max_len: int) -> list[Word]:
     is a generator when it is not a product of two members.
     """
     p.arrow(alpha)
-    return list(_iter_n_alpha_generators(p, alpha, max_len))
+    return list(_iter_n_alpha_generators(LetterAutomaton(p), alpha, max_len))
 
 
-def _iter_n_alpha_generators(p: Presentation, alpha: str, max_len: int):
+def _iter_n_alpha_generators(automaton: LetterAutomaton, alpha: str, max_len: int):
     """The generators of N(alpha) in (length, letter_key) order, lazily.
 
-    Members come in length order, so the factors of each candidate are
-    already known when it is tested.
+    Members come in length order and every word starting with alpha is
+    walked, so both factors of each candidate are already decided when it
+    is tested.
     """
-    members: set[tuple[Letter, ...]] = set()
-    for letters in walk_words(p, max_len, first=Letter(alpha, Direction.DIRECT)):
-        if not _in_n_alpha(p, letters, alpha):
+    letters = automaton.letters
+    members: set[tuple[int, ...]] = set()
+    for codes, state in automaton.walk(max_len, automaton.code[Letter(alpha, Direction.DIRECT)]):
+        if not (codes[-1] & 1 and automaton.is_cyclic(codes, state)):
             continue
-        members.add(letters)
+        members.add(codes)
         if not any(
-            letters[:i] in members and _in_n_alpha(p, letters[i:], alpha)
-            for i in range(1, len(letters))
+            codes[:i] in members and codes[i:] in members for i in range(1, len(codes))
         ):
-            yield Word(Walk(letters))
+            yield Word(Walk(tuple(letters[c] for c in codes)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +152,7 @@ def classify(p: Presentation, bound: int | None = None) -> ClassificationCertifi
     if bound is None:
         bound = 4 * automaton.state_count
     for arrow in p.quiver.arrows:
-        gens = list(itertools.islice(_iter_n_alpha_generators(p, arrow.name, bound), 2))
+        gens = list(itertools.islice(_iter_n_alpha_generators(automaton, arrow.name, bound), 2))
         if len(gens) == 2:
             _check_distinct_roots(p, *gens)
             return ClassificationCertificate(

@@ -39,6 +39,7 @@ class Arrow:
 class Quiver:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
+    _arrow_index: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
@@ -50,12 +51,10 @@ class Quiver:
         for a in self.arrows:
             if a.source not in vs or a.target not in vs:
                 raise StringAlgError(f"arrow {a.name} has undeclared endpoint")
+        object.__setattr__(self, "_arrow_index", {name: i for i, name in enumerate(names)})
 
     def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise StringAlgError(f"unknown arrow {name!r}")
+        return self.arrows[self.arrow_index(name)]
 
     def arrows_from(self, v: str) -> list[Arrow]:
         return [a for a in self.arrows if a.source == v]
@@ -64,10 +63,10 @@ class Quiver:
         return [a for a in self.arrows if a.target == v]
 
     def arrow_index(self, name: str) -> int:
-        for i, a in enumerate(self.arrows):
-            if a.name == name:
-                return i
-        raise StringAlgError(f"unknown arrow {name!r}")
+        try:
+            return self._arrow_index[name]
+        except KeyError:
+            raise StringAlgError(f"unknown arrow {name!r}") from None
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ sequence of letters, or a single vertex (the trivial walk).  A walk is a
 word when it has no factor l l^{-1} and neither it nor its inverse
 contains a relation path as a factor.  Cyclic words are the non-serial
 closed words whose square is again a word; bands are the primitive ones.
+The letter automaton decides which letters may follow a word, and word
+walks follow its edges; is_word and is_cyclic are the checks written from
+the definitions.
 
 CLI syntax: letters separated by spaces, inverses marked "^-1", trivial
 words written "e(<vertex>)".  Example: "a b^-1 a".
@@ -337,7 +340,7 @@ def fine_wolf_common_power(x, y, prefix_len: int) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# letter automaton and enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -361,23 +364,156 @@ def _extensions(p: Presentation, letters: tuple[Letter, ...], at_vertex: str) ->
     return sorted(good, key=lambda l: letter_key(p, l))
 
 
+class LetterAutomaton:
+    """Extension automaton: states are (vertex, trailing letter window).
+
+    The window length is max(relation length - 1, 1), which is enough to
+    test both the l l^-1 condition and relation factors in either reading.
+    Transitions are exactly the single-letter extensions of valid words, so
+    the words are the paths from the empty-window states.
+
+    Letters are numbered by code = 2 * arrow index + direction: code ^ 1 is
+    the inverse letter and code order is letter_key order.  States are
+    numbered in the order of nodes, and edges[s] maps the code of each
+    letter that may follow state s to the next state, in code order.
+    """
+
+    def __init__(self, p: Presentation):
+        self.p = p
+        self.window = max(p.max_relation_length() - 1, 1)
+        self.letters = all_letters(p)  # indexed by code
+        self.code = {l: c for c, l in enumerate(self.letters)}
+        outs: dict[tuple[str, tuple[Letter, ...]], list] = {}
+        todo = [(v, ()) for v in p.quiver.vertices]
+        while todo:
+            node = todo.pop()
+            if node in outs:
+                continue
+            endv, win = node
+            outs[node] = [
+                (letter, (letter_target(p, letter), (win + (letter,))[-self.window:]))
+                for letter in _extensions(p, win, endv)
+            ]
+            todo.extend(nxt for _, nxt in outs[node] if nxt not in outs)
+        self.nodes: list[tuple[str, tuple[Letter, ...]]] = sorted(
+            outs, key=lambda n: (n[0], [self.code[l] for l in n[1]])
+        )
+        self.index = {node: s for s, node in enumerate(self.nodes)}
+        self.edges: list[dict[int, int]] = [
+            {self.code[letter]: self.index[nxt] for letter, nxt in outs[node]}
+            for node in self.nodes
+        ]
+        self.source = [letter_source(p, l) for l in self.letters]
+        # the state after the one-letter word of each code
+        self.first = [self.edges[self.index[(v, ())]][c] for c, v in enumerate(self.source)]
+
+    @property
+    def state_count(self) -> int:
+        return len(self.nodes)
+
+    def extensions(self, letters: tuple[Letter, ...], endv: str) -> list[Letter]:
+        """The letters that extend a word ending at endv, in letter_key order."""
+        state = self.index[(endv, letters[-self.window:])]
+        return [self.letters[c] for c in self.edges[state]]
+
+    def walk(self, max_len: int, first: int | None = None):
+        """(codes, end state) of every nonempty word of length <= max_len.
+
+        Words come level by level in (length, code) order: each level
+        extends the previous one, in order, along the edges of its end
+        states.  With first set, only words starting with that code.
+        """
+        starts = range(len(self.letters)) if first is None else [first]
+        level = [((c,), self.first[c]) for c in starts]
+        edges = self.edges
+        for length in range(1, max_len + 1):
+            yield from level
+            if length < max_len:
+                level = [
+                    (codes + (c,), nxt) for codes, s in level for c, nxt in edges[s].items()
+                ]
+
+    def is_cyclic(self, codes: tuple[int, ...], state: int) -> bool:
+        """is_cyclic for a walked word ending in state.
+
+        The word is closed and non-serial, and its square is a word exactly
+        when its first window letters can be read again from state: from
+        there on the states repeat those of the first reading.
+        """
+        if self.nodes[state][0] != self.source[codes[0]]:
+            return False
+        if not ((codes[0] ^ codes[-1]) & 1 or len({c & 1 for c in codes}) == 2):
+            return False
+        for c in codes[: self.window]:
+            state = self.edges[state].get(c)
+            if state is None:
+                return False
+        return True
+
+    def find_cycle(self) -> tuple[Letter, ...] | None:
+        """Letters along some cycle, or None when the automaton is acyclic."""
+        WHITE, GRAY, BLACK = 0, 1, 2
+        color = [WHITE] * len(self.nodes)
+        parent: dict[int, tuple[int, int]] = {}
+        for start in range(len(self.nodes)):
+            if color[start] != WHITE:
+                continue
+            stack = [(start, iter(self.edges[start].items()))]
+            color[start] = GRAY
+            while stack:
+                node, it = stack[-1]
+                advanced = False
+                for c, nxt in it:
+                    if color[nxt] == GRAY:
+                        cycle = [c]
+                        cur = node
+                        while cur != nxt:
+                            cur, lab = parent[cur]
+                            cycle.append(lab)
+                        return tuple(self.letters[lab] for lab in reversed(cycle))
+                    if color[nxt] == WHITE:
+                        color[nxt] = GRAY
+                        parent[nxt] = (node, c)
+                        stack.append((nxt, iter(self.edges[nxt].items())))
+                        advanced = True
+                        break
+                if not advanced:
+                    color[node] = BLACK
+                    stack.pop()
+        return None
+
+    def cyclic_witness(self) -> CyclicWord | None:
+        """A primitive cyclic word, or None when no cyclic word exists.
+
+        Complete: the automaton has a cycle exactly when a cyclic word
+        exists (over a finite-dimensional presentation an all-direct cycle
+        would make the algebra infinite dimensional).
+        """
+        cycle = self.find_cycle()
+        if cycle is None:
+            return None
+        p = self.p
+        w = word(p, Walk(cycle))
+        if not is_cyclic(p, w):
+            raise StringAlgError(
+                "automaton cycle did not give a cyclic word; is the algebra finite dimensional?"
+            )
+        primitive, root, _ = is_primitive(p, w)
+        return cyclic_word(p, canonical_cyclic(p, w if primitive else root))
+
+
 def walk_words(p: Presentation, max_len: int, first: Letter | None = None):
     """Every nonempty word of length at most max_len as a letter tuple.
 
-    Words come level by level in (length, letter_key) order: each level
-    extends the previous one, in order, by the sorted extensions.  With
-    first set, only words starting with that letter are walked.
+    Words come level by level in (length, letter_key) order, as walked by
+    LetterAutomaton.walk.  With first set, only words starting with that
+    letter are walked.
     """
-    starts = all_letters(p) if first is None else [first]
-    level = [((l,), letter_target(p, l)) for l in starts]
-    for length in range(1, max_len + 1):
-        yield from (letters for letters, _ in level)
-        if length < max_len:
-            level = [
-                (letters + (cand,), letter_target(p, cand))
-                for letters, endv in level
-                for cand in _extensions(p, letters, endv)
-            ]
+    automaton = LetterAutomaton(p)
+    letters = automaton.letters
+    start = None if first is None else automaton.code[first]
+    for codes, _ in automaton.walk(max_len, start):
+        yield tuple(letters[c] for c in codes)
 
 
 def enumerate_words(p: Presentation, max_len: int) -> list[Word]:
@@ -387,11 +523,11 @@ def enumerate_words(p: Presentation, max_len: int) -> list[Word]:
     and then lexicographically by letter keys.
     """
     out: list[Word] = [Word(trivial_walk(v)) for v in sorted(p.quiver.vertices)]
-    for letters in walk_words(p, max_len):
-        keyed = [letter_key(p, l) for l in letters]
-        inv = [letter_key(p, l.inverse()) for l in reversed(letters)]
-        if keyed <= inv:
-            out.append(Word(Walk(letters)))
+    automaton = LetterAutomaton(p)
+    letters = automaton.letters
+    for codes, _ in automaton.walk(max_len):
+        if codes <= tuple(c ^ 1 for c in reversed(codes)):
+            out.append(Word(Walk(tuple(letters[c] for c in codes))))
     return out
 
 

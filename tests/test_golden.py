@@ -5,6 +5,7 @@ Each file under tests/golden/ is the stdout of one invocation in
 configuration and seed, so any difference here is a regression.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,8 @@ CASES = {
     "classify_kronecker": ["classify", "kronecker.sba"],
     "classify_gp": ["classify", "gp.sba"],
     "classify_kronecker_bound40": ["classify", "kronecker.sba", "--bound", "40"],
+    "classify_kronecker_bound300": ["classify", "kronecker.sba", "--bound", "300"],
+    "classify_nd_two_loops_bound24": ["classify", "nd_two_loops.sba", "--bound", "24"],
     "modules_a3nr": ["modules", "a3nr.sba"],
     "degeneration_a3_dim4_allpairs": ["degeneration", "a3.sba", "--max-dim", "4", "--all-pairs"],
     "degeneration_a3nr_dim6_seed0": ["--seed", "0", "degeneration", "a3nr.sba", "--max-dim", "6"],
@@ -56,3 +59,14 @@ def test_cli_output_matches_golden(name, capsys, fixture_dir):
     code = main(["--format", "structured", *argv])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+# words gp.sba --max-len 14 prints 13 743 lines; its stdout is pinned by hash
+WORDS_GP_LEN14_SHA256 = "66bb16e120adc4952c243832ff64f073170239e26a41237430211ff0ca9107d3"
+
+
+def test_words_gp_len14_output_hash(capsys, fixture_dir):
+    code = main(["--format", "structured", "words", str(fixture_dir / "gp.sba"), "--max-len", "14"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WORDS_GP_LEN14_SHA256

@@ -1,0 +1,131 @@
+"""Property tests: walks on the letter automaton against the word definition.
+
+The presentations are small string presentations drawn by hypothesis: one
+to three vertices, two to four arrows, and monomial relations of length two
+or three.  Walks must list exactly the composable letter sequences that
+pass is_word, and the bands and N(alpha) generators must match loops that
+decide cyclicity with is_cyclic.
+"""
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from stringalg.classify import find_bands, n_alpha_generators
+from stringalg.presentation import Arrow, Presentation, Quiver, validate_axioms
+from stringalg.words import (
+    Direction,
+    Letter,
+    Walk,
+    Word,
+    all_letters,
+    canonical_cyclic,
+    is_cyclic,
+    is_primitive,
+    is_word,
+    letter_key,
+    letter_source,
+    letter_target,
+    walk_words,
+)
+
+
+@st.composite
+def string_presentations(draw):
+    n_vertices = draw(st.integers(1, 3))
+    vertices = tuple(str(i) for i in range(n_vertices))
+    arrows = tuple(
+        Arrow(f"x{i}", draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
+        for i in range(draw(st.integers(2, 4)))
+    )
+    relations = set()
+    for _ in range(draw(st.integers(0, 4))):
+        path = [draw(st.sampled_from(arrows))]
+        for _ in range(draw(st.integers(2, 3)) - 1):
+            successors = [a for a in arrows if a.source == path[-1].target]
+            if not successors:
+                break
+            path.append(draw(st.sampled_from(successors)))
+        if len(path) >= 2:
+            relations.add(tuple(a.name for a in path))
+    p = Presentation(Quiver(vertices, arrows), tuple(sorted(relations)))
+    assume(validate_axioms(p).is_string)
+    return p
+
+
+def brute_force_words(p, max_len):
+    """Composable letter sequences that pass is_word, in (length, letter_key)
+    order.  Factors of words are words, so each length extends the last."""
+    letters = all_letters(p)
+    out = []
+    level = [(l,) for l in letters]
+    for _ in range(max_len):
+        level = sorted(
+            (seq for seq in level if is_word(p, Walk(seq))[0]),
+            key=lambda seq: [letter_key(p, l) for l in seq],
+        )
+        out.extend(level)
+        level = [
+            seq + (l,) for seq in level for l in letters
+            if letter_source(p, l) == letter_target(p, seq[-1])
+        ]
+    return out
+
+
+def reference_n_alpha_generators(p, alpha, max_len):
+    """Generators of N(alpha) with membership decided by is_cyclic."""
+    first = Letter(alpha, Direction.DIRECT)
+
+    def member(letters):
+        return (letters[0] == first and not letters[-1].is_direct
+                and is_cyclic(p, Word(Walk(letters))))
+
+    members = set()
+    out = []
+    for letters in walk_words(p, max_len, first=first):
+        if not member(letters):
+            continue
+        members.add(letters)
+        if not any(letters[:i] in members and member(letters[i:])
+                   for i in range(1, len(letters))):
+            out.append(Word(Walk(letters)))
+    return out
+
+
+def reference_band_letters(p, max_len):
+    """Canonical letters of the primitive cyclic words, decided by is_cyclic."""
+    found = set()
+    for letters in walk_words(p, max_len):
+        w = Word(Walk(letters))
+        if is_cyclic(p, w) and is_primitive(p, w)[0]:
+            found.add(canonical_cyclic(p, w).letters)
+    return sorted(found, key=lambda ls: (len(ls), [letter_key(p, l) for l in ls]))
+
+
+PROPERTY = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+
+@PROPERTY
+@given(string_presentations(), st.integers(0, 6))
+def test_walk_words_matches_brute_force(p, max_len):
+    assert list(walk_words(p, max_len)) == brute_force_words(p, max_len)
+
+
+@PROPERTY
+@given(string_presentations())
+def test_n_alpha_generators_match_is_cyclic_reference(p):
+    for arrow in p.quiver.arrows:
+        assert n_alpha_generators(p, arrow.name, 12) == reference_n_alpha_generators(
+            p, arrow.name, 12
+        )
+
+
+@PROPERTY
+@given(string_presentations())
+def test_find_bands_match_is_cyclic_reference(p):
+    bands = find_bands(p, 8)
+    assert [b.letters for b in bands] == reference_band_letters(p, 8)

@@ -167,3 +167,13 @@ def test_largest_accepted_field_reduces_exactly(a3):
     reduced, pivots = m.rref()
     assert pivots == list(range(6))
     assert reduced.a.tolist() == Matrix.identity(6, q).a.tolist()
+
+
+def test_arrow_lookup_by_name(gp, d4sub):
+    for p in (gp, d4sub):
+        for i, a in enumerate(p.quiver.arrows):
+            assert p.quiver.arrow_index(a.name) == i
+            assert p.quiver.arrow(a.name) is a
+        for lookup in (p.quiver.arrow_index, p.quiver.arrow):
+            with pytest.raises(StringAlgError, match="unknown arrow 'zz'"):
+                lookup("zz")
