@@ -3,7 +3,6 @@
 from .presentation import (
     Presentation,
     Quiver,
-    check_finite_dimensional,
     load_presentation,
     parse_presentation,
     serialize_presentation,
@@ -15,6 +14,7 @@ from .words import (
     Walk,
     Word,
     canonical_cyclic,
+    check_finite_dimensional,
     concat,
     enumerate_words,
     fine_wolf_common_power,

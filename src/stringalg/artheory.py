@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InfiniteTypeError, StringAlgError, VerificationError
 from .homalg import Intertwiner, ShortExactSequence, hom_basis
 from .linalg import Matrix
-from .presentation import Presentation, require_string
+from .presentation import Presentation
 from .reps import (
     Representation,
     direct_sum,
@@ -36,13 +36,15 @@ from .words import (
     LetterAutomaton,
     Walk,
     Word,
+    automaton_for,
+    enumerate_words,
     format_walk,
     inverse,
     letter_key,
     letter_target,
+    require_string,
     trivial_walk,
     walk_source,
-    enumerate_words,
     word,
 )
 
@@ -71,7 +73,7 @@ class Catalog:
 
     def __init__(self, p: Presentation):
         require_string(p)
-        automaton = LetterAutomaton(p)
+        automaton = automaton_for(p)
         band = automaton.cyclic_witness()
         if band is not None:
             raise InfiniteTypeError(format_walk(band.word.walk))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import StringAlgError, VerificationError
 from .linalg import Matrix
-from .presentation import Presentation, check_finite_dimensional, validate_axioms
+from .presentation import Presentation, validate_axioms
 from .reps import (
     Representation,
     _nodes_to_indices,
@@ -38,6 +38,7 @@ from .words import (
     Verdict,
     Walk,
     Word,
+    automaton_for,
     canonical_cyclic,
     cyclic_word,
     fine_wolf_common_power,
@@ -59,15 +60,10 @@ from .words import (
 # ---------------------------------------------------------------------------
 
 
-def find_cyclic_witness(p: Presentation) -> CyclicWord | None:
-    """A primitive cyclic word, or None when no cyclic word exists."""
-    return LetterAutomaton(p).cyclic_witness()
-
-
 def find_bands(p: Presentation, max_len: int) -> list[CyclicWord]:
     """All primitive cyclic words of length <= max_len, canonical forms,
     one per rotation/inversion class."""
-    automaton = LetterAutomaton(p)
+    automaton = automaton_for(p)
     letters = automaton.letters
     found: dict[tuple, CyclicWord] = {}
     for codes, state in automaton.walk(max_len):
@@ -94,7 +90,7 @@ def n_alpha_generators(p: Presentation, alpha: str, max_len: int) -> list[Word]:
     is a generator when it is not a product of two members.
     """
     p.arrow(alpha)
-    return list(_iter_n_alpha_generators(LetterAutomaton(p), alpha, max_len))
+    return list(_iter_n_alpha_generators(automaton_for(p), alpha, max_len))
 
 
 def _iter_n_alpha_generators(automaton: LetterAutomaton, alpha: str, max_len: int):
@@ -140,10 +136,9 @@ def classify(p: Presentation, bound: int | None = None) -> ClassificationCertifi
     report = validate_axioms(p)
     if not report.is_string:
         raise StringAlgError("classification needs a string presentation")
-    finite, _ = check_finite_dimensional(p)
-    if not finite:
+    automaton = automaton_for(p)
+    if automaton.relation_free_cycle is not None:
         raise StringAlgError("classification needs a finite dimensional algebra")
-    automaton = LetterAutomaton(p)
     band = automaton.cyclic_witness()
     if band is None:
         return ClassificationCertificate(

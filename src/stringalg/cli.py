@@ -319,9 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the least value of each bound at which a verdict still says something
+_BOUND_FLOORS = {"max_dim": 1, "bound": 1, "search_len": 1, "max_len": 0}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, floor in _BOUND_FLOORS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < floor:
+            parser.error(f"--{name.replace('_', '-')} must be at least {floor}, got {value}")
     try:
         return args.fn(args)
     except VerificationError as err:

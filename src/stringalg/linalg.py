@@ -564,11 +564,6 @@ def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
     return sorted(merged.values(), key=lambda pm: (pm[0].degree, tuple(pm[0].c)))
 
 
-def char_poly_factors(m: Matrix) -> list[tuple[Poly, int]]:
-    """Irreducible factors, with multiplicity, of the characteristic polynomial."""
-    return factor_poly(m.charpoly())
-
-
 # ---------------------------------------------------------------------------
 # sparse homogeneous solver
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import NotFiniteDimensionalError, ParseError, StringAlgError
+from .errors import ParseError, StringAlgError
 from .linalg import _ACC_LIMIT, is_prime
 
 DEFAULT_FIELD_ORDER = 32003
@@ -75,8 +75,10 @@ class Presentation:
     relations: tuple[tuple[str, ...], ...]  # arrow-name sequences, length >= 2
     field_order: int = DEFAULT_FIELD_ORDER
     _arrow_map: dict = field(default=None, repr=False, compare=False)
-    # the catalog built by artheory.catalog_for; not copied by with_field
+    # per-presentation caches, not copied by with_field: the catalog built by
+    # artheory.catalog_for and the letter automaton built by words.automaton_for
     _catalog: object = field(default=None, init=False, repr=False, compare=False)
+    _automaton: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.field_order):
@@ -223,123 +225,6 @@ def load_presentation(path) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# finite dimensionality
-# ---------------------------------------------------------------------------
-
-
-def _suffix_states(p: Presentation):
-    """Automaton on relation-free paths; states are bounded suffixes.
-
-    A path extends by an arrow exactly when the window made of the last
-    (max relation length - 1) arrows plus the new arrow stays relation free.
-    """
-    window = max(p.max_relation_length() - 1, 0)
-
-    def step(state: tuple[str, ...], arrow_name: str) -> tuple[str, ...] | None:
-        ext = state + (arrow_name,)
-        if not p.path_is_relation_free(ext):
-            return None
-        return ext[-window:] if window else ()
-
-    return window, step
-
-
-def surviving_paths(p: Presentation, max_len: int | None = None):
-    """All relation-free paths, as arrow-name tuples, including one empty
-    path per vertex (returned as (vertex, ()) pairs).
-
-    With max_len None the enumeration runs to exhaustion and raises
-    NotFiniteDimensionalError when the algebra is infinite dimensional.
-    """
-    if max_len is None:
-        finite, witness = check_finite_dimensional(p)
-        if not finite:
-            raise NotFiniteDimensionalError(witness)
-        bound = None
-    else:
-        bound = max_len
-    out = [(v, ()) for v in p.quiver.vertices]
-    frontier = [(v, ()) for v in p.quiver.vertices]
-    length = 0
-    while frontier and (bound is None or length < bound):
-        nxt = []
-        for endv, path in frontier:
-            for a in p.quiver.arrows_from(endv):
-                ext = path + (a.name,)
-                tail = ext[-p.max_relation_length():] if p.relations else ext[:0]
-                if p.path_is_relation_free(tail):
-                    nxt.append((a.target, ext))
-        out.extend(nxt)
-        frontier = nxt
-        length += 1
-    return out
-
-
-def check_finite_dimensional(p: Presentation) -> tuple[bool, tuple[str, ...] | None]:
-    """Whether only finitely many paths avoid the relations.
-
-    On False the witness is a directed cycle of arrows whose repeated
-    traversal never meets a relation.
-    """
-    _, step = _suffix_states(p)
-    # States are (current vertex, bounded window of trailing arrows).
-    Node = tuple[str, tuple[str, ...]]
-    seen: set[Node] = set()
-    order: list[Node] = []
-    edges: dict[Node, list[tuple[Node, str]]] = {}
-    todo: list[Node] = [(v, ()) for v in p.quiver.vertices]
-    while todo:
-        node = todo.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        endv, win = node
-        outs = []
-        for a in p.quiver.arrows_from(endv):
-            nwin = step(win, a.name)
-            if nwin is None:
-                continue
-            nxt = (a.target, nwin)
-            outs.append((nxt, a.name))
-            if nxt not in seen:
-                todo.append(nxt)
-        edges[node] = outs
-    # cycle detection with arrow labels for the witness
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[Node, int] = {n: WHITE for n in seen}
-    parent: dict[Node, tuple[Node, str]] = {}
-
-    for start in sorted(seen):
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(edges[start]))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt, label in it:
-                if color[nxt] == GRAY:
-                    # reconstruct the arrow cycle nxt -> ... -> node -> nxt
-                    cycle = [label]
-                    cur = node
-                    while cur != nxt:
-                        cur, lab = parent[cur]
-                        cycle.append(lab)
-                    cycle.reverse()
-                    return False, tuple(cycle)
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    parent[nxt] = (node, label)
-                    stack.append((nxt, iter(edges[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return True, None
-
-
-# ---------------------------------------------------------------------------
 # string axioms
 # ---------------------------------------------------------------------------
 
@@ -399,13 +284,3 @@ def validate_axioms(p: Presentation) -> AxiomReport:
             )
     return AxiomReport(s1=s1, s2=s2, s3=True, violations=tuple(violations))
 
-
-def require_string(p: Presentation):
-    from .errors import NonStringPresentationError
-
-    report = validate_axioms(p)
-    if not report.is_string:
-        raise NonStringPresentationError("; ".join(report.violations))
-    finite, witness = check_finite_dimensional(p)
-    if not finite:
-        raise NotFiniteDimensionalError(witness)

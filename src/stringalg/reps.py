@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParseError, StringAlgError
 from .linalg import Matrix
-from .presentation import Presentation, surviving_paths
+from .presentation import Presentation
 from .words import (
     CyclicWord,
     Direction,
@@ -30,6 +30,7 @@ from .words import (
     format_walk,
     is_cyclic,
     letter_source,
+    surviving_paths,
     trivial_walk,
     walk_vertices,
     word,
@@ -311,10 +312,6 @@ def direct_sum(reps: list[Representation], label: str = "") -> Representation:
     if not label:
         label = " + ".join(r.label or "?" for r in reps)
     return make_representation(p, dims, mats, label=label)
-
-
-def dimension_vector(m: Representation) -> dict[str, int]:
-    return m.dimension_vector()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ contains a relation path as a factor.  Cyclic words are the non-serial
 closed words whose square is again a word; bands are the primitive ones.
 The letter automaton decides which letters may follow a word, and word
 walks follow its edges; is_word and is_cyclic are the checks written from
-the definitions.
+the definitions.  Each presentation has one automaton, built on first use
+by automaton_for and kept on the presentation.  Its direct letters also
+answer the questions about paths: the relation-free paths are the walks of
+direct letters, and the algebra is finite dimensional exactly when no cycle
+of direct letters exists.
 
 CLI syntax: letters separated by spaces, inverses marked "^-1", trivial
 words written "e(<vertex>)".  Example: "a b^-1 a".
@@ -18,10 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import total_ordering
+from functools import cached_property, total_ordering
 
-from .errors import CompositionError, ParseError, StringAlgError
-from .presentation import Presentation
+from .errors import (
+    CompositionError,
+    NonStringPresentationError,
+    NotFiniteDimensionalError,
+    ParseError,
+    StringAlgError,
+)
+from .presentation import Presentation, validate_axioms
 
 
 class Direction(Enum):
@@ -364,6 +374,42 @@ def _extensions(p: Presentation, letters: tuple[Letter, ...], at_vertex: str) ->
     return sorted(good, key=lambda l: letter_key(p, l))
 
 
+def _first_cycle(starts, successors) -> list | None:
+    """Labels along the first cycle a depth-first search meets, or None.
+
+    The search starts from each node of starts in turn and tries the
+    (label, next node) pairs of successors(node) in order.  The cycle is
+    read from the node the search enters a second time.
+    """
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: dict = {}
+    parent: dict = {}
+    for start in starts:
+        if color.get(start, WHITE) != WHITE:
+            continue
+        color[start] = GRAY
+        stack = [(start, iter(successors(start)))]
+        while stack:
+            node, it = stack[-1]
+            for label, nxt in it:
+                seen = color.get(nxt, WHITE)
+                if seen == GRAY:
+                    cycle = [label]
+                    while node != nxt:
+                        node, label = parent[node]
+                        cycle.append(label)
+                    return cycle[::-1]
+                if seen == WHITE:
+                    color[nxt] = GRAY
+                    parent[nxt] = (node, label)
+                    stack.append((nxt, iter(successors(nxt))))
+                    break
+            else:
+                color[node] = BLACK
+                stack.pop()
+    return None
+
+
 class LetterAutomaton:
     """Extension automaton: states are (vertex, trailing letter window).
 
@@ -452,35 +498,36 @@ class LetterAutomaton:
 
     def find_cycle(self) -> tuple[Letter, ...] | None:
         """Letters along some cycle, or None when the automaton is acyclic."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = [WHITE] * len(self.nodes)
-        parent: dict[int, tuple[int, int]] = {}
-        for start in range(len(self.nodes)):
-            if color[start] != WHITE:
-                continue
-            stack = [(start, iter(self.edges[start].items()))]
-            color[start] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for c, nxt in it:
-                    if color[nxt] == GRAY:
-                        cycle = [c]
-                        cur = node
-                        while cur != nxt:
-                            cur, lab = parent[cur]
-                            cycle.append(lab)
-                        return tuple(self.letters[lab] for lab in reversed(cycle))
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
-                        parent[nxt] = (node, c)
-                        stack.append((nxt, iter(self.edges[nxt].items())))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return None
+        cycle = _first_cycle(range(len(self.nodes)), lambda s: self.edges[s].items())
+        return None if cycle is None else tuple(self.letters[c] for c in cycle)
+
+    @cached_property
+    def relation_free_cycle(self) -> tuple[str, ...] | None:
+        """Arrows of an oriented cycle whose powers avoid every relation, or
+        None when the algebra is finite dimensional.
+
+        Relation-free paths are the walks of direct letters, so the search
+        follows direct letters between the states whose window is direct.
+        Each window is cut to its last (max relation length - 1) arrows,
+        all that decides which arrow may follow; without relations the
+        states are the vertices.  Starts are tried in (vertex, arrow names)
+        order, which fixes the cycle reported.
+        """
+        keep = self.p.max_relation_length() - 1
+
+        def cut(s: int) -> int:
+            v, win = self.nodes[s]
+            return self.index[(v, win[-keep:] if keep > 0 else ())]
+
+        starts = sorted(
+            {cut(s) for s, (_, win) in enumerate(self.nodes) if all(l.is_direct for l in win)},
+            key=lambda s: (self.nodes[s][0], [l.arrow for l in self.nodes[s][1]]),
+        )
+        cycle = _first_cycle(
+            starts,
+            lambda s: [(c, cut(nxt)) for c, nxt in self.edges[s].items() if not c & 1],
+        )
+        return None if cycle is None else tuple(self.letters[c].arrow for c in cycle)
 
     def cyclic_witness(self) -> CyclicWord | None:
         """A primitive cyclic word, or None when no cyclic word exists.
@@ -502,6 +549,61 @@ class LetterAutomaton:
         return cyclic_word(p, canonical_cyclic(p, w if primitive else root))
 
 
+def automaton_for(p: Presentation) -> LetterAutomaton:
+    """The letter automaton of p, built on first use and kept on p."""
+    if p._automaton is None:
+        object.__setattr__(p, "_automaton", LetterAutomaton(p))
+    return p._automaton
+
+
+def check_finite_dimensional(p: Presentation) -> tuple[bool, tuple[str, ...] | None]:
+    """Whether only finitely many paths avoid the relations.
+
+    On False the witness is a directed cycle of arrows whose repeated
+    traversal never meets a relation.
+    """
+    cycle = automaton_for(p).relation_free_cycle
+    return cycle is None, cycle
+
+
+def require_string(p: Presentation):
+    report = validate_axioms(p)
+    if not report.is_string:
+        raise NonStringPresentationError("; ".join(report.violations))
+    cycle = automaton_for(p).relation_free_cycle
+    if cycle is not None:
+        raise NotFiniteDimensionalError(cycle)
+
+
+def surviving_paths(p: Presentation) -> list[tuple[str, tuple[str, ...]]]:
+    """All relation-free paths as (end vertex, arrow names) pairs.
+
+    The empty path at each vertex comes first.  Then each length extends
+    the paths of the length before, in order, by the direct letters the
+    automaton allows after them; the one-arrow paths come in vertex order.
+    Raises NotFiniteDimensionalError when the algebra is infinite
+    dimensional.
+    """
+    automaton = automaton_for(p)
+    if automaton.relation_free_cycle is not None:
+        raise NotFiniteDimensionalError(automaton.relation_free_cycle)
+    out = [(v, ()) for v in p.quiver.vertices]
+    level = [
+        ((a.name,), automaton.first[2 * p.quiver.arrow_index(a.name)])
+        for v in p.quiver.vertices
+        for a in p.quiver.arrows_from(v)
+    ]
+    while level:
+        out.extend((automaton.nodes[s][0], path) for path, s in level)
+        level = [
+            (path + (automaton.letters[c].arrow,), nxt)
+            for path, s in level
+            for c, nxt in automaton.edges[s].items()
+            if not c & 1
+        ]
+    return out
+
+
 def walk_words(p: Presentation, max_len: int, first: Letter | None = None):
     """Every nonempty word of length at most max_len as a letter tuple.
 
@@ -509,7 +611,7 @@ def walk_words(p: Presentation, max_len: int, first: Letter | None = None):
     LetterAutomaton.walk.  With first set, only words starting with that
     letter are walked.
     """
-    automaton = LetterAutomaton(p)
+    automaton = automaton_for(p)
     letters = automaton.letters
     start = None if first is None else automaton.code[first]
     for codes, _ in automaton.walk(max_len, start):
@@ -523,7 +625,7 @@ def enumerate_words(p: Presentation, max_len: int) -> list[Word]:
     and then lexicographically by letter keys.
     """
     out: list[Word] = [Word(trivial_walk(v)) for v in sorted(p.quiver.vertices)]
-    automaton = LetterAutomaton(p)
+    automaton = automaton_for(p)
     letters = automaton.letters
     for codes, _ in automaton.walk(max_len):
         if codes <= tuple(c ^ 1 for c in reversed(codes)):

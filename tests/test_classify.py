@@ -6,7 +6,6 @@ from stringalg.classify import (
     build_witness,
     classify,
     find_bands,
-    find_cyclic_witness,
     find_witness_triple,
     n_alpha_generators,
 )
@@ -20,6 +19,7 @@ from stringalg.reps import (
     make_representation,
 )
 from stringalg.words import (
+    automaton_for,
     canonical_cyclic,
     format_walk,
     is_cyclic,
@@ -30,12 +30,12 @@ from stringalg.words import (
 
 def test_automaton_acyclic_a3(a3):
     assert LetterAutomaton(a3).find_cycle() is None
-    assert find_cyclic_witness(a3) is None
+    assert automaton_for(a3).cyclic_witness() is None
 
 
 def test_automaton_cycle_gp(gp, kronecker):
     for p in (gp, kronecker):
-        band = find_cyclic_witness(p)
+        band = automaton_for(p).cyclic_witness()
         assert band is not None
         assert band.primitive
 

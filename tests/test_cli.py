@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stringalg.cli import main
 
 
@@ -229,3 +231,54 @@ def test_literals_told_apart_by_their_maps(capsys, fixture_dir, tmp_path):
     assert code == 0
     assert "ext(literal0, literal0) dim=1" in out
     assert "ext(literal1, literal1) dim=1" in out
+
+
+VALIDATE_PINS = {
+    "a3.sba": (0, ["string=yes", "S1=ok", "S2=ok", "S3=ok", "finite_dimensional=yes"]),
+    "d4sub.sba": (1, [
+        "string=no", "S1=violated", "S2=ok", "S3=ok", "finite_dimensional=yes",
+        "violation: S1: vertex 0 has in-degree 3",
+    ]),
+    "cycle_ab.sba": (1, [
+        "string=no", "S1=ok", "S2=ok", "S3=ok", "finite_dimensional=no",
+        "relation_free_cycle: a b",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_PINS))
+def test_validate_output_pinned(name, capsys, fixture_dir):
+    code, out = run(capsys, "--format", "structured", "validate", str(fixture_dir / name))
+    lines = out.splitlines()
+    assert lines[:3] == [
+        "format=stringalg.v1", "command=validate", f"presentation={fixture_dir / name}",
+    ]
+    assert (code, lines[3:]) == VALIDATE_PINS[name]
+
+
+def test_modules_refuses_an_infinite_dimensional_algebra(capsys, fixture_dir):
+    code = main(["modules", str(fixture_dir / "cycle_ab.sba")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: algebra is infinite dimensional; relation-free cycle: a b\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-main-theorem", "a3.sba", "--max-dim", "-1"],
+    ["verify-main-theorem", "a3.sba", "--max-dim", "0"],
+    ["degeneration", "a3.sba", "--max-dim", "0"],
+    ["modules", "a3.sba", "--max-dim", "0"],
+    ["classify", "gp.sba", "--bound", "-3"],
+    ["classify", "gp.sba", "--bound", "0"],
+    ["witness", "gp.sba", "--p", "11", "--search-len", "0"],
+    ["words", "gp.sba", "--max-len", "-1"],
+])
+def test_bounds_that_make_a_verdict_vacuous_are_usage_errors(argv, capsys, fixture_dir):
+    argv = [str(fixture_dir / a) if a.endswith(".sba") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"{argv[-2]} must be at least" in captured.err

@@ -1,16 +1,23 @@
-"""Property tests: walks on the letter automaton against the word definition.
+"""Property tests: walks on the letter automaton against the definitions.
 
-The presentations are small string presentations drawn by hypothesis: one
-to three vertices, two to four arrows, and monomial relations of length two
-or three.  Walks must list exactly the composable letter sequences that
-pass is_word, and the bands and N(alpha) generators must match loops that
-decide cyclicity with is_cyclic.
+The presentations are small ones drawn by hypothesis: one to three
+vertices, up to four arrows, and monomial relations of length two or
+three.  On string presentations with at least two arrows, walks must list
+exactly the composable letter sequences that pass is_word, and the bands
+and N(alpha) generators must match loops that decide cyclicity with
+is_cyclic.  On any of them, finite or not, the relation-free paths read
+from the direct letters must match a scan of every arrow sequence, and an
+infinite verdict must come with an arrow cycle whose powers avoid the
+relations.
 """
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from test_presentation import brute_surviving_paths
 
 from stringalg.classify import find_bands, n_alpha_generators
+from stringalg.errors import NotFiniteDimensionalError
 from stringalg.presentation import Arrow, Presentation, Quiver, validate_axioms
 from stringalg.words import (
     Direction,
@@ -19,23 +26,25 @@ from stringalg.words import (
     Word,
     all_letters,
     canonical_cyclic,
+    check_finite_dimensional,
     is_cyclic,
     is_primitive,
     is_word,
     letter_key,
     letter_source,
     letter_target,
+    surviving_paths,
     walk_words,
 )
 
 
 @st.composite
-def string_presentations(draw):
+def presentations(draw, min_arrows, string_only):
     n_vertices = draw(st.integers(1, 3))
     vertices = tuple(str(i) for i in range(n_vertices))
     arrows = tuple(
         Arrow(f"x{i}", draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
-        for i in range(draw(st.integers(2, 4)))
+        for i in range(draw(st.integers(min_arrows, 4)))
     )
     relations = set()
     for _ in range(draw(st.integers(0, 4))):
@@ -48,7 +57,8 @@ def string_presentations(draw):
         if len(path) >= 2:
             relations.add(tuple(a.name for a in path))
     p = Presentation(Quiver(vertices, arrows), tuple(sorted(relations)))
-    assume(validate_axioms(p).is_string)
+    if string_only:
+        assume(validate_axioms(p).is_string)
     return p
 
 
@@ -110,13 +120,13 @@ PROPERTY = settings(
 
 
 @PROPERTY
-@given(string_presentations(), st.integers(0, 6))
+@given(presentations(min_arrows=2, string_only=True), st.integers(0, 6))
 def test_walk_words_matches_brute_force(p, max_len):
     assert list(walk_words(p, max_len)) == brute_force_words(p, max_len)
 
 
 @PROPERTY
-@given(string_presentations())
+@given(presentations(min_arrows=2, string_only=True))
 def test_n_alpha_generators_match_is_cyclic_reference(p):
     for arrow in p.quiver.arrows:
         assert n_alpha_generators(p, arrow.name, 12) == reference_n_alpha_generators(
@@ -125,7 +135,34 @@ def test_n_alpha_generators_match_is_cyclic_reference(p):
 
 
 @PROPERTY
-@given(string_presentations())
+@given(presentations(min_arrows=2, string_only=True))
 def test_find_bands_match_is_cyclic_reference(p):
     bands = find_bands(p, 8)
     assert [b.letters for b in bands] == reference_band_letters(p, 8)
+
+
+def _starting_at(p, paths, v):
+    return [
+        (endv, path) for endv, path in paths
+        if (p.arrow(path[0]).source if path else endv) == v
+    ]
+
+
+@PROPERTY
+@given(presentations(min_arrows=1, string_only=False))
+def test_paths_and_finite_dimensionality_read_the_direct_letters(p):
+    finite, cycle = check_finite_dimensional(p)
+    if finite:
+        assert cycle is None
+        paths = surviving_paths(p)
+        # one step past the longest path: the scan must find nothing longer
+        brute = brute_surviving_paths(p, cap=max(len(path) for _, path in paths) + 1)
+        for v in p.quiver.vertices:
+            assert _starting_at(p, paths, v) == _starting_at(p, brute, v)
+    else:
+        arrows = [p.arrow(name) for name in cycle]
+        assert arrows
+        assert all(a.target == b.source for a, b in zip(arrows, arrows[1:] + arrows[:1]))
+        assert p.path_is_relation_free(cycle * (p.max_relation_length() + 1))
+        with pytest.raises(NotFiniteDimensionalError):
+            surviving_paths(p)

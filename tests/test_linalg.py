@@ -6,7 +6,6 @@ import pytest
 from stringalg.linalg import (
     Matrix,
     Poly,
-    char_poly_factors,
     factor_poly,
     inv_mod,
     is_prime,
@@ -143,7 +142,7 @@ def test_charpoly_of_identity_and_jordan():
     n = 4
     jordan = Matrix([[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)], q)
     assert jordan.charpoly() == Poly([0, 0, 0, 0, 1], q)
-    facs = char_poly_factors(jordan)
+    facs = factor_poly(jordan.charpoly())
     assert facs == [(Poly([0, 1], q), 4)]
 
 
@@ -204,7 +203,7 @@ def test_companion_matrix_of_x11_plus_1():
     comp[0][n - 1] = -1 % q  # companion of X^11 + 1
     m = Matrix(comp, q)
     assert m.charpoly() == Poly([1] + [0] * 10 + [1], q)
-    facs = char_poly_factors(m)
+    facs = factor_poly(m.charpoly())
     assert len(facs) == 11 and all(p.degree == 1 for p, _ in facs)
 
 

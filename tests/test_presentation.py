@@ -2,12 +2,11 @@ import pytest
 
 from stringalg.errors import ParseError, StringAlgError
 from stringalg.presentation import (
-    check_finite_dimensional,
     parse_presentation,
     serialize_presentation,
-    surviving_paths,
     validate_axioms,
 )
+from stringalg.words import check_finite_dimensional, surviving_paths
 
 
 def brute_surviving_paths(p, cap=12):
