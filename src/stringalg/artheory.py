@@ -27,7 +27,7 @@ from .presentation import Presentation
 from .reps import (
     Representation,
     direct_sum,
-    projective,
+    graph_map,
     string_module_with_nodes,
     zero_representation,
 )
@@ -60,15 +60,14 @@ class CatalogEntry:
     word: Word
     rep: Representation
     nodes: list  # node placements of the string module
-    is_projective: bool = False
 
 
 class Catalog:
     """All indecomposables of a finite-type string presentation.
 
     Construction refuses infinite type, carrying a band witness.  Hom
-    dimensions between members are precomputed; almost-split data is cached
-    lazily per member.
+    dimensions between members are precomputed, and the projectives are
+    read off that table; almost-split data is cached lazily per member.
     """
 
     def __init__(self, p: Presentation):
@@ -92,7 +91,19 @@ class Catalog:
         ]
         self._ar_cache: dict[int, "ARSequence"] = {}
         self._hom_into_cache: dict[Representation, list[int]] = {}
-        self._mark_projectives()
+        # dim Hom(P(v), X) = dim X_v (Yoneda), and no two indecomposables
+        # share a row of the table (Auslander 1982), so P(v) is the one
+        # member whose row is the dimensions at v
+        projectives = []
+        for v in p.quiver.vertices:
+            row = [e.rep.dim(v) for e in self.entries]
+            hits = [e.index for e in self.entries if self.hom[e.index] == row]
+            if len(hits) != 1:
+                raise VerificationError(
+                    f"projective at {v} matched {len(hits)} catalog entries"
+                )
+            projectives += hits
+        self.projectives = frozenset(projectives)
 
     def _word_key(self, w: Word):
         p = self.p
@@ -107,19 +118,6 @@ class Catalog:
         if key not in self._by_key:
             raise StringAlgError(f"word {format_walk(w.walk)} not in the catalog")
         return self._by_key[key]
-
-    def _mark_projectives(self):
-        for v in self.p.quiver.vertices:
-            profile = self.hom_into(projective(self.p, v))
-            hits = [e for e in self.entries if self.hom_column(e) == profile]
-            if len(hits) != 1:
-                raise VerificationError(
-                    f"projective at {v} matched {len(hits)} catalog entries"
-                )
-            hits[0].is_projective = True
-
-    def hom_column(self, e: CatalogEntry) -> list[int]:
-        return [self.hom[i][e.index] for i in range(len(self.entries))]
 
     def hom_into(self, m: Representation) -> list[int]:
         """Hom dimensions from every catalog member into m, cached."""
@@ -144,7 +142,7 @@ class Catalog:
         return self._ar_cache[e.index]
 
     def nonprojective(self) -> list[CatalogEntry]:
-        return [e for e in self.entries if not e.is_projective]
+        return [e for e in self.entries if e.index not in self.projectives]
 
     def __len__(self):
         return len(self.entries)
@@ -260,15 +258,14 @@ class ARSequence:
     defect_checked: bool = False
 
 
-def ar_sequence(p: Presentation, w: Word, catalog: Catalog | None = None) -> ARSequence:
-    cat = catalog or catalog_for(p)
-    entry = cat.lookup(w)
-    return cat.ar_sequence(entry)
+def ar_sequence(p: Presentation, w: Word) -> ARSequence:
+    cat = catalog_for(p)
+    return cat.ar_sequence(cat.lookup(w))
 
 
 def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
     p = cat.p
-    if entry.is_projective:
+    if entry.index in cat.projectives:
         raise StringAlgError(
             f"M({format_walk(entry.word.walk)}) is projective; no almost-split sequence ends there"
         )
@@ -322,19 +319,19 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
         n_r = len(pair_r[0])
         middles.append(er)
         maps_from_tau.append(
-            _graph_map(p, tau_entry.rep, tau_nodes, er.rep, er_nodes, n_r - n_tau)
+            graph_map(p, tau_entry.rep, tau_nodes, er.rep, er_nodes, n_r - n_tau)
         )
-        maps_to_v.append(_graph_map(p, er.rep, er_nodes, entry.rep, entry.nodes, 0))
+        maps_to_v.append(graph_map(p, er.rep, er_nodes, entry.rep, entry.nodes, 0))
     if pair_l is not None:
         el, el_nodes = _oriented_entry(cat, _pair_word(p, pair_l))
         n_l = len(pair_l[0])
         middles.append(el)
         # tau and the left-surgery word share their left ends exactly
         maps_from_tau.append(
-            _graph_map(p, tau_entry.rep, tau_nodes, el.rep, el_nodes, 0)
+            graph_map(p, tau_entry.rep, tau_nodes, el.rep, el_nodes, 0)
         )
         maps_to_v.append(
-            _graph_map(p, el.rep, el_nodes, entry.rep, entry.nodes, -(n_l - n_w))
+            graph_map(p, el.rep, el_nodes, entry.rep, entry.nodes, -(n_l - n_w))
         )
     if not middles:
         raise StringAlgError("empty middle; input looks projective")
@@ -368,24 +365,6 @@ def _oriented_entry(cat: Catalog, w: Word):
     if rev != w.letters:
         raise VerificationError("catalog entry does not match the surgery word")
     return entry, list(reversed(entry.nodes))
-
-
-def _graph_map(p, src_rep, src_nodes, dst_rep, dst_nodes, node_offset: int) -> dict:
-    """Map sending node i of the source word to node i + node_offset of the
-    destination word when in range, else to zero; per-vertex matrices."""
-    q = p.field_order
-    mats = {
-        v: np.zeros((src_rep.dim(v), dst_rep.dim(v)), dtype=np.int64)
-        for v in p.quiver.vertices
-    }
-    for i, (sv, sc) in enumerate(src_nodes):
-        j = i + node_offset
-        if 0 <= j < len(dst_nodes):
-            dv, dc = dst_nodes[j]
-            if dv != sv:
-                raise VerificationError("graph map misaligned: vertex mismatch")
-            mats[sv][sc, dc] = 1
-    return {v: Matrix(m, q) for v, m in mats.items()}
 
 
 def _assemble_ses(p, tau_rep, middle_rep, v_rep, middles, maps_from_tau, maps_to_v):
@@ -452,12 +431,10 @@ class DeltaProfile:
         return all(x >= 0 for x in self.values)
 
 
-def hom_leq(
-    M: Representation, N: Representation, catalog: Catalog | None = None
-) -> tuple[bool, DeltaProfile]:
+def hom_leq(M: Representation, N: Representation) -> tuple[bool, DeltaProfile]:
     """The hom-order test: equal dimension vectors and delta(V) >= 0 for
     every indecomposable V."""
-    cat = catalog or catalog_for(M.pres)
+    cat = catalog_for(M.pres)
     into_m = cat.hom_into(M)
     into_n = cat.hom_into(N)
     delta = DeltaProfile([n - m for m, n in zip(into_m, into_n)])
@@ -474,13 +451,11 @@ class RiedtmannWitness:
     verified: bool
 
 
-def riedtmann_witness(
-    M: Representation, N: Representation, catalog: Catalog | None = None
-) -> RiedtmannWitness:
+def riedtmann_witness(M: Representation, N: Representation) -> RiedtmannWitness:
     """Build X, Y, Z so that M + X + Z and N + Y have equal hom counts
     against every catalog member; verified by direct computation."""
-    cat = catalog or catalog_for(M.pres)
-    ok, delta = hom_leq(M, N, cat)
+    cat = catalog_for(M.pres)
+    ok, delta = hom_leq(M, N)
     if not ok:
         raise StringAlgError("riedtmann witness needs hom_leq(M, N) to hold")
     xs, ys, zs = [], [], []
@@ -507,13 +482,11 @@ def riedtmann_witness(
     return RiedtmannWitness(X, Y, Z, True)
 
 
-def delta_count_formula(
-    M: Representation, N: Representation, catalog: Catalog | None = None
-) -> int:
+def delta_count_formula(M: Representation, N: Representation) -> int:
     """The accounting sum over non-projective indecomposables of
     delta(V) * (2 - middle summand count of the sequence at V)."""
-    cat = catalog or catalog_for(M.pres)
-    ok, delta = hom_leq(M, N, cat)
+    cat = catalog_for(M.pres)
+    ok, delta = hom_leq(M, N)
     if not ok:
         raise StringAlgError("delta formula needs hom_leq(M, N) to hold")
     total = 0

@@ -315,7 +315,7 @@ def build_witness(p: Presentation, triple: WitnessTriple, prime_p: int) -> Witne
     """
     from .homalg import Intertwiner, ShortExactSequence
     from .linalg import is_prime
-    from .reps import string_module_with_nodes
+    from .reps import graph_map, string_module_with_nodes
 
     q = p.field_order
     if not is_prime(prime_p) or prime_p < 11:
@@ -355,26 +355,14 @@ def build_witness(p: Presentation, triple: WitnessTriple, prime_p: int) -> Witne
     _, mid_place = _nodes_to_indices(p, [letter_source(p, l) for l in uv_letters])
     Lu = len(u_letters)
 
-    incl_mats = {vx: np.zeros((left_rep.dim(vx), middle.dim(vx)), dtype=np.int64)
-                 for vx in p.quiver.vertices}
-    for k, (vx, coord) in enumerate(left_nodes):
-        mv, mc = mid_place[Lu + k]
-        if mv != vx:
-            raise VerificationError("left end misaligned with the middle")
-        incl_mats[vx][coord, mc] = 1
-    proj_mats = {vx: np.zeros((middle.dim(vx), right_rep.dim(vx)), dtype=np.int64)
-                 for vx in p.quiver.vertices}
-    for k, (vx, coord) in enumerate(right_nodes):
-        mv, mc = mid_place[k]
-        if mv != vx:
-            raise VerificationError("right end misaligned with the middle")
-        proj_mats[vx][mc, coord] = 1
+    incl = graph_map(p, left_rep, left_nodes, middle, mid_place, Lu)
+    proj = graph_map(p, middle, mid_place, right_rep, right_nodes, 0)
     ses = ShortExactSequence(
         left=left_rep,
         middle=middle,
         right=right_rep,
-        incl=Intertwiner(left_rep, middle, {k: Matrix(m, q) for k, m in incl_mats.items()}),
-        proj=Intertwiner(middle, right_rep, {k: Matrix(m, q) for k, m in proj_mats.items()}),
+        incl=Intertwiner(left_rep, middle, incl),
+        proj=Intertwiner(middle, right_rep, proj),
     )
     ses.verify()
     embeddings = _split_witness_middle(p, block, prime_p, middle, mid_place)

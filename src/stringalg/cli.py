@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .artheory import ar_sequence, enumerate_indecomposables
+from .artheory import ar_sequence, catalog_for, enumerate_indecomposables
 from .classify import build_witness, classify, find_witness_triple
 from .errors import ParseError, StringAlgError, VerificationError
 from .homalg import ext1_dim, hom_dim, middle_census, projective_cover
@@ -125,11 +125,12 @@ def cmd_modules(args) -> int:
     p = _load(args)
     rep = Report("modules")
     entries = enumerate_indecomposables(p, args.max_dim)
+    projectives = catalog_for(p).projectives
     rep.add("max_dim", args.max_dim)
     rep.add("count", len(entries))
     for e in entries:
         dv = ",".join(str(e.rep.dim(v)) for v in p.quiver.vertices)
-        flag = " projective" if e.is_projective else ""
+        flag = " projective" if e.index in projectives else ""
         rep.line(f"M({format_walk(e.word.walk)}) dimvec=({dv}){flag}")
     print(rep.emit(args.format), end="")
     return 0
@@ -314,7 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("verify-main-theorem", cmd_verify_main_theorem,
              help="census over all indecomposable pairs; fails on a middle with more than two summands")
     sp.add_argument("--max-dim", type=int, default=4, dest="max_dim")
-    sp.add_argument("--module", action="append", help="extra literal module file (repeatable)")
+    sp.add_argument(
+        "--module", action="append",
+        help="extra literal module file (repeatable); needs --allow-non-string",
+    )
 
     return parser
 
@@ -330,6 +334,9 @@ def main(argv=None) -> int:
         value = getattr(args, name, None)
         if value is not None and value < floor:
             parser.error(f"--{name.replace('_', '-')} must be at least {floor}, got {value}")
+    if getattr(args, "module", None) and not args.allow_non_string:
+        # string scans run over the catalog of words, which has no place for literals
+        parser.error("--module needs --allow-non-string")
     try:
         return args.fn(args)
     except VerificationError as err:

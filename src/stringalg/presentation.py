@@ -74,7 +74,6 @@ class Presentation:
     quiver: Quiver
     relations: tuple[tuple[str, ...], ...]  # arrow-name sequences, length >= 2
     field_order: int = DEFAULT_FIELD_ORDER
-    _arrow_map: dict = field(default=None, repr=False, compare=False)
     # per-presentation caches, not copied by with_field: the catalog built by
     # artheory.catalog_for and the letter automaton built by words.automaton_for
     _catalog: object = field(default=None, init=False, repr=False, compare=False)
@@ -89,7 +88,6 @@ class Presentation:
                 "arithmetic: (q-1)^2 must stay below 2^62"
             )
         amap = {a.name: a for a in self.quiver.arrows}
-        object.__setattr__(self, "_arrow_map", amap)
         for rel in self.relations:
             if len(rel) < 2:
                 raise StringAlgError(f"relation {' '.join(rel)} shorter than two arrows")
@@ -108,10 +106,7 @@ class Presentation:
         return self.field_order
 
     def arrow(self, name: str) -> Arrow:
-        try:
-            return self._arrow_map[name]
-        except KeyError:
-            raise StringAlgError(f"unknown arrow {name!r}") from None
+        return self.quiver.arrow(name)
 
     def max_relation_length(self) -> int:
         return max((len(r) for r in self.relations), default=0)
@@ -132,6 +127,19 @@ class Presentation:
 # ---------------------------------------------------------------------------
 # parsing and serialization
 # ---------------------------------------------------------------------------
+
+
+def parse_decimal(token: str, lineno: int, message: str, signed: bool = False) -> int:
+    """The integer an ASCII decimal token spells, with a leading minus only
+    when signed; any other token, such as '1.5', 'x' or '²', raises
+    ParseError(message) at lineno."""
+    digits = token[1:] if signed and token.startswith("-") else token
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(message, lineno)
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -191,9 +199,9 @@ def parse_presentation(text: str) -> Presentation:
                     )
             relations.append(tuple(tokens))
         elif keyword == "field":
-            if len(tokens) != 1 or not tokens[0].isdigit():
+            if len(tokens) != 1:
                 raise ParseError("field line needs a single integer", lineno)
-            value = int(tokens[0])
+            value = parse_decimal(tokens[0], lineno, "field line needs a single integer")
             if not is_prime(value):
                 raise ParseError(f"field order {value} is not prime", lineno)
             field_order = value

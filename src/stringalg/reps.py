@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, StringAlgError
+from .errors import ParseError, StringAlgError, VerificationError
 from .linalg import Matrix
-from .presentation import Presentation
+from .presentation import Presentation, parse_decimal
 from .words import (
     CyclicWord,
     Direction,
@@ -256,9 +256,7 @@ def projective_with_basis(p: Presentation, v: str):
     Basis elements are the relation-free paths from v; the right action
     extends paths by one arrow when the extension survives.
     """
-    if v not in p.quiver.vertices:
-        raise StringAlgError(f"unknown vertex {v!r}")
-    paths = [(endv, path) for endv, path in surviving_paths(p) if _path_from(p, v, endv, path)]
+    paths = surviving_paths(p, v)
     dims: dict[str, int] = {u: 0 for u in p.quiver.vertices}
     index: dict[tuple[str, ...], tuple[str, int]] = {}
     for endv, path in paths:
@@ -281,14 +279,26 @@ def projective_with_basis(p: Presentation, v: str):
     return rep, index, index[()][1]
 
 
-def _path_from(p: Presentation, v: str, endv: str, path: tuple[str, ...]) -> bool:
-    if path:
-        return p.arrow(path[0]).source == v
-    return endv == v
-
-
 def projective(p: Presentation, v: str) -> Representation:
     return projective_with_basis(p, v)[0]
+
+
+def graph_map(p: Presentation, src_rep, src_nodes, dst_rep, dst_nodes, node_offset: int) -> dict:
+    """Map sending node i of the source word to node i + node_offset of the
+    destination word when in range, else to zero; per-vertex matrices."""
+    q = p.field_order
+    mats = {
+        v: np.zeros((src_rep.dim(v), dst_rep.dim(v)), dtype=np.int64)
+        for v in p.quiver.vertices
+    }
+    for i, (sv, sc) in enumerate(src_nodes):
+        j = i + node_offset
+        if 0 <= j < len(dst_nodes):
+            dv, dc = dst_nodes[j]
+            if dv != sv:
+                raise VerificationError("graph map misaligned: vertex mismatch")
+            mats[sv][sc, dc] = 1
+    return {v: Matrix(m, q) for v, m in mats.items()}
 
 
 def direct_sum(reps: list[Representation], label: str = "") -> Representation:
@@ -412,9 +422,7 @@ def parse_module_literal(p: Presentation, text: str) -> Representation:
                 v, _, count = tok.partition("=")
                 if v not in p.quiver.vertices:
                     raise ParseError(f"unknown vertex {v!r}", lineno)
-                if not count.isdigit():
-                    raise ParseError(f"bad dimension {tok!r}", lineno)
-                dims[v] = int(count)
+                dims[v] = parse_decimal(count, lineno, f"bad dimension {tok!r}")
         elif keyword == "map":
             parts = rest.split(None, 1)
             if not parts:
@@ -429,7 +437,10 @@ def parse_module_literal(p: Presentation, text: str) -> Representation:
             for chunk in body.split(";"):
                 chunk = chunk.strip()
                 if chunk:
-                    rows.append([int(t) for t in chunk.split()])
+                    rows.append([
+                        parse_decimal(t, lineno, f"bad entry {t!r} for {name}", signed=True) % p.q
+                        for t in chunk.split()
+                    ])
             r, c = dims.get(arrow.source, 0), dims.get(arrow.target, 0)
             if not rows:
                 m = Matrix.zeros(r, c, p.q)

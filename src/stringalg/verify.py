@@ -143,11 +143,11 @@ def degeneration_scan(p: Presentation, max_dim: int) -> DegenerationReport:
     for group in by_dimvec.values():
         for (la, ma), (lb, mb) in itertools.product(group, repeat=2):
             pair_count += 1
-            leq, _ = hom_leq(ma, mb, cat)
+            leq, _ = hom_leq(ma, mb)
             formula = None
             consistent = True
             if leq:
-                formula = delta_count_formula(ma, mb, cat)
+                formula = delta_count_formula(ma, mb)
                 consistent = (
                     counts[la] <= counts[lb]
                     and formula == counts[lb] - counts[la]

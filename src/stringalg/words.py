@@ -575,24 +575,21 @@ def require_string(p: Presentation):
         raise NotFiniteDimensionalError(cycle)
 
 
-def surviving_paths(p: Presentation) -> list[tuple[str, tuple[str, ...]]]:
-    """All relation-free paths as (end vertex, arrow names) pairs.
+def surviving_paths(p: Presentation, v: str) -> list[tuple[str, tuple[str, ...]]]:
+    """The relation-free paths from v as (end vertex, arrow names) pairs.
 
-    The empty path at each vertex comes first.  Then each length extends
-    the paths of the length before, in order, by the direct letters the
-    automaton allows after them; the one-arrow paths come in vertex order.
-    Raises NotFiniteDimensionalError when the algebra is infinite
-    dimensional.
+    The empty path comes first.  Then each length extends the paths of the
+    length before, in order, by the direct letters the automaton allows
+    after them, starting from v's empty-window state.  Raises
+    NotFiniteDimensionalError when the algebra is infinite dimensional.
     """
+    if v not in p.quiver.vertices:
+        raise StringAlgError(f"unknown vertex {v!r}")
     automaton = automaton_for(p)
     if automaton.relation_free_cycle is not None:
         raise NotFiniteDimensionalError(automaton.relation_free_cycle)
-    out = [(v, ()) for v in p.quiver.vertices]
-    level = [
-        ((a.name,), automaton.first[2 * p.quiver.arrow_index(a.name)])
-        for v in p.quiver.vertices
-        for a in p.quiver.arrows_from(v)
-    ]
+    out = []
+    level = [((), automaton.index[(v, ())])]
     while level:
         out.extend((automaton.nodes[s][0], path) for path, s in level)
         level = [

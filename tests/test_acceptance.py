@@ -54,7 +54,7 @@ def pair_scan(a3, a3nr):
         for group in groups.values():
             for (la, ma), (lb, mb) in itertools.product(group, repeat=2):
                 pair_total += 1
-                ok, _ = hom_leq(ma, mb, cat)
+                ok, _ = hom_leq(ma, mb)
                 if ok:
                     true_pairs.append((la, ma, lb, mb))
         out[name] = dict(cat=cat, sums=sums, counts=counts,
@@ -96,11 +96,10 @@ def test_criterion_3_summand_count_order(pair_scan):
     t0 = time.time()
     checked = 0
     for name, data in pair_scan.items():
-        cat = data["cat"]
         counts = data["counts"]
         for la, ma, lb, mb in data["true_pairs"]:
             assert counts[la] <= counts[lb], f"{name}: |{la}| > |{lb}| despite hom_leq"
-            formula = delta_count_formula(ma, mb, cat)
+            formula = delta_count_formula(ma, mb)
             assert formula == counts[lb] - counts[la]
             checked += 1
     elapsed = time.time() - t0
@@ -112,9 +111,8 @@ def test_criterion_3_summand_count_order(pair_scan):
 def test_criterion_4_riedtmann_identity(pair_scan):
     checked = 0
     for name, data in pair_scan.items():
-        cat = data["cat"]
         for la, ma, lb, mb in data["true_pairs"]:
-            wit = riedtmann_witness(ma, mb, cat)  # raises on identity failure
+            wit = riedtmann_witness(ma, mb)  # raises on identity failure
             assert wit.verified
             checked += 1
     _announce(4, f"hom-count identity of the witness triple verified on {checked} pairs")

@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+from stringalg import artheory
 from stringalg.artheory import (
     Catalog,
     ar_sequence,
@@ -14,7 +15,7 @@ from stringalg.artheory import (
     riedtmann_witness,
 )
 from stringalg.decomp import decompose
-from stringalg.errors import InfiniteTypeError, StringAlgError
+from stringalg.errors import InfiniteTypeError, StringAlgError, VerificationError
 from stringalg.homalg import hom_dim
 from stringalg.presentation import load_presentation
 from stringalg.reps import direct_sum, projective, simple
@@ -27,15 +28,38 @@ def test_catalog_a3(a3):
     assert len(cat) == 5
     texts = {format_walk(e.word.walk) for e in cat.entries}
     assert texts == {"e(1)", "e(2)", "e(3)", "a", "b"}
-    projectives = {format_walk(e.word.walk) for e in cat.entries if e.is_projective}
+    projectives = {format_walk(e.word.walk) for e in cat.entries if e.index in cat.projectives}
     assert projectives == {"a", "b", "e(3)"}
 
 
 def test_catalog_a3nr(a3nr):
     cat = catalog_for(a3nr)
     assert len(cat) == 6
-    projectives = {format_walk(e.word.walk) for e in cat.entries if e.is_projective}
+    projectives = {format_walk(e.word.walk) for e in cat.entries if e.index in cat.projectives}
     assert projectives == {"a b", "b", "e(3)"}
+
+
+@pytest.mark.parametrize("name", ["a3.sba", "a3nr.sba", "census_typeA_seed1_04.sba"])
+def test_projectives_read_off_the_table_match_solved_columns(name, fixture_dir):
+    # oracle: build P(v) from its paths and solve Hom(X, P(v)) for every
+    # member X; exactly one member marked projective has that column
+    p = load_presentation(fixture_dir / name)
+    cat = catalog_for(p)
+    assert len(cat.projectives) == len(p.quiver.vertices)
+    for v in p.quiver.vertices:
+        column = cat.hom_into(projective(p, v))
+        marked = [i for i in cat.projectives if [row[i] for row in cat.hom] == column]
+        assert len(marked) == 1, v
+
+
+def test_catalog_refuses_a_table_without_the_projective_rows(a3, monkeypatch):
+    # one dimension short on the diagonal: no row is the dimensions at a vertex
+    solve = artheory.hom_basis
+    monkeypatch.setattr(
+        artheory, "hom_basis", lambda u, m: solve(u, m)[1:] if u is m else solve(u, m)
+    )
+    with pytest.raises(VerificationError, match="matched 0 catalog entries"):
+        Catalog(a3)
 
 
 def test_catalog_refuses_infinite_type(gp, kronecker):
@@ -187,11 +211,11 @@ def test_delta_formula_exhaustive_small(a3):
     for picks in itertools.combinations_with_replacement(range(len(reps)), 2):
         sums.append(([p for p in picks], direct_sum([reps[i] for i in picks])))
     for (pa, ma), (pb, mb) in itertools.product(sums, repeat=2):
-        ok, _ = hom_leq(ma, mb, cat)
+        ok, _ = hom_leq(ma, mb)
         if not ok:
             continue
         lhs = decompose(mb).summand_count - decompose(ma).summand_count
-        assert delta_count_formula(ma, mb, cat) == lhs
+        assert delta_count_formula(ma, mb) == lhs
         assert decompose(ma).summand_count <= decompose(mb).summand_count
 
 
@@ -202,7 +226,7 @@ def test_hom_leq_transitive_sample(a3):
     rel = []
     for i, ma in enumerate(sums):
         for j, mb in enumerate(sums):
-            ok, _ = hom_leq(ma, mb, cat)
+            ok, _ = hom_leq(ma, mb)
             if ok:
                 rel.append((i, j))
     relset = set(rel)
@@ -221,7 +245,7 @@ def test_ar_sequences_on_source_quiver():
     p = parse_presentation("vertices: 1 2 3\narrow: a 1 2\narrow: b 1 3")
     cat = catalog_for(p)
     assert len(cat) == 6
-    seq = ar_sequence(p, parse_word(p, "e(1)"), cat)
+    seq = ar_sequence(p, parse_word(p, "e(1)"))
     assert seq.middle_summand_count == 2
     assert seq.tau.dimension_vector() == {"1": 1, "2": 1, "3": 1}
     for e in cat.nonprojective():

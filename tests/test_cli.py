@@ -282,3 +282,52 @@ def test_bounds_that_make_a_verdict_vacuous_are_usage_errors(argv, capsys, fixtu
     assert exc.value.code == 2
     assert captured.out == ""
     assert f"{argv[-2]} must be at least" in captured.err
+
+
+@pytest.mark.parametrize("body, error", [
+    ("dim: 1=1 2=1\nmap: a x\n", "bad entry 'x' for a (line 3)"),
+    ("dim: 1=1 2=1\nmap: a 1.5\n", "bad entry '1.5' for a (line 3)"),
+    ("dim: 1=²\n", "bad dimension '1=²' (line 2)"),
+])
+def test_literal_with_a_malformed_number_is_an_input_error(
+    body, error, capsys, fixture_dir, tmp_path
+):
+    path = tmp_path / "bad.mod"
+    path.write_text("module\n" + body, encoding="utf-8")
+    code = main(["hom", str(fixture_dir / "a3.sba"), "--from", f"@{path}", "--to", "e(1)"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_literal_entries_are_reduced_mod_q(capsys, fixture_dir, tmp_path):
+    # 10^23 is a unit mod 32003, so the literal is M(a)
+    path = tmp_path / "big.mod"
+    path.write_text("module\ndim: 1=1 2=1\nmap: a 100000000000000000000000\n")
+    code, out = run(capsys, "hom", str(fixture_dir / "a3.sba"), "--from", f"@{path}", "--to", "a")
+    assert code == 0
+    assert "hom_dim: 1" in out
+
+
+@pytest.mark.parametrize("token", ["²", "7" * 5000], ids=["superscript", "5000-digits"])
+def test_presentation_with_a_malformed_field_is_an_input_error(token, capsys, tmp_path):
+    # 5000 digits are more than int() converts from text
+    path = tmp_path / "bad.sba"
+    path.write_text(f"vertices: 1\nfield: {token}\n", encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: field line needs a single integer (line 2)\n"
+
+
+def test_module_without_allow_non_string_is_a_usage_error(capsys, fixture_dir, tmp_path):
+    # a string scan runs over the catalog of words and would drop the literal
+    path = tmp_path / "s1.mod"
+    path.write_text("module\ndim: 1=1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-main-theorem", str(fixture_dir / "a3nr.sba"), "--module", str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--module needs --allow-non-string" in captured.err

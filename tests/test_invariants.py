@@ -89,5 +89,5 @@ def test_extension_count_subadditive_and_hom_ordered(a3, a3nr):
                     + decompose(mb, seed=5).summand_count
                 )
                 assert count_e <= count_split
-                leq, _ = hom_leq(ses.middle, direct_sum([mb, ma]), cat)
+                leq, _ = hom_leq(ses.middle, direct_sum([mb, ma]))
                 assert leq

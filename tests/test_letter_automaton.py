@@ -154,15 +154,16 @@ def test_paths_and_finite_dimensionality_read_the_direct_letters(p):
     finite, cycle = check_finite_dimensional(p)
     if finite:
         assert cycle is None
-        paths = surviving_paths(p)
-        # one step past the longest path: the scan must find nothing longer
-        brute = brute_surviving_paths(p, cap=max(len(path) for _, path in paths) + 1)
         for v in p.quiver.vertices:
-            assert _starting_at(p, paths, v) == _starting_at(p, brute, v)
+            paths = surviving_paths(p, v)
+            # one step past the longest path: the scan must find nothing longer
+            brute = brute_surviving_paths(p, cap=max(len(path) for _, path in paths) + 1)
+            assert paths == _starting_at(p, brute, v)
     else:
         arrows = [p.arrow(name) for name in cycle]
         assert arrows
         assert all(a.target == b.source for a, b in zip(arrows, arrows[1:] + arrows[:1]))
         assert p.path_is_relation_free(cycle * (p.max_relation_length() + 1))
-        with pytest.raises(NotFiniteDimensionalError):
-            surviving_paths(p)
+        for v in p.quiver.vertices:
+            with pytest.raises(NotFiniteDimensionalError):
+                surviving_paths(p, v)

@@ -69,7 +69,7 @@ def test_roundtrip(a3, a3nr, gp, kronecker, d4sub):
 def test_finite_dimensional_a3(a3):
     finite, witness = check_finite_dimensional(a3)
     assert finite and witness is None
-    paths = surviving_paths(a3)
+    paths = [path for v in a3.quiver.vertices for path in surviving_paths(a3, v)]
     assert len(paths) == 5  # e1 e2 e3 a b
     assert len(paths) == len(brute_surviving_paths(a3))
 
@@ -84,7 +84,7 @@ def test_finite_dimensional_free_loop():
 def test_finite_dimensional_gp(gp):
     finite, _ = check_finite_dimensional(gp)
     assert finite
-    paths = surviving_paths(gp)
+    paths = surviving_paths(gp, "v")
     assert len(paths) == 7  # e, a, b, ab, ba, aba, bab
     assert sorted(pp for _, pp in paths) == sorted(pp for _, pp in brute_surviving_paths(gp))
 
@@ -92,7 +92,7 @@ def test_finite_dimensional_gp(gp):
 def test_finite_dimensional_kronecker(kronecker):
     finite, _ = check_finite_dimensional(kronecker)
     assert finite
-    assert len(surviving_paths(kronecker)) == 4
+    assert sum(len(surviving_paths(kronecker, v)) for v in kronecker.quiver.vertices) == 4
 
 
 def test_axioms_d4sub(d4sub):
