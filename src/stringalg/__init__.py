@@ -44,6 +44,6 @@ from .artheory import (
     hom_leq,
     riedtmann_witness,
 )
-from .classify import build_witness, classify, find_bands, find_witness_triple, n_alpha_generators
+from .classify import build_witness, classify, find_bands, find_witness_triple
 
 __version__ = "0.1.0"

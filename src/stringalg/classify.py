@@ -1,10 +1,11 @@
 """Representation-type classification and the many-summand witness extension.
 
-Finite type is decided exactly: the extension automaton on letters has a
-cycle if and only if a cyclic word exists.  Non-domestic type is certified
-by two free generators of some semigroup N(alpha) of cyclic words starting
-with alpha and ending with an inverse letter; domestic verdicts are
-qualified by the explored length bound.
+The verdict is exact and read off the letter automaton: the type is finite
+when the automaton has no cycle, since its cycles spell the cyclic words,
+and non-domestic when two cycles pass through one state, since they spell
+infinitely many bands.  Otherwise the bands are finitely many and the
+algebra is domestic.  A non-domestic verdict carries the two cycles as its
+generator pair, checked with the definitional is_cyclic.
 
 The witness construction produces an extension of indecomposable modules
 whose middle decomposes into a prescribed prime number of summands: the
@@ -15,7 +16,6 @@ exact sequence.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,9 +32,7 @@ from .reps import (
 )
 from .words import (
     CyclicWord,
-    Direction,
     Letter,
-    LetterAutomaton,
     Verdict,
     Walk,
     Word,
@@ -56,7 +54,7 @@ from .words import (
 
 
 # ---------------------------------------------------------------------------
-# bands and N(alpha) on the letter automaton
+# bands on the letter automaton
 # ---------------------------------------------------------------------------
 
 
@@ -82,36 +80,6 @@ def find_bands(p: Presentation, max_len: int) -> list[CyclicWord]:
     )
 
 
-def n_alpha_generators(p: Presentation, alpha: str, max_len: int) -> list[Word]:
-    """Free generators found in N(alpha) up to the length bound.
-
-    N(alpha) is the concatenation semigroup of cyclic words starting with
-    the direct letter alpha and ending with an inverse letter; an element
-    is a generator when it is not a product of two members.
-    """
-    p.arrow(alpha)
-    return list(_iter_n_alpha_generators(automaton_for(p), alpha, max_len))
-
-
-def _iter_n_alpha_generators(automaton: LetterAutomaton, alpha: str, max_len: int):
-    """The generators of N(alpha) in (length, letter_key) order, lazily.
-
-    Members come in length order and every word starting with alpha is
-    walked, so both factors of each candidate are already decided when it
-    is tested.
-    """
-    letters = automaton.letters
-    members: set[tuple[int, ...]] = set()
-    for codes, state in automaton.walk(max_len, automaton.code[Letter(alpha, Direction.DIRECT)]):
-        if not (codes[-1] & 1 and automaton.is_cyclic(codes, state)):
-            continue
-        members.add(codes)
-        if not any(
-            codes[:i] in members and codes[i:] in members for i in range(1, len(codes))
-        ):
-            yield Word(Walk(tuple(letters[c] for c in codes)))
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -119,19 +87,18 @@ def _iter_n_alpha_generators(automaton: LetterAutomaton, alpha: str, max_len: in
 
 @dataclass(frozen=True)
 class ClassificationCertificate:
-    verdict: str  # Finite | Domestic | NonDomestic | Unknown
+    verdict: str  # Finite | Domestic | NonDomestic
     band_witness: CyclicWord | None
     generator_pair: tuple[Word, Word] | None
-    generator_arrow: str | None
-    bound: int | None
     automaton_states: int
 
 
-def classify(p: Presentation, bound: int | None = None) -> ClassificationCertificate:
-    """Finite / Domestic / NonDomestic verdict with evidence.
+def classify(p: Presentation) -> ClassificationCertificate:
+    """Finite / Domestic / NonDomestic verdict with evidence, all exact.
 
-    Finiteness is decided exactly.  NonDomestic needs two generators in
-    some N(alpha); Domestic is reported relative to the explored bound.
+    Finite means the letter automaton has no cycle.  NonDomestic means two
+    of its cycles pass through one state; they are returned as the
+    generator pair and checked against is_cyclic.
     """
     report = validate_axioms(p)
     if not report.is_string:
@@ -141,25 +108,20 @@ def classify(p: Presentation, bound: int | None = None) -> ClassificationCertifi
         raise StringAlgError("classification needs a finite dimensional algebra")
     band = automaton.cyclic_witness()
     if band is None:
-        return ClassificationCertificate(
-            "Finite", None, None, None, None, automaton.state_count
-        )
-    if bound is None:
-        bound = 4 * automaton.state_count
-    for arrow in p.quiver.arrows:
-        gens = list(itertools.islice(_iter_n_alpha_generators(automaton, arrow.name, bound), 2))
-        if len(gens) == 2:
-            _check_distinct_roots(p, *gens)
-            return ClassificationCertificate(
-                "NonDomestic", band, tuple(gens), arrow.name, bound, automaton.state_count
-            )
-    return ClassificationCertificate(
-        "Domestic", band, None, None, bound, automaton.state_count
-    )
+        return ClassificationCertificate("Finite", None, None, automaton.state_count)
+    cycles = automaton.branching_cycles()
+    if cycles is None:
+        return ClassificationCertificate("Domestic", band, None, automaton.state_count)
+    g1, g2 = (Word(Walk(tuple(automaton.letters[c] for c in codes))) for codes in cycles)
+    for g in (g1, g2, Word(Walk(g1.letters + g2.letters)), Word(Walk(g2.letters + g1.letters))):
+        if not is_cyclic(p, g):
+            raise VerificationError(f"{format_walk(g.walk)} from the automaton is not cyclic")
+    _check_distinct_roots(p, g1, g2)
+    return ClassificationCertificate("NonDomestic", band, (g1, g2), automaton.state_count)
 
 
 def _check_distinct_roots(p: Presentation, g1: Word, g2: Word) -> None:
-    """Two N(alpha) generators are never powers of one word; assert exactly."""
+    """The two generators are never powers of one word; assert exactly."""
     _, r1, _ = is_primitive(p, g1)
     _, r2, _ = is_primitive(p, g2)
     if r1.letters == r2.letters:

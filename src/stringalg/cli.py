@@ -104,18 +104,17 @@ def cmd_words(args) -> int:
 
 def cmd_classify(args) -> int:
     p = _load(args)
-    cert = classify(p, bound=args.bound)
+    cert = classify(p)
     rep = Report("classify")
     rep.add("verdict", cert.verdict)
     if cert.band_witness is not None:
         rep.add("band", format_walk(cert.band_witness.word.walk))
     if cert.generator_pair is not None:
         g1, g2 = cert.generator_pair
-        rep.add("generator_arrow", cert.generator_arrow)
         rep.add("generator_1", format_walk(g1.walk))
         rep.add("generator_2", format_walk(g2.walk))
-    if cert.bound is not None:
-        rep.add("bound", cert.bound)
+    if args.bound is not None:
+        rep.add("bound", args.bound)
     rep.add("automaton_states", cert.automaton_states)
     print(rep.emit(args.format), end="")
     return 0
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, default=4, dest="max_len")
 
     sp = add("classify", cmd_classify, help="representation type with evidence")
-    sp.add_argument("--bound", type=int, default=None)
+    sp.add_argument("--bound", type=int, help="accepted and echoed; the verdict is exact")
 
     sp = add("modules", cmd_modules, help="list the indecomposables up to a dimension bound")
     sp.add_argument("--max-dim", type=int, default=8, dest="max_dim")

@@ -23,10 +23,8 @@ from .linalg import Matrix
 from .presentation import Presentation, parse_decimal
 from .words import (
     CyclicWord,
-    Direction,
     Letter,
     Word,
-    canonical_cyclic,
     format_walk,
     is_cyclic,
     letter_source,

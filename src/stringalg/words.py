@@ -501,6 +501,41 @@ class LetterAutomaton:
         cycle = _first_cycle(range(len(self.nodes)), lambda s: self.edges[s].items())
         return None if cycle is None else tuple(self.letters[c] for c in cycle)
 
+    def branching_cycles(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Codes of two cycles through one state, or None when no state has
+        two out-edges that lead back to it.
+
+        Products of cycles through one state are read from it, so they are
+        words: two such cycles give the infinitely many bands C1^k C2, and
+        without them the bands are finitely many (Ringel 1995).  The state
+        is the first with two such edges, the cycles take the first two of
+        them in code order and return along the first shortest path.
+        """
+        for s, out in enumerate(self.edges):
+            cycles = []
+            for c, nxt in out.items():
+                back = self._shortest_path(nxt, s)
+                if back is not None:
+                    cycles.append((c,) + back)
+                    if len(cycles) == 2:
+                        return cycles[0], cycles[1]
+        return None
+
+    def _shortest_path(self, start: int, goal: int) -> tuple[int, ...] | None:
+        """Codes of the first shortest path from start to goal in code order
+        (breadth-first search), or None when goal cannot be reached."""
+        paths = {start: ()}
+        level = [start]
+        while level and goal not in paths:
+            following = []
+            for s in level:
+                for c, nxt in self.edges[s].items():
+                    if nxt not in paths:
+                        paths[nxt] = paths[s] + (c,)
+                        following.append(nxt)
+            level = following
+        return paths.get(goal)
+
     @cached_property
     def relation_free_cycle(self) -> tuple[str, ...] | None:
         """Arrows of an oriented cycle whose powers avoid every relation, or

@@ -163,15 +163,15 @@ def test_criterion_7_classification(a3, a3nr, kronecker, gp):
         assert classify(p).verdict == "Finite"
     cert_k = classify(kronecker)
     assert cert_k.verdict == "Domestic"
-    assert cert_k.bound is not None
     assert cert_k.band_witness is not None
+    assert cert_k.generator_pair is None
     cert_gp = classify(gp)
     assert cert_gp.verdict == "NonDomestic"
     g1, g2 = cert_gp.generator_pair
     _, r1, _ = is_primitive(gp, g1)
     _, r2, _ = is_primitive(gp, g2)
     assert r1.letters != r2.letters
-    _announce(7, "classification: Finite (a3, a3nr), Domestic (kronecker, bound-qualified), "
+    _announce(7, "classification: Finite (a3, a3nr), Domestic (kronecker, exact), "
                  "NonDomestic (gp, distinct generator roots)")
 
 

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from stringalg.classify import (
-    LetterAutomaton,
     build_witness,
     classify,
     find_bands,
     find_witness_triple,
-    n_alpha_generators,
 )
 from stringalg.decomp import decompose
 from stringalg.errors import StringAlgError, VerificationError
@@ -19,6 +17,9 @@ from stringalg.reps import (
     make_representation,
 )
 from stringalg.words import (
+    LetterAutomaton,
+    Walk,
+    Word,
     automaton_for,
     canonical_cyclic,
     format_walk,
@@ -63,28 +64,24 @@ def test_find_bands_gp(gp):
         assert again.letters == b.word.letters
 
 
-def test_n_alpha_generators_a3(a3):
-    assert n_alpha_generators(a3, "a", 6) == []
+def test_branching_cycles_a3(a3):
+    assert automaton_for(a3).branching_cycles() is None
 
 
-def test_n_alpha_generators_gp(gp):
-    gens = n_alpha_generators(gp, "a", 4)
-    texts = [format_walk(g.walk) for g in gens]
-    assert "a b^-1" in texts
-    assert "a b a^-1 b^-1" in texts
-    # every generator starts with the arrow, ends with an inverse letter,
-    # and is cyclic
-    for g in gens:
-        assert g.letters[0].arrow == "a" and g.letters[0].is_direct
-        assert not g.letters[-1].is_direct
+def test_branching_cycles_gp(gp):
+    automaton = automaton_for(gp)
+    cycles = automaton.branching_cycles()
+    g1, g2 = (Word(Walk(tuple(automaton.letters[c] for c in codes))) for codes in cycles)
+    assert format_walk(g1.walk) == "b a b a^-1"
+    assert format_walk(g2.walk) == "b^-1 a b a^-1"
+    # both cycles and both products of them are cyclic words
+    for g in (g1, g2, Word(Walk(g1.letters + g2.letters)), Word(Walk(g2.letters + g1.letters))):
         assert is_cyclic(gp, g)
 
 
-def test_n_alpha_generators_kronecker(kronecker):
-    for bound in (4, 8, 12):
-        gens = n_alpha_generators(kronecker, "a", bound)
-        assert len(gens) == 1
-        assert format_walk(gens[0].walk) == "a b^-1"
+def test_branching_cycles_kronecker(kronecker):
+    # one band, a b^-1, and no state on two cycles
+    assert automaton_for(kronecker).branching_cycles() is None
 
 
 def test_classify_finite(a3, a3nr):
@@ -96,8 +93,8 @@ def test_classify_finite(a3, a3nr):
 def test_classify_domestic_kronecker(kronecker):
     cert = classify(kronecker)
     assert cert.verdict == "Domestic"
-    assert cert.bound is not None
     assert cert.band_witness is not None
+    assert cert.generator_pair is None
 
 
 def test_classify_nondomestic_gp(gp):

@@ -43,7 +43,10 @@ def test_classify_commands(capsys, fixture_dir):
     code, out = run(capsys, "classify", str(fixture_dir / "a3.sba"))
     assert code == 0 and "Finite" in out
     code, out = run(capsys, "classify", str(fixture_dir / "kronecker.sba"))
-    assert code == 0 and "Domestic" in out and "bound" in out
+    assert code == 0 and "Domestic" in out and "bound" not in out
+    # --bound is echoed and leaves the exact verdict unchanged
+    code, out = run(capsys, "classify", str(fixture_dir / "kronecker.sba"), "--bound", "2")
+    assert code == 0 and "Domestic" in out and "bound: 2" in out
     code, out = run(capsys, "classify", str(fixture_dir / "gp.sba"))
     assert code == 0 and "NonDomestic" in out
 

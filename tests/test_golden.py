@@ -22,6 +22,7 @@ CASES = {
     "classify_gp": ["classify", "gp.sba"],
     "classify_kronecker_bound40": ["classify", "kronecker.sba", "--bound", "40"],
     "classify_kronecker_bound300": ["classify", "kronecker.sba", "--bound", "300"],
+    "classify_nd_two_loops": ["classify", "nd_two_loops.sba"],
     "classify_nd_two_loops_bound24": ["classify", "nd_two_loops.sba", "--bound", "24"],
     "modules_a3nr": ["modules", "a3nr.sba"],
     "degeneration_a3_dim4_allpairs": ["degeneration", "a3.sba", "--max-dim", "4", "--all-pairs"],

@@ -3,20 +3,21 @@
 The presentations are small ones drawn by hypothesis: one to three
 vertices, up to four arrows, and monomial relations of length two or
 three.  On string presentations with at least two arrows, walks must list
-exactly the composable letter sequences that pass is_word, and the bands
-and N(alpha) generators must match loops that decide cyclicity with
-is_cyclic.  On any of them, finite or not, the relation-free paths read
+exactly the composable letter sequences that pass is_word, the bands must
+match loops that decide cyclicity with is_cyclic, and the exact verdict of
+classify must agree with a bounded search for generators of the semigroups
+N(alpha) of cyclic words.  On any of them, finite or not, the relation-free paths read
 from the direct letters must match a scan of every arrow sequence, and an
 infinite verdict must come with an arrow cycle whose powers avoid the
 relations.
 """
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from test_presentation import brute_surviving_paths
 
-from stringalg.classify import find_bands, n_alpha_generators
+from stringalg.classify import classify, find_bands
 from stringalg.errors import NotFiniteDimensionalError
 from stringalg.presentation import Arrow, Presentation, Quiver, validate_axioms
 from stringalg.words import (
@@ -125,13 +126,35 @@ def test_walk_words_matches_brute_force(p, max_len):
     assert list(walk_words(p, max_len)) == brute_force_words(p, max_len)
 
 
+# fixtures/gp.sba and fixtures/nd_two_loops.sba: non-domestic, which about
+# one drawn presentation in a hundred is
+GP = Presentation(
+    Quiver(("v",), (Arrow("a", "v", "v"), Arrow("b", "v", "v"))),
+    (("a", "a"), ("b", "b"), ("a", "b", "a", "b"), ("b", "a", "b", "a")),
+)
+ND_TWO_LOOPS = Presentation(
+    Quiver(("0", "1"), (Arrow("x0", "1", "1"), Arrow("x1", "0", "0"), Arrow("x2", "0", "1"))),
+    (("x0", "x0"), ("x1", "x1")),
+)
+
+
 @PROPERTY
 @given(presentations(min_arrows=2, string_only=True))
-def test_n_alpha_generators_match_is_cyclic_reference(p):
-    for arrow in p.quiver.arrows:
-        assert n_alpha_generators(p, arrow.name, 12) == reference_n_alpha_generators(
-            p, arrow.name, 12
-        )
+@example(GP)
+@example(ND_TWO_LOOPS)
+def test_classify_verdict_matches_n_alpha_reference(p):
+    assume(check_finite_dimensional(p)[0])
+    cert = classify(p)
+    most = max(len(reference_n_alpha_generators(p, a.name, 12)) for a in p.quiver.arrows)
+    # two free generators of one N(alpha) give infinitely many bands
+    if most >= 2:
+        assert cert.verdict == "NonDomestic"
+    if cert.verdict == "Domestic":
+        assert most <= 1
+    if cert.verdict == "NonDomestic":
+        g1, g2 = cert.generator_pair
+        for letters in (g1.letters, g2.letters, g1.letters + g2.letters, g2.letters + g1.letters):
+            assert is_cyclic(p, Word(Walk(letters)))
 
 
 @PROPERTY
