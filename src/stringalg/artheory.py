@@ -17,13 +17,14 @@ over the full catalog, which characterizes almost-split sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InfiniteTypeError, StringAlgError, VerificationError
-from .homalg import Intertwiner, ShortExactSequence, hom_basis
-from .linalg import Matrix
-from .presentation import Presentation
+from .homalg import Ext1Context, Intertwiner, ShortExactSequence, composites, hom_basis
+from .linalg import Matrix, solve_rational
+from .presentation import Presentation, validate_axioms
 from .reps import (
     Representation,
     direct_sum,
@@ -66,8 +67,9 @@ class Catalog:
     """All indecomposables of a finite-type string presentation.
 
     Construction refuses infinite type, carrying a band witness.  Hom
-    dimensions between members are precomputed, and the projectives are
-    read off that table; almost-split data is cached lazily per member.
+    spaces between members are precomputed, bases and dimensions, and the
+    projectives are read off the table of dimensions; the weight vector and
+    almost-split data are computed lazily.
     """
 
     def __init__(self, p: Presentation):
@@ -86,9 +88,12 @@ class Catalog:
             entry = CatalogEntry(len(self.entries), w, rep, nodes)
             self.entries.append(entry)
             self._by_key[self._word_key(w)] = entry
-        self.hom = [
-            [len(hom_basis(u.rep, v.rep)) for v in self.entries] for u in self.entries
+        self.hom_bases = [
+            [hom_basis(u.rep, v.rep) for v in self.entries] for u in self.entries
         ]
+        self.hom = [[len(b) for b in row] for row in self.hom_bases]
+        self._members = {e.rep: e.index for e in self.entries}
+        self._weights: list[int] | None = None
         self._ar_cache: dict[int, "ARSequence"] = {}
         self._hom_into_cache: dict[Representation, list[int]] = {}
         # dim Hom(P(v), X) = dim X_v (Yoneda), and no two indecomposables
@@ -127,6 +132,75 @@ class Catalog:
             ]
         return self._hom_into_cache[m]
 
+    def bases_from(self, m: Representation) -> list[list[Intertwiner]]:
+        """Bases of Hom(m, Y) for every member Y: the stored row of the
+        table when m is a member, solved otherwise."""
+        if m in self._members:
+            return self.hom_bases[self._members[m]]
+        return [hom_basis(m, e.rep) for e in self.entries]
+
+    @property
+    def weights(self) -> list[int]:
+        """The integer vector w with hom . w = 1, solved exactly on first use.
+
+        Member i contributes (hom . w)_i = 1 to sum_Y w_Y dim Hom(X, Y) per
+        copy in X, so that sum counts the indecomposable summands of any X.
+        hom is the Cartan matrix of the Auslander algebra, which is
+        unimodular, so w must be integral."""
+        if self._weights is None:
+            w = solve_rational(self.hom, [1] * len(self.entries))
+            if w is None:
+                raise VerificationError("the hom table is singular")
+            if any(x.denominator != 1 for x in w):
+                raise VerificationError("the hom table has no integral weight vector")
+            w = [int(x) for x in w]
+            if any(sum(h * x for h, x in zip(row, w)) != 1 for row in self.hom):
+                raise VerificationError("the weight vector fails hom . w = 1")
+            self._weights = w
+        return self._weights
+
+    def middle_counter(self, ctx: Ext1Context) -> Callable[[tuple[int, ...]], int]:
+        """Exact summand count of the middle E_c of the cocycle with
+        coefficients c in ctx's Ext basis, for 0 -> N -> E_c -> M -> 0.
+        No E_c is built.
+
+        Hom(-, Y) gives the exact sequence 0 -> Hom(M, Y) -> Hom(E_c, Y) ->
+        Hom(N, Y) -> Ext^1(M, Y), whose last map sends h to the class of c
+        then h.  So dim Hom(E_c, Y) = hom(M, Y) + hom(N, Y) - its rank, and
+        weighing by w leaves summands(M) + summands(N) - sum_Y w_Y rank.
+        Only Y with w_Y, Hom(N, Y) and Ext^1(M, Y) all nonzero contribute;
+        the map is linear in c, so its matrix at each Ext basis cocycle is
+        found once per Y and each c costs one small rank per Y."""
+        w = self.weights
+        cover, N = ctx.cover, ctx.N
+        q = N.q
+        from_m, from_n = self.bases_from(cover.module), self.bases_from(N)
+        split = sum(x * (len(a) + len(b)) for x, a, b in zip(w, from_m, from_n))
+        deltas = []  # (w_Y, matrices of the map at each basis cocycle)
+        for y in self.entries:
+            if not w[y.index] or not from_n[y.index]:
+                continue
+            ext_y = cover.ext(y.rep)
+            if not ext_y.dim:
+                continue
+            maps = composites(ctx.basis, from_n[y.index])
+            k, h, width = maps.shape
+            classes = ext_y.classes(maps.reshape(k * h, width))
+            deltas.append((w[y.index], classes.reshape(k, h, ext_y.dim)))
+
+        def count(coeffs: tuple[int, ...]) -> int:
+            lost = 0
+            for wy, mats in deltas:
+                acc = np.zeros(mats.shape[1:], dtype=np.int64)
+                for c, mat in zip(coeffs, mats):
+                    acc = (acc + c * mat) % q
+                lost += wy * Matrix(acc, q).rank()
+            if split - lost < 1:
+                raise VerificationError(f"middle of {coeffs} counted {split - lost} summands")
+            return split - lost
+
+        return count
+
     def direct_sum(self, parts: list[int], label: str) -> Representation:
         """The direct sum of the members at the indices in parts.
 
@@ -154,6 +228,18 @@ def catalog_for(p: Presentation) -> Catalog:
     if p._catalog is None:
         object.__setattr__(p, "_catalog", Catalog(p))
     return p._catalog
+
+
+def finite_type_catalog(p: Presentation) -> Catalog | None:
+    """The catalog of p when p is a string presentation of finite type;
+    None otherwise, when no finite list holds its indecomposables."""
+    if p._catalog is None:
+        if not validate_axioms(p).is_string:
+            return None
+        automaton = automaton_for(p)
+        if automaton.relation_free_cycle is not None or automaton.cyclic_witness() is not None:
+            return None
+    return catalog_for(p)
 
 
 def enumerate_indecomposables(p: Presentation, max_dim: int) -> list[CatalogEntry]:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import CatalogError, StringAlgError, VerificationError
-from .linalg import Matrix, Poly, factor_poly, inv_mod
+from .linalg import Matrix, Poly, factor_poly, inv_mod, solve_rational
 from .homalg import Intertwiner, hom_basis, hom_dim
 from .reps import Representation, subrepresentation
 
@@ -245,38 +244,24 @@ def decompose(M: Representation, seed: int = 0, trials: int = 50) -> Decompositi
 def catalog_decompose(
     M: Representation,
     catalog: list[Representation],
-    hom_matrix: list[list[int]] | None = None,
+    hom_matrix: list[list[int]],
 ) -> list[int]:
     """Multiplicities of catalog members in M, via the hom-count linear system.
 
-    Solves H x = h where H[i][j] = dim Hom(catalog[i], catalog[j]) and
-    h[i] = dim Hom(catalog[i], M).  The solution must be a vector of
-    nonnegative integers; anything else signals an incomplete catalog.
+    Solves H x = h where H[i][j] = dim Hom(catalog[i], catalog[j]) is the
+    catalog's hom table and h[i] = dim Hom(catalog[i], M).  The solution
+    must be a vector of nonnegative integers; anything else signals an
+    incomplete catalog.
     """
-    n = len(catalog)
-    if n == 0:
+    if not catalog:
         raise CatalogError("empty catalog")
-    if hom_matrix is None:
-        hom_matrix = [[hom_dim(u, v) for v in catalog] for u in catalog]
-    h = [hom_dim(u, M) for u in catalog]
-    # exact rational elimination
-    aug = [[Fraction(hom_matrix[i][j]) for j in range(n)] + [Fraction(h[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise CatalogError("singular hom matrix; catalog incomplete or redundant")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    mults = [aug[i][n] for i in range(n)]
+    mults = solve_rational(hom_matrix, [hom_dim(u, M) for u in catalog])
+    if mults is None:
+        raise CatalogError("singular hom matrix; catalog incomplete or redundant")
     for x in mults:
         if x.denominator != 1 or x < 0:
             raise CatalogError(f"non-integral or negative multiplicity {x}; catalog incomplete")
     result = [int(x) for x in mults]
-    if sum(result[i] * catalog[i].total_dim for i in range(n)) != M.total_dim:
+    if sum(m * u.total_dim for m, u in zip(result, catalog)) != M.total_dim:
         raise CatalogError("multiplicities do not account for the module dimension")
     return result

@@ -13,7 +13,7 @@ an explicit short exact sequence by pushing P0 out along it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,6 +158,14 @@ class CoverData:
     epi: Intertwiner  # P0 -> M
     syzygy: Representation
     incl: Intertwiner  # syzygy -> P0
+    _exts: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def ext(self, N: Representation) -> "Ext1Context":
+        """Ext^1(module, N) on this cover, computed once per N and kept, so
+        that a scan row shares one context per right-hand module."""
+        if N not in self._exts:
+            self._exts[N] = ext1(self, N)
+        return self._exts[N]
 
 
 def _radical_rows(M: Representation, v: str) -> Matrix:
@@ -224,10 +232,25 @@ class Ext1Context:
     cover: CoverData  # projective cover of the left module M = cover.module
     N: Representation
     basis: list[Intertwiner]  # cocycles syzygy -> N representing an Ext basis
+    # the coboundaries: restrictions of Hom(P0, N) to the syzygy, flattened
+    # as rows like Intertwiner.flatten
+    coboundaries: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def classes(self, cocycles: np.ndarray) -> np.ndarray:
+        """Coordinates in self.basis of the Ext classes of cocycles given as
+        flattened rows.  The basis is independent modulo the coboundaries,
+        so these coordinates do not depend on the solution chosen."""
+        q = self.N.q
+        basis = np.array([b.flatten() for b in self.basis], dtype=np.int64)
+        span = Matrix(np.vstack([self.coboundaries, basis]), q)
+        sol = span.solve_left(Matrix(cocycles, q))
+        if sol is None:
+            raise VerificationError("a composite cocycle is not a map from the syzygy")
+        return sol.a[:, len(self.coboundaries):]
 
     def cocycle(self, coeffs) -> Intertwiner:
         out = zero_map(self.cover.syzygy, self.N)
@@ -257,7 +280,26 @@ def ext1(cover: CoverData, N: Representation) -> Ext1Context:
     stacked = np.array(cols, dtype=np.int64).reshape(len(cols), width)
     _, pivots = Matrix(stacked.T, N.q).rref()
     basis = [hom_syz[j - len(restricted)] for j in pivots if j >= len(restricted)]
-    return Ext1Context(cover, N, basis)
+    return Ext1Context(cover, N, basis, stacked[: len(restricted)])
+
+
+def composites(first: list[Intertwiner], second: list[Intertwiner]) -> np.ndarray:
+    """The maps f then g for f in first and g in second, all from one source
+    X through one module to one target Y, flattened like
+    Intertwiner.flatten: entry [i, j] is first[i].compose(second[j]).
+
+    One product per vertex: first's matrices stacked over second's side by
+    side hold every composite as a block."""
+    X, Y = first[0].source, second[0].target
+    q = X.q
+    parts = []
+    for v in X.pres.quiver.vertices:
+        x, y = X.dim(v), Y.dim(v)
+        left = Matrix(np.vstack([f.mats[v].a for f in first]), q)
+        right = Matrix(np.hstack([g.mats[v].a for g in second]), q)
+        blocks = (left @ right).a.reshape(len(first), x, len(second), y)
+        parts.append(blocks.transpose(0, 2, 1, 3).reshape(len(first), len(second), x * y))
+    return np.concatenate(parts, axis=2)
 
 
 def ext1_dim(M: Representation, N: Representation) -> int:
@@ -367,10 +409,17 @@ def middle_census(
     seed: int = 0,
 ) -> CensusReport:
     """Summand counts of extension middles over every line of P(Ext^1(M, N)),
-    where M = cover.module."""
+    where M = cover.module.
+
+    Over a finite-type string presentation the counts are exact and no
+    middle is built (Catalog.middle_counter).  Otherwise each middle is
+    built by extension_of_cocycle and decomposed, and its count is a
+    Monte Carlo lower bound.
+    """
+    from .artheory import finite_type_catalog
     from .decomp import decompose
 
-    ctx = ext1(cover, N)
+    ctx = cover.ext(N)
     k = ctx.dim
     q = N.q
     if k == 0:
@@ -380,12 +429,17 @@ def middle_census(
         raise StringAlgError(
             f"census over {nlines} lines exceeds the cap of {max_lines}"
         )
+    catalog = finite_type_catalog(N.pres)
+    if catalog is not None:
+        count = catalog.middle_counter(ctx)
+    else:
+        def count(coeffs):
+            return decompose(ctx.extension(coeffs).middle, seed=seed).summand_count
+    dv = tuple(cover.module.dim(v) + N.dim(v) for v in N.pres.quiver.vertices)
     lines = []
     histogram: dict[int, int] = {}
     for coeffs in projective_line_representatives(q, k):
-        middle = ctx.extension(coeffs).middle
-        summands = decompose(middle, seed=seed).summand_count
-        dv = tuple(middle.dim(v) for v in N.pres.quiver.vertices)
+        summands = count(coeffs)
         lines.append(CensusLine(coeffs, summands, dv))
         histogram[summands] = histogram.get(summands, 0) + 1
     return CensusReport(k, lines, dict(sorted(histogram.items())))

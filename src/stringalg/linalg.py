@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -276,6 +277,34 @@ def hstack(mats: list[Matrix]) -> Matrix:
 def vstack(mats: list[Matrix]) -> Matrix:
     q = mats[0].q
     return Matrix(np.vstack([m.a for m in mats]), q)
+
+
+def solve_rational(a: list[list[int]], b: list[int]) -> list[Fraction] | None:
+    """The solution x of a x = b over the rationals, for a square integer
+    matrix a; None when a is singular.
+
+    Fraction-free (Bareiss) elimination keeps every entry an integer, each
+    division being exact, and back substitution finishes in fractions."""
+    n = len(a)
+    rows = [list(row) + [y] for row, y in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            rows[i] = [0] * (k + 1) + [
+                (row[j] * top[k] - row[k] * top[j]) // prev for j in range(k + 1, n + 1)
+            ]
+        prev = top[k]
+    x: list[Fraction] = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        rest = sum(rows[i][j] * x[j] for j in range(i + 1, n))
+        x[i] = Fraction(rows[i][n] - rest) / rows[i][i]
+    return x
 
 
 def matrix_power(m: Matrix, e: int) -> Matrix:

@@ -462,15 +462,14 @@ class LetterAutomaton:
         state = self.index[(endv, letters[-self.window:])]
         return [self.letters[c] for c in self.edges[state]]
 
-    def walk(self, max_len: int, first: int | None = None):
+    def walk(self, max_len: int):
         """(codes, end state) of every nonempty word of length <= max_len.
 
         Words come level by level in (length, code) order: each level
         extends the previous one, in order, along the edges of its end
-        states.  With first set, only words starting with that code.
+        states.
         """
-        starts = range(len(self.letters)) if first is None else [first]
-        level = [((c,), self.first[c]) for c in starts]
+        level = [((c,), self.first[c]) for c in range(len(self.letters))]
         edges = self.edges
         for length in range(1, max_len + 1):
             yield from level
@@ -636,17 +635,15 @@ def surviving_paths(p: Presentation, v: str) -> list[tuple[str, tuple[str, ...]]
     return out
 
 
-def walk_words(p: Presentation, max_len: int, first: Letter | None = None):
+def walk_words(p: Presentation, max_len: int):
     """Every nonempty word of length at most max_len as a letter tuple.
 
     Words come level by level in (length, letter_key) order, as walked by
-    LetterAutomaton.walk.  With first set, only words starting with that
-    letter are walked.
+    LetterAutomaton.walk.
     """
     automaton = automaton_for(p)
     letters = automaton.letters
-    start = None if first is None else automaton.code[first]
-    for codes, _ in automaton.walk(max_len, start):
+    for codes, _ in automaton.walk(max_len):
         yield tuple(letters[c] for c in codes)
 
 

@@ -30,6 +30,10 @@ def a3_catalog(a3):
     return [string_module(a3, parse_word(a3, t)) for t in words]
 
 
+def hom_table(catalog):
+    return [[hom_dim(u, v) for v in catalog] for u in catalog]
+
+
 def test_fitting_identity_gives_none(a3):
     p1 = projective(a3, "1")
     assert _primary_components(p1, identity_map(p1)) is None
@@ -133,7 +137,7 @@ def test_decompose_deterministic(a3):
 def test_catalog_decompose_unit(a3):
     catalog = a3_catalog(a3)
     for i, m in enumerate(catalog):
-        mults = catalog_decompose(m, catalog)
+        mults = catalog_decompose(m, catalog, hom_table(catalog))
         want = [0] * len(catalog)
         want[i] = 1
         assert mults == want
@@ -142,7 +146,7 @@ def test_catalog_decompose_unit(a3):
 def test_catalog_decompose_p1_plus_s3(a3):
     catalog = a3_catalog(a3)
     m = direct_sum([catalog[3], catalog[2]])  # M(a) ~ P1 and S3
-    mults = catalog_decompose(m, catalog)
+    mults = catalog_decompose(m, catalog, hom_table(catalog))
     assert mults == [0, 0, 1, 1, 0]
 
 
@@ -150,13 +154,13 @@ def test_catalog_decompose_incomplete_catalog(a3):
     catalog = a3_catalog(a3)[:4]
     m = direct_sum([string_module(a3, parse_word(a3, "b"))])
     with pytest.raises(CatalogError):
-        catalog_decompose(m, catalog)
+        catalog_decompose(m, catalog, hom_table(catalog))
 
 
 def test_dual_oracle_agreement(a3):
     rng = random.Random(99)
     catalog = a3_catalog(a3)
-    hom_matrix = [[hom_dim(u, v) for v in catalog] for u in catalog]
+    hom_matrix = hom_table(catalog)
     for _ in range(100):
         picks = [rng.randrange(len(catalog)) for _ in range(rng.randrange(1, 6))]
         m = direct_sum([catalog[i] for i in picks])

@@ -1,0 +1,214 @@
+"""Exact census counts against the construction they replace.
+
+On a finite-type string presentation middle_census counts the summands of
+each extension middle from the long exact Hom sequence and builds no
+middle.  The reference here is the old path: push the projective cover out
+along the cocycle, then decompose the middle.  On every line the two counts
+must agree, and the middle's full profile dim Hom(E, -) over the catalog,
+times the inverse of the hom table, must be a vector of nonnegative integer
+multiplicities that sum to the count.
+"""
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from test_letter_automaton import presentations
+
+import stringalg.decomp
+import stringalg.homalg
+import stringalg.verify
+from stringalg.artheory import Catalog, catalog_for, finite_type_catalog
+from stringalg.cli import main
+from stringalg.decomp import decompose
+from stringalg.errors import VerificationError
+from stringalg.homalg import (
+    ext1,
+    hom_basis,
+    middle_census,
+    projective_cover,
+    projective_line_representatives,
+)
+from stringalg.linalg import solve_rational
+from stringalg.presentation import load_presentation
+from stringalg.verify import middle_term_scan
+from stringalg.words import format_walk
+
+
+def reference_census(cover, N, seed=0):
+    """(coeffs, summands, middle) per line of P(Ext^1(M, N)), each middle
+    built by extension_of_cocycle and counted by decompose."""
+    ctx = ext1(cover, N)
+    out = []
+    for coeffs in projective_line_representatives(N.q, ctx.dim):
+        middle = ctx.extension(coeffs).middle
+        out.append((coeffs, decompose(middle, seed=seed).summand_count, middle))
+    return out
+
+
+def multiplicities(cat, m):
+    """x with sum_i x_i hom[i][j] = dim Hom(m, member j) for every j."""
+    profile = [len(hom_basis(m, e.rep)) for e in cat.entries]
+    transposed = [list(col) for col in zip(*cat.hom)]
+    return solve_rational(transposed, profile)
+
+
+def check_pairs(cat, pairs):
+    """Exact census against the reference on each pair; returns the Ext
+    dimension of every pair with extensions."""
+    dims = []
+    for M, N in pairs:
+        cover = projective_cover(M)
+        census = middle_census(cover, N)
+        reference = reference_census(cover, N)
+        assert [(l.coeffs, l.summands) for l in census.lines] == [
+            (coeffs, count) for coeffs, count, _ in reference
+        ]
+        for line, (_, _, middle) in zip(census.lines, reference):
+            mult = multiplicities(cat, middle)
+            assert all(x.denominator == 1 and x >= 0 for x in mult)
+            assert sum(mult) == line.summands
+            assert line.dimvec == tuple(middle.dim(v) for v in N.pres.quiver.vertices)
+        if census.ext_dim:
+            dims.append(census.ext_dim)
+    return dims
+
+
+@pytest.mark.parametrize("name", ["a3", "a3nr"])
+def test_exact_census_matches_reference_on_the_full_catalog(name, request):
+    p = request.getfixturevalue(name)
+    cat = catalog_for(p)
+    reps = [e.rep for e in cat.entries]
+    assert check_pairs(cat, [(M, N) for M in reps for N in reps])
+
+
+@pytest.mark.parametrize("name", ["a3", "a3nr"])
+def test_scan_at_max_dim_4_matches_reference(name, request):
+    p = request.getfixturevalue(name)
+    report = middle_term_scan(p, 4)
+    labels = {f"M({format_walk(e.word.walk)})": e.rep for e in catalog_for(p).entries}
+    assert report.findings
+    for f in report.findings:
+        reference = reference_census(projective_cover(labels[f.left_label]), labels[f.right_label])
+        histogram = {}
+        for _, count, _ in reference:
+            histogram[count] = histogram.get(count, 0) + 1
+        assert (f.ext_dim, f.histogram) == (len(reference[0][0]), histogram)
+
+
+def test_exact_census_matches_reference_on_census_fixture(fixture_dir):
+    p = load_presentation(fixture_dir / "census_typeA_seed1_04.sba")
+    cat = catalog_for(p)
+    reps = [e.rep for e in cat.entries]
+    assert check_pairs(cat, [(M, N) for M in reps for N in reps])
+
+
+def test_exact_census_matches_reference_on_drawn_finite_presentations():
+    ext_dims = []
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(presentations(min_arrows=1, string_only=True), st.sampled_from([2, 3, 5]))
+    def check(p, q):
+        p = p.with_field(q)
+        cat = finite_type_catalog(p)
+        assume(cat is not None)
+        reps = [e.rep for e in cat.entries]
+        ext_dims.extend(check_pairs(cat, [(M, N) for M in reps for N in reps]))
+
+    check()
+    assert max(ext_dims) >= 2
+
+
+def test_weights_of_every_fixture_catalog(fixture_dir):
+    checked = 0
+    for path in sorted(fixture_dir.glob("*.sba")):
+        cat = finite_type_catalog(load_presentation(path))
+        if cat is None:
+            continue
+        w = cat.weights
+        assert all(isinstance(x, int) for x in w)
+        for row in cat.hom:
+            assert sum(x * h for x, h in zip(w, row)) == 1
+        checked += 1
+    assert checked == 3  # a3, a3nr, census_typeA_seed1_04
+
+
+def _corrupt_tables(monkeypatch):
+    """Every catalog built from now on doubles its hom table: then no
+    integral w solves hom . w = 1."""
+    original = Catalog.__init__
+
+    def corrupted(self, p):
+        original(self, p)
+        self.hom = [[2 * h for h in row] for row in self.hom]
+
+    monkeypatch.setattr(Catalog, "__init__", corrupted)
+
+
+def test_corrupted_hom_table_raises(a3nr, monkeypatch):
+    _corrupt_tables(monkeypatch)
+    cat = Catalog(a3nr)
+    with pytest.raises(VerificationError, match="integral weight"):
+        cat.weights
+
+
+def test_corrupted_hom_table_exits_3(fixture_dir, monkeypatch, capsys):
+    _corrupt_tables(monkeypatch)
+    code = main(["verify-main-theorem", str(fixture_dir / "a3nr.sba")])
+    assert code == 3
+    assert "integral weight" in capsys.readouterr().err
+
+
+def _forbid_middles(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a middle was built or decomposed on string input")
+
+    monkeypatch.setattr(stringalg.decomp, "decompose", forbidden)
+    monkeypatch.setattr(stringalg.verify, "decompose", forbidden)
+    monkeypatch.setattr(stringalg.homalg, "extension_of_cocycle", forbidden)
+
+
+def _count_decompose(monkeypatch):
+    calls = []
+    original = stringalg.decomp.decompose
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stringalg.decomp, "decompose", counted)
+    return calls
+
+
+def test_no_middle_is_built_on_string_input(fixture_dir, monkeypatch, capsys):
+    golden = fixture_dir.parent / "tests" / "golden"
+    with monkeypatch.context() as m:
+        _forbid_middles(m)
+        argv = ["--format", "structured", "verify-main-theorem",
+                str(fixture_dir / "a3nr.sba"), "--max-dim", "4"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == (golden / "verify_main_theorem_a3nr_dim4.out").read_text(encoding="utf-8")
+        argv = ["--field", "5", "middle-census", str(fixture_dir / "a3.sba"),
+                "--from", "e(1)", "--to", "e(2)"]
+        assert main(argv) == 0
+        assert "histogram: 1:1" in capsys.readouterr().out
+
+    # presentations without a catalog still build and decompose each middle
+    calls = _count_decompose(monkeypatch)
+    argv = ["--field", "3", "middle-census", str(fixture_dir / "kronecker.sba"),
+            "--from", "e(1)", "--to", "e(2)"]
+    assert main(argv) == 0
+    assert "ext_dim: 2" in capsys.readouterr().out
+    assert len(calls) == 4
+    argv = ["--format", "structured", "middle-census", str(fixture_dir / "d4sub.sba"),
+            "--from", "@" + str(fixture_dir / "d4sub_m2111.mod"), "--to", "e(0)"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (golden / "middle_census_d4sub_m2111.out").read_text(
+        encoding="utf-8"
+    )
+    assert len(calls) == 4 + 6

@@ -92,7 +92,7 @@ def reference_n_alpha_generators(p, alpha, max_len):
 
     members = set()
     out = []
-    for letters in walk_words(p, max_len, first=first):
+    for letters in walk_words(p, max_len):
         if not member(letters):
             continue
         members.add(letters)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from stringalg.linalg import (
     inv_mod,
     is_prime,
     matrix_power,
+    solve_rational,
     sparse_kernel,
 )
 
@@ -295,3 +297,37 @@ def test_poly_divmod_reconstructs():
             assert rem.degree < b.degree
             assert all(0 <= c < q for c in quo.c + rem.c)
             assert all(p.c[-1] != 0 for p in (quo, rem) if p.c)
+
+
+def fraction_rank(rows):
+    """Rank over the rationals by plain Gauss-Jordan in fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_solve_rational_against_fraction_elimination():
+    rng = random.Random(7)
+    singular = 0
+    for _ in range(500):
+        n = rng.randrange(1, 7)
+        a = [[rng.choice([0, 0, -2, -1, 1, 2, 3]) for _ in range(n)] for _ in range(n)]
+        b = [rng.randrange(-4, 5) for _ in range(n)]
+        x = solve_rational(a, b)
+        if x is None:
+            assert fraction_rank(a) < n
+            singular += 1
+            continue
+        assert all(isinstance(v, Fraction) for v in x)
+        assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+    assert 0 < singular < 500
