@@ -124,8 +124,18 @@ class Catalog:
             raise StringAlgError(f"word {format_walk(w.walk)} not in the catalog")
         return self._by_key[key]
 
+    def profile(self, parts: list[int]) -> list[int]:
+        """Hom dimensions from every member into the direct sum of the
+        members at the indices in parts.  Hom(U, -) is additive and
+        hom[u][i] is dim Hom(U, member i), so this is the sum of the parts'
+        columns of the table; no module is built and no system solved."""
+        return [sum(row[i] for i in parts) for row in self.hom]
+
     def hom_into(self, m: Representation) -> list[int]:
-        """Hom dimensions from every catalog member into m, cached."""
+        """Hom dimensions from every catalog member into m: its column of
+        the table when m is a member, solved and cached otherwise."""
+        if m in self._members:
+            return self.profile([self._members[m]])
         if m not in self._hom_into_cache:
             self._hom_into_cache[m] = [
                 len(hom_basis(u.rep, m)) for u in self.entries
@@ -201,14 +211,15 @@ class Catalog:
 
         return count
 
-    def direct_sum(self, parts: list[int], label: str) -> Representation:
-        """The direct sum of the members at the indices in parts.
-
-        Hom(U, -) is additive and hom[u][i] is dim Hom(U, member i), so the
-        sum's hom profile is the sum of the parts' columns of the table."""
-        m = direct_sum([self.entries[i].rep for i in parts], label=label)
-        self._hom_into_cache[m] = [sum(row[i] for i in parts) for row in self.hom]
-        return m
+    def delta_formula(self, delta: list[int]) -> int:
+        """The accounting sum over non-projective members V of
+        delta(V) * (2 - middle summand count of the sequence at V); only
+        the V with delta(V) != 0 have their sequence built."""
+        return sum(
+            d * (2 - self.ar_sequence(e).middle_summand_count)
+            for e in self.nonprojective()
+            if (d := delta[e.index])
+        )
 
     def ar_sequence(self, e: CatalogEntry) -> "ARSequence":
         if e.index not in self._ar_cache:
@@ -423,8 +434,7 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
         raise StringAlgError("empty middle; input looks projective")
 
     middle_rep = direct_sum([e.rep for e in middles])
-    ses = _assemble_ses(p, tau_entry.rep, middle_rep, entry.rep, middles,
-                        maps_from_tau, maps_to_v)
+    ses = _assemble_ses(p, tau_entry.rep, middle_rep, entry.rep, maps_from_tau, maps_to_v)
     seq = ARSequence(
         target_word=w,
         tau_word=tau_w,
@@ -453,39 +463,26 @@ def _oriented_entry(cat: Catalog, w: Word):
     return entry, list(reversed(entry.nodes))
 
 
-def _assemble_ses(p, tau_rep, middle_rep, v_rep, middles, maps_from_tau, maps_to_v):
+def _assemble_ses(p, tau_rep, middle_rep, v_rep, maps_from_tau, maps_to_v):
+    """0 -> tau V -> E -> V -> 0 from the graph maps through each middle
+    summand.  With two summands both composites tau V -> E_i -> V are the
+    same graph map, so the second map to V carries the sign -1 and the
+    composite vanishes."""
     q = p.field_order
-    incl_mats = {}
-    proj_mats = {}
-    # try sign choices so that the composite vanishes
-    for sign in (1, q - 1):
-        for v in p.quiver.vertices:
-            blocks_in = []
-            blocks_out = []
-            for k, entry in enumerate(middles):
-                g = maps_from_tau[k][v]
-                f = maps_to_v[k][v]
-                if k == 1:
-                    f = f.scale(sign)
-                blocks_in.append(g.a)
-                blocks_out.append(f.a)
-            incl_mats[v] = Matrix(np.hstack(blocks_in), q) if blocks_in else Matrix.zeros(tau_rep.dim(v), 0, q)
-            proj_mats[v] = Matrix(np.vstack(blocks_out), q) if blocks_out else Matrix.zeros(0, v_rep.dim(v), q)
-        ses = ShortExactSequence(
-            left=tau_rep,
-            middle=middle_rep,
-            right=v_rep,
-            incl=Intertwiner(tau_rep, middle_rep, incl_mats),
-            proj=Intertwiner(middle_rep, v_rep, proj_mats),
-        )
-        try:
-            ses.verify()
-            return ses
-        except VerificationError:
-            if len(middles) < 2:
-                raise
-            continue
-    raise VerificationError("no sign choice makes the surgery sequence exact")
+    first, *rest = maps_to_v
+    incl_mats = {v: Matrix(np.hstack([g[v].a for g in maps_from_tau]), q) for v in p.quiver.vertices}
+    proj_mats = {
+        v: Matrix(np.vstack([first[v].a] + [-f[v].a for f in rest]), q) for v in p.quiver.vertices
+    }
+    ses = ShortExactSequence(
+        left=tau_rep,
+        middle=middle_rep,
+        right=v_rep,
+        incl=Intertwiner(tau_rep, middle_rep, incl_mats),
+        proj=Intertwiner(middle_rep, v_rep, proj_mats),
+    )
+    ses.verify()
+    return ses
 
 
 def _check_defect(cat: Catalog, v_entry: CatalogEntry, tau_entry: CatalogEntry, seq: ARSequence):
@@ -507,26 +504,19 @@ def _check_defect(cat: Catalog, v_entry: CatalogEntry, tau_entry: CatalogEntry, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DeltaProfile:
-    """delta(V) = dim Hom(V, N) - dim Hom(V, M), indexed like the catalog."""
-
-    values: list[int]
-
-    def nonnegative(self) -> bool:
-        return all(x >= 0 for x in self.values)
+def hom_delta(into_m: list[int], into_n: list[int]) -> tuple[bool, list[int]]:
+    """delta(V) = dim Hom(V, N) - dim Hom(V, M) from the two hom profiles,
+    indexed like the catalog, and whether it is nonnegative everywhere."""
+    delta = [n - m for m, n in zip(into_m, into_n)]
+    return all(x >= 0 for x in delta), delta
 
 
-def hom_leq(M: Representation, N: Representation) -> tuple[bool, DeltaProfile]:
+def hom_leq(M: Representation, N: Representation) -> tuple[bool, list[int]]:
     """The hom-order test: equal dimension vectors and delta(V) >= 0 for
-    every indecomposable V."""
+    every indecomposable V; returns the verdict and delta."""
     cat = catalog_for(M.pres)
-    into_m = cat.hom_into(M)
-    into_n = cat.hom_into(N)
-    delta = DeltaProfile([n - m for m, n in zip(into_m, into_n)])
-    if M.dimension_vector() != N.dimension_vector():
-        return False, delta
-    return delta.nonnegative(), delta
+    nonnegative, delta = hom_delta(cat.hom_into(M), cat.hom_into(N))
+    return nonnegative and M.dimension_vector() == N.dimension_vector(), delta
 
 
 @dataclass
@@ -546,7 +536,7 @@ def riedtmann_witness(M: Representation, N: Representation) -> RiedtmannWitness:
         raise StringAlgError("riedtmann witness needs hom_leq(M, N) to hold")
     xs, ys, zs = [], [], []
     for e in cat.nonprojective():
-        d = delta.values[e.index]
+        d = delta[e.index]
         if d <= 0:
             continue
         seq = cat.ar_sequence(e)
@@ -571,13 +561,7 @@ def riedtmann_witness(M: Representation, N: Representation) -> RiedtmannWitness:
 def delta_count_formula(M: Representation, N: Representation) -> int:
     """The accounting sum over non-projective indecomposables of
     delta(V) * (2 - middle summand count of the sequence at V)."""
-    cat = catalog_for(M.pres)
     ok, delta = hom_leq(M, N)
     if not ok:
         raise StringAlgError("delta formula needs hom_leq(M, N) to hold")
-    total = 0
-    for e in cat.nonprojective():
-        d = delta.values[e.index]
-        if d:
-            total += d * (2 - cat.ar_sequence(e).middle_summand_count)
-    return total
+    return catalog_for(M.pres).delta_formula(delta)

@@ -214,11 +214,11 @@ def find_witness_triple(p: Presentation, search_len: int = 6) -> WitnessTriple |
                     zxz = Walk(z + x + z)
                     if not is_word(p, zxz)[0]:
                         continue
+                    # the search enforces all validate checks but the last
+                    # two, which S2 then forces: validate is a certificate
+                    # here, and a raise is a bug
                     triple = WitnessTriple(Word(Walk(x)), Word(Walk(y)), Word(Walk(z)))
-                    try:
-                        triple.validate(p)
-                    except VerificationError:
-                        continue
+                    triple.validate(p)
                     return triple
     return None
 

@@ -196,11 +196,6 @@ class Matrix:
         """Basis of {x : x A = 0}, returned as the rows of a matrix."""
         return self.T.right_kernel().T
 
-    def row_basis(self) -> "Matrix":
-        """Canonical (RREF) basis of the row space, as rows."""
-        R, pivots = self.rref()
-        return Matrix(R.a[: len(pivots)].copy(), self.q)
-
     def solve_right(self, b: "Matrix") -> "Matrix | None":
         """One solution X of A X = B, or None when the system is inconsistent."""
         self._check(b)
@@ -305,20 +300,6 @@ def solve_rational(a: list[list[int]], b: list[int]) -> list[Fraction] | None:
         rest = sum(rows[i][j] * x[j] for j in range(i + 1, n))
         x[i] = Fraction(rows[i][n] - rest) / rows[i][i]
     return x
-
-
-def matrix_power(m: Matrix, e: int) -> Matrix:
-    if m.rows != m.cols:
-        raise StringAlgError("matrix power needs a square matrix")
-    result = Matrix.identity(m.rows, m.q)
-    base = m
-    while e > 0:
-        if e & 1:
-            result = result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return result
 
 
 # ---------------------------------------------------------------------------

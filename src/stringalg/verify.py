@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .artheory import Catalog, catalog_for, delta_count_formula, enumerate_indecomposables, hom_leq
+from .artheory import Catalog, catalog_for, enumerate_indecomposables, hom_delta
 from .decomp import decompose
 # hom_basis stays importable as verify.hom_basis: perfbench's tracer test
 # patches and calls it through this alias
@@ -103,15 +103,14 @@ class DegenerationReport:
 
 def _direct_sums_up_to(cat: Catalog, max_dim: int):
     """All direct sums from the catalog with total dimension <= max_dim,
-    one per multiset, as (label, module, number of parts).  Each is built by
-    Catalog.direct_sum, so its hom profile comes from the catalog's table."""
+    one per multiset, as (label, parts) with parts the member indices in
+    nondecreasing order.  No module is built."""
     labels = [f"M({format_walk(e.word.walk)})" for e in cat.entries]
     out = []
 
     def rec(start: int, chosen: list[int], dim_left: int):
         if chosen:
-            label = "+".join(labels[i] for i in chosen)
-            out.append((label, cat.direct_sum(chosen, label), len(chosen)))
+            out.append(("+".join(labels[i] for i in chosen), chosen))
         for i in range(start, len(cat.entries)):
             d = cat.entries[i].rep.total_dim
             if d <= dim_left:
@@ -126,38 +125,24 @@ def degeneration_scan(p: Presentation, max_dim: int) -> DegenerationReport:
     class: whenever the hom order holds, the summand counts must be ordered
     and the accounting formula must equal their difference.
 
-    A sum of k catalog modules has exactly k indecomposable summands:
-    string modules are indecomposable (Butler and Ringel) and Krull-Schmidt
-    holds, so the counts come from the construction."""
+    Everything is arithmetic on the catalog's Hom table: a sum's dimension
+    vector and hom profile are the sums of its parts', and a sum of k
+    catalog modules has exactly k indecomposable summands (string modules
+    are indecomposable, Butler and Ringel, and Krull-Schmidt holds)."""
     cat = catalog_for(p)
     sums = _direct_sums_up_to(cat, max_dim)
     by_dimvec: dict[tuple, list] = {}
-    counts: dict[str, int] = {}
-    for label, m, parts in sums:
-        key = tuple(sorted(m.dimension_vector().items()))
-        by_dimvec.setdefault(key, []).append((label, m))
-        counts[label] = parts
+    for label, parts in sums:
+        key = tuple(sum(cat.entries[i].rep.dim(v) for i in parts) for v in p.quiver.vertices)
+        by_dimvec.setdefault(key, []).append((label, len(parts), cat.profile(parts)))
     rows = []
-    ok = True
-    pair_count = 0
     for group in by_dimvec.values():
-        for (la, ma), (lb, mb) in itertools.product(group, repeat=2):
-            pair_count += 1
-            leq, _ = hom_leq(ma, mb)
-            formula = None
-            consistent = True
-            if leq:
-                formula = delta_count_formula(ma, mb)
-                consistent = (
-                    counts[la] <= counts[lb]
-                    and formula == counts[lb] - counts[la]
-                )
-                if not consistent:
-                    ok = False
-            rows.append(
-                DegenerationRow(la, lb, leq, counts[la], counts[lb], formula, consistent)
-            )
-    return DegenerationReport(ok, len(sums), pair_count, rows)
+        for (la, ca, pa), (lb, cb, pb) in itertools.product(group, repeat=2):
+            leq, delta = hom_delta(pa, pb)
+            formula = cat.delta_formula(delta) if leq else None
+            consistent = not leq or (ca <= cb and formula == cb - ca)
+            rows.append(DegenerationRow(la, lb, leq, ca, cb, formula, consistent))
+    return DegenerationReport(all(r.consistent for r in rows), len(sums), len(rows), rows)
 
 
 def axiom_summary(p: Presentation) -> tuple[bool, list[str]]:

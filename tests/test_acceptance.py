@@ -35,13 +35,16 @@ def pair_scan(a3, a3nr):
     """Ordered pairs of catalog direct sums of dimension at most 8 with
     equal dimension vectors, per presentation, with summand counts.
 
-    The counts come from decompose; each must equal the number of catalog
-    modules the sum was built from, which is the count degeneration_scan
-    reports."""
+    Each sum is built from the parts degeneration_scan enumerates.  The
+    counts come from decompose; each must equal the number of parts, which
+    is the count degeneration_scan reports."""
     out = {}
     for name, p in (("a3", a3), ("a3nr", a3nr)):
         cat = catalog_for(p)
-        sums = _direct_sums_up_to(cat, 8)
+        sums = [
+            (label, direct_sum([cat.entries[i].rep for i in parts], label=label), len(parts))
+            for label, parts in _direct_sums_up_to(cat, 8)
+        ]
         counts = {label: decompose(m, seed=1).summand_count for label, m, _ in sums}
         for label, _, parts in sums:
             assert counts[label] == parts, f"{name}: decompose({label}) != {parts}"

@@ -1,9 +1,11 @@
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
 
+from perfbench.census_gen import type_a_presentation
 from stringalg import artheory
 from stringalg.artheory import (
     Catalog,
@@ -17,9 +19,9 @@ from stringalg.artheory import (
 from stringalg.decomp import decompose
 from stringalg.errors import InfiniteTypeError, StringAlgError, VerificationError
 from stringalg.homalg import hom_dim
-from stringalg.presentation import load_presentation
+from stringalg.presentation import load_presentation, parse_presentation
 from stringalg.reps import direct_sum, projective, simple
-from stringalg.verify import _direct_sums_up_to
+from stringalg.verify import _direct_sums_up_to, degeneration_scan
 from stringalg.words import format_walk, parse_word
 
 
@@ -155,7 +157,7 @@ def test_ar_sequences_nonsplit(a3, a3nr):
 def test_hom_leq_reflexive(a3):
     p1 = projective(a3, "1")
     ok, delta = hom_leq(p1, p1)
-    assert ok and all(x == 0 for x in delta.values)
+    assert ok and all(x == 0 for x in delta)
 
 
 def test_hom_leq_example(a3):
@@ -163,7 +165,7 @@ def test_hom_leq_example(a3):
     split = direct_sum([simple(a3, "1"), simple(a3, "2")])
     ok, delta = hom_leq(p1, split)
     assert ok
-    assert any(x > 0 for x in delta.values)
+    assert any(x > 0 for x in delta)
     back, _ = hom_leq(split, p1)
     assert not back  # antisymmetry on non-isomorphic modules
 
@@ -269,10 +271,55 @@ def test_catalog_for_with_field_builds_a_new_catalog(a3nr):
 
 
 def test_direct_sum_profiles_match_solved_hom(a3, a3nr):
-    # Catalog.direct_sum reads the profile off the hom table; solve each
-    # Hom system directly as the oracle
+    # Catalog.profile adds columns of the hom table; build each sum and
+    # solve its Hom systems directly as the oracle
     for p in (a3, a3nr):
         cat = catalog_for(p)
-        for label, m, _ in _direct_sums_up_to(cat, 6):
+        for label, parts in _direct_sums_up_to(cat, 6):
+            m = direct_sum([cat.entries[i].rep for i in parts])
             solved = [hom_dim(u.rep, m) for u in cat.entries]
-            assert cat.hom_into(m) == solved, label
+            assert cat.profile(parts) == solved, label
+
+
+def test_hom_into_a_member_reads_its_column(a3nr, monkeypatch):
+    cat = catalog_for(a3nr)
+    monkeypatch.setattr(artheory, "hom_basis", None)  # any solve would fail
+    for e in cat.entries:
+        assert cat.hom_into(e.rep) == [row[e.index] for row in cat.hom]
+
+
+def test_degeneration_rows_match_the_module_api(a3, a3nr):
+    # oracle: build every sum and run the module-level hom order and
+    # accounting formula, which solve the sums' Hom systems themselves
+    for p in (a3, a3nr):
+        cat = catalog_for(p)
+        built = {
+            label: direct_sum([cat.entries[i].rep for i in parts])
+            for label, parts in _direct_sums_up_to(cat, 6)
+        }
+        report = degeneration_scan(p, 6)
+        assert report.ok and report.module_count == len(built)
+        for row in report.rows:
+            ma, mb = built[row.left_label], built[row.right_label]
+            assert row.hom_leq == hom_leq(ma, mb)[0], (row.left_label, row.right_label)
+            if row.hom_leq:
+                assert row.delta_formula == delta_count_formula(ma, mb)
+            else:
+                assert row.delta_formula is None
+
+
+def test_almost_split_sequences_verify_on_drawn_type_a_presentations():
+    # the second middle summand's map to V carries the sign -1; every
+    # sequence over 30 drawn presentations must verify with that sign
+    rng = random.Random("almost-split-signs")
+    two_middles = 0
+    for k in range(30):
+        text, _ = type_a_presentation(rng, rng.randrange(3, 7), 0.4)
+        p = parse_presentation(text).with_field((3, 5)[k % 2])
+        cat = catalog_for(p)
+        for e in cat.nonprojective():
+            seq = cat.ar_sequence(e)
+            seq.ses.verify()
+            assert seq.defect_checked
+            two_middles += seq.middle_summand_count == 2
+    assert two_middles > 0

@@ -10,7 +10,6 @@ from stringalg.linalg import (
     factor_poly,
     inv_mod,
     is_prime,
-    matrix_power,
     solve_rational,
     sparse_kernel,
 )
@@ -91,14 +90,12 @@ def test_solve_inconsistent_returns_none():
     assert a.solve_right(b) is None
 
 
-def test_left_kernel_and_row_basis():
+def test_left_kernel():
     q = 11
     a = Matrix([[1, 2, 3], [2, 4, 6], [1, 1, 1]], q)
     lk = a.left_kernel()
     assert (lk @ a).is_zero()
     assert lk.rows + a.rank() == 3
-    rb = a.row_basis()
-    assert rb.rows == a.rank()
 
 
 def test_charpoly_matches_brute_force():
@@ -207,12 +204,6 @@ def test_companion_matrix_of_x11_plus_1():
     assert m.charpoly() == Poly([1] + [0] * 10 + [1], q)
     facs = factor_poly(m.charpoly())
     assert len(facs) == 11 and all(p.degree == 1 for p, _ in facs)
-
-
-def test_matrix_power():
-    q = 7
-    m = Matrix([[1, 1], [0, 1]], q)
-    assert matrix_power(m, 7) == Matrix([[1, 0], [0, 1]], q)
 
 
 def test_sparse_kernel_matches_dense():
