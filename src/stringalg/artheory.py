@@ -21,10 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfiniteTypeError, StringAlgError, VerificationError
+from .errors import (
+    InfiniteTypeError,
+    NonStringPresentationError,
+    NotFiniteDimensionalError,
+    StringAlgError,
+    VerificationError,
+)
 from .homalg import Ext1Context, Intertwiner, ShortExactSequence, composites, hom_basis
 from .linalg import Matrix, solve_rational
-from .presentation import Presentation, validate_axioms
+from .presentation import Presentation
 from .reps import (
     Representation,
     direct_sum,
@@ -243,14 +249,12 @@ def catalog_for(p: Presentation) -> Catalog:
 
 def finite_type_catalog(p: Presentation) -> Catalog | None:
     """The catalog of p when p is a string presentation of finite type;
-    None otherwise, when no finite list holds its indecomposables."""
-    if p._catalog is None:
-        if not validate_axioms(p).is_string:
-            return None
-        automaton = automaton_for(p)
-        if automaton.relation_free_cycle is not None or automaton.cyclic_witness() is not None:
-            return None
-    return catalog_for(p)
+    None when Catalog refuses p as non-string, infinite dimensional or of
+    infinite type.  Every other error propagates."""
+    try:
+        return catalog_for(p)
+    except (NonStringPresentationError, NotFiniteDimensionalError, InfiniteTypeError):
+        return None
 
 
 def enumerate_indecomposables(p: Presentation, max_dim: int) -> list[CatalogEntry]:

@@ -5,18 +5,19 @@ when the automaton has no cycle, since its cycles spell the cyclic words,
 and non-domestic when two cycles pass through one state, since they spell
 infinitely many bands.  Otherwise the bands are finitely many and the
 algebra is domestic.  A non-domestic verdict carries the two cycles as its
-generator pair, checked with the definitional is_cyclic.
+generator pair, checked with the definitional is_cyclic and required to
+leave their state by different letters.
 
 The witness construction produces an extension of indecomposable modules
 whose middle decomposes into a prescribed prime number of summands: the
 middle is the cycle module on the concatenation of two interleaved band
-words, and cutting that cycle at its two junction letters exhibits the
-exact sequence.
+words u and v, and cutting that cycle at its two junction letters exhibits
+the exact sequence.  Its certificates are the verified sequence and the
+verified split; no band module on u or v is built.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +34,11 @@ from .reps import (
 from .words import (
     CyclicWord,
     Letter,
-    Verdict,
     Walk,
     Word,
     automaton_for,
     canonical_cyclic,
     cyclic_word,
-    fine_wolf_common_power,
     format_walk,
     is_cyclic,
     is_primitive,
@@ -98,7 +97,8 @@ def classify(p: Presentation) -> ClassificationCertificate:
 
     Finite means the letter automaton has no cycle.  NonDomestic means two
     of its cycles pass through one state; they are returned as the
-    generator pair and checked against is_cyclic.
+    generator pair, checked against is_cyclic, and must leave the state by
+    different letters, so their primitive roots differ.
     """
     report = validate_axioms(p)
     if not report.is_string:
@@ -116,30 +116,9 @@ def classify(p: Presentation) -> ClassificationCertificate:
     for g in (g1, g2, Word(Walk(g1.letters + g2.letters)), Word(Walk(g2.letters + g1.letters))):
         if not is_cyclic(p, g):
             raise VerificationError(f"{format_walk(g.walk)} from the automaton is not cyclic")
-    _check_distinct_roots(p, g1, g2)
+    if g1.letters[0] == g2.letters[0]:
+        raise VerificationError("generator pair leaves its state by one letter")
     return ClassificationCertificate("NonDomestic", band, (g1, g2), automaton.state_count)
-
-
-def _check_distinct_roots(p: Presentation, g1: Word, g2: Word) -> None:
-    """The two generators are never powers of one word; assert exactly."""
-    _, r1, _ = is_primitive(p, g1)
-    _, r2, _ = is_primitive(p, g2)
-    if r1.letters == r2.letters:
-        raise VerificationError("generator pair shares a primitive root")
-    # periodicity sanity oracle: their powers must disagree before the
-    # Fine and Wilf threshold
-    n, m = len(g1), len(g2)
-    threshold = n + m - math.gcd(n, m)
-    x = (g1.letters * (threshold // n + 1))[:threshold]
-    y = (g2.letters * (threshold // m + 1))[:threshold]
-    shared = 0
-    for a, b in zip(x, y):
-        if a != b:
-            break
-        shared += 1
-    if shared >= threshold:
-        raise VerificationError("powers share the threshold prefix yet roots differ")
-    assert fine_wolf_common_power(g1.letters, g2.letters, shared) is Verdict.INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +212,6 @@ class WitnessResult:
     v: Word
     prime_p: int
     field_order: int
-    band_u: Representation
-    band_v: Representation
     middle: Representation
     left_end: Representation
     right_end: Representation
@@ -266,8 +243,8 @@ def build_witness(p: Presentation, triple: WitnessTriple, prime_p: int) -> Witne
     spanned by the v portion (the string on v minus its last letter) with
     quotient the string on u minus its last letter.  Gluing the two band
     modules B(u), B(v) themselves by modifying two actions always yields an
-    indecomposable middle instead, so the bands are returned for inspection
-    but the exact sequence runs between the cut strings.
+    indecomposable middle instead, so the exact sequence runs between the
+    cut strings and neither band module is built.
 
     The split is constructed, not searched for, and its certificate is
     exact: prime_p verified monomorphisms from the bands into the middle
@@ -303,11 +280,7 @@ def build_witness(p: Presentation, triple: WitnessTriple, prime_p: int) -> Witne
         primitive, _, _ = is_primitive(p, w_)
         if not primitive:
             raise VerificationError("constructed cyclic word is not primitive")
-    band_u = cyclic_recipe_module(p, u_letters, 1, 1, label=f"B({format_walk(u.walk)})")
-    band_v = cyclic_recipe_module(p, v_letters, 1, 1, label=f"B({format_walk(v.walk)})")
     middle = cyclic_recipe_module(p, uv_letters, -1, 1, label="M'")
-    if middle.total_dim != band_u.total_dim + band_v.total_dim:
-        raise VerificationError("middle dimension mismatch")
 
     # ends: the uv cycle cut at the two junction letters
     left_word = word(p, Walk(v_letters[:-1]))
@@ -333,8 +306,6 @@ def build_witness(p: Presentation, triple: WitnessTriple, prime_p: int) -> Witne
         v=v,
         prime_p=prime_p,
         field_order=q,
-        band_u=band_u,
-        band_v=band_v,
         middle=middle,
         left_end=left_rep,
         right_end=right_rep,

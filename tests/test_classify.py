@@ -106,6 +106,20 @@ def test_classify_nondomestic_gp(gp):
     assert r1.letters != r2.letters
 
 
+def test_generator_pair_sharing_a_first_letter_fails(gp, fixture_dir, monkeypatch, capsys):
+    # a cycle C and its square CC pass every is_cyclic check, but they leave
+    # their state by one letter: C^2 is a power of C's root, no certificate
+    from stringalg.cli import main
+
+    cycle = automaton_for(gp).branching_cycles()[0]
+    monkeypatch.setattr(LetterAutomaton, "branching_cycles", lambda self: (cycle, cycle * 2))
+    with pytest.raises(VerificationError, match="one letter"):
+        classify(gp)
+    assert main(["classify", str(fixture_dir / "gp.sba")]) == 3
+    err = capsys.readouterr().err
+    assert "certificate failed to verify" in err and "one letter" in err
+
+
 def test_witness_triple_gp(gp):
     triple = find_witness_triple(gp, search_len=6)
     assert triple is not None
@@ -134,7 +148,7 @@ def test_build_witness_p11(gp):
     triple = find_witness_triple(p23, search_len=6)
     result = build_witness(p23, triple, 11)
     assert result.summand_count == 11
-    assert result.middle.total_dim == result.band_u.total_dim + result.band_v.total_dim
+    assert result.middle.total_dim == result.left_end.total_dim + result.right_end.total_dim
     result.sequence.verify()
     # all eleven summands are twelve dimensional
     assert sorted(sum(dv) for dv in result.summand_dimvecs) == [12] * 11
@@ -153,9 +167,6 @@ def test_build_witness_p11(gp):
     block = len(triple.x.letters) * 2 + len(triple.y.letters) + len(triple.z.letters)
     assert len(result.u.letters) == n * block + len(triple.x.letters) + len(triple.y.letters)
     assert len(result.v.letters) == len(result.u.letters)
-    # the bands themselves are indecomposable
-    assert decompose(result.band_u, trials=15).summand_count == 1
-    assert decompose(result.band_v, trials=15).summand_count == 1
 
 
 def test_witness_split_with_wrong_band_parameter_fails(gp, fixture_dir, monkeypatch, capsys):

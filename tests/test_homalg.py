@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from stringalg.artheory import catalog_for
 from stringalg.decomp import decompose
 from stringalg.errors import StringAlgError
 from stringalg.homalg import (
@@ -14,6 +15,7 @@ from stringalg.homalg import (
     projective_cover,
     zero_map,
 )
+from stringalg.presentation import load_presentation
 from stringalg.reps import (
     direct_sum,
     load_module_literal,
@@ -218,3 +220,23 @@ def test_equal_ext_classes_give_equal_middles(a3):
         ses = extension_of_cocycle(ctx.cover, s2, shifted)
         got = [hom_dim(p_, ses.middle) for p_ in probes]
         assert got == base
+
+
+@pytest.mark.parametrize("name", ["a3", "a3nr", "census_typeA_seed1_04"])
+def test_ext_dimension_from_the_long_exact_hom_sequence(name, fixture_dir):
+    # 0 -> Hom(M, N) -> Hom(P0, N) -> Hom(syz M, N) -> Ext^1(M, N) -> 0, and
+    # Hom(P0, N) by Yoneda: P0 holds dim Hom(M, S(v)) copies of P(v)
+    p = load_presentation(fixture_dir / f"{name}.sba")
+    cat = catalog_for(p)
+    simples = [simple(p, v) for v in p.quiver.vertices]
+    nonzero = 0
+    for M in cat.entries:
+        cover = projective_cover(M.rep)
+        tops = [hom_dim(M.rep, s) for s in simples]
+        for N in cat.entries:
+            hom_cover = hom_dim(cover.cover, N.rep)
+            assert hom_cover == sum(t * N.rep.dim(v) for t, v in zip(tops, p.quiver.vertices))
+            expected = hom_dim(cover.syzygy, N.rep) - hom_cover + cat.hom[M.index][N.index]
+            assert ext1(cover, N.rep).dim == expected
+            nonzero += expected > 0
+    assert nonzero  # 2, 5 and 36 of the 25, 36 and 289 pairs

@@ -155,6 +155,9 @@ def test_classify_verdict_matches_n_alpha_reference(p):
         g1, g2 = cert.generator_pair
         for letters in (g1.letters, g2.letters, g1.letters + g2.letters, g2.letters + g1.letters):
             assert is_cyclic(p, Word(Walk(letters)))
+        # they leave their state by a direct and an inverse letter, in
+        # either order, so their first letters differ
+        assert g1.letters[0].is_direct != g2.letters[0].is_direct
 
 
 @PROPERTY
