@@ -23,13 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StringAlgError, VerificationError
-from .linalg import Matrix
-from .presentation import Presentation, validate_axioms
+from .homalg import Intertwiner, ShortExactSequence
+from .linalg import Matrix, is_prime
+from .presentation import Presentation
 from .reps import (
     Representation,
     _nodes_to_indices,
     band_module,
     cyclic_recipe_module,
+    graph_map,
+    string_module_with_nodes,
 )
 from .words import (
     CyclicWord,
@@ -47,6 +50,7 @@ from .words import (
     letter_key,
     letter_source,
     letter_target,
+    require_string,
     walk_words,
     word,
 )
@@ -100,12 +104,8 @@ def classify(p: Presentation) -> ClassificationCertificate:
     generator pair, checked against is_cyclic, and must leave the state by
     different letters, so their primitive roots differ.
     """
-    report = validate_axioms(p)
-    if not report.is_string:
-        raise StringAlgError("classification needs a string presentation")
+    require_string(p)
     automaton = automaton_for(p)
-    if automaton.relation_free_cycle is not None:
-        raise StringAlgError("classification needs a finite dimensional algebra")
     band = automaton.cyclic_witness()
     if band is None:
         return ClassificationCertificate("Finite", None, None, automaton.state_count)
@@ -215,7 +215,7 @@ class WitnessResult:
     middle: Representation
     left_end: Representation
     right_end: Representation
-    sequence: object  # ShortExactSequence
+    sequence: ShortExactSequence
     embeddings: list  # verified Intertwiners B(xyxz, zeta^-1, 1) -> middle
 
     @property
@@ -252,10 +252,6 @@ def build_witness(p: Presentation, triple: WitnessTriple, prime_p: int) -> Witne
     every vertex, and each band module of the primitive word xyxz is
     indecomposable (Butler and Ringel 1987).  No random trial is involved.
     """
-    from .homalg import Intertwiner, ShortExactSequence
-    from .linalg import is_prime
-    from .reps import graph_map, string_module_with_nodes
-
     q = p.field_order
     if not is_prime(prime_p) or prime_p < 11:
         raise StringAlgError("prime_p must be a prime at least 11")
@@ -344,8 +340,6 @@ def _split_witness_middle(
     checked with Intertwiner.verify, and at every vertex the stacked images
     must form a square matrix of full rank.
     """
-    from .homalg import Intertwiner
-
     q = p.q
     b = len(block)
     band_word = cyclic_word(p, word(p, Walk(block)))

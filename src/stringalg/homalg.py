@@ -7,7 +7,8 @@ elimination never fills in and large band modules stay cheap.
 
 Ext^1(M, N) is realized on a projective cover P0 of M with syzygy S:
 the cokernel of restriction Hom(P0, N) -> Hom(S, N).  Each cocycle gives
-an explicit short exact sequence by pushing P0 out along it.
+an explicit short exact sequence whose middle is written on N_v + M_v at
+every vertex, with the cocycle in the off-diagonal block of each arrow.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .linalg import Matrix, sparse_kernel, vstack
 from .reps import (
     Representation,
     direct_sum,
+    make_representation,
     projective_with_basis,
-    quotient_representation,
     subrepresentation,
 )
 
@@ -159,6 +160,7 @@ class CoverData:
     syzygy: Representation
     incl: Intertwiner  # syzygy -> P0
     _exts: dict = field(default_factory=dict, repr=False, compare=False)
+    _slips: dict | None = field(default=None, repr=False, compare=False)
 
     def ext(self, N: Representation) -> "Ext1Context":
         """Ext^1(module, N) on this cover, computed once per N and kept, so
@@ -166,6 +168,29 @@ class CoverData:
         if N not in self._exts:
             self._exts[N] = ext1(self, N)
         return self._exts[N]
+
+    def slips(self) -> dict[str, Matrix]:
+        """Per arrow a: u -> t, the syzygy coordinates slip_a of
+        s_u P0_a - M_a s_t, where s is a section of epi.  Its rows lie in
+        ker epi_t, which is the syzygy.  Computed on first use and kept."""
+        if self._slips is None:
+            M, P0 = self.module, self.cover
+            p = M.pres
+            section = {}
+            for v in p.quiver.vertices:
+                s = self.epi.mats[v].solve_left(Matrix.identity(M.dim(v), M.q))
+                if s is None:
+                    raise VerificationError(f"projective cover has no section at vertex {v}")
+                section[v] = s
+            slips = {}
+            for a in p.quiver.arrows:
+                diff = section[a.source] @ P0.mats[a.name] - M.mats[a.name] @ section[a.target]
+                slip = self.incl.mats[a.target].solve_left(diff)
+                if slip is None:
+                    raise VerificationError(f"section slips out of the syzygy along arrow {a.name}")
+                slips[a.name] = slip
+            self._slips = slips
+        return self._slips
 
 
 def _radical_rows(M: Representation, v: str) -> Matrix:
@@ -339,7 +364,15 @@ class ShortExactSequence:
 def extension_of_cocycle(
     cover: CoverData, N: Representation, c: Intertwiner
 ) -> ShortExactSequence:
-    """Pushout of the syzygy inclusion along the cocycle c: syzygy -> N."""
+    """The extension of M = cover.module by N that the cocycle c:
+    syzygy -> N classifies, written on E_v = N_v + M_v.
+
+    This is the pushout of the syzygy inclusion along c in the coordinates
+    (n, m) -> [n, s(m)], s a section of the cover's epi: arrow a: u -> t
+    acts as [[N_a, 0], [slip_a c_t, M_a]] (CoverData.slips), N goes in as
+    [I 0] and E goes onto M as [0; I].  The relation check of the middle
+    and ShortExactSequence.verify certify the result.
+    """
     M = cover.module
     p = M.pres
     q = M.q
@@ -348,29 +381,24 @@ def extension_of_cocycle(
     if c.source is not cover.syzygy:
         raise StringAlgError("cocycle must start at the cover's syzygy")
     c.verify()
-    amb = direct_sum([N, cover.cover], label="N+P0")
-    wrows = {}
-    for v in p.quiver.vertices:
-        w = np.hstack([c.mats[v].a, (-cover.incl.mats[v].a) % q])
-        wrows[v] = Matrix(w, q)
-    E, proj_mats, lift_mats = quotient_representation(amb, wrows, label="E")
-    incl_mats = {}
-    surj_mats = {}
-    for v in p.quiver.vertices:
-        n_v = N.dim(v)
-        p_v = cover.cover.dim(v)
-        embed = np.hstack([np.eye(n_v, dtype=np.int64), np.zeros((n_v, p_v), dtype=np.int64)])
-        incl_mats[v] = Matrix(embed, q) @ proj_mats[v]
-        down = np.vstack(
-            [np.zeros((n_v, M.dim(v)), dtype=np.int64), cover.epi.mats[v].a]
-        )
-        surj_mats[v] = lift_mats[v] @ Matrix(down, q)
+    slips = cover.slips()
+    dims = {v: N.dim(v) + M.dim(v) for v in p.quiver.vertices}
+    mats = {}
+    for a in p.quiver.arrows:
+        u, t = a.source, a.target
+        block = np.zeros((dims[u], dims[t]), dtype=np.int64)
+        block[: N.dim(u), : N.dim(t)] = N.mats[a.name].a
+        block[N.dim(u) :, : N.dim(t)] = (slips[a.name] @ c.mats[t]).a
+        block[N.dim(u) :, N.dim(t) :] = M.mats[a.name].a
+        mats[a.name] = Matrix(block, q)
+    E = make_representation(p, dims, mats, label="E")
+    eye = {v: np.eye(dims[v], dtype=np.int64) for v in p.quiver.vertices}
     ses = ShortExactSequence(
         left=N,
         middle=E,
         right=M,
-        incl=Intertwiner(N, E, incl_mats),
-        proj=Intertwiner(E, M, surj_mats),
+        incl=Intertwiner(N, E, {v: Matrix(eye[v][: N.dim(v)], q) for v in eye}),
+        proj=Intertwiner(E, M, {v: Matrix(eye[v][:, N.dim(v) :], q) for v in eye}),
     )
     ses.verify()
     return ses

@@ -264,11 +264,6 @@ class Matrix:
         return Poly(polys[n].tolist(), q)
 
 
-def hstack(mats: list[Matrix]) -> Matrix:
-    q = mats[0].q
-    return Matrix(np.hstack([m.a for m in mats]), q)
-
-
 def vstack(mats: list[Matrix]) -> Matrix:
     q = mats[0].q
     return Matrix(np.vstack([m.a for m in mats]), q)

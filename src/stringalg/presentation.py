@@ -199,6 +199,8 @@ def parse_presentation(text: str) -> Presentation:
                     )
             relations.append(tuple(tokens))
         elif keyword == "field":
+            if field_order is not None:
+                raise ParseError("repeated field line", lineno)
             if len(tokens) != 1:
                 raise ParseError("field line needs a single integer", lineno)
             value = parse_decimal(tokens[0], lineno, "field line needs a single integer")

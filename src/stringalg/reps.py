@@ -323,7 +323,7 @@ def direct_sum(reps: list[Representation], label: str = "") -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# sub- and quotient representations
+# subrepresentations
 # ---------------------------------------------------------------------------
 
 
@@ -357,44 +357,6 @@ def subrepresentation(
     return sub, incl
 
 
-def quotient_representation(
-    rep: Representation, subrows: dict[str, Matrix], label: str = ""
-) -> tuple[Representation, dict[str, Matrix], dict[str, Matrix]]:
-    """Quotient by the subrepresentation spanned by the given rows.
-
-    Returns the quotient, the projection matrices (ambient -> quotient
-    coordinates), and the section matrices (quotient -> ambient) picking
-    the non-pivot standard coordinates as representatives.
-    """
-    p = rep.pres
-    q = rep.q
-    proj = {}
-    lift = {}
-    dims = {}
-    for v in p.quiver.vertices:
-        b = subrows.get(v, Matrix.zeros(0, rep.dim(v), q))
-        R, pivots = b.rref()
-        d = rep.dim(v)
-        free = [j for j in range(d) if j not in pivots]
-        pr = np.zeros((d, len(free)), dtype=np.int64)
-        for k, j in enumerate(free):
-            pr[j, k] = 1
-        for i, pc in enumerate(pivots):
-            for k, j in enumerate(free):
-                pr[pc, k] = (-int(R.a[i, j])) % q
-        proj[v] = Matrix(pr, q)
-        lf = np.zeros((len(free), d), dtype=np.int64)
-        for k, j in enumerate(free):
-            lf[k, j] = 1
-        lift[v] = Matrix(lf, q)
-        dims[v] = len(free)
-    mats = {}
-    for a in p.quiver.arrows:
-        mats[a.name] = lift[a.source] @ rep.mats[a.name] @ proj[a.target]
-    quo = make_representation(p, dims, mats, label=label)
-    return quo, proj, lift
-
-
 # ---------------------------------------------------------------------------
 # module literals
 # ---------------------------------------------------------------------------
@@ -420,6 +382,8 @@ def parse_module_literal(p: Presentation, text: str) -> Representation:
                 v, _, count = tok.partition("=")
                 if v not in p.quiver.vertices:
                     raise ParseError(f"unknown vertex {v!r}", lineno)
+                if v in dims:
+                    raise ParseError(f"repeated dimension for vertex {v!r}", lineno)
                 dims[v] = parse_decimal(count, lineno, f"bad dimension {tok!r}")
         elif keyword == "map":
             parts = rest.split(None, 1)
@@ -430,6 +394,8 @@ def parse_module_literal(p: Presentation, text: str) -> Representation:
                 arrow = p.arrow(name)
             except StringAlgError:
                 raise ParseError(f"unknown arrow {name!r}", lineno) from None
+            if name in mats:
+                raise ParseError(f"repeated map for arrow {name!r}", lineno)
             body = parts[1] if len(parts) > 1 else ""
             rows = []
             for chunk in body.split(";"):

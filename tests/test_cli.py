@@ -304,6 +304,38 @@ def test_literal_with_a_malformed_number_is_an_input_error(
     assert captured.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("text, argv, error", [
+    ("module\ndim: 1=1 2=1\nmap: a 1\nmap: a 0\n",
+     ["hom", "a3.sba", "--from", "@{input}", "--to", "e(1)"], "repeated map for arrow 'a' (line 4)"),
+    ("vertices: 1\nfield: 5\nfield: 7\n", ["validate", "{input}"], "repeated field line (line 3)"),
+], ids=["module-map", "presentation-field"])
+def test_input_with_a_repeated_key_is_an_input_error(
+    text, argv, error, capsys, fixture_dir, tmp_path
+):
+    path = tmp_path / "repeated.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [str(fixture_dir / a) if a.endswith(".sba") else a.format(input=path) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("name, error", [
+    ("d4sub.sba", "S1: vertex 0 has in-degree 3"),
+    ("cycle_ab.sba", "algebra is infinite dimensional; relation-free cycle: a b"),
+])
+def test_classify_refuses_a_non_string_or_infinite_dimensional_input(
+    name, error, capsys, fixture_dir
+):
+    code = main(["classify", str(fixture_dir / name)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_literal_entries_are_reduced_mod_q(capsys, fixture_dir, tmp_path):
     # 10^23 is a unit mod 32003, so the literal is M(a)
     path = tmp_path / "big.mod"

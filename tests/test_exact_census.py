@@ -2,16 +2,17 @@
 
 On a finite-type string presentation middle_census counts the summands of
 each extension middle from the long exact Hom sequence and builds no
-middle.  The reference here is the old path: push the projective cover out
-along the cocycle, then decompose the middle.  On every line the two counts
-must agree, and the middle's full profile dim Hom(E, -) over the catalog,
-times the inverse of the hom table, must be a vector of nonnegative integer
-multiplicities that sum to the count.
+middle.  The reference here is the old path: build each middle from its
+cocycle with extension_of_cocycle, then decompose it.  On every line the
+two counts must agree, and the middle's full profile dim Hom(E, -) over
+the catalog, times the inverse of the hom table, must be a vector of
+nonnegative integer multiplicities that sum to the count.
 """
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from test_homalg import check_ext_from_long_exact_sequence
 from test_letter_automaton import presentations
 
 import stringalg.decomp
@@ -117,7 +118,9 @@ def test_exact_census_matches_reference_on_drawn_finite_presentations():
         cat = finite_type_catalog(p)
         assume(cat is not None)
         reps = [e.rep for e in cat.entries]
-        ext_dims.extend(check_pairs(cat, [(M, N) for M in reps for N in reps]))
+        dims = check_pairs(cat, [(M, N) for M in reps for N in reps])
+        assert check_ext_from_long_exact_sequence(cat) == len(dims)
+        ext_dims.extend(dims)
 
     check()
     assert max(ext_dims) >= 2

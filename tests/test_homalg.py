@@ -4,7 +4,7 @@ import pytest
 
 from stringalg.artheory import catalog_for
 from stringalg.decomp import decompose
-from stringalg.errors import StringAlgError
+from stringalg.errors import StringAlgError, VerificationError
 from stringalg.homalg import (
     ext1,
     ext1_dim,
@@ -148,6 +148,25 @@ def test_extension_rejects_non_intertwiner(a3):
         extension_of_cocycle(ctx.cover, s2, other)
 
 
+def test_cover_slips_are_computed_once_on_first_use(a3):
+    cover = projective_cover(simple(a3, "1"))
+    assert cover._slips is None
+    ctx = cover.ext(simple(a3, "2"))
+    ctx.extension([1])
+    slips = cover.slips()
+    ctx.extension([2])
+    assert cover.slips() is slips
+
+
+def test_a_section_slipping_out_of_the_syzygy_is_a_verification_error(a3):
+    # P(1) -> S(1) has syzygy S(2); with its inclusion zeroed, the section's
+    # defect along a no longer lies in the image of the syzygy
+    cover = projective_cover(simple(a3, "1"))
+    cover.incl = zero_map(cover.syzygy, cover.cover)
+    with pytest.raises(VerificationError, match="slips out of the syzygy along arrow a"):
+        cover.slips()
+
+
 def test_d4_ext_dimension_m2111(d4sub, fixture_dir):
     m = load_module_literal(d4sub, fixture_dir / "d4sub_m2111.mod")
     s0 = simple(d4sub, "0")
@@ -222,12 +241,14 @@ def test_equal_ext_classes_give_equal_middles(a3):
         assert got == base
 
 
-@pytest.mark.parametrize("name", ["a3", "a3nr", "census_typeA_seed1_04"])
-def test_ext_dimension_from_the_long_exact_hom_sequence(name, fixture_dir):
-    # 0 -> Hom(M, N) -> Hom(P0, N) -> Hom(syz M, N) -> Ext^1(M, N) -> 0, and
-    # Hom(P0, N) by Yoneda: P0 holds dim Hom(M, S(v)) copies of P(v)
-    p = load_presentation(fixture_dir / f"{name}.sba")
-    cat = catalog_for(p)
+def check_ext_from_long_exact_sequence(cat):
+    """On every ordered pair (M, N) of catalog members, from
+    0 -> Hom(M, N) -> Hom(P0, N) -> Hom(syz M, N) -> Ext^1(M, N) -> 0:
+    dim Ext^1(M, N) = hom(syz M, N) - hom(P0, N) + hom(M, N), and
+    hom(P0, N) = sum_v hom(M, S(v)) dim N_v by Yoneda, since P0 holds
+    dim Hom(M, S(v)) copies of P(v).  Returns the number of pairs with
+    extensions."""
+    p = cat.p
     simples = [simple(p, v) for v in p.quiver.vertices]
     nonzero = 0
     for M in cat.entries:
@@ -239,4 +260,10 @@ def test_ext_dimension_from_the_long_exact_hom_sequence(name, fixture_dir):
             expected = hom_dim(cover.syzygy, N.rep) - hom_cover + cat.hom[M.index][N.index]
             assert ext1(cover, N.rep).dim == expected
             nonzero += expected > 0
-    assert nonzero  # 2, 5 and 36 of the 25, 36 and 289 pairs
+    return nonzero
+
+
+@pytest.mark.parametrize("name", ["a3", "a3nr", "census_typeA_seed1_04"])
+def test_ext_dimension_from_the_long_exact_hom_sequence(name, fixture_dir):
+    cat = catalog_for(load_presentation(fixture_dir / f"{name}.sba"))
+    assert check_ext_from_long_exact_sequence(cat)  # 2, 5 and 36 of the 25, 36 and 289 pairs

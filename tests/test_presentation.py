@@ -58,6 +58,13 @@ def test_parse_errors():
     assert "non-composable" in str(err.value)
 
 
+def test_repeated_field_line_is_refused():
+    # the first field line is not silently replaced by a later one
+    with pytest.raises(ParseError) as err:
+        parse_presentation("vertices: 1\nfield: 5\nfield: 7\n")
+    assert str(err.value) == "repeated field line (line 3)"
+
+
 def test_roundtrip(a3, a3nr, gp, kronecker, d4sub):
     for p in (a3, a3nr, gp, kronecker, d4sub):
         text = serialize_presentation(p)

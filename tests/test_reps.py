@@ -1,6 +1,6 @@
 import pytest
 
-from stringalg.errors import StringAlgError
+from stringalg.errors import ParseError, StringAlgError
 from stringalg.linalg import Matrix
 from stringalg.reps import (
     band_module,
@@ -13,7 +13,6 @@ from stringalg.reps import (
     simple,
     string_module,
     subrepresentation,
-    quotient_representation,
 )
 from stringalg.words import Walk, Word, cyclic_word, parse_word
 
@@ -137,22 +136,28 @@ def test_module_literal_roundtrip(d4sub, fixture_dir):
         assert again.mat(a.name) == m.mat(a.name)
 
 
+@pytest.mark.parametrize("body, error", [
+    ("dim: 1=1 2=1\nmap: a 1\nmap: a 0\n", "repeated map for arrow 'a' (line 4)"),
+    ("dim: 1=1 2=1\ndim: 1=2\n", "repeated dimension for vertex '1' (line 3)"),
+    ("dim: 1=1 1=2\n", "repeated dimension for vertex '1' (line 2)"),
+])
+def test_module_literal_refuses_a_repeated_key(a3, body, error):
+    # a later value never silently replaces an earlier one
+    with pytest.raises(ParseError) as err:
+        parse_module_literal(a3, "module\n" + body)
+    assert str(err.value) == error
+
+
 def test_module_literal_indec_variant(d4sub, fixture_dir):
     m = parse_module_literal(d4sub, (fixture_dir / "d4sub_m2111_indec.mod").read_text())
     assert m.mat("a") != m.mat("b")
 
 
-def test_subrepresentation_and_quotient(a3):
+def test_subrepresentation(a3):
     p1 = projective(a3, "1")  # nodes e1 at vertex 1, a at vertex 2
     sub_rows = {"2": Matrix([[1]], a3.q)}
     sub, incl = subrepresentation(p1, sub_rows)
     assert sub.dimension_vector() == {"1": 0, "2": 1, "3": 0}
-    quo, proj, lift = quotient_representation(p1, sub_rows)
-    assert quo.dimension_vector() == {"1": 1, "2": 0, "3": 0}
-    # section followed by projection is the identity on the quotient
-    for v in a3.quiver.vertices:
-        prod = lift[v] @ proj[v]
-        assert prod == Matrix.identity(quo.dim(v), a3.q)
 
 
 def test_subrepresentation_rejects_noninvariant(a3):
