@@ -2,11 +2,15 @@
 
 Over a finite-type string presentation the indecomposables are exactly the
 string modules of the finitely many words.  The almost-split sequence
-ending at a non-projective string module is built by word surgery: at each
-end of the word, add a hook (a direct letter followed by the maximal
-inverse run) when possible, otherwise delete a cohook (the trailing direct
-run together with the inverse letter before it).  The two one-sided
-surgeries give the middle summands, both-sided surgery gives the translate.
+ending at a non-projective string module is built by surgery on the walk
+of its word (Butler and Ringel 1987): at each end, add a hook (a direct
+letter followed by the maximal inverse run) when possible, otherwise delete
+a cohook (the trailing direct run together with the inverse letter before
+it).  One operation works at the right end; the left end is the right end
+of the inverse walk, and a walk with every letter deleted is the trivial
+walk at its source.  The two one-sided surgeries give the middle summands,
+both-sided surgery gives the translate, and each resulting walk is read
+off the catalog, which indexes both readings of every member's word.
 Every sequence is certified against the defect identity
 
     dim Hom(U, tau V) - dim Hom(U, E) + dim Hom(U, V) = [U iso V]
@@ -47,12 +51,11 @@ from .words import (
     enumerate_words,
     format_walk,
     inverse,
-    letter_key,
     letter_target,
     require_string,
     trivial_walk,
     walk_source,
-    word,
+    walk_target,
 )
 
 
@@ -74,8 +77,9 @@ class Catalog:
 
     Construction refuses infinite type, carrying a band witness.  Hom
     spaces between members are precomputed, bases and dimensions, and the
-    projectives are read off the table of dimensions; the weight vector and
-    almost-split data are computed lazily.
+    projectives are read off the table of dimensions; both readings of
+    every member's word are indexed.  The weight vector and almost-split
+    data are computed lazily.
     """
 
     def __init__(self, p: Presentation):
@@ -88,12 +92,15 @@ class Catalog:
         self.p = p
         self.automaton = automaton
         self.entries: list[CatalogEntry] = []
-        self._by_key: dict[tuple, CatalogEntry] = {}
+        # both readings of every member's word, each with the member's nodes
+        # in that reading; a trivial walk is its own inverse
+        self._readings: dict[Walk, tuple[CatalogEntry, list]] = {}
         for w in words:
             rep, nodes = string_module_with_nodes(p, w)
             entry = CatalogEntry(len(self.entries), w, rep, nodes)
             self.entries.append(entry)
-            self._by_key[self._word_key(w)] = entry
+            self._readings[inverse(w.walk)] = (entry, nodes[::-1])
+            self._readings[w.walk] = (entry, nodes)
         self.hom_bases = [
             [hom_basis(u.rep, v.rep) for v in self.entries] for u in self.entries
         ]
@@ -116,19 +123,18 @@ class Catalog:
             projectives += hits
         self.projectives = frozenset(projectives)
 
-    def _word_key(self, w: Word):
-        p = self.p
-        if w.is_trivial:
-            return ("e", w.walk.vertex)
-        fwd = tuple(letter_key(p, l) for l in w.letters)
-        bwd = tuple(letter_key(p, l) for l in inverse(w.walk).letters)
-        return min(fwd, bwd)
-
     def lookup(self, w: Word) -> CatalogEntry:
-        key = self._word_key(w)
-        if key not in self._by_key:
+        if w.walk not in self._readings:
             raise StringAlgError(f"word {format_walk(w.walk)} not in the catalog")
-        return self._by_key[key]
+        return self._readings[w.walk][0]
+
+    def oriented(self, walk: Walk) -> tuple[CatalogEntry, list]:
+        """The member whose word is walk or its inverse, with its nodes in
+        walk's reading.  Word surgery on members only reaches members, so a
+        miss is a construction bug."""
+        if walk not in self._readings:
+            raise VerificationError(f"surgery gave {format_walk(walk)}, not a catalog word")
+        return self._readings[walk]
 
     def profile(self, parts: list[int]) -> list[int]:
         """Hom dimensions from every member into the direct sum of the
@@ -271,77 +277,39 @@ def enumerate_indecomposables(p: Presentation, max_dim: int) -> list[CatalogEntr
 # ---------------------------------------------------------------------------
 
 
-def _direct_extensions(aut: LetterAutomaton, letters: tuple[Letter, ...], endv: str):
-    return [m for m in aut.extensions(letters, endv) if m.is_direct]
+def _direct_extensions(aut: LetterAutomaton, w: Walk) -> list[Letter]:
+    return [m for m in aut.extensions(w.letters, walk_target(aut.p, w)) if m.is_direct]
 
 
-def _walk_end(p: Presentation, letters: tuple[Letter, ...], start: str) -> str:
-    return letter_target(p, letters[-1]) if letters else start
-
-
-# Surgery operates on (letters, anchor) pairs; the anchor is the source
-# vertex, which survives even when every letter is deleted.
-
-
-def _invert_pair(p: Presentation, pair):
-    letters, anchor = pair
-    if not letters:
-        return pair
-    return tuple(l.inverse() for l in reversed(letters)), letter_target(p, letters[-1])
-
-
-def _add_hook_right(aut: LetterAutomaton, pair, beta: Letter):
-    """Append the direct letter beta and then the maximal inverse run."""
-    letters, anchor = pair
-    out = letters + (beta,)
+def _right_end(aut: LetterAutomaton, w: Walk, beta: Letter | None) -> Walk | None:
+    """Surgery at the right end of w.  With a direct letter beta, add the
+    hook: beta followed by the maximal inverse run.  With None, delete the
+    cohook: the trailing direct run and the inverse letter before it; None
+    when w is entirely direct, and the trivial walk at w's source when no
+    letter is left."""
+    p = aut.p
+    if beta is None:
+        k = len(w.letters)
+        while k and w.letters[k - 1].is_direct:
+            k -= 1
+        if not k:
+            return None
+        rest = w.letters[: k - 1]
+        return Walk(rest) if rest else trivial_walk(walk_source(p, w))
+    out = w.letters + (beta,)
     while True:
-        endv = _walk_end(aut.p, out, anchor)
-        inv = [m for m in aut.extensions(out, endv) if not m.is_direct]
+        inv = [m for m in aut.extensions(out, letter_target(p, out[-1])) if not m.is_direct]
         if not inv:
-            return out, anchor
+            return Walk(out)
         if len(inv) > 1:
             raise VerificationError("inverse continuation not unique; axioms violated?")
         out = out + (inv[0],)
 
 
-def _delete_cohook_right(p: Presentation, pair):
-    """Drop the trailing direct run and the inverse letter before it.
-
-    Returns None when the word is entirely direct (nothing to delete); an
-    empty remainder is the trivial word at the anchor.
-    """
-    letters, anchor = pair
-    n = len(letters)
-    m = 0
-    while m < n and letters[n - 1 - m].is_direct:
-        m += 1
-    if m == n:
-        return None
-    return letters[: n - m - 1], anchor
-
-
-@dataclass
-class _EndOp:
-    kind: str  # "add" or "delete"
-    beta: Letter | None = None
-
-
-def _apply_right(aut: LetterAutomaton, op: _EndOp, pair):
-    if op.kind == "add":
-        return _add_hook_right(aut, pair, op.beta)
-    return _delete_cohook_right(aut.p, pair)
-
-
-def _apply_left(aut: LetterAutomaton, op: _EndOp, pair):
-    out = _apply_right(aut, op, _invert_pair(aut.p, pair))
-    return None if out is None else _invert_pair(aut.p, out)
-
-
-def _pair_word(p: Presentation, pair) -> Word:
-    letters, anchor = pair
-    if not letters:
-        return word(p, trivial_walk(anchor))
-    return word(p, Walk(letters))
+def _left_end(aut: LetterAutomaton, w: Walk, beta: Letter | None) -> Walk | None:
+    """Surgery at the left end of w: the right-end surgery of its inverse."""
+    out = _right_end(aut, inverse(w), beta)
+    return None if out is None else inverse(out)
 
 
 @dataclass
@@ -356,7 +324,6 @@ class ARSequence:
     target: Representation
     ses: ShortExactSequence
     middle_summand_count: int
-    defect_checked: bool = False
 
 
 def ar_sequence(p: Presentation, w: Word) -> ARSequence:
@@ -370,69 +337,57 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
         raise StringAlgError(
             f"M({format_walk(entry.word.walk)}) is projective; no almost-split sequence ends there"
         )
-    w = entry.word
-    letters = w.letters
-    start = walk_source(p, w.walk)
-    base = (letters, start)
-
+    w = entry.word.walk
     aut = cat.automaton
-    right_cands = _direct_extensions(aut, letters, _walk_end(p, letters, start))
-    rev_pair = _invert_pair(p, base)
-    left_cands = _direct_extensions(aut, rev_pair[0], _walk_end(p, rev_pair[0], rev_pair[1]))
-    if not letters:
-        # the two ends of a trivial word take distinct extensions
-        pool = sorted(right_cands, key=lambda l: letter_key(p, l))
-        right_cands = pool[:1]
-        left_cands = pool[1:2]
+    right_cands = _direct_extensions(aut, w)
+    left_cands = _direct_extensions(aut, inverse(w))
+    if w.is_trivial:
+        # the two ends of a trivial word take distinct extensions, in
+        # letter_key order
+        right_cands, left_cands = right_cands[:1], right_cands[1:2]
     elif len(right_cands) > 1 or len(left_cands) > 1:
         raise VerificationError("extension not unique at an end; axioms violated?")
-
-    op_r = _EndOp("add", right_cands[0]) if right_cands else _EndOp("delete")
-    op_l = _EndOp("add", left_cands[0]) if left_cands else _EndOp("delete")
+    # each end adds the hook at its direct letter or, with None, deletes a cohook
+    beta_r = right_cands[0] if right_cands else None
+    beta_l = left_cands[0] if left_cands else None
 
     # middle summands: one-sided surgery on w
-    pair_r = _apply_right(aut, op_r, base)
-    pair_l = _apply_left(aut, op_l, base)
+    walk_r = _right_end(aut, w, beta_r)
+    walk_l = _left_end(aut, w, beta_l)
 
     # translate: both ends, additions before deletions so that a deletion
     # may consume into freshly added material on serial words
-    t = base
-    for op, side in ((op_r, "r"), (op_l, "l")):
-        if op.kind == "add":
-            t = _apply_right(aut, op, t) if side == "r" else _apply_left(aut, op, t)
-    for op, side in ((op_r, "r"), (op_l, "l")):
-        if t is not None and op.kind == "delete":
-            t = _apply_right(aut, op, t) if side == "r" else _apply_left(aut, op, t)
+    ends = [(_right_end, beta_r), (_left_end, beta_l)]
+    t = w
+    for end, beta in sorted(ends, key=lambda e: e[1] is None):
+        if t is not None:
+            t = end(aut, t, beta)
     if t is None:
         raise StringAlgError("surgery deleted everything; input looks projective")
 
-    tau_w = _pair_word(p, t)
-    tau_entry, tau_nodes = _oriented_entry(cat, tau_w)
+    tau_entry, tau_nodes = cat.oriented(t)
 
-    # node-offset bookkeeping for the four canonical graph maps; node lists
-    # are re-oriented when the catalog stores the inverse representative
+    # node-offset bookkeeping for the four canonical graph maps; each walk's
+    # nodes come from the catalog in that walk's own reading
     middles: list[CatalogEntry] = []
     maps_from_tau: list[dict] = []
     maps_to_v: list[dict] = []
-    n_w, n_tau = len(letters), len(tau_w.letters)
-    if pair_r is not None:
-        er, er_nodes = _oriented_entry(cat, _pair_word(p, pair_r))
-        n_r = len(pair_r[0])
+    if walk_r is not None:
+        er, er_nodes = cat.oriented(walk_r)
         middles.append(er)
         maps_from_tau.append(
-            graph_map(p, tau_entry.rep, tau_nodes, er.rep, er_nodes, n_r - n_tau)
+            graph_map(p, tau_entry.rep, tau_nodes, er.rep, er_nodes, len(walk_r) - len(t))
         )
         maps_to_v.append(graph_map(p, er.rep, er_nodes, entry.rep, entry.nodes, 0))
-    if pair_l is not None:
-        el, el_nodes = _oriented_entry(cat, _pair_word(p, pair_l))
-        n_l = len(pair_l[0])
+    if walk_l is not None:
+        el, el_nodes = cat.oriented(walk_l)
         middles.append(el)
         # tau and the left-surgery word share their left ends exactly
         maps_from_tau.append(
             graph_map(p, tau_entry.rep, tau_nodes, el.rep, el_nodes, 0)
         )
         maps_to_v.append(
-            graph_map(p, el.rep, el_nodes, entry.rep, entry.nodes, -(n_l - n_w))
+            graph_map(p, el.rep, el_nodes, entry.rep, entry.nodes, -(len(walk_l) - len(w)))
         )
     if not middles:
         raise StringAlgError("empty middle; input looks projective")
@@ -440,8 +395,8 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
     middle_rep = direct_sum([e.rep for e in middles])
     ses = _assemble_ses(p, tau_entry.rep, middle_rep, entry.rep, maps_from_tau, maps_to_v)
     seq = ARSequence(
-        target_word=w,
-        tau_word=tau_w,
+        target_word=entry.word,
+        tau_word=Word(t),
         middle_words=[e.word for e in middles],
         tau=tau_entry.rep,
         middle=middle_rep,
@@ -450,21 +405,7 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
         middle_summand_count=len(middles),
     )
     _check_defect(cat, entry, tau_entry, seq)
-    seq.defect_checked = True
     return seq
-
-
-def _oriented_entry(cat: Catalog, w: Word):
-    """Catalog entry for w together with its nodes enumerated in w's own
-    reading direction (reversed when the stored representative is the
-    inverse word)."""
-    entry = cat.lookup(w)
-    if entry.word.letters == w.letters:
-        return entry, entry.nodes
-    rev = tuple(l.inverse() for l in reversed(entry.word.letters))
-    if rev != w.letters:
-        raise VerificationError("catalog entry does not match the surgery word")
-    return entry, list(reversed(entry.nodes))
 
 
 def _assemble_ses(p, tau_rep, middle_rep, v_rep, maps_from_tau, maps_to_v):

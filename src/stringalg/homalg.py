@@ -455,7 +455,8 @@ def middle_census(
     nlines = (q**k - 1) // (q - 1)
     if nlines > max_lines:
         raise StringAlgError(
-            f"census over {nlines} lines exceeds the cap of {max_lines}"
+            f"census over {nlines} lines exceeds the cap of {max_lines} "
+            f"(Ext^1({cover.module.label}, {N.label}) over F_{q})"
         )
     catalog = finite_type_catalog(N.pres)
     if catalog is not None:

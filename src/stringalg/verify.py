@@ -43,18 +43,20 @@ def middle_term_scan(
     extension space; reports any middle with more than two summands.
 
     With allow_non_string the catalog is the simples, the projectives and
-    any supplied literal modules, each certified indecomposable first.
+    any supplied literal modules.  A simple has dimension 1 and P(v) a local
+    endomorphism ring, so only the literals are certified indecomposable,
+    by decompose.
     """
     modules: list[tuple[str, Representation]] = []
     if allow_non_string:
-        candidates = [(f"S({v})", simple(p, v)) for v in p.quiver.vertices]
-        candidates += [(f"P({v})", projective(p, v)) for v in p.quiver.vertices]
-        candidates += [(f"literal{i}", m) for i, m in enumerate(extra_modules or [])]
+        candidates = [(f"S({v})", simple(p, v), False) for v in p.quiver.vertices]
+        candidates += [(f"P({v})", projective(p, v), False) for v in p.quiver.vertices]
+        candidates += [(f"literal{i}", m, True) for i, m in enumerate(extra_modules or [])]
         seen = []
-        for label, m in candidates:
+        for label, m, literal in candidates:
             if m.total_dim == 0 or m.total_dim > max_dim:
                 continue
-            if decompose(m, seed=seed).summand_count != 1:
+            if literal and decompose(m, seed=seed).summand_count != 1:
                 continue
             # only exact duplicates are dropped, such as S(v) = P(v) at a sink
             key = (m.dimension_vector(), m.mats)

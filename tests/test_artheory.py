@@ -22,7 +22,7 @@ from stringalg.homalg import hom_dim
 from stringalg.presentation import load_presentation, parse_presentation
 from stringalg.reps import direct_sum, projective, simple
 from stringalg.verify import _direct_sums_up_to, degeneration_scan
-from stringalg.words import format_walk, parse_word
+from stringalg.words import Word, format_walk, inverse, parse_word
 
 
 def test_catalog_a3(a3):
@@ -83,7 +83,6 @@ def test_ar_sequence_s1_a3(a3):
     assert format_walk(seq.tau_word.walk) == "e(2)"
     assert seq.middle_summand_count == 1
     assert [format_walk(w.walk) for w in seq.middle_words] == ["a"]
-    assert seq.defect_checked
     seq.ses.verify()
 
 
@@ -122,7 +121,6 @@ def test_ar_middles_bounded(a3, a3nr):
         for e in cat.nonprojective():
             seq = cat.ar_sequence(e)
             assert seq.middle_summand_count <= 2
-            assert seq.defect_checked
 
 
 def test_defect_identity_explicit(a3nr):
@@ -252,7 +250,6 @@ def test_ar_sequences_on_source_quiver():
     assert seq.tau.dimension_vector() == {"1": 1, "2": 1, "3": 1}
     for e in cat.nonprojective():
         s = cat.ar_sequence(e)
-        assert s.defect_checked
         assert s.middle_summand_count <= 2
 
 
@@ -320,6 +317,24 @@ def test_almost_split_sequences_verify_on_drawn_type_a_presentations():
         for e in cat.nonprojective():
             seq = cat.ar_sequence(e)
             seq.ses.verify()
-            assert seq.defect_checked
             two_middles += seq.middle_summand_count == 2
+            # the catalog holds both readings of a word, the inverse one
+            # with the nodes reversed, and either reading names the sequence
+            back = inverse(e.word.walk)
+            for walk, nodes in ((e.word.walk, e.nodes), (back, e.nodes[::-1])):
+                entry, oriented_nodes = cat.oriented(walk)
+                assert entry is e and oriented_nodes == nodes
+            seq_back = ar_sequence(p, Word(back))
+            assert cat.lookup(seq_back.tau_word) is cat.lookup(seq.tau_word)
+            assert [cat.lookup(m) for m in seq_back.middle_words] == [
+                cat.lookup(m) for m in seq.middle_words
+            ]
     assert two_middles > 0
+
+
+def test_a_bumped_hom_entry_fails_the_defect_identity(a3nr):
+    cat = Catalog(a3nr)  # a fresh catalog: the shared one stays intact
+    e = cat.nonprojective()[0]
+    cat.hom[0][e.index] += 1
+    with pytest.raises(VerificationError, match="defect identity fails"):
+        cat.ar_sequence(e)

@@ -121,6 +121,59 @@ def test_verify_main_theorem_d4sub_fails(capsys, fixture_dir):
     assert "VIOLATION" in out and "3 summands" in out
 
 
+D4SUB_SCAN_DIM5 = """seed: 0
+max_dim: 5
+pairs_with_extensions: 13
+verdict: FAIL
+ext(S(1), S(0)) dim=1 middles={1:1}
+ext(S(1), P(2)) dim=1 middles={1:1}
+ext(S(1), P(3)) dim=1 middles={1:1}
+ext(S(1), literal1) dim=1 middles={2:1}
+ext(S(2), S(0)) dim=1 middles={1:1}
+ext(S(2), P(1)) dim=1 middles={1:1}
+ext(S(2), P(3)) dim=1 middles={1:1}
+ext(S(2), literal1) dim=1 middles={2:1}
+ext(S(3), S(0)) dim=1 middles={1:1}
+ext(S(3), P(1)) dim=1 middles={1:1}
+ext(S(3), P(2)) dim=1 middles={1:1}
+ext(S(3), literal1) dim=1 middles={2:1}
+ext(literal1, S(0)) dim=1 middles={3:1}
+VIOLATION: middle with 3 summands for (literal1, S(0))
+"""
+
+
+def test_non_string_scan_decomposes_only_the_literals(capsys, fixture_dir, monkeypatch):
+    # a simple has dimension 1 and P(v) a local endomorphism ring, so of the
+    # ten candidates only the two literals need decompose; literal0 splits
+    # and is dropped
+    import stringalg.verify
+
+    decomposed = []
+    real = stringalg.verify.decompose
+
+    def counted(m, **kwargs):
+        decomposed.append(m)
+        return real(m, **kwargs)
+
+    monkeypatch.setattr(stringalg.verify, "decompose", counted)
+    code, out = run(
+        capsys, "--allow-non-string", "verify-main-theorem", str(fixture_dir / "d4sub.sba"),
+        "--max-dim", "5",
+        "--module", str(fixture_dir / "d4sub_m2111.mod"),
+        "--module", str(fixture_dir / "d4sub_m2111_indec.mod"),
+    )
+    assert code == 1
+    assert len(decomposed) == 2
+    assert out == D4SUB_SCAN_DIM5
+
+
+def test_census_cap_names_the_pair_and_the_field(capsys, fixture_dir):
+    code = main(["--allow-non-string", "verify-main-theorem", str(fixture_dir / "kronecker.sba")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "32004 lines exceeds the cap of 10000 (Ext^1(M(e(1)), M(e(2))) over F_32003)" in err
+
+
 def test_structured_output_deterministic(capsys, fixture_dir):
     args = ["--format", "structured", "validate", str(fixture_dir / "gp.sba")]
     code1 = main(args)
@@ -216,6 +269,28 @@ def test_split_failure_exits_3(capsys, fixture_dir, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert "certificate failed to verify" in err and "do not span" in err
+
+
+def test_surgery_off_the_catalog_exits_3(capsys, fixture_dir, monkeypatch):
+    from stringalg import artheory
+    from stringalg.words import Walk
+
+    # surgery on a member only reaches members, so a result the catalog
+    # lacks (here the hook followed by its own last letter inverted) is a
+    # construction bug, not an input error
+    real = artheory._right_end
+
+    def off_catalog(aut, w, beta):
+        out = real(aut, w, beta)
+        if out is None or out.is_trivial:
+            return out
+        return Walk(out.letters + (out.letters[-1].inverse(),))
+
+    monkeypatch.setattr(artheory, "_right_end", off_catalog)
+    code = main(["ar", str(fixture_dir / "a3.sba"), "--word", "e(1)"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "surgery gave a a^-1, not a catalog word" in err
 
 
 def test_literals_told_apart_by_their_maps(capsys, fixture_dir, tmp_path):
