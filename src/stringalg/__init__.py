@@ -9,10 +9,8 @@ from .presentation import (
     validate_axioms,
 )
 from .words import (
-    CyclicWord,
     Letter,
     Walk,
-    Word,
     canonical_cyclic,
     check_finite_dimensional,
     concat,

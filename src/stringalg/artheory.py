@@ -46,7 +46,6 @@ from .words import (
     Letter,
     LetterAutomaton,
     Walk,
-    Word,
     automaton_for,
     enumerate_words,
     format_walk,
@@ -67,7 +66,7 @@ from .words import (
 @dataclass
 class CatalogEntry:
     index: int
-    word: Word
+    word: Walk
     rep: Representation
     nodes: list  # node placements of the string module
 
@@ -87,7 +86,7 @@ class Catalog:
         automaton = automaton_for(p)
         band = automaton.cyclic_witness()
         if band is not None:
-            raise InfiniteTypeError(format_walk(band.word.walk))
+            raise InfiniteTypeError(format_walk(band))
         words = enumerate_words(p, automaton.state_count)
         self.p = p
         self.automaton = automaton
@@ -99,8 +98,8 @@ class Catalog:
             rep, nodes = string_module_with_nodes(p, w)
             entry = CatalogEntry(len(self.entries), w, rep, nodes)
             self.entries.append(entry)
-            self._readings[inverse(w.walk)] = (entry, nodes[::-1])
-            self._readings[w.walk] = (entry, nodes)
+            self._readings[inverse(w)] = (entry, nodes[::-1])
+            self._readings[w] = (entry, nodes)
         self.hom_bases = [
             [hom_basis(u.rep, v.rep) for v in self.entries] for u in self.entries
         ]
@@ -123,10 +122,10 @@ class Catalog:
             projectives += hits
         self.projectives = frozenset(projectives)
 
-    def lookup(self, w: Word) -> CatalogEntry:
-        if w.walk not in self._readings:
-            raise StringAlgError(f"word {format_walk(w.walk)} not in the catalog")
-        return self._readings[w.walk][0]
+    def lookup(self, w: Walk) -> CatalogEntry:
+        if w not in self._readings:
+            raise StringAlgError(f"word {format_walk(w)} not in the catalog")
+        return self._readings[w][0]
 
     def oriented(self, walk: Walk) -> tuple[CatalogEntry, list]:
         """The member whose word is walk or its inverse, with its nodes in
@@ -316,9 +315,9 @@ def _left_end(aut: LetterAutomaton, w: Walk, beta: Letter | None) -> Walk | None
 class ARSequence:
     """Almost-split sequence 0 -> tau V -> E -> V -> 0 for V = M(word)."""
 
-    target_word: Word
-    tau_word: Word
-    middle_words: list[Word]
+    target_word: Walk
+    tau_word: Walk
+    middle_words: list[Walk]
     tau: Representation
     middle: Representation
     target: Representation
@@ -326,7 +325,7 @@ class ARSequence:
     middle_summand_count: int
 
 
-def ar_sequence(p: Presentation, w: Word) -> ARSequence:
+def ar_sequence(p: Presentation, w: Walk) -> ARSequence:
     cat = catalog_for(p)
     return cat.ar_sequence(cat.lookup(w))
 
@@ -335,9 +334,9 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
     p = cat.p
     if entry.index in cat.projectives:
         raise StringAlgError(
-            f"M({format_walk(entry.word.walk)}) is projective; no almost-split sequence ends there"
+            f"M({format_walk(entry.word)}) is projective; no almost-split sequence ends there"
         )
-    w = entry.word.walk
+    w = entry.word
     aut = cat.automaton
     right_cands = _direct_extensions(aut, w)
     left_cands = _direct_extensions(aut, inverse(w))
@@ -396,7 +395,7 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
     ses = _assemble_ses(p, tau_entry.rep, middle_rep, entry.rep, maps_from_tau, maps_to_v)
     seq = ARSequence(
         target_word=entry.word,
-        tau_word=Word(t),
+        tau_word=t,
         middle_words=[e.word for e in middles],
         tau=tau_entry.rep,
         middle=middle_rep,
@@ -440,7 +439,7 @@ def _check_defect(cat: Catalog, v_entry: CatalogEntry, tau_entry: CatalogEntry, 
         want = 1 if u.index == v_entry.index else 0
         if lhs != want:
             raise VerificationError(
-                f"defect identity fails at U=M({format_walk(u.word.walk)}): {lhs} != {want}"
+                f"defect identity fails at U=M({format_walk(u.word)}): {lhs} != {want}"
             )
 
 
@@ -498,7 +497,7 @@ def riedtmann_witness(M: Representation, N: Representation) -> RiedtmannWitness:
     for u in cat.entries:
         if len(hom_basis(u.rep, left)) != len(hom_basis(u.rep, right)):
             raise VerificationError(
-                f"witness identity fails against M({format_walk(u.word.walk)})"
+                f"witness identity fails against M({format_walk(u.word)})"
             )
     return RiedtmannWitness(X, Y, Z, True)
 

@@ -8,6 +8,11 @@ algebra is domestic.  A non-domestic verdict carries the two cycles as its
 generator pair, checked with the definitional is_cyclic and required to
 leave their state by different letters.
 
+The witness triple x, y, z is searched among the words walked on the same
+automaton: yxy is a word exactly when x and then y can be read on from the
+state that y ends in, and likewise for zxz.  The triple found is checked
+again from the definitions by WitnessTriple.validate.
+
 The witness construction produces an extension of indecomposable modules
 whose middle decomposes into a prescribed prime number of summands: the
 middle is the cycle module on the concatenation of two interleaved band
@@ -35,13 +40,10 @@ from .reps import (
     string_module_with_nodes,
 )
 from .words import (
-    CyclicWord,
     Letter,
     Walk,
-    Word,
     automaton_for,
     canonical_cyclic,
-    cyclic_word,
     format_walk,
     is_cyclic,
     is_primitive,
@@ -49,9 +51,7 @@ from .words import (
     is_word,
     letter_key,
     letter_source,
-    letter_target,
     require_string,
-    walk_words,
     word,
 )
 
@@ -61,26 +61,19 @@ from .words import (
 # ---------------------------------------------------------------------------
 
 
-def find_bands(p: Presentation, max_len: int) -> list[CyclicWord]:
+def find_bands(p: Presentation, max_len: int) -> list[Walk]:
     """All primitive cyclic words of length <= max_len, canonical forms,
     one per rotation/inversion class."""
     automaton = automaton_for(p)
     letters = automaton.letters
-    found: dict[tuple, CyclicWord] = {}
+    found: set[Walk] = set()
     for codes, state in automaton.walk(max_len):
         if not automaton.is_cyclic(codes, state):
             continue
-        w = Word(Walk(tuple(letters[c] for c in codes)))
-        primitive, _, _ = is_primitive(p, w)
-        if not primitive:
-            continue
-        canon = canonical_cyclic(p, w)
-        key = tuple((l.arrow, l.direction.value) for l in canon.letters)
-        if key not in found:
-            found[key] = CyclicWord(canon, True)
-    return sorted(
-        found.values(), key=lambda c: (len(c), [letter_key(p, l) for l in c.letters])
-    )
+        w = Walk(tuple(letters[c] for c in codes))
+        if is_primitive(p, w)[0]:
+            found.add(canonical_cyclic(p, w))
+    return sorted(found, key=lambda c: (len(c), [letter_key(p, l) for l in c.letters]))
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +84,8 @@ def find_bands(p: Presentation, max_len: int) -> list[CyclicWord]:
 @dataclass(frozen=True)
 class ClassificationCertificate:
     verdict: str  # Finite | Domestic | NonDomestic
-    band_witness: CyclicWord | None
-    generator_pair: tuple[Word, Word] | None
+    band_witness: Walk | None
+    generator_pair: tuple[Walk, Walk] | None
     automaton_states: int
 
 
@@ -112,10 +105,10 @@ def classify(p: Presentation) -> ClassificationCertificate:
     cycles = automaton.branching_cycles()
     if cycles is None:
         return ClassificationCertificate("Domestic", band, None, automaton.state_count)
-    g1, g2 = (Word(Walk(tuple(automaton.letters[c] for c in codes))) for codes in cycles)
-    for g in (g1, g2, Word(Walk(g1.letters + g2.letters)), Word(Walk(g2.letters + g1.letters))):
+    g1, g2 = (Walk(tuple(automaton.letters[c] for c in codes)) for codes in cycles)
+    for g in (g1, g2, Walk(g1.letters + g2.letters), Walk(g2.letters + g1.letters)):
         if not is_cyclic(p, g):
-            raise VerificationError(f"{format_walk(g.walk)} from the automaton is not cyclic")
+            raise VerificationError(f"{format_walk(g)} from the automaton is not cyclic")
     if g1.letters[0] == g2.letters[0]:
         raise VerificationError("generator pair leaves its state by one letter")
     return ClassificationCertificate("NonDomestic", band, (g1, g2), automaton.state_count)
@@ -128,13 +121,13 @@ def classify(p: Presentation) -> ClassificationCertificate:
 
 @dataclass(frozen=True)
 class WitnessTriple:
-    x: Word
-    y: Word
-    z: Word
+    x: Walk
+    y: Walk
+    z: Walk
 
     def validate(self, p: Presentation) -> None:
         for part, name in ((self.x, "x"), (self.y, "y"), (self.z, "z")):
-            if is_serial(part.walk):
+            if is_serial(part):
                 raise VerificationError(f"{name} is serial")
         if not (self.y.letters[0].is_direct and self.y.letters[-1].is_direct):
             raise VerificationError("y must start and end with direct letters")
@@ -156,7 +149,7 @@ class WitnessTriple:
             raise VerificationError("expected alpha gamma to lie in the ideal")
 
 
-def _cat(*parts: Word) -> Walk:
+def _cat(*parts: Walk) -> Walk:
     letters = ()
     for part in parts:
         letters = letters + part.letters
@@ -165,51 +158,46 @@ def _cat(*parts: Word) -> Walk:
 
 def find_witness_triple(p: Presentation, search_len: int = 6) -> WitnessTriple | None:
     """Deterministic search for non-serial words x, y, z with yxy and zxz
-    words, y framed by direct letters and z framed by inverse letters."""
+    words, y framed by direct letters and z framed by inverse letters.
+
+    The words are walked on the letter automaton with their end states, so
+    yxy is a word exactly when x and then y can be read on from the end
+    state of y, and likewise zxz from the end state of z.
+    """
     cert = classify(p)
     if cert.verdict != "NonDomestic":
         raise StringAlgError("witness triples only exist over non-domestic presentations")
-    words = [w for w in walk_words(p, search_len) if not is_serial(Walk(w))]
-    ys = [w for w in words if w[0].is_direct and w[-1].is_direct]
-    zs = [w for w in words if not w[0].is_direct and not w[-1].is_direct]
+    automaton = automaton_for(p)
+    # direct letters have even codes; serial words have codes of one parity
+    words = [(w, s) for w, s in automaton.walk(search_len) if len({c & 1 for c in w}) == 2]
+    ys = [(w, s) for w, s in words if not (w[0] | w[-1]) & 1]
+    zs = [(w, s) for w, s in words if w[0] & w[-1] & 1]
     for total in range(6, 3 * search_len + 1):
-        for x in words:
+        for x, _ in words:
             if len(x) >= total - 3:
                 continue
-            for y in ys:
+            for y, y_end in ys:
                 rest = total - len(x) - len(y)
-                if rest < 2:
+                if rest < 2 or automaton.read(y_end, x + y) is None:
                     continue
-                if not _joinable(p, y, x) or not _joinable(p, x, y):
-                    continue
-                yxy = Walk(y + x + y)
-                if not is_word(p, yxy)[0]:
-                    continue
-                for z in zs:
-                    if len(z) != rest:
-                        continue
-                    if not _joinable(p, z, x) or not _joinable(p, x, z):
-                        continue
-                    zxz = Walk(z + x + z)
-                    if not is_word(p, zxz)[0]:
+                for z, z_end in zs:
+                    if len(z) != rest or automaton.read(z_end, x + z) is None:
                         continue
                     # the search enforces all validate checks but the last
                     # two, which S2 then forces: validate is a certificate
                     # here, and a raise is a bug
-                    triple = WitnessTriple(Word(Walk(x)), Word(Walk(y)), Word(Walk(z)))
+                    triple = WitnessTriple(
+                        *(Walk(tuple(automaton.letters[c] for c in w)) for w in (x, y, z))
+                    )
                     triple.validate(p)
                     return triple
     return None
 
 
-def _joinable(p: Presentation, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> bool:
-    return letter_target(p, left[-1]) == letter_source(p, right[0])
-
-
 @dataclass
 class WitnessResult:
-    u: Word
-    v: Word
+    u: Walk
+    v: Walk
     prime_p: int
     field_order: int
     middle: Representation
@@ -342,7 +330,7 @@ def _split_witness_middle(
     """
     q = p.q
     b = len(block)
-    band_word = cyclic_word(p, word(p, Walk(block)))
+    band_word = word(p, Walk(block))
     _, band_place = _nodes_to_indices(p, [letter_source(p, l) for l in block])
     embeddings = []
     for zeta in _roots_of_x_p_plus_1(prime_p, q):

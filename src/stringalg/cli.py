@@ -64,12 +64,12 @@ class Report:
 
 
 def _load(args) -> Presentation:
+    field, q = getattr(args, "field", None), getattr(args, "q", None)
+    if field is not None and q is not None and field != q:
+        raise StringAlgError(f"--field {field} and --q {q} give different field orders")
     p = load_presentation(args.presentation)
-    if getattr(args, "field", None) is not None:
-        p = p.with_field(args.field)
-    if getattr(args, "q", None) is not None:
-        p = p.with_field(args.q)
-    return p
+    order = q if q is not None else field
+    return p if order is None else p.with_field(order)
 
 
 def _module_spec(p: Presentation, spec: str) -> Representation:
@@ -97,7 +97,7 @@ def cmd_words(args) -> int:
     rep.add("max_len", args.max_len)
     rep.add("count", len(ws))
     for w in ws:
-        rep.line(format_walk(w.walk))
+        rep.line(format_walk(w))
     print(rep.emit(args.format), end="")
     return 0
 
@@ -108,11 +108,11 @@ def cmd_classify(args) -> int:
     rep = Report("classify")
     rep.add("verdict", cert.verdict)
     if cert.band_witness is not None:
-        rep.add("band", format_walk(cert.band_witness.word.walk))
+        rep.add("band", format_walk(cert.band_witness))
     if cert.generator_pair is not None:
         g1, g2 = cert.generator_pair
-        rep.add("generator_1", format_walk(g1.walk))
-        rep.add("generator_2", format_walk(g2.walk))
+        rep.add("generator_1", format_walk(g1))
+        rep.add("generator_2", format_walk(g2))
     if args.bound is not None:
         rep.add("bound", args.bound)
     rep.add("automaton_states", cert.automaton_states)
@@ -130,7 +130,7 @@ def cmd_modules(args) -> int:
     for e in entries:
         dv = ",".join(str(e.rep.dim(v)) for v in p.quiver.vertices)
         flag = " projective" if e.index in projectives else ""
-        rep.line(f"M({format_walk(e.word.walk)}) dimvec=({dv}){flag}")
+        rep.line(f"M({format_walk(e.word)}) dimvec=({dv}){flag}")
     print(rep.emit(args.format), end="")
     return 0
 
@@ -182,9 +182,9 @@ def cmd_ar(args) -> int:
     w = parse_word(p, args.word)
     seq = ar_sequence(p, w)
     rep = Report("ar")
-    rep.add("target", format_walk(seq.target_word.walk))
-    rep.add("tau", format_walk(seq.tau_word.walk))
-    rep.add("middle", " + ".join(format_walk(mw.walk) for mw in seq.middle_words))
+    rep.add("target", format_walk(seq.target_word))
+    rep.add("tau", format_walk(seq.tau_word))
+    rep.add("middle", " + ".join(format_walk(mw) for mw in seq.middle_words))
     rep.add("middle_summands", seq.middle_summand_count)
     rep.add("defect_identity", "verified")  # ar_sequence raises unless it holds
     print(rep.emit(args.format), end="")
@@ -221,8 +221,8 @@ def cmd_witness(args) -> int:
     rep.add("seed", args.seed)
     rep.add("p", result.prime_p)
     rep.add("q", result.field_order)
-    rep.add("u", format_walk(result.u.walk))
-    rep.add("v", format_walk(result.v.walk))
+    rep.add("u", format_walk(result.u))
+    rep.add("v", format_walk(result.v))
     rep.add("dim_middle", result.middle.total_dim)
     rep.add("summands", result.summand_count)
     for k, dv in enumerate(result.summand_dimvecs):

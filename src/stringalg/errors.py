@@ -50,9 +50,10 @@ class CatalogError(StringAlgError):
     """The indecomposable catalog is incomplete or inconsistent for the request."""
 
 
-class VerificationError(StringAlgError):
+class VerificationError(Exception):
     """An internal certificate (exactness, defect identity, ...) failed to verify.
 
-    This signals a bug in the construction, not a mathematical outcome;
-    the command line exits with code 3 on it.
+    This signals a bug in the construction, not a mathematical outcome or a
+    usage error, so it is not a StringAlgError; the command line exits with
+    code 3 on it.
     """

@@ -22,11 +22,11 @@ from .errors import ParseError, StringAlgError, VerificationError
 from .linalg import Matrix
 from .presentation import Presentation, parse_decimal
 from .words import (
-    CyclicWord,
     Letter,
-    Word,
+    Walk,
     format_walk,
     is_cyclic,
+    is_primitive,
     letter_source,
     surviving_paths,
     trivial_walk,
@@ -135,7 +135,7 @@ def _nodes_to_indices(p: Presentation, vertices_seq: list[str]):
     return dims, place
 
 
-def string_module(p: Presentation, w: Word) -> Representation:
+def string_module(p: Presentation, w: Walk) -> Representation:
     """The module with one basis element per vertex visit of the word.
 
     A direct letter sends its left node to its right node, an inverse
@@ -144,13 +144,12 @@ def string_module(p: Presentation, w: Word) -> Representation:
     return string_module_with_nodes(p, w)[0]
 
 
-def string_module_with_nodes(p: Presentation, w: Word):
+def string_module_with_nodes(p: Presentation, w: Walk):
     """String module plus the node placement list [(vertex, coordinate)]."""
-    walk = w.walk
-    verts = walk_vertices(p, walk)
+    verts = walk_vertices(p, w)
     dims, place = _nodes_to_indices(p, verts)
     entries: dict[str, list[tuple[int, int]]] = {a.name: [] for a in p.quiver.arrows}
-    for i, l in enumerate(walk.letters):
+    for i, l in enumerate(w.letters):
         left = place[i]
         right = place[i + 1]
         if l.is_direct:
@@ -165,7 +164,7 @@ def string_module_with_nodes(p: Presentation, w: Word):
                 raise StringAlgError("conflicting letter actions; walk is not a word")
             m[r, c] = 1
         mats[a.name] = Matrix(m, p.q)
-    rep = make_representation(p, dims, mats, label=f"M({format_walk(walk)})")
+    rep = make_representation(p, dims, mats, label=f"M({format_walk(w)})")
     return rep, place
 
 
@@ -223,23 +222,23 @@ def cyclic_recipe_module(
     return make_representation(p, dims, mats, label=label)
 
 
-def band_module(p: Presentation, w: CyclicWord, lam: int, n: int) -> Representation:
-    """Band module for a primitive cyclic word; refuses imprimitive input."""
-    if not w.primitive:
+def band_module(p: Presentation, w: Walk, lam: int, n: int) -> Representation:
+    """Band module for a primitive cyclic word; refuses any other walk."""
+    if not is_primitive(p, w)[0]:
         raise StringAlgError(
-            f"band modules need a primitive cyclic word; {format_walk(w.word.walk)} is a proper power"
+            f"band modules need a primitive cyclic word; {format_walk(w)} is a proper power"
         )
-    label = f"B({format_walk(w.word.walk)},{lam % p.q},{n})"
+    label = f"B({format_walk(w)},{lam % p.q},{n})"
     return cyclic_recipe_module(p, w.letters, lam, n, label=label)
 
 
 def module_from_cyclic_word_unrestricted(
-    p: Presentation, w: Word, lam: int, n: int
+    p: Presentation, w: Walk, lam: int, n: int
 ) -> Representation:
     """Same matrix recipe as band_module without the primitivity gate."""
     if not is_cyclic(p, w):
-        raise StringAlgError(f"{format_walk(w.walk)} is not a cyclic word")
-    label = f"C({format_walk(w.walk)},{lam % p.q},{n})"
+        raise StringAlgError(f"{format_walk(w)} is not a cyclic word")
+    label = f"C({format_walk(w)},{lam % p.q},{n})"
     return cyclic_recipe_module(p, w.letters, lam, n, label=label)
 
 

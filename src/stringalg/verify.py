@@ -66,7 +66,7 @@ def middle_term_scan(
             modules.append((label, m))
     else:
         for e in enumerate_indecomposables(p, max_dim):
-            modules.append((f"M({format_walk(e.word.walk)})", e.rep))
+            modules.append((f"M({format_walk(e.word)})", e.rep))
     report = MiddleScanReport(ok=True, pair_count=0)
     for la, ma in modules:
         cover = projective_cover(ma)  # one cover per left module, shared by its row
@@ -107,7 +107,7 @@ def _direct_sums_up_to(cat: Catalog, max_dim: int):
     """All direct sums from the catalog with total dimension <= max_dim,
     one per multiset, as (label, parts) with parts the member indices in
     nondecreasing order.  No module is built."""
-    labels = [f"M({format_walk(e.word.walk)})" for e in cat.entries]
+    labels = [f"M({format_walk(e.word)})" for e in cat.entries]
     out = []
 
     def rec(start: int, chosen: list[int], dim_left: int):

@@ -5,13 +5,15 @@ sequence of letters, or a single vertex (the trivial walk).  A walk is a
 word when it has no factor l l^{-1} and neither it nor its inverse
 contains a relation path as a factor.  Cyclic words are the non-serial
 closed words whose square is again a word; bands are the primitive ones.
-The letter automaton decides which letters may follow a word, and word
-walks follow its edges; is_word and is_cyclic are the checks written from
-the definitions.  Each presentation has one automaton, built on first use
-by automaton_for and kept on the presentation.  Its direct letters also
-answer the questions about paths: the relation-free paths are the walks of
-direct letters, and the algebra is finite dimensional exactly when no cycle
-of direct letters exists.
+Words and cyclic words are walks that pass these checks, not types of
+their own: word, parse_word, is_cyclic and is_primitive check at the
+boundaries and hand the walk back.  The letter automaton decides which
+letters may follow a word, and word walks follow its edges; is_word and
+is_cyclic are the checks written from the definitions.  Each presentation
+has one automaton, built on first use by automaton_for and kept on the
+presentation.  Its direct letters also answer the questions about paths:
+the relation-free paths are the walks of direct letters, and the algebra
+is finite dimensional exactly when no cycle of direct letters exists.
 
 CLI syntax: letters separated by spaces, inverses marked "^-1", trivial
 words written "e(<vertex>)".  Example: "a b^-1 a".
@@ -219,32 +221,12 @@ def is_word(p: Presentation, w: Walk) -> tuple[bool, str | None]:
     return True, None
 
 
-@dataclass(frozen=True)
-class Word:
-    """A walk together with its checked word certificate."""
-
-    walk: Walk
-
-    def __len__(self):
-        return len(self.walk)
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return self.walk.letters
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.walk.is_trivial
-
-    def __repr__(self):
-        return f"Word({format_walk(self.walk)!r})"
-
-
-def word(p: Presentation, w: Walk) -> Word:
+def word(p: Presentation, w: Walk) -> Walk:
+    """w itself, once is_word accepts it."""
     ok, violation = is_word(p, w)
     if not ok:
         raise StringAlgError(f"not a word: {violation}")
-    return Word(w)
+    return w
 
 
 def is_serial(w: Walk) -> bool:
@@ -252,77 +234,46 @@ def is_serial(w: Walk) -> bool:
     return all(l.is_direct for l in w.letters) or all(not l.is_direct for l in w.letters)
 
 
-def is_cyclic(p: Presentation, w: Word) -> bool:
+def is_cyclic(p: Presentation, w: Walk) -> bool:
     """Non-serial, closed, and with a valid square."""
-    walk = w.walk
-    if is_serial(walk):
+    if is_serial(w):
         return False
-    if walk_source(p, walk) != walk_target(p, walk):
+    if walk_source(p, w) != walk_target(p, w):
         return False
-    square = Walk(walk.letters + walk.letters)
-    ok, _ = is_word(p, square)
+    ok, _ = is_word(p, Walk(w.letters + w.letters))
     return ok
 
 
-@dataclass(frozen=True)
-class CyclicWord:
-    word: Word
-    primitive: bool
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return self.word.letters
-
-    def __len__(self):
-        return len(self.word)
-
-    def __repr__(self):
-        return f"CyclicWord({format_walk(self.word.walk)!r})"
-
-
-def cyclic_word(p: Presentation, w: Word) -> CyclicWord:
-    if not is_cyclic(p, w):
-        raise StringAlgError(f"{format_walk(w.walk)} is not a cyclic word")
-    primitive, _, _ = is_primitive(p, w)
-    return CyclicWord(w, primitive)
-
-
-def is_primitive(p: Presentation, w: Word) -> tuple[bool, Word, int]:
+def is_primitive(p: Presentation, w: Walk) -> tuple[bool, Walk, int]:
     """Primitivity of a cyclic word; on failure also the root and exponent.
 
     Returns (True, w, 1) when primitive, else (False, root, r) with
     w = root^r and root itself cyclic.
     """
     if not is_cyclic(p, w):
-        raise StringAlgError("primitivity is only defined for cyclic words")
+        raise StringAlgError(f"{format_walk(w)} is not a cyclic word")
     n = len(w)
     for period in range(1, n):
         if n % period:
             continue
         if all(w.letters[i] == w.letters[i % period] for i in range(n)):
-            root = Word(Walk(w.letters[:period]))
-            return False, root, n // period
+            return False, Walk(w.letters[:period]), n // period
     return True, w, 1
 
 
-def rotations(w: Word) -> list[Word]:
+def rotations(w: Walk) -> list[Walk]:
     n = len(w)
-    return [Word(Walk(w.letters[i:] + w.letters[:i])) for i in range(n)]
+    return [Walk(w.letters[i:] + w.letters[:i]) for i in range(n)]
 
 
-def canonical_cyclic(p: Presentation, w: Word | CyclicWord):
+def canonical_cyclic(p: Presentation, w: Walk) -> Walk:
     """Lexicographically least rotation of w or of its inverse.
 
     The letter order is arrow declaration order with direct before inverse,
-    so the choice is reproducible; the function is idempotent.  The return
-    type matches the input type.
+    so the choice is reproducible; the function is idempotent.
     """
-    base = w.word if isinstance(w, CyclicWord) else w
-    candidates = rotations(base) + rotations(Word(inverse(base.walk)))
-    best = min(candidates, key=lambda ww: [letter_key(p, l) for l in ww.letters])
-    if isinstance(w, CyclicWord):
-        return CyclicWord(best, w.primitive)
-    return best
+    candidates = rotations(w) + rotations(inverse(w))
+    return min(candidates, key=lambda ww: [letter_key(p, l) for l in ww.letters])
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +440,16 @@ class LetterAutomaton:
             return False
         if not ((codes[0] ^ codes[-1]) & 1 or len({c & 1 for c in codes}) == 2):
             return False
-        for c in codes[: self.window]:
+        return self.read(state, codes[: self.window]) is not None
+
+    def read(self, state: int, codes) -> int | None:
+        """The state reached by reading codes on from state, or None when a
+        letter may not follow."""
+        for c in codes:
             state = self.edges[state].get(c)
             if state is None:
-                return False
-        return True
+                return None
+        return state
 
     def find_cycle(self) -> tuple[Letter, ...] | None:
         """Letters along some cycle, or None when the automaton is acyclic."""
@@ -563,7 +519,7 @@ class LetterAutomaton:
         )
         return None if cycle is None else tuple(self.letters[c].arrow for c in cycle)
 
-    def cyclic_witness(self) -> CyclicWord | None:
+    def cyclic_witness(self) -> Walk | None:
         """A primitive cyclic word, or None when no cyclic word exists.
 
         Complete: the automaton has a cycle exactly when a cyclic word
@@ -579,8 +535,8 @@ class LetterAutomaton:
             raise StringAlgError(
                 "automaton cycle did not give a cyclic word; is the algebra finite dimensional?"
             )
-        primitive, root, _ = is_primitive(p, w)
-        return cyclic_word(p, canonical_cyclic(p, w if primitive else root))
+        _, root, _ = is_primitive(p, w)
+        return canonical_cyclic(p, root)
 
 
 def automaton_for(p: Presentation) -> LetterAutomaton:
@@ -635,30 +591,18 @@ def surviving_paths(p: Presentation, v: str) -> list[tuple[str, tuple[str, ...]]
     return out
 
 
-def walk_words(p: Presentation, max_len: int):
-    """Every nonempty word of length at most max_len as a letter tuple.
-
-    Words come level by level in (length, letter_key) order, as walked by
-    LetterAutomaton.walk.
-    """
-    automaton = automaton_for(p)
-    letters = automaton.letters
-    for codes, _ in automaton.walk(max_len):
-        yield tuple(letters[c] for c in codes)
-
-
-def enumerate_words(p: Presentation, max_len: int) -> list[Word]:
+def enumerate_words(p: Presentation, max_len: int) -> list[Walk]:
     """All words of length at most max_len, one per inversion pair {w, w^-1}.
 
     Includes the trivial word at each vertex.  Output is sorted by length
     and then lexicographically by letter keys.
     """
-    out: list[Word] = [Word(trivial_walk(v)) for v in sorted(p.quiver.vertices)]
+    out = [trivial_walk(v) for v in sorted(p.quiver.vertices)]
     automaton = automaton_for(p)
     letters = automaton.letters
     for codes, _ in automaton.walk(max_len):
         if codes <= tuple(c ^ 1 for c in reversed(codes)):
-            out.append(Word(Walk(tuple(letters[c] for c in codes))))
+            out.append(Walk(tuple(letters[c] for c in codes)))
     return out
 
 
@@ -696,5 +640,5 @@ def parse_walk(p: Presentation, text: str) -> Walk:
     return make_walk(p, letters)
 
 
-def parse_word(p: Presentation, text: str) -> Word:
+def parse_word(p: Presentation, text: str) -> Walk:
     return word(p, parse_walk(p, text))

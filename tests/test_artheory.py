@@ -22,22 +22,22 @@ from stringalg.homalg import hom_dim
 from stringalg.presentation import load_presentation, parse_presentation
 from stringalg.reps import direct_sum, projective, simple
 from stringalg.verify import _direct_sums_up_to, degeneration_scan
-from stringalg.words import Word, format_walk, inverse, parse_word
+from stringalg.words import format_walk, inverse, parse_word
 
 
 def test_catalog_a3(a3):
     cat = catalog_for(a3)
     assert len(cat) == 5
-    texts = {format_walk(e.word.walk) for e in cat.entries}
+    texts = {format_walk(e.word) for e in cat.entries}
     assert texts == {"e(1)", "e(2)", "e(3)", "a", "b"}
-    projectives = {format_walk(e.word.walk) for e in cat.entries if e.index in cat.projectives}
+    projectives = {format_walk(e.word) for e in cat.entries if e.index in cat.projectives}
     assert projectives == {"a", "b", "e(3)"}
 
 
 def test_catalog_a3nr(a3nr):
     cat = catalog_for(a3nr)
     assert len(cat) == 6
-    projectives = {format_walk(e.word.walk) for e in cat.entries if e.index in cat.projectives}
+    projectives = {format_walk(e.word) for e in cat.entries if e.index in cat.projectives}
     assert projectives == {"a b", "b", "e(3)"}
 
 
@@ -80,23 +80,23 @@ def test_enumerate_indecomposables(a3):
 
 def test_ar_sequence_s1_a3(a3):
     seq = ar_sequence(a3, parse_word(a3, "e(1)"))
-    assert format_walk(seq.tau_word.walk) == "e(2)"
+    assert format_walk(seq.tau_word) == "e(2)"
     assert seq.middle_summand_count == 1
-    assert [format_walk(w.walk) for w in seq.middle_words] == ["a"]
+    assert [format_walk(w) for w in seq.middle_words] == ["a"]
     seq.ses.verify()
 
 
 def test_ar_sequence_s2_a3(a3):
     seq = ar_sequence(a3, parse_word(a3, "e(2)"))
-    assert format_walk(seq.tau_word.walk) == "e(3)"
-    assert [format_walk(w.walk) for w in seq.middle_words] == ["b"]
+    assert format_walk(seq.tau_word) == "e(3)"
+    assert [format_walk(w) for w in seq.middle_words] == ["b"]
 
 
 def test_ar_sequence_s1_a3nr(a3nr):
     # middle is the length-one string module, translate the simple at 2;
     # certified by the defect identity rather than asserted shape
     seq = ar_sequence(a3nr, parse_word(a3nr, "e(1)"))
-    assert format_walk(seq.tau_word.walk) == "e(2)"
+    assert format_walk(seq.tau_word) == "e(2)"
     assert seq.middle_summand_count == 1
     assert seq.middle.dimension_vector() == {"1": 1, "2": 1, "3": 0}
 
@@ -104,9 +104,9 @@ def test_ar_sequence_s1_a3nr(a3nr):
 def test_ar_sequence_interval_a3nr(a3nr):
     # the almost-split sequence ending at M(a) has a two-summand middle
     seq = ar_sequence(a3nr, parse_word(a3nr, "a"))
-    assert format_walk(seq.tau_word.walk) == "b"
+    assert format_walk(seq.tau_word) == "b"
     assert seq.middle_summand_count == 2
-    mids = sorted(format_walk(w.walk) for w in seq.middle_words)
+    mids = sorted(format_walk(w) for w in seq.middle_words)
     assert mids == ["a b", "e(2)"]
 
 
@@ -134,8 +134,7 @@ def test_defect_identity_explicit(a3nr):
                 - hom_dim(u.rep, seq.middle)
                 + hom_dim(u.rep, seq.target)
             )
-            assert val == (1 if u.word.letters == e.word.letters
-                           and u.word.walk.vertex == e.word.walk.vertex else 0)
+            assert val == (1 if u.word == e.word else 0)
 
 
 def test_ar_sequences_nonsplit(a3, a3nr):
@@ -320,11 +319,11 @@ def test_almost_split_sequences_verify_on_drawn_type_a_presentations():
             two_middles += seq.middle_summand_count == 2
             # the catalog holds both readings of a word, the inverse one
             # with the nodes reversed, and either reading names the sequence
-            back = inverse(e.word.walk)
-            for walk, nodes in ((e.word.walk, e.nodes), (back, e.nodes[::-1])):
+            back = inverse(e.word)
+            for walk, nodes in ((e.word, e.nodes), (back, e.nodes[::-1])):
                 entry, oriented_nodes = cat.oriented(walk)
                 assert entry is e and oriented_nodes == nodes
-            seq_back = ar_sequence(p, Word(back))
+            seq_back = ar_sequence(p, back)
             assert cat.lookup(seq_back.tau_word) is cat.lookup(seq.tau_word)
             assert [cat.lookup(m) for m in seq_back.middle_words] == [
                 cat.lookup(m) for m in seq.middle_words

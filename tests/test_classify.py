@@ -1,5 +1,8 @@
+import random
+
 import numpy as np
 import pytest
+from test_letter_automaton import GP, ND_TWO_LOOPS, brute_force_words
 
 from stringalg.classify import (
     build_witness,
@@ -10,6 +13,7 @@ from stringalg.classify import (
 from stringalg.decomp import decompose
 from stringalg.errors import StringAlgError, VerificationError
 from stringalg.linalg import Matrix
+from stringalg.presentation import Arrow, Presentation, Quiver, validate_axioms
 from stringalg.reps import (
     _nodes_to_indices,
     band_module,
@@ -19,12 +23,14 @@ from stringalg.reps import (
 from stringalg.words import (
     LetterAutomaton,
     Walk,
-    Word,
     automaton_for,
     canonical_cyclic,
+    check_finite_dimensional,
     format_walk,
     is_cyclic,
     is_primitive,
+    is_serial,
+    is_word,
     letter_source,
 )
 
@@ -38,7 +44,7 @@ def test_automaton_cycle_gp(gp, kronecker):
     for p in (gp, kronecker):
         band = automaton_for(p).cyclic_witness()
         assert band is not None
-        assert band.primitive
+        assert is_primitive(p, band)[0]
 
 
 def test_find_bands_a3(a3):
@@ -49,19 +55,18 @@ def test_find_bands_kronecker(kronecker):
     for bound in (2, 4, 8):
         bands = find_bands(kronecker, bound)
         assert len(bands) == 1
-        assert format_walk(bands[0].word.walk) == "a b^-1"
+        assert format_walk(bands[0]) == "a b^-1"
 
 
 def test_find_bands_gp(gp):
     bands = find_bands(gp, 8)
     assert len(bands) >= 3
-    texts = {format_walk(b.word.walk) for b in bands}
+    texts = {format_walk(b) for b in bands}
     assert "a b^-1" in texts
     assert "a b a^-1 b^-1" in texts
     # canonicalization is a fixed point on every output
     for b in bands:
-        again = canonical_cyclic(gp, b.word)
-        assert again.letters == b.word.letters
+        assert canonical_cyclic(gp, b) == b
 
 
 def test_branching_cycles_a3(a3):
@@ -71,11 +76,11 @@ def test_branching_cycles_a3(a3):
 def test_branching_cycles_gp(gp):
     automaton = automaton_for(gp)
     cycles = automaton.branching_cycles()
-    g1, g2 = (Word(Walk(tuple(automaton.letters[c] for c in codes))) for codes in cycles)
-    assert format_walk(g1.walk) == "b a b a^-1"
-    assert format_walk(g2.walk) == "b^-1 a b a^-1"
+    g1, g2 = (Walk(tuple(automaton.letters[c] for c in codes)) for codes in cycles)
+    assert format_walk(g1) == "b a b a^-1"
+    assert format_walk(g2) == "b^-1 a b a^-1"
     # both cycles and both products of them are cyclic words
-    for g in (g1, g2, Word(Walk(g1.letters + g2.letters)), Word(Walk(g2.letters + g1.letters))):
+    for g in (g1, g2, Walk(g1.letters + g2.letters), Walk(g2.letters + g1.letters)):
         assert is_cyclic(gp, g)
 
 
@@ -128,6 +133,71 @@ def test_witness_triple_gp(gp):
     # different directions
     assert triple.y.letters[-1].is_direct
     assert not triple.z.letters[-1].is_direct
+
+
+def reference_witness_triple(p, search_len):
+    """The triple search written from the definitions: x, y, z as letter
+    tuples, in find_witness_triple's loop order, over the words listed by
+    brute force, with every candidate yxy and zxz checked by is_word."""
+    words = [w for w in brute_force_words(p, search_len) if not is_serial(Walk(w))]
+    ys = [w for w in words if w[0].is_direct and w[-1].is_direct]
+    zs = [w for w in words if not w[0].is_direct and not w[-1].is_direct]
+    for total in range(6, 3 * search_len + 1):
+        for x in words:
+            if len(x) >= total - 3:
+                continue
+            for y in ys:
+                rest = total - len(x) - len(y)
+                if rest < 2 or not is_word(p, Walk(y + x + y))[0]:
+                    continue
+                for z in zs:
+                    if len(z) == rest and is_word(p, Walk(z + x + z))[0]:
+                        return x, y, z
+    return None
+
+
+def drawn_nondomestic_presentations(seed, count):
+    """Non-domestic string presentations over F_23, drawn from a seeded
+    generator: one to three vertices, two to four arrows, and up to four
+    monomial relations of length two or three."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        vertices = tuple(str(i) for i in range(rng.randint(1, 3)))
+        arrows = tuple(
+            Arrow(f"x{i}", rng.choice(vertices), rng.choice(vertices))
+            for i in range(rng.randint(2, 4))
+        )
+        relations = set()
+        for _ in range(rng.randint(0, 4)):
+            path = [rng.choice(arrows)]
+            for _ in range(rng.randint(2, 3) - 1):
+                successors = [a for a in arrows if a.source == path[-1].target]
+                if not successors:
+                    break
+                path.append(rng.choice(successors))
+            if len(path) >= 2:
+                relations.add(tuple(a.name for a in path))
+        p = Presentation(Quiver(vertices, arrows), tuple(sorted(relations)))
+        if (validate_axioms(p).is_string and check_finite_dimensional(p)[0]
+                and classify(p).verdict == "NonDomestic"):
+            out.append(p.with_field(23))
+    return out
+
+
+def test_witness_triple_search_matches_is_word_reference():
+    presentations = [GP.with_field(23), ND_TWO_LOOPS.with_field(23)]
+    presentations += drawn_nondomestic_presentations(seed=1, count=30)
+    found = {}
+    for search_len in (4, 6, 7):
+        for p in presentations:
+            triple = find_witness_triple(p, search_len)
+            got = None if triple is None else (triple.x.letters, triple.y.letters, triple.z.letters)
+            assert got == reference_witness_triple(p, search_len)
+            found[search_len] = found.get(search_len, 0) + (got is not None)
+    # short searches miss some triples, longer ones find one everywhere
+    assert 0 < found[4] < len(presentations)
+    assert found[7] == len(presentations)
 
 
 def test_witness_triple_a3_refused(a3):

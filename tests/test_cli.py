@@ -271,13 +271,13 @@ def test_split_failure_exits_3(capsys, fixture_dir, monkeypatch):
     assert "certificate failed to verify" in err and "do not span" in err
 
 
-def test_surgery_off_the_catalog_exits_3(capsys, fixture_dir, monkeypatch):
+@pytest.fixture
+def off_catalog_surgery(monkeypatch):
+    """Right-end surgery that appends the inverse of its own last letter, so
+    that its result is missing from the catalog."""
     from stringalg import artheory
     from stringalg.words import Walk
 
-    # surgery on a member only reaches members, so a result the catalog
-    # lacks (here the hook followed by its own last letter inverted) is a
-    # construction bug, not an input error
     real = artheory._right_end
 
     def off_catalog(aut, w, beta):
@@ -287,10 +287,49 @@ def test_surgery_off_the_catalog_exits_3(capsys, fixture_dir, monkeypatch):
         return Walk(out.letters + (out.letters[-1].inverse(),))
 
     monkeypatch.setattr(artheory, "_right_end", off_catalog)
+
+
+def test_surgery_off_the_catalog_exits_3(capsys, fixture_dir, off_catalog_surgery):
+    # surgery on a member only reaches members, so a result the catalog
+    # lacks is a construction bug, not an input error
     code = main(["ar", str(fixture_dir / "a3.sba"), "--word", "e(1)"])
     err = capsys.readouterr().err
     assert code == 3
     assert "surgery gave a a^-1, not a catalog word" in err
+
+
+def test_a_construction_bug_is_not_a_usage_error(capsys, fixture_dir, off_catalog_surgery):
+    from stringalg.artheory import ar_sequence
+    from stringalg.errors import StringAlgError, VerificationError
+    from stringalg.presentation import load_presentation
+    from stringalg.words import parse_word
+
+    assert not issubclass(VerificationError, StringAlgError)
+    # a handler for usage errors lets the construction bug through
+    p = load_presentation(fixture_dir / "a3.sba")
+    with pytest.raises(VerificationError, match="not a catalog word"):
+        try:
+            ar_sequence(p, parse_word(p, "e(1)"))
+        except StringAlgError:
+            pytest.fail("a VerificationError was caught as a StringAlgError")
+    assert main(["ar", str(fixture_dir / "a3.sba"), "--word", "e(1)"]) == 3
+    assert "certificate failed to verify" in capsys.readouterr().err
+
+
+def test_field_and_q_that_differ_are_a_usage_error(capsys, fixture_dir):
+    code = main(["--field", "5", "witness", str(fixture_dir / "gp.sba"), "--p", "11", "--q", "23"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--field 5" in err and "--q 23" in err
+
+
+def test_field_and_q_that_agree_are_accepted(capsys, fixture_dir):
+    code, out = run(
+        capsys, "--format", "structured", "--field", "23", "witness",
+        str(fixture_dir / "gp.sba"), "--p", "11", "--q", "23",
+    )
+    assert code == 0
+    assert "q=23" in out.splitlines() and "summands=11" in out.splitlines()
 
 
 def test_literals_told_apart_by_their_maps(capsys, fixture_dir, tmp_path):

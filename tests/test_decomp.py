@@ -22,7 +22,7 @@ from stringalg.reps import (
     simple,
     string_module,
 )
-from stringalg.words import cyclic_word, parse_word
+from stringalg.words import parse_word
 
 
 def a3_catalog(a3):
@@ -63,7 +63,7 @@ def test_gp_imprimitive_square_splits_into_two_bands(gp):
     m = module_from_cyclic_word_unrestricted(gp, w, 1, 1)
     report = decompose(m)
     assert report.summand_count == 2
-    root = cyclic_word(gp, parse_word(gp, "a b^-1"))
+    root = parse_word(gp, "a b^-1")
     probes = [band_module(gp, root, lam, 1) for lam in (1, 2)] + [simple(gp, "v")]
     for s in report.summands:
         assert s.total_dim == 2
@@ -79,7 +79,7 @@ def test_string_modules_indecomposable(a3, gp):
 
 
 def test_band_modules_indecomposable(gp):
-    w = cyclic_word(gp, parse_word(gp, "a b^-1"))
+    w = parse_word(gp, "a b^-1")
     for n in (1, 2):
         report = decompose(band_module(gp, w, 1, n))
         assert report.summand_count == 1
@@ -87,14 +87,14 @@ def test_band_modules_indecomposable(gp):
 
 def test_band_parameter_separation(gp, kronecker):
     # different eigenvalues give non-isomorphic bands: hom dimensions differ
-    w = cyclic_word(gp, parse_word(gp, "a b^-1"))
+    w = parse_word(gp, "a b^-1")
     b1 = band_module(gp, w, 1, 1)
     b2 = band_module(gp, w, 2, 1)
     # over gp a socle-to-top map survives between different eigenvalues,
     # but the self-hom count separates the isomorphism classes
     assert hom_dim(b1, b2) == 1
     assert hom_dim(b1, b1) == 2
-    wk = cyclic_word(kronecker, parse_word(kronecker, "a b^-1"))
+    wk = parse_word(kronecker, "a b^-1")
     k1 = band_module(kronecker, wk, 1, 1)
     k2 = band_module(kronecker, wk, 2, 1)
     assert hom_dim(k1, k2) == 0
@@ -215,7 +215,7 @@ def _krylov_by_rank(M, f, rng):
 
 
 def test_krylov_minpoly_matches_rank_reference(a3, gp):
-    band = band_module(gp, cyclic_word(gp, parse_word(gp, "a b a^-1 b^-1")), 2, 2)
+    band = band_module(gp, parse_word(gp, "a b a^-1 b^-1"), 2, 2)
     for m in (band, direct_sum(a3_catalog(a3) + [projective(a3, "1")])):
         endo = hom_basis(m, m)
         for seed in range(6):
@@ -226,7 +226,7 @@ def test_krylov_minpoly_matches_rank_reference(a3, gp):
 
 
 def test_random_combination_matches_scaled_sum(a3, gp):
-    band = band_module(gp, cyclic_word(gp, parse_word(gp, "a b a^-1 b^-1")), 2, 2)
+    band = band_module(gp, parse_word(gp, "a b a^-1 b^-1"), 2, 2)
     for m in (band, direct_sum(a3_catalog(a3))):
         endo = hom_basis(m, m)
         rng = random.Random(7)

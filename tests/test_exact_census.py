@@ -86,7 +86,7 @@ def test_exact_census_matches_reference_on_the_full_catalog(name, request):
 def test_scan_at_max_dim_4_matches_reference(name, request):
     p = request.getfixturevalue(name)
     report = middle_term_scan(p, 4)
-    labels = {f"M({format_walk(e.word.walk)})": e.rep for e in catalog_for(p).entries}
+    labels = {f"M({format_walk(e.word)})": e.rep for e in catalog_for(p).entries}
     assert report.findings
     for f in report.findings:
         reference = reference_census(projective_cover(labels[f.left_label]), labels[f.right_label])

@@ -42,6 +42,7 @@ CASES = {
     "ar_a3_e1": ["ar", "a3.sba", "--word", "e(1)"],
     "witness_gp_p11_q23": ["witness", "gp.sba", "--p", "11", "--q", "23"],
     "witness_gp_p13_q53": ["witness", "gp.sba", "--p", "13", "--q", "53"],
+    "witness_nd_two_loops_p11_q23": ["witness", "nd_two_loops.sba", "--p", "11", "--q", "23"],
 }
 
 

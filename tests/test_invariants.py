@@ -10,8 +10,6 @@ from stringalg.homalg import ext1, hom_dim, projective_cover
 from stringalg.reps import band_module, direct_sum, string_module
 from stringalg.words import (
     Walk,
-    Word,
-    cyclic_word,
     enumerate_words,
     inverse,
     is_cyclic,
@@ -30,7 +28,7 @@ def test_string_module_inversion_invariant(gp, a3nr):
         for t in texts:
             w = parse_word(p, t)
             m1 = string_module(p, w)
-            m2 = string_module(p, word(p, inverse(w.walk)))
+            m2 = string_module(p, word(p, inverse(w)))
             assert hom_profile(probes, m1) == hom_profile(probes, m2)
             assert m1.dimension_vector() == m2.dimension_vector()
 
@@ -39,16 +37,16 @@ def test_band_rotation_inversion_invariant(gp):
     w = parse_word(gp, "a b a^-1 b^-1")
     assert is_cyclic(gp, w)
     probes = [string_module(gp, u) for u in enumerate_words(gp, 3)]
-    base = band_module(gp, cyclic_word(gp, w), 2, 1)
+    base = band_module(gp, w, 2, 1)
     reference = hom_profile(probes, base)
     letters = w.letters
     for i in range(1, len(letters)):
-        rot = Word(Walk(letters[i:] + letters[:i]))
-        m = band_module(gp, cyclic_word(gp, rot), 2, 1)
+        rot = Walk(letters[i:] + letters[:i])
+        m = band_module(gp, rot, 2, 1)
         assert hom_profile(probes, m) == reference
-    inv = word(gp, inverse(w.walk))
+    inv = word(gp, inverse(w))
     # the inverse band with inverted eigenvalue is the isomorphic one
-    m_inv = band_module(gp, cyclic_word(gp, inv), pow(2, -1, gp.q), 1)
+    m_inv = band_module(gp, inv, pow(2, -1, gp.q), 1)
     assert hom_profile(probes, m_inv) == reference
 
 

@@ -24,8 +24,8 @@ from stringalg.words import (
     Direction,
     Letter,
     Walk,
-    Word,
     all_letters,
+    automaton_for,
     canonical_cyclic,
     check_finite_dimensional,
     is_cyclic,
@@ -35,7 +35,6 @@ from stringalg.words import (
     letter_source,
     letter_target,
     surviving_paths,
-    walk_words,
 )
 
 
@@ -63,6 +62,12 @@ def presentations(draw, min_arrows, string_only):
     return p
 
 
+def walk_words(p, max_len):
+    """The words walked by the letter automaton, as letter tuples."""
+    automaton = automaton_for(p)
+    return [tuple(automaton.letters[c] for c in codes) for codes, _ in automaton.walk(max_len)]
+
+
 def brute_force_words(p, max_len):
     """Composable letter sequences that pass is_word, in (length, letter_key)
     order.  Factors of words are words, so each length extends the last."""
@@ -88,7 +93,7 @@ def reference_n_alpha_generators(p, alpha, max_len):
 
     def member(letters):
         return (letters[0] == first and not letters[-1].is_direct
-                and is_cyclic(p, Word(Walk(letters))))
+                and is_cyclic(p, Walk(letters)))
 
     members = set()
     out = []
@@ -98,7 +103,7 @@ def reference_n_alpha_generators(p, alpha, max_len):
         members.add(letters)
         if not any(letters[:i] in members and member(letters[i:])
                    for i in range(1, len(letters))):
-            out.append(Word(Walk(letters)))
+            out.append(Walk(letters))
     return out
 
 
@@ -106,7 +111,7 @@ def reference_band_letters(p, max_len):
     """Canonical letters of the primitive cyclic words, decided by is_cyclic."""
     found = set()
     for letters in walk_words(p, max_len):
-        w = Word(Walk(letters))
+        w = Walk(letters)
         if is_cyclic(p, w) and is_primitive(p, w)[0]:
             found.add(canonical_cyclic(p, w).letters)
     return sorted(found, key=lambda ls: (len(ls), [letter_key(p, l) for l in ls]))
@@ -123,7 +128,7 @@ PROPERTY = settings(
 @PROPERTY
 @given(presentations(min_arrows=2, string_only=True), st.integers(0, 6))
 def test_walk_words_matches_brute_force(p, max_len):
-    assert list(walk_words(p, max_len)) == brute_force_words(p, max_len)
+    assert walk_words(p, max_len) == brute_force_words(p, max_len)
 
 
 # fixtures/gp.sba and fixtures/nd_two_loops.sba: non-domestic, which about
@@ -154,7 +159,7 @@ def test_classify_verdict_matches_n_alpha_reference(p):
     if cert.verdict == "NonDomestic":
         g1, g2 = cert.generator_pair
         for letters in (g1.letters, g2.letters, g1.letters + g2.letters, g2.letters + g1.letters):
-            assert is_cyclic(p, Word(Walk(letters)))
+            assert is_cyclic(p, Walk(letters))
         # they leave their state by a direct and an inverse letter, in
         # either order, so their first letters differ
         assert g1.letters[0].is_direct != g2.letters[0].is_direct

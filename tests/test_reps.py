@@ -14,7 +14,7 @@ from stringalg.reps import (
     string_module,
     subrepresentation,
 )
-from stringalg.words import Walk, Word, cyclic_word, parse_word
+from stringalg.words import Walk, is_primitive, parse_word
 
 
 def test_simple_module(a3):
@@ -37,7 +37,7 @@ def test_string_module_checks_relations(a3):
     # the walk "a b" is killed by the relation, so no module may be built on it
     bad_walk = Walk(parse_word(a3, "a").letters + parse_word(a3, "b").letters)
     with pytest.raises(StringAlgError):
-        string_module(a3, Word(bad_walk))
+        string_module(a3, bad_walk)
 
 
 def test_string_module_gp_words(gp):
@@ -47,8 +47,8 @@ def test_string_module_gp_words(gp):
 
 
 def test_band_module_kronecker(kronecker):
-    w = cyclic_word(kronecker, parse_word(kronecker, "a b^-1"))
-    assert w.primitive
+    w = parse_word(kronecker, "a b^-1")
+    assert is_primitive(kronecker, w)[0]
     b = band_module(kronecker, w, 1, 1)
     assert b.total_dim == 2
     assert b.dimension_vector() == {"1": 1, "2": 1}
@@ -59,29 +59,34 @@ def test_band_module_kronecker(kronecker):
 def test_band_module_refuses_imprimitive(gp):
     w = parse_word(gp, "a b^-1 a b^-1")
     with pytest.raises(StringAlgError):
-        band_module(gp, cyclic_word(gp, w), 1, 1)
+        band_module(gp, w, 1, 1)
     # the unrestricted recipe accepts it
     m = module_from_cyclic_word_unrestricted(gp, w, 1, 1)
     assert m.total_dim == 4
 
 
+def test_band_module_refuses_a_walk_that_is_not_cyclic(gp):
+    # a serial word has no band; the refusal is a usage error, not a bug
+    with pytest.raises(StringAlgError, match="not a cyclic word"):
+        band_module(gp, parse_word(gp, "a b"), 1, 1)
+
+
 def test_band_module_refuses_lambda_zero(gp):
-    w = cyclic_word(gp, parse_word(gp, "a b^-1"))
+    w = parse_word(gp, "a b^-1")
     with pytest.raises(StringAlgError):
         band_module(gp, w, 0, 1)
 
 
 def test_unrestricted_matches_band_on_primitive(gp):
     w = parse_word(gp, "a b^-1")
-    cw = cyclic_word(gp, w)
-    b1 = band_module(gp, cw, 5, 2)
+    b1 = band_module(gp, w, 5, 2)
     b2 = module_from_cyclic_word_unrestricted(gp, w, 5, 2)
     for a in gp.quiver.arrows:
         assert b1.mat(a.name) == b2.mat(a.name)
 
 
 def test_band_dim_formula(gp):
-    w = cyclic_word(gp, parse_word(gp, "a b a^-1 b^-1"))
+    w = parse_word(gp, "a b a^-1 b^-1")
     for n in (1, 2, 3):
         assert band_module(gp, w, 1, n).total_dim == n * len(w)
 

@@ -10,7 +10,6 @@ from stringalg.words import (
     Letter,
     Verdict,
     Walk,
-    Word,
     canonical_cyclic,
     concat,
     enumerate_words,
@@ -113,7 +112,7 @@ def test_is_word_gp_examples(gp):
     assert not ok and "relation a a" in why
     w = W(gp, "a", "b", "a-")
     assert is_word(gp, w)[0]
-    assert not is_cyclic(gp, Word(w))  # square has a^-1 a
+    assert not is_cyclic(gp, w)  # square has a^-1 a
     sq = Walk(w.letters + w.letters)
     ok, why = is_word(gp, sq)
     assert not ok
@@ -134,26 +133,26 @@ def test_relation_in_inverse_reading(gp):
 
 
 def test_is_cyclic_examples(gp, a3):
-    assert is_cyclic(gp, Word(W(gp, "a", "b-")))
-    assert not is_cyclic(gp, Word(W(gp, "a", "b")))  # serial
+    assert is_cyclic(gp, W(gp, "a", "b-"))
+    assert not is_cyclic(gp, W(gp, "a", "b"))  # serial
     # exhaustively: a3 has no cyclic word at all
     for w in enumerate_words(a3, 6):
         assert not is_cyclic(a3, w)
 
 
 def test_cyclic_rotation_invariance(gp):
-    w = Word(W(gp, "a", "b", "a-", "b-"))
+    w = W(gp, "a", "b", "a-", "b-")
     assert is_cyclic(gp, w)
     letters = w.letters
     for i in range(len(letters)):
-        rot = Word(Walk(letters[i:] + letters[:i]))
+        rot = Walk(letters[i:] + letters[:i])
         assert is_cyclic(gp, rot)
 
 
 def test_is_primitive(gp):
-    w = Word(W(gp, "a", "b-"))
+    w = W(gp, "a", "b-")
     assert is_primitive(gp, w) == (True, w, 1)
-    ww = Word(W(gp, "a", "b-", "a", "b-"))
+    ww = W(gp, "a", "b-", "a", "b-")
     prim, root, r = is_primitive(gp, ww)
     assert not prim and r == 2
     assert root.letters == (L("a"), L("b-"))
@@ -163,14 +162,14 @@ def test_is_primitive(gp):
 
 
 def test_canonical_cyclic(gp):
-    w = Word(W(gp, "a", "b-"))
+    w = W(gp, "a", "b-")
     forms = set()
     letters = w.letters
     for i in range(2):
-        rot = Word(Walk(letters[i:] + letters[:i]))
+        rot = Walk(letters[i:] + letters[:i])
         if is_cyclic(gp, rot):
             forms.add(canonical_cyclic(gp, rot).letters)
-        forms.add(canonical_cyclic(gp, Word(inverse(rot.walk))).letters)
+        forms.add(canonical_cyclic(gp, inverse(rot)).letters)
     assert len(forms) == 1
     c = canonical_cyclic(gp, w)
     assert canonical_cyclic(gp, c) == c
@@ -183,7 +182,7 @@ def test_canonical_cyclic_random(gp):
     cyclics = [w for w in words if is_cyclic(gp, w)]
     for w in cyclics:
         assert canonical_cyclic(gp, w).letters == canonical_cyclic(
-            gp, Word(inverse(w.walk))
+            gp, inverse(w)
         ).letters
         count += 1
     assert count >= 3
@@ -192,7 +191,7 @@ def test_canonical_cyclic_random(gp):
 def test_enumerate_words_a3(a3):
     ws = enumerate_words(a3, 2)
     assert len(ws) == 5
-    texts = {format_walk(w.walk) for w in ws}
+    texts = {format_walk(w) for w in ws}
     assert texts == {"e(1)", "e(2)", "e(3)", "a", "b"}
 
 
