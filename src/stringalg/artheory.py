@@ -32,7 +32,7 @@ from .errors import (
     StringAlgError,
     VerificationError,
 )
-from .homalg import Ext1Context, Intertwiner, ShortExactSequence, composites, hom_basis
+from .homalg import CoverData, Ext1Context, Intertwiner, ShortExactSequence, composites, hom_basis
 from .linalg import Matrix, solve_rational
 from .presentation import Presentation
 from .reps import (
@@ -180,6 +180,43 @@ class Catalog:
             self._weights = w
         return self._weights
 
+    def ext_dim(self, cover: CoverData, n: Representation) -> int:
+        """dim Ext^1(M, n) for members M = cover.module and n, from the long
+        exact Hom sequence of 0 -> syzygy -> P0 -> M -> 0:
+
+            dim Ext^1(M, n) = hom(syzygy, n) - hom(P0, n) + hom(M, n).
+
+        hom(P0, n) is sum_v top_v dim n_v by Yoneda and hom(M, n) is read
+        off the table, so the only solve is the unverified kernel count of
+        Hom(syzygy, n), kept on the cover.  A negative value is a
+        construction bug."""
+        value = (
+            cover.syzygy_hom_count(n)
+            - sum(t * n.dim(v) for v, t in cover.top.items())
+            + self.hom[self._members[cover.module]][self._members[n]]
+        )
+        if value < 0:
+            raise VerificationError(
+                f"long exact Hom sequence gives dim Ext^1({cover.module.label}, "
+                f"{n.label}) = {value}"
+            )
+        return value
+
+    def ext(self, cover: CoverData, n: Representation) -> Ext1Context | None:
+        """Ext^1(M, n) on cover for members M = cover.module and n: None when
+        ext_dim is 0, otherwise cover.ext(n), whose verified basis must
+        have ext_dim's dimension; a mismatch is a construction bug."""
+        expected = self.ext_dim(cover, n)
+        if not expected:
+            return None
+        ctx = cover.ext(n)
+        if ctx.dim != expected:
+            raise VerificationError(
+                f"Ext^1({cover.module.label}, {n.label}) has a basis of {ctx.dim} "
+                f"but the long exact Hom sequence gives {expected}"
+            )
+        return ctx
+
     def middle_counter(self, ctx: Ext1Context) -> Callable[[tuple[int, ...]], int]:
         """Exact summand count of the middle E_c of the cocycle with
         coefficients c in ctx's Ext basis, for 0 -> N -> E_c -> M -> 0.
@@ -189,20 +226,23 @@ class Catalog:
         Hom(N, Y) -> Ext^1(M, Y), whose last map sends h to the class of c
         then h.  So dim Hom(E_c, Y) = hom(M, Y) + hom(N, Y) - its rank, and
         weighing by w leaves summands(M) + summands(N) - sum_Y w_Y rank.
-        Only Y with w_Y, Hom(N, Y) and Ext^1(M, Y) all nonzero contribute;
-        the map is linear in c, so its matrix at each Ext basis cocycle is
-        found once per Y and each c costs one small rank per Y."""
+        Only Y with w_Y, Hom(N, Y) and Ext^1(M, Y) all nonzero contribute,
+        and when M is a member ext_dim rules out the Y without extensions
+        before any Ext basis is computed; the map is linear in c, so its
+        matrix at each Ext basis cocycle is found once per Y and each c
+        costs one small rank per Y."""
         w = self.weights
         cover, N = ctx.cover, ctx.N
         q = N.q
+        member = cover.module in self._members
         from_m, from_n = self.bases_from(cover.module), self.bases_from(N)
         split = sum(x * (len(a) + len(b)) for x, a, b in zip(w, from_m, from_n))
         deltas = []  # (w_Y, matrices of the map at each basis cocycle)
         for y in self.entries:
             if not w[y.index] or not from_n[y.index]:
                 continue
-            ext_y = cover.ext(y.rep)
-            if not ext_y.dim:
+            ext_y = self.ext(cover, y.rep) if member else cover.ext(y.rep)
+            if ext_y is None or not ext_y.dim:
                 continue
             maps = composites(ctx.basis, from_n[y.index])
             k, h, width = maps.shape

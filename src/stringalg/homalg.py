@@ -89,16 +89,19 @@ def identity_map(M: Representation) -> Intertwiner:
 # ---------------------------------------------------------------------------
 
 
-def hom_basis(M: Representation, N: Representation) -> list[Intertwiner]:
-    """Basis of the intertwiner space, deterministic and verified."""
+def _hom_system(
+    M: Representation, N: Representation
+) -> tuple[int, list[dict[int, int]], dict[str, int]]:
+    """The commutation system of Hom(M, N): the number of unknowns, one
+    sparse row per nonzero equation, and the offset of each vertex's block
+    of unknowns, the entries of f_v row by row."""
     if M.pres is not N.pres:
         raise StringAlgError("modules live over different presentations")
     p = M.pres
     q = M.q
-    verts = p.quiver.vertices
     off: dict[str, int] = {}
     total = 0
-    for v in verts:
+    for v in p.quiver.vertices:
         off[v] = total
         total += M.dim(v) * N.dim(v)
 
@@ -124,11 +127,17 @@ def hom_basis(M: Representation, N: Representation) -> list[Intertwiner]:
                     row[key] = (row.get(key, 0) - int(XN[l, j])) % q
                 if any(row.values()):
                     rows.append(row)
-    basis_vecs = sparse_kernel(total, rows, q)
+    return total, rows, off
+
+
+def hom_basis(M: Representation, N: Representation) -> list[Intertwiner]:
+    """Basis of the intertwiner space, deterministic and verified."""
+    total, rows, off = _hom_system(M, N)
+    q = M.q
     out = []
-    for vec in basis_vecs:
+    for vec in sparse_kernel(total, rows, q):
         mats = {}
-        for v in verts:
+        for v in M.pres.quiver.vertices:
             m = np.zeros((M.dim(v), N.dim(v)), dtype=np.int64)
             flat = m.reshape(-1)
             base = off[v]
@@ -141,6 +150,14 @@ def hom_basis(M: Representation, N: Representation) -> list[Intertwiner]:
         f.verify()
         out.append(f)
     return out
+
+
+def hom_count(M: Representation, N: Representation) -> int:
+    """dim Hom(M, N) as the kernel dimension of the commutation system.
+    No map is built and none is verified, so the number is a count, not a
+    certificate; hom_basis and hom_dim give verified ones."""
+    total, rows, _ = _hom_system(M, N)
+    return len(sparse_kernel(total, rows, M.q))
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
@@ -159,7 +176,9 @@ class CoverData:
     epi: Intertwiner  # P0 -> M
     syzygy: Representation
     incl: Intertwiner  # syzygy -> P0
+    top: dict[str, int]  # top_v: the number of copies of P(v) in P0
     _exts: dict = field(default_factory=dict, repr=False, compare=False)
+    _syzygy_homs: dict = field(default_factory=dict, repr=False, compare=False)
     _slips: dict | None = field(default=None, repr=False, compare=False)
 
     def ext(self, N: Representation) -> "Ext1Context":
@@ -168,6 +187,13 @@ class CoverData:
         if N not in self._exts:
             self._exts[N] = ext1(self, N)
         return self._exts[N]
+
+    def syzygy_hom_count(self, N: Representation) -> int:
+        """dim Hom(syzygy, N) by hom_count, unverified; counted once per N
+        and kept."""
+        if N not in self._syzygy_homs:
+            self._syzygy_homs[N] = hom_count(self.syzygy, N)
+        return self._syzygy_homs[N]
 
     def slips(self) -> dict[str, Matrix]:
         """Per arrow a: u -> t, the syzygy coordinates slip_a of
@@ -209,10 +235,12 @@ def projective_cover(M: Representation) -> CoverData:
     q = M.q
     # lift a basis of the top at each vertex
     lifts: list[tuple[str, Matrix]] = []
+    top = {}
     for v in p.quiver.vertices:
         rad = _radical_rows(M, v)
         _, pivots = rad.rref()
         free = [j for j in range(M.dim(v)) if j not in pivots]
+        top[v] = len(free)
         for j in free:
             row = np.zeros((1, M.dim(v)), dtype=np.int64)
             row[0, j] = 1
@@ -244,7 +272,7 @@ def projective_cover(M: Representation) -> CoverData:
     syz, incl_mats = subrepresentation(P0, kernel_rows, label=f"syzygy({M.label})")
     incl = Intertwiner(syz, P0, incl_mats)
     incl.verify()
-    return CoverData(M, P0, epi, syz, incl)
+    return CoverData(M, P0, epi, syz, incl, top)
 
 
 # ---------------------------------------------------------------------------

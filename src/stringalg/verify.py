@@ -42,12 +42,16 @@ def middle_term_scan(
     """Census over every ordered pair of indecomposables with nonzero
     extension space; reports any middle with more than two summands.
 
-    With allow_non_string the catalog is the simples, the projectives and
-    any supplied literal modules.  A simple has dimension 1 and P(v) a local
-    endomorphism ring, so only the literals are certified indecomposable,
-    by decompose.
+    On a string presentation the modules are the catalog members, and
+    Catalog.ext skips the pairs whose Ext^1 the long exact Hom sequence
+    finds zero; every other pair's verified Ext basis must have the
+    dimension it finds.  With allow_non_string the catalog is the simples,
+    the projectives and any supplied literal modules.  A simple has
+    dimension 1 and P(v) a local endomorphism ring, so only the literals
+    are certified indecomposable, by decompose.
     """
     modules: list[tuple[str, Representation]] = []
+    cat = None
     if allow_non_string:
         candidates = [(f"S({v})", simple(p, v), False) for v in p.quiver.vertices]
         candidates += [(f"P({v})", projective(p, v), False) for v in p.quiver.vertices]
@@ -65,12 +69,16 @@ def middle_term_scan(
             seen.append(key)
             modules.append((label, m))
     else:
+        cat = catalog_for(p)
+        cat.weights  # a bad Hom table is refused before the first pair
         for e in enumerate_indecomposables(p, max_dim):
             modules.append((f"M({format_walk(e.word)})", e.rep))
     report = MiddleScanReport(ok=True, pair_count=0)
     for la, ma in modules:
         cover = projective_cover(ma)  # one cover per left module, shared by its row
         for lb, mb in modules:
+            if cat is not None and cat.ext(cover, mb) is None:
+                continue
             census = middle_census(cover, mb, seed=seed)
             if census.ext_dim == 0:
                 continue

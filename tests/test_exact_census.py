@@ -6,7 +6,9 @@ middle.  The reference here is the old path: build each middle from its
 cocycle with extension_of_cocycle, then decompose it.  On every line the
 two counts must agree, and the middle's full profile dim Hom(E, -) over
 the catalog, times the inverse of the hom table, must be a vector of
-nonnegative integer multiplicities that sum to the count.
+nonnegative integer multiplicities that sum to the count.  On the same
+pairs Catalog.ext_dim, the filter that decides which pairs the scan hands
+to ext1, must give the dimension of the verified Ext basis.
 """
 
 import pytest
@@ -60,6 +62,8 @@ def check_pairs(cat, pairs):
     for M, N in pairs:
         cover = projective_cover(M)
         census = middle_census(cover, N)
+        # the filter verify-main-theorem runs, against the verified ext1
+        assert cat.ext_dim(cover, N) == census.ext_dim
         reference = reference_census(cover, N)
         assert [(l.coeffs, l.summands) for l in census.lines] == [
             (coeffs, count) for coeffs, count, _ in reference
@@ -124,6 +128,7 @@ def test_exact_census_matches_reference_on_drawn_finite_presentations():
 
     check()
     assert max(ext_dims) >= 2
+    assert 2 in ext_dims
 
 
 def test_weights_of_every_fixture_catalog(fixture_dir):
@@ -164,6 +169,61 @@ def test_corrupted_hom_table_exits_3(fixture_dir, monkeypatch, capsys):
     code = main(["verify-main-theorem", str(fixture_dir / "a3nr.sba")])
     assert code == 3
     assert "integral weight" in capsys.readouterr().err
+
+
+def _count_ext1(monkeypatch):
+    calls = []
+    original = stringalg.homalg.ext1
+
+    def counted(cover, N):
+        calls.append((cover.module, N))
+        return original(cover, N)
+
+    monkeypatch.setattr(stringalg.homalg, "ext1", counted)
+    return calls
+
+
+def test_scan_runs_ext1_only_on_pairs_with_extensions(fixture_dir, monkeypatch):
+    p = load_presentation(fixture_dir / "census_typeA_seed1_04.sba")
+    calls = _count_ext1(monkeypatch)
+    report = middle_term_scan(p, 6)
+    # every member is scanned, so the exact counts need no Ext^1 beyond
+    # the reported pairs'
+    assert all(e.rep.total_dim <= 6 for e in catalog_for(p).entries)
+    assert len(calls) == len(set(calls)) == report.pair_count == 36
+
+
+def _overcount_syzygy_homs(monkeypatch):
+    """hom(syzygy, N), the one solved term of Catalog.ext_dim, comes out one
+    too large, so the identity is wrong on every pair."""
+    original = stringalg.homalg.hom_count
+    monkeypatch.setattr(stringalg.homalg, "hom_count", lambda M, N: original(M, N) + 1)
+
+
+def test_filter_disagreeing_with_ext1_raises(a3nr, monkeypatch):
+    _overcount_syzygy_homs(monkeypatch)
+    with pytest.raises(VerificationError, match="long exact Hom sequence gives 1"):
+        middle_term_scan(a3nr, 4)
+
+
+def test_filter_disagreeing_with_ext1_exits_3(fixture_dir, monkeypatch, capsys):
+    _overcount_syzygy_homs(monkeypatch)
+    code = main(["verify-main-theorem", str(fixture_dir / "a3nr.sba")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "construction certificate failed" in captured.err
+    assert "long exact Hom sequence gives" in captured.err
+
+
+def test_negative_ext_from_the_identity_raises(a3, monkeypatch):
+    monkeypatch.setattr(stringalg.homalg, "hom_count", lambda M, N: 0)
+    cat = catalog_for(a3)
+    with pytest.raises(VerificationError, match="= -"):
+        for m in cat.entries:
+            cover = projective_cover(m.rep)
+            for n in cat.entries:
+                cat.ext_dim(cover, n.rep)
 
 
 def _forbid_middles(monkeypatch):
