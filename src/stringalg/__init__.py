@@ -26,7 +26,6 @@ from .reps import (
     Representation,
     band_module,
     direct_sum,
-    module_from_cyclic_word_unrestricted,
     projective,
     simple,
     string_module,

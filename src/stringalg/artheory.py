@@ -180,33 +180,30 @@ class Catalog:
             self._weights = w
         return self._weights
 
-    def ext_dim(self, cover: CoverData, n: Representation) -> int:
-        """dim Ext^1(M, n) for members M = cover.module and n, from the long
-        exact Hom sequence of 0 -> syzygy -> P0 -> M -> 0:
+    def ext(self, cover: CoverData, n: Representation) -> Ext1Context | None:
+        """Ext^1(M, n) on cover for members M = cover.module and n, or None
+        when it is 0.  The long exact Hom sequence of
+        0 -> syzygy -> P0 -> M -> 0 gives
 
-            dim Ext^1(M, n) = hom(syzygy, n) - hom(P0, n) + hom(M, n).
+            dim Ext^1(M, n) = hom(syzygy, n) - hom(P0, n) + hom(M, n),
 
-        hom(P0, n) is sum_v top_v dim n_v by Yoneda and hom(M, n) is read
-        off the table, so the only solve is the unverified kernel count of
-        Hom(syzygy, n), kept on the cover.  A negative value is a
-        construction bug."""
-        value = (
-            cover.syzygy_hom_count(n)
+        where hom(syzygy, n) is the length of cover.syzygy_kernel(n),
+        hom(P0, n) is sum_v top_v dim n_v by Yoneda, and hom(M, n) is read
+        off the table once self.weights has accepted it.  When the value is
+        nonzero, cover.ext(n) builds the verified basis from the same
+        kernel, and it must have that dimension; a mismatch or a negative
+        value is a construction bug."""
+        self.weights  # a bad Hom table is refused before the identity reads it
+        expected = (
+            len(cover.syzygy_kernel(n)[1])
             - sum(t * n.dim(v) for v, t in cover.top.items())
             + self.hom[self._members[cover.module]][self._members[n]]
         )
-        if value < 0:
+        if expected < 0:
             raise VerificationError(
                 f"long exact Hom sequence gives dim Ext^1({cover.module.label}, "
-                f"{n.label}) = {value}"
+                f"{n.label}) = {expected}"
             )
-        return value
-
-    def ext(self, cover: CoverData, n: Representation) -> Ext1Context | None:
-        """Ext^1(M, n) on cover for members M = cover.module and n: None when
-        ext_dim is 0, otherwise cover.ext(n), whose verified basis must
-        have ext_dim's dimension; a mismatch is a construction bug."""
-        expected = self.ext_dim(cover, n)
         if not expected:
             return None
         ctx = cover.ext(n)
@@ -227,7 +224,7 @@ class Catalog:
         then h.  So dim Hom(E_c, Y) = hom(M, Y) + hom(N, Y) - its rank, and
         weighing by w leaves summands(M) + summands(N) - sum_Y w_Y rank.
         Only Y with w_Y, Hom(N, Y) and Ext^1(M, Y) all nonzero contribute,
-        and when M is a member ext_dim rules out the Y without extensions
+        and when M is a member Catalog.ext rules out the Y without extensions
         before any Ext basis is computed; the map is linear in c, so its
         matrix at each Ext basis cocycle is found once per Y and each c
         costs one small rank per Y."""

@@ -6,8 +6,11 @@ between string-like modules every equation has at most two terms, so
 elimination never fills in and large band modules stay cheap.
 
 Ext^1(M, N) is realized on a projective cover P0 of M with syzygy S:
-the cokernel of restriction Hom(P0, N) -> Hom(S, N).  Each cocycle gives
-an explicit short exact sequence whose middle is written on N_v + M_v at
+the cokernel of restriction Hom(P0, N) -> Hom(S, N).  The kernel of
+Hom(S, N) is solved once and kept on the cover: its length is the
+unverified count that Catalog.ext reads, and ext1 builds and verifies
+only the cocycles its basis takes from it.  Each cocycle gives an
+explicit short exact sequence whose middle is written on N_v + M_v at
 every vertex, with the cocycle in the off-diagonal block of each arrow.
 """
 
@@ -130,34 +133,35 @@ def _hom_system(
     return total, rows, off
 
 
+def _hom_kernel(
+    M: Representation, N: Representation
+) -> tuple[dict[str, int], list[dict[int, int]]]:
+    """One solve of the commutation system of Hom(M, N): the offset of each
+    vertex's block of unknowns and a kernel basis, one sparse vector per
+    map, indexed like Intertwiner.flatten.  No map is built or verified."""
+    total, rows, off = _hom_system(M, N)
+    return off, sparse_kernel(total, rows, M.q)
+
+
+def _intertwiner(
+    M: Representation, N: Representation, off: dict[str, int], vec: dict[int, int]
+) -> Intertwiner:
+    """The kernel vector vec of _hom_kernel(M, N) as a map, verified."""
+    flat = np.zeros(sum(M.dim(v) * N.dim(v) for v in off), dtype=np.int64)
+    flat[list(vec)] = list(vec.values())
+    mats = {
+        v: Matrix(flat[base : base + M.dim(v) * N.dim(v)].reshape(M.dim(v), N.dim(v)), M.q)
+        for v, base in off.items()
+    }
+    f = Intertwiner(M, N, mats)
+    f.verify()
+    return f
+
+
 def hom_basis(M: Representation, N: Representation) -> list[Intertwiner]:
     """Basis of the intertwiner space, deterministic and verified."""
-    total, rows, off = _hom_system(M, N)
-    q = M.q
-    out = []
-    for vec in sparse_kernel(total, rows, q):
-        mats = {}
-        for v in M.pres.quiver.vertices:
-            m = np.zeros((M.dim(v), N.dim(v)), dtype=np.int64)
-            flat = m.reshape(-1)
-            base = off[v]
-            size = m.size
-            for idx, c in vec.items():
-                if base <= idx < base + size:
-                    flat[idx - base] = c
-            mats[v] = Matrix(m, q)
-        f = Intertwiner(M, N, mats)
-        f.verify()
-        out.append(f)
-    return out
-
-
-def hom_count(M: Representation, N: Representation) -> int:
-    """dim Hom(M, N) as the kernel dimension of the commutation system.
-    No map is built and none is verified, so the number is a count, not a
-    certificate; hom_basis and hom_dim give verified ones."""
-    total, rows, _ = _hom_system(M, N)
-    return len(sparse_kernel(total, rows, M.q))
+    off, kernel = _hom_kernel(M, N)
+    return [_intertwiner(M, N, off, vec) for vec in kernel]
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
@@ -178,7 +182,7 @@ class CoverData:
     incl: Intertwiner  # syzygy -> P0
     top: dict[str, int]  # top_v: the number of copies of P(v) in P0
     _exts: dict = field(default_factory=dict, repr=False, compare=False)
-    _syzygy_homs: dict = field(default_factory=dict, repr=False, compare=False)
+    _syzygy_kernels: dict = field(default_factory=dict, repr=False, compare=False)
     _slips: dict | None = field(default=None, repr=False, compare=False)
 
     def ext(self, N: Representation) -> "Ext1Context":
@@ -188,12 +192,12 @@ class CoverData:
             self._exts[N] = ext1(self, N)
         return self._exts[N]
 
-    def syzygy_hom_count(self, N: Representation) -> int:
-        """dim Hom(syzygy, N) by hom_count, unverified; counted once per N
-        and kept."""
-        if N not in self._syzygy_homs:
-            self._syzygy_homs[N] = hom_count(self.syzygy, N)
-        return self._syzygy_homs[N]
+    def syzygy_kernel(self, N: Representation) -> tuple[dict[str, int], list[dict[int, int]]]:
+        """_hom_kernel(syzygy, N), solved once per N and kept: its length is
+        hom(syzygy, N) for Catalog.ext, and ext1 builds its cocycles from it."""
+        if N not in self._syzygy_kernels:
+            self._syzygy_kernels[N] = _hom_kernel(self.syzygy, N)
+        return self._syzygy_kernels[N]
 
     def slips(self) -> dict[str, Matrix]:
         """Per arrow a: u -> t, the syzygy coordinates slip_a of
@@ -319,21 +323,27 @@ class Ext1Context:
 def ext1(cover: CoverData, N: Representation) -> Ext1Context:
     """Ext^1(cover.module, N) on the given projective cover.
 
-    The restricted maps Hom(P0, N) -> Hom(S, N) come first and the cocycles
-    S -> N after them, as the columns of one matrix; a cocycle joins the
-    basis exactly when its column is a pivot, that is, when it is not in
-    the span of the restricted maps and the cocycles already chosen.
+    The restricted maps Hom(P0, N) -> Hom(S, N) come first and the kernel
+    vectors of Hom(S, N) (cover.syzygy_kernel) after them, as the columns
+    of one matrix; a cocycle joins the basis exactly when its column is a
+    pivot, that is, when it is not in the span of the restricted maps and
+    the cocycles already chosen.  Only those are built and verified: the
+    columns before a kernel vector that is not a map span only maps, so
+    the first such vector is a pivot and fails its check.
     """
     if cover.module.pres is not N.pres:
         raise StringAlgError("modules live over different presentations")
-    hom_syz = hom_basis(cover.syzygy, N)
+    off, kernel = cover.syzygy_kernel(N)
     restricted = [cover.incl.compose(h).flatten() for h in hom_basis(cover.cover, N)]
-    cols = restricted + [g.flatten() for g in hom_syz]
+    k = len(restricted)
     width = sum(cover.syzygy.dim(v) * N.dim(v) for v in N.pres.quiver.vertices)
-    stacked = np.array(cols, dtype=np.int64).reshape(len(cols), width)
+    stacked = np.zeros((k + len(kernel), width), dtype=np.int64)
+    stacked[:k] = np.reshape(restricted, (k, width))
+    for row, vec in zip(stacked[k:], kernel):
+        row[list(vec)] = list(vec.values())
     _, pivots = Matrix(stacked.T, N.q).rref()
-    basis = [hom_syz[j - len(restricted)] for j in pivots if j >= len(restricted)]
-    return Ext1Context(cover, N, basis, stacked[: len(restricted)])
+    basis = [_intertwiner(cover.syzygy, N, off, kernel[j - k]) for j in pivots if j >= k]
+    return Ext1Context(cover, N, basis, stacked[:k])
 
 
 def composites(first: list[Intertwiner], second: list[Intertwiner]) -> np.ndarray:

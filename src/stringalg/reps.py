@@ -25,7 +25,6 @@ from .words import (
     Letter,
     Walk,
     format_walk,
-    is_cyclic,
     is_primitive,
     letter_source,
     surviving_paths,
@@ -229,16 +228,6 @@ def band_module(p: Presentation, w: Walk, lam: int, n: int) -> Representation:
             f"band modules need a primitive cyclic word; {format_walk(w)} is a proper power"
         )
     label = f"B({format_walk(w)},{lam % p.q},{n})"
-    return cyclic_recipe_module(p, w.letters, lam, n, label=label)
-
-
-def module_from_cyclic_word_unrestricted(
-    p: Presentation, w: Walk, lam: int, n: int
-) -> Representation:
-    """Same matrix recipe as band_module without the primitivity gate."""
-    if not is_cyclic(p, w):
-        raise StringAlgError(f"{format_walk(w)} is not a cyclic word")
-    label = f"C({format_walk(w)},{lam % p.q},{n})"
     return cyclic_recipe_module(p, w.letters, lam, n, label=label)
 
 

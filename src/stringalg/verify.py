@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 from .artheory import Catalog, catalog_for, enumerate_indecomposables, hom_delta
 from .decomp import decompose
+from .errors import StringAlgError
 # hom_basis stays importable as verify.hom_basis: perfbench's tracer test
 # patches and calls it through this alias
 from .homalg import hom_basis, middle_census, projective_cover  # noqa: F401
@@ -48,8 +49,11 @@ def middle_term_scan(
     dimension it finds.  With allow_non_string the catalog is the simples,
     the projectives and any supplied literal modules.  A simple has
     dimension 1 and P(v) a local endomorphism ring, so only the literals
-    are certified indecomposable, by decompose.
+    are certified indecomposable, by decompose; a string scan runs over the
+    catalog of words and refuses literals.
     """
+    if extra_modules and not allow_non_string:
+        raise StringAlgError("literal modules need allow_non_string")
     modules: list[tuple[str, Representation]] = []
     cat = None
     if allow_non_string:
@@ -70,7 +74,6 @@ def middle_term_scan(
             modules.append((label, m))
     else:
         cat = catalog_for(p)
-        cat.weights  # a bad Hom table is refused before the first pair
         for e in enumerate_indecomposables(p, max_dim):
             modules.append((f"M({format_walk(e.word)})", e.rep))
     report = MiddleScanReport(ok=True, pair_count=0)

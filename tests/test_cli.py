@@ -3,6 +3,10 @@ import json
 import pytest
 
 from stringalg.cli import main
+from stringalg.errors import StringAlgError
+from stringalg.presentation import load_presentation
+from stringalg.reps import simple
+from stringalg.verify import middle_term_scan
 
 
 def run(capsys, *argv):
@@ -480,3 +484,11 @@ def test_module_without_allow_non_string_is_a_usage_error(capsys, fixture_dir, t
     assert exc.value.code == 2
     assert captured.out == ""
     assert "--module needs --allow-non-string" in captured.err
+
+
+def test_string_scan_refuses_literals_instead_of_dropping_them(fixture_dir):
+    p = load_presentation(fixture_dir / "a3nr.sba")
+    with pytest.raises(StringAlgError, match="allow_non_string"):
+        middle_term_scan(p, 4, extra_modules=[simple(p, "1")])
+    # the command line passes an empty list
+    assert middle_term_scan(p, 4, extra_modules=[]).pair_count

@@ -15,8 +15,8 @@ from stringalg.homalg import hom_basis, hom_dim, identity_map, zero_map
 from stringalg.linalg import Matrix, Poly
 from stringalg.reps import (
     band_module,
+    cyclic_recipe_module,
     direct_sum,
-    module_from_cyclic_word_unrestricted,
     parse_module_literal,
     projective,
     simple,
@@ -60,7 +60,7 @@ def test_fitting_rejects_non_endo(a3):
 
 def test_gp_imprimitive_square_splits_into_two_bands(gp):
     w = parse_word(gp, "a b^-1 a b^-1")
-    m = module_from_cyclic_word_unrestricted(gp, w, 1, 1)
+    m = cyclic_recipe_module(gp, w.letters, 1, 1)
     report = decompose(m)
     assert report.summand_count == 2
     root = parse_word(gp, "a b^-1")

@@ -7,8 +7,8 @@ cocycle with extension_of_cocycle, then decompose it.  On every line the
 two counts must agree, and the middle's full profile dim Hom(E, -) over
 the catalog, times the inverse of the hom table, must be a vector of
 nonnegative integer multiplicities that sum to the count.  On the same
-pairs Catalog.ext_dim, the filter that decides which pairs the scan hands
-to ext1, must give the dimension of the verified Ext basis.
+pairs Catalog.ext, the filter that decides which pairs the scan hands to
+ext1, must give the dimension of the verified Ext basis.
 """
 
 import pytest
@@ -25,6 +25,8 @@ from stringalg.cli import main
 from stringalg.decomp import decompose
 from stringalg.errors import VerificationError
 from stringalg.homalg import (
+    CoverData,
+    _hom_system,
     ext1,
     hom_basis,
     middle_census,
@@ -63,7 +65,8 @@ def check_pairs(cat, pairs):
         cover = projective_cover(M)
         census = middle_census(cover, N)
         # the filter verify-main-theorem runs, against the verified ext1
-        assert cat.ext_dim(cover, N) == census.ext_dim
+        ctx = cat.ext(cover, N)
+        assert (ctx.dim if ctx else 0) == census.ext_dim
         reference = reference_census(cover, N)
         assert [(l.coeffs, l.summands) for l in census.lines] == [
             (coeffs, count) for coeffs, count, _ in reference
@@ -193,21 +196,29 @@ def test_scan_runs_ext1_only_on_pairs_with_extensions(fixture_dir, monkeypatch):
     assert len(calls) == len(set(calls)) == report.pair_count == 36
 
 
-def _overcount_syzygy_homs(monkeypatch):
-    """hom(syzygy, N), the one solved term of Catalog.ext_dim, comes out one
-    too large, so the identity is wrong on every pair."""
-    original = stringalg.homalg.hom_count
-    monkeypatch.setattr(stringalg.homalg, "hom_count", lambda M, N: original(M, N) + 1)
+def _undercount_top(monkeypatch):
+    """Every cover the scan builds lists one copy too few of P(v) at its
+    first top vertex v, so hom(P0, N) in the identity of Catalog.ext comes
+    out dim N_v too small, while the verified basis is unchanged."""
+    original = stringalg.verify.projective_cover
+
+    def undercounted(M):
+        cover = original(M)
+        v = next(v for v, t in cover.top.items() if t)
+        cover.top[v] -= 1
+        return cover
+
+    monkeypatch.setattr(stringalg.verify, "projective_cover", undercounted)
 
 
 def test_filter_disagreeing_with_ext1_raises(a3nr, monkeypatch):
-    _overcount_syzygy_homs(monkeypatch)
+    _undercount_top(monkeypatch)
     with pytest.raises(VerificationError, match="long exact Hom sequence gives 1"):
         middle_term_scan(a3nr, 4)
 
 
 def test_filter_disagreeing_with_ext1_exits_3(fixture_dir, monkeypatch, capsys):
-    _overcount_syzygy_homs(monkeypatch)
+    _undercount_top(monkeypatch)
     code = main(["verify-main-theorem", str(fixture_dir / "a3nr.sba")])
     assert code == 3
     captured = capsys.readouterr()
@@ -217,13 +228,54 @@ def test_filter_disagreeing_with_ext1_exits_3(fixture_dir, monkeypatch, capsys):
 
 
 def test_negative_ext_from_the_identity_raises(a3, monkeypatch):
-    monkeypatch.setattr(stringalg.homalg, "hom_count", lambda M, N: 0)
+    monkeypatch.setattr(CoverData, "syzygy_kernel", lambda self, N: ({}, []))
     cat = catalog_for(a3)
     with pytest.raises(VerificationError, match="= -"):
         for m in cat.entries:
             cover = projective_cover(m.rep)
             for n in cat.entries:
-                cat.ext_dim(cover, n.rep)
+                cat.ext(cover, n.rep)
+
+
+def _break_kernels(monkeypatch):
+    """Every kernel of Hom(syzygy, N) comes with its first vector moved off
+    one equation of the commutation system, so that it is no longer a map;
+    a kernel whose system has no equation is left as it is."""
+    original = CoverData.syzygy_kernel
+
+    def broken(self, N):
+        off, kernel = original(self, N)
+        _, rows, _ = _hom_system(self.syzygy, N)
+        if not kernel or not rows:
+            return off, kernel
+        idx = next(iter(rows[0]))
+        vec = dict(kernel[0])
+        vec[idx] = (vec.get(idx, 0) + 1) % N.q
+        return off, [vec] + kernel[1:]
+
+    monkeypatch.setattr(CoverData, "syzygy_kernel", broken)
+
+
+def test_a_kernel_vector_that_is_not_a_map_fails_ext1(a3nr, monkeypatch):
+    reps = [e.rep for e in catalog_for(a3nr).entries]
+    cover, N = next(
+        (cover, N)
+        for cover in map(projective_cover, reps)
+        for N in reps
+        if ext1(cover, N).dim and _hom_system(cover.syzygy, N)[1]
+    )
+    _break_kernels(monkeypatch)
+    with pytest.raises(VerificationError, match="does not commute"):
+        ext1(cover, N)
+
+
+def test_a_kernel_vector_that_is_not_a_map_exits_3(fixture_dir, monkeypatch, capsys):
+    _break_kernels(monkeypatch)
+    code = main(["verify-main-theorem", str(fixture_dir / "a3nr.sba")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not commute" in captured.err
 
 
 def _forbid_middles(monkeypatch):

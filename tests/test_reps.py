@@ -4,9 +4,9 @@ from stringalg.errors import ParseError, StringAlgError
 from stringalg.linalg import Matrix
 from stringalg.reps import (
     band_module,
+    cyclic_recipe_module,
     direct_sum,
     make_representation,
-    module_from_cyclic_word_unrestricted,
     parse_module_literal,
     projective,
     serialize_module_literal,
@@ -61,7 +61,7 @@ def test_band_module_refuses_imprimitive(gp):
     with pytest.raises(StringAlgError):
         band_module(gp, w, 1, 1)
     # the unrestricted recipe accepts it
-    m = module_from_cyclic_word_unrestricted(gp, w, 1, 1)
+    m = cyclic_recipe_module(gp, w.letters, 1, 1)
     assert m.total_dim == 4
 
 
@@ -80,7 +80,7 @@ def test_band_module_refuses_lambda_zero(gp):
 def test_unrestricted_matches_band_on_primitive(gp):
     w = parse_word(gp, "a b^-1")
     b1 = band_module(gp, w, 5, 2)
-    b2 = module_from_cyclic_word_unrestricted(gp, w, 5, 2)
+    b2 = cyclic_recipe_module(gp, w.letters, 5, 2)
     for a in gp.quiver.arrows:
         assert b1.mat(a.name) == b2.mat(a.name)
 
