@@ -32,7 +32,7 @@ from .errors import (
     StringAlgError,
     VerificationError,
 )
-from .homalg import CoverData, Ext1Context, Intertwiner, ShortExactSequence, composites, hom_basis
+from .homalg import Ext1Context, Intertwiner, ShortExactSequence, composites, hom_basis
 from .linalg import Matrix, solve_rational
 from .presentation import Presentation
 from .reps import (
@@ -180,40 +180,6 @@ class Catalog:
             self._weights = w
         return self._weights
 
-    def ext(self, cover: CoverData, n: Representation) -> Ext1Context | None:
-        """Ext^1(M, n) on cover for members M = cover.module and n, or None
-        when it is 0.  The long exact Hom sequence of
-        0 -> syzygy -> P0 -> M -> 0 gives
-
-            dim Ext^1(M, n) = hom(syzygy, n) - hom(P0, n) + hom(M, n),
-
-        where hom(syzygy, n) is the length of cover.syzygy_kernel(n),
-        hom(P0, n) is sum_v top_v dim n_v by Yoneda, and hom(M, n) is read
-        off the table once self.weights has accepted it.  When the value is
-        nonzero, cover.ext(n) builds the verified basis from the same
-        kernel, and it must have that dimension; a mismatch or a negative
-        value is a construction bug."""
-        self.weights  # a bad Hom table is refused before the identity reads it
-        expected = (
-            len(cover.syzygy_kernel(n)[1])
-            - sum(t * n.dim(v) for v, t in cover.top.items())
-            + self.hom[self._members[cover.module]][self._members[n]]
-        )
-        if expected < 0:
-            raise VerificationError(
-                f"long exact Hom sequence gives dim Ext^1({cover.module.label}, "
-                f"{n.label}) = {expected}"
-            )
-        if not expected:
-            return None
-        ctx = cover.ext(n)
-        if ctx.dim != expected:
-            raise VerificationError(
-                f"Ext^1({cover.module.label}, {n.label}) has a basis of {ctx.dim} "
-                f"but the long exact Hom sequence gives {expected}"
-            )
-        return ctx
-
     def middle_counter(self, ctx: Ext1Context) -> Callable[[tuple[int, ...]], int]:
         """Exact summand count of the middle E_c of the cocycle with
         coefficients c in ctx's Ext basis, for 0 -> N -> E_c -> M -> 0.
@@ -223,23 +189,24 @@ class Catalog:
         Hom(N, Y) -> Ext^1(M, Y), whose last map sends h to the class of c
         then h.  So dim Hom(E_c, Y) = hom(M, Y) + hom(N, Y) - its rank, and
         weighing by w leaves summands(M) + summands(N) - sum_Y w_Y rank.
-        Only Y with w_Y, Hom(N, Y) and Ext^1(M, Y) all nonzero contribute,
-        and when M is a member Catalog.ext rules out the Y without extensions
-        before any Ext basis is computed; the map is linear in c, so its
-        matrix at each Ext basis cocycle is found once per Y and each c
-        costs one small rank per Y."""
+        Only Y with w_Y, Hom(N, Y) and Ext^1(M, Y) all nonzero contribute.
+        The one gate cover.ext(Y, hom(M, Y)) rules out the Y without
+        extensions before any Ext basis is computed, and checks the basis
+        of every other Y against the long exact Hom sequence, whether M is
+        a member or not; the map is linear in c, so its matrix at each Ext
+        basis cocycle is found once per Y and each c costs one small rank
+        per Y."""
         w = self.weights
         cover, N = ctx.cover, ctx.N
         q = N.q
-        member = cover.module in self._members
         from_m, from_n = self.bases_from(cover.module), self.bases_from(N)
         split = sum(x * (len(a) + len(b)) for x, a, b in zip(w, from_m, from_n))
         deltas = []  # (w_Y, matrices of the map at each basis cocycle)
         for y in self.entries:
             if not w[y.index] or not from_n[y.index]:
                 continue
-            ext_y = self.ext(cover, y.rep) if member else cover.ext(y.rep)
-            if ext_y is None or not ext_y.dim:
+            ext_y = cover.ext(y.rep, len(from_m[y.index]))
+            if not ext_y.dim:
                 continue
             maps = composites(ctx.basis, from_n[y.index])
             k, h, width = maps.shape

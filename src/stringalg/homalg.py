@@ -6,12 +6,13 @@ between string-like modules every equation has at most two terms, so
 elimination never fills in and large band modules stay cheap.
 
 Ext^1(M, N) is realized on a projective cover P0 of M with syzygy S:
-the cokernel of restriction Hom(P0, N) -> Hom(S, N).  The kernel of
-Hom(S, N) is solved once and kept on the cover: its length is the
-unverified count that Catalog.ext reads, and ext1 builds and verifies
-only the cocycles its basis takes from it.  Each cocycle gives an
-explicit short exact sequence whose middle is written on N_v + M_v at
-every vertex, with the cocycle in the off-diagonal block of each arrow.
+the cokernel of restriction Hom(P0, N) -> Hom(S, N).  The one gate is
+cover.ext(N, hom): it solves the kernel of Hom(S, N) once, counts
+dim Ext^1 from it by the long exact Hom sequence, and runs ext1, which
+builds and verifies only the cocycles its basis takes from that kernel,
+only when the count is nonzero.  Each cocycle gives an explicit short
+exact sequence whose middle is written on N_v + M_v at every vertex,
+with the cocycle in the off-diagonal block of each arrow.
 """
 
 from __future__ import annotations
@@ -78,12 +79,6 @@ class Intertwiner:
 def zero_map(M: Representation, N: Representation) -> Intertwiner:
     return Intertwiner(
         M, N, {v: Matrix.zeros(M.dim(v), N.dim(v), M.q) for v in M.pres.quiver.vertices}
-    )
-
-
-def identity_map(M: Representation) -> Intertwiner:
-    return Intertwiner(
-        M, M, {v: Matrix.identity(M.dim(v), M.q) for v in M.pres.quiver.vertices}
     )
 
 
@@ -182,22 +177,39 @@ class CoverData:
     incl: Intertwiner  # syzygy -> P0
     top: dict[str, int]  # top_v: the number of copies of P(v) in P0
     _exts: dict = field(default_factory=dict, repr=False, compare=False)
-    _syzygy_kernels: dict = field(default_factory=dict, repr=False, compare=False)
     _slips: dict | None = field(default=None, repr=False, compare=False)
 
-    def ext(self, N: Representation) -> "Ext1Context":
+    def ext(self, N: Representation, hom: int | None = None) -> "Ext1Context":
         """Ext^1(module, N) on this cover, computed once per N and kept, so
-        that a scan row shares one context per right-hand module."""
-        if N not in self._exts:
-            self._exts[N] = ext1(self, N)
-        return self._exts[N]
+        that a scan row and the exact counts of its middles share it.
 
-    def syzygy_kernel(self, N: Representation) -> tuple[dict[str, int], list[dict[int, int]]]:
-        """_hom_kernel(syzygy, N), solved once per N and kept: its length is
-        hom(syzygy, N) for Catalog.ext, and ext1 builds its cocycles from it."""
-        if N not in self._syzygy_kernels:
-            self._syzygy_kernels[N] = _hom_kernel(self.syzygy, N)
-        return self._syzygy_kernels[N]
+        Given hom = dim Hom(module, N) this is the one gate: the long exact
+        Hom sequence of 0 -> syzygy -> P0 -> module -> 0 gives dim Ext^1 =
+        hom(syzygy, N) - sum_v top_v dim N_v + hom (Yoneda for P0) from one
+        kernel solve.  At 0 the context has an empty basis and ext1 never
+        runs; otherwise ext1 builds the verified basis from the same kernel,
+        and it must have that dimension.  A mismatch or a negative value is
+        a construction bug.  Only the first request for N is checked."""
+        if N in self._exts:
+            return self._exts[N]
+        if hom is None:
+            ctx = ext1(self, N)
+        else:
+            kernel = _hom_kernel(self.syzygy, N)
+            expected = len(kernel[1]) - sum(t * N.dim(v) for v, t in self.top.items()) + hom
+            if expected < 0:
+                raise VerificationError(
+                    f"long exact Hom sequence gives dim Ext^1({self.module.label}, "
+                    f"{N.label}) = {expected}"
+                )
+            ctx = ext1(self, N, kernel) if expected else Ext1Context(self, N, [], None)
+            if ctx.dim != expected:
+                raise VerificationError(
+                    f"Ext^1({self.module.label}, {N.label}) has a basis of {ctx.dim} "
+                    f"but the long exact Hom sequence gives {expected}"
+                )
+        self._exts[N] = ctx
+        return ctx
 
     def slips(self) -> dict[str, Matrix]:
         """Per arrow a: u -> t, the syzygy coordinates slip_a of
@@ -290,8 +302,8 @@ class Ext1Context:
     N: Representation
     basis: list[Intertwiner]  # cocycles syzygy -> N representing an Ext basis
     # the coboundaries: restrictions of Hom(P0, N) to the syzygy, flattened
-    # as rows like Intertwiner.flatten
-    coboundaries: np.ndarray
+    # as rows like Intertwiner.flatten; None when the gate found Ext^1 = 0
+    coboundaries: np.ndarray | None
 
     @property
     def dim(self) -> int:
@@ -320,20 +332,25 @@ class Ext1Context:
         return extension_of_cocycle(self.cover, self.N, self.cocycle(coeffs))
 
 
-def ext1(cover: CoverData, N: Representation) -> Ext1Context:
+def ext1(
+    cover: CoverData,
+    N: Representation,
+    kernel: tuple[dict[str, int], list[dict[int, int]]] | None = None,
+) -> Ext1Context:
     """Ext^1(cover.module, N) on the given projective cover.
 
     The restricted maps Hom(P0, N) -> Hom(S, N) come first and the kernel
-    vectors of Hom(S, N) (cover.syzygy_kernel) after them, as the columns
-    of one matrix; a cocycle joins the basis exactly when its column is a
-    pivot, that is, when it is not in the span of the restricted maps and
-    the cocycles already chosen.  Only those are built and verified: the
+    vectors of Hom(S, N) (kernel, solved here unless the caller passes
+    _hom_kernel(cover.syzygy, N)) after them, as the columns of one
+    matrix; a cocycle joins the basis exactly when its column is a pivot,
+    that is, when it is not in the span of the restricted maps and the
+    cocycles already chosen.  Only those are built and verified: the
     columns before a kernel vector that is not a map span only maps, so
     the first such vector is a pivot and fails its check.
     """
     if cover.module.pres is not N.pres:
         raise StringAlgError("modules live over different presentations")
-    off, kernel = cover.syzygy_kernel(N)
+    off, kernel = kernel or _hom_kernel(cover.syzygy, N)
     restricted = [cover.incl.compose(h).flatten() for h in hom_basis(cover.cover, N)]
     k = len(restricted)
     width = sum(cover.syzygy.dim(v) * N.dim(v) for v in N.pres.quiver.vertices)

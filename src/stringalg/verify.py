@@ -43,18 +43,19 @@ def middle_term_scan(
     """Census over every ordered pair of indecomposables with nonzero
     extension space; reports any middle with more than two summands.
 
-    On a string presentation the modules are the catalog members, and
-    Catalog.ext skips the pairs whose Ext^1 the long exact Hom sequence
-    finds zero; every other pair's verified Ext basis must have the
-    dimension it finds.  With allow_non_string the catalog is the simples,
-    the projectives and any supplied literal modules.  A simple has
+    On a string presentation the modules are the catalog members, and the
+    gate cover.ext(N, hom), given hom from the table, skips the pairs whose
+    Ext^1 the long exact Hom sequence finds zero; every other pair's
+    verified Ext basis must have the dimension it finds.  With
+    allow_non_string the catalog is the simples, the projectives and any
+    supplied literal modules.  A simple has
     dimension 1 and P(v) a local endomorphism ring, so only the literals
     are certified indecomposable, by decompose; a string scan runs over the
     catalog of words and refuses literals.
     """
     if extra_modules and not allow_non_string:
         raise StringAlgError("literal modules need allow_non_string")
-    modules: list[tuple[str, Representation]] = []
+    modules: list[tuple[str, Representation, int | None]] = []  # (label, module, catalog index)
     cat = None
     if allow_non_string:
         candidates = [(f"S({v})", simple(p, v), False) for v in p.quiver.vertices]
@@ -71,20 +72,19 @@ def middle_term_scan(
             if key in seen:
                 continue
             seen.append(key)
-            modules.append((label, m))
+            modules.append((label, m, None))
     else:
         cat = catalog_for(p)
+        cat.weights  # a bad Hom table is refused before the identity reads it
         for e in enumerate_indecomposables(p, max_dim):
-            modules.append((f"M({format_walk(e.word)})", e.rep))
+            modules.append((f"M({format_walk(e.word)})", e.rep, e.index))
     report = MiddleScanReport(ok=True, pair_count=0)
-    for la, ma in modules:
+    for la, ma, ia in modules:
         cover = projective_cover(ma)  # one cover per left module, shared by its row
-        for lb, mb in modules:
-            if cat is not None and cat.ext(cover, mb) is None:
+        for lb, mb, ib in modules:
+            if not cover.ext(mb, None if cat is None else cat.hom[ia][ib]).dim:
                 continue
             census = middle_census(cover, mb, seed=seed)
-            if census.ext_dim == 0:
-                continue
             report.pair_count += 1
             worst = max(census.histogram)
             finding = CensusFinding(la, lb, census.ext_dim, census.histogram, worst)

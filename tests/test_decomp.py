@@ -11,7 +11,7 @@ from stringalg.decomp import (
     decompose,
 )
 from stringalg.errors import CatalogError, StringAlgError
-from stringalg.homalg import hom_basis, hom_dim, identity_map, zero_map
+from stringalg.homalg import Intertwiner, hom_basis, hom_dim, zero_map
 from stringalg.linalg import Matrix, Poly
 from stringalg.reps import (
     band_module,
@@ -36,7 +36,8 @@ def hom_table(catalog):
 
 def test_fitting_identity_gives_none(a3):
     p1 = projective(a3, "1")
-    assert _primary_components(p1, identity_map(p1)) is None
+    identity = {v: Matrix.identity(p1.dim(v), p1.q) for v in a3.quiver.vertices}
+    assert _primary_components(p1, Intertwiner(p1, p1, identity)) is None
 
 
 def test_fitting_projection_splits(a3):

@@ -7,8 +7,8 @@ cocycle with extension_of_cocycle, then decompose it.  On every line the
 two counts must agree, and the middle's full profile dim Hom(E, -) over
 the catalog, times the inverse of the hom table, must be a vector of
 nonnegative integer multiplicities that sum to the count.  On the same
-pairs Catalog.ext, the filter that decides which pairs the scan hands to
-ext1, must give the dimension of the verified Ext basis.
+pairs the gate cover.ext(N, hom), which decides which pairs the scan
+hands to ext1, must give the dimension of the verified Ext basis.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from test_homalg import check_ext_from_long_exact_sequence
 from test_letter_automaton import presentations
 
+import stringalg.cli
 import stringalg.decomp
 import stringalg.homalg
 import stringalg.verify
@@ -25,7 +26,6 @@ from stringalg.cli import main
 from stringalg.decomp import decompose
 from stringalg.errors import VerificationError
 from stringalg.homalg import (
-    CoverData,
     _hom_system,
     ext1,
     hom_basis,
@@ -63,10 +63,9 @@ def check_pairs(cat, pairs):
     dims = []
     for M, N in pairs:
         cover = projective_cover(M)
+        # the gate verify-main-theorem runs, against the verified ext1
+        assert cover.ext(N, len(hom_basis(M, N))).dim == ext1(cover, N).dim
         census = middle_census(cover, N)
-        # the filter verify-main-theorem runs, against the verified ext1
-        ctx = cat.ext(cover, N)
-        assert (ctx.dim if ctx else 0) == census.ext_dim
         reference = reference_census(cover, N)
         assert [(l.coeffs, l.summands) for l in census.lines] == [
             (coeffs, count) for coeffs, count, _ in reference
@@ -145,7 +144,7 @@ def test_weights_of_every_fixture_catalog(fixture_dir):
         for row in cat.hom:
             assert sum(x * h for x, h in zip(w, row)) == 1
         checked += 1
-    assert checked == 3  # a3, a3nr, census_typeA_seed1_04
+    assert checked == 4  # a3, a3nr, census_typeA_seed1_04, loop_arrow
 
 
 def _corrupt_tables(monkeypatch):
@@ -178,9 +177,9 @@ def _count_ext1(monkeypatch):
     calls = []
     original = stringalg.homalg.ext1
 
-    def counted(cover, N):
+    def counted(cover, N, *kernel):
         calls.append((cover.module, N))
-        return original(cover, N)
+        return original(cover, N, *kernel)
 
     monkeypatch.setattr(stringalg.homalg, "ext1", counted)
     return calls
@@ -196,11 +195,31 @@ def test_scan_runs_ext1_only_on_pairs_with_extensions(fixture_dir, monkeypatch):
     assert len(calls) == len(set(calls)) == report.pair_count == 36
 
 
-def _undercount_top(monkeypatch):
-    """Every cover the scan builds lists one copy too few of P(v) at its
-    first top vertex v, so hom(P0, N) in the identity of Catalog.ext comes
+LOOP_ARROW_CENSUS = ["--format", "structured", "--field", "5", "middle-census", "loop_arrow.sba",
+                     "--from", "e(1)", "--to", "x0"]
+
+
+def _loop_arrow_census(fixture_dir):
+    return [str(fixture_dir / a) if a.endswith(".sba") else a for a in LOOP_ARROW_CENSUS]
+
+
+def test_census_of_non_members_runs_ext1_only_where_the_gate_finds_extensions(
+    fixture_dir, monkeypatch, capsys
+):
+    # M(e(1)) and M(x0) built by the CLI are not catalog members; the exact
+    # counts need Ext^1(M, Y) only for the Y with extensions
+    calls = _count_ext1(monkeypatch)
+    assert main(_loop_arrow_census(fixture_dir)) == 0
+    golden = fixture_dir.parent / "tests" / "golden" / "middle_census_loop_arrow_e1_x0_field5.out"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert len(calls) == 2
+
+
+def _undercount_top(monkeypatch, module=stringalg.verify):
+    """Every cover that module builds lists one copy too few of P(v) at its
+    first top vertex v, so hom(P0, N) in the identity of cover.ext comes
     out dim N_v too small, while the verified basis is unchanged."""
-    original = stringalg.verify.projective_cover
+    original = module.projective_cover
 
     def undercounted(M):
         cover = original(M)
@@ -208,7 +227,7 @@ def _undercount_top(monkeypatch):
         cover.top[v] -= 1
         return cover
 
-    monkeypatch.setattr(stringalg.verify, "projective_cover", undercounted)
+    monkeypatch.setattr(module, "projective_cover", undercounted)
 
 
 def test_filter_disagreeing_with_ext1_raises(a3nr, monkeypatch):
@@ -227,25 +246,43 @@ def test_filter_disagreeing_with_ext1_exits_3(fixture_dir, monkeypatch, capsys):
     assert "long exact Hom sequence gives" in captured.err
 
 
+def test_census_of_non_members_checks_the_identity_and_exits_3(fixture_dir, monkeypatch, capsys):
+    _undercount_top(monkeypatch, stringalg.cli)
+    assert main(_loop_arrow_census(fixture_dir)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "long exact Hom sequence gives" in captured.err
+
+
+def _is_syzygy(M):
+    return M.label.startswith("syzygy(")
+
+
 def test_negative_ext_from_the_identity_raises(a3, monkeypatch):
-    monkeypatch.setattr(CoverData, "syzygy_kernel", lambda self, N: ({}, []))
     cat = catalog_for(a3)
+    original = stringalg.homalg._hom_kernel
+    monkeypatch.setattr(
+        stringalg.homalg,
+        "_hom_kernel",
+        lambda M, N: ({}, []) if _is_syzygy(M) else original(M, N),
+    )
     with pytest.raises(VerificationError, match="= -"):
         for m in cat.entries:
             cover = projective_cover(m.rep)
             for n in cat.entries:
-                cat.ext(cover, n.rep)
+                cover.ext(n.rep, cat.hom[m.index][n.index])
 
 
 def _break_kernels(monkeypatch):
     """Every kernel of Hom(syzygy, N) comes with its first vector moved off
     one equation of the commutation system, so that it is no longer a map;
-    a kernel whose system has no equation is left as it is."""
-    original = CoverData.syzygy_kernel
+    a kernel whose system has no equation, or whose source is not a
+    syzygy, is left as it is."""
+    original = stringalg.homalg._hom_kernel
 
-    def broken(self, N):
-        off, kernel = original(self, N)
-        _, rows, _ = _hom_system(self.syzygy, N)
+    def broken(M, N):
+        off, kernel = original(M, N)
+        rows = _hom_system(M, N)[1] if _is_syzygy(M) else []
         if not kernel or not rows:
             return off, kernel
         idx = next(iter(rows[0]))
@@ -253,7 +290,7 @@ def _break_kernels(monkeypatch):
         vec[idx] = (vec.get(idx, 0) + 1) % N.q
         return off, [vec] + kernel[1:]
 
-    monkeypatch.setattr(CoverData, "syzygy_kernel", broken)
+    monkeypatch.setattr(stringalg.homalg, "_hom_kernel", broken)
 
 
 def test_a_kernel_vector_that_is_not_a_map_fails_ext1(a3nr, monkeypatch):

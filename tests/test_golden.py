@@ -38,6 +38,15 @@ CASES = {
     "middle_census_d4sub_m2111": [
         "middle-census", "d4sub.sba", "--from", "@d4sub_m2111.mod", "--to", "e(0)",
     ],
+    # a loop squaring to zero and an arrow into its vertex: the first
+    # catalog with 2-dimensional Ext, checked at F_5 (the default field's
+    # census would exceed the line cap)
+    "verify_main_theorem_loop_arrow_field5": [
+        "--field", "5", "verify-main-theorem", "loop_arrow.sba",
+    ],
+    "middle_census_loop_arrow_e1_x0_field5": [
+        "--field", "5", "middle-census", "loop_arrow.sba", "--from", "e(1)", "--to", "x0",
+    ],
     "ext_a3nr_e1_e2": ["ext", "a3nr.sba", "--from", "e(1)", "--to", "e(2)"],
     "ar_a3_e1": ["ar", "a3.sba", "--word", "e(1)"],
     "witness_gp_p11_q23": ["witness", "gp.sba", "--p", "11", "--q", "23"],
