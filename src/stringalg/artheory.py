@@ -32,13 +32,14 @@ from .errors import (
     StringAlgError,
     VerificationError,
 )
-from .homalg import Ext1Context, Intertwiner, ShortExactSequence, composites, hom_basis
+from .homalg import CoverData, Ext1Context, Intertwiner, ShortExactSequence, composites, hom_basis
 from .linalg import Matrix, solve_rational
 from .presentation import Presentation
 from .reps import (
     Representation,
     direct_sum,
     graph_map,
+    make_representation,
     string_module_with_nodes,
     zero_representation,
 )
@@ -47,6 +48,7 @@ from .words import (
     LetterAutomaton,
     Walk,
     automaton_for,
+    concat,
     enumerate_words,
     format_walk,
     inverse,
@@ -55,6 +57,7 @@ from .words import (
     trivial_walk,
     walk_source,
     walk_target,
+    walk_vertices,
 )
 
 
@@ -76,9 +79,10 @@ class Catalog:
 
     Construction refuses infinite type, carrying a band witness.  Hom
     spaces between members are precomputed, bases and dimensions, and the
-    projectives are read off the table of dimensions; both readings of
-    every member's word are indexed.  The weight vector and almost-split
-    data are computed lazily.
+    projective at each vertex is read off the table of dimensions; both
+    readings of every member's word are indexed.  The weight vector and
+    almost-split data are computed lazily, and projective covers are
+    written from the words on request.
     """
 
     def __init__(self, p: Presentation):
@@ -111,7 +115,7 @@ class Catalog:
         # dim Hom(P(v), X) = dim X_v (Yoneda), and no two indecomposables
         # share a row of the table (Auslander 1982), so P(v) is the one
         # member whose row is the dimensions at v
-        projectives = []
+        self.projective_at: dict[str, int] = {}
         for v in p.quiver.vertices:
             row = [e.rep.dim(v) for e in self.entries]
             hits = [e.index for e in self.entries if self.hom[e.index] == row]
@@ -119,21 +123,98 @@ class Catalog:
                 raise VerificationError(
                     f"projective at {v} matched {len(hits)} catalog entries"
                 )
-            projectives += hits
-        self.projectives = frozenset(projectives)
+            self.projective_at[v] = hits[0]
+        self.projectives = frozenset(self.projective_at.values())
 
     def lookup(self, w: Walk) -> CatalogEntry:
         if w not in self._readings:
             raise StringAlgError(f"word {format_walk(w)} not in the catalog")
         return self._readings[w][0]
 
+    def index_of(self, m: Representation) -> int | None:
+        """The index of the member whose module is m, or None."""
+        return self._members.get(m)
+
     def oriented(self, walk: Walk) -> tuple[CatalogEntry, list]:
         """The member whose word is walk or its inverse, with its nodes in
-        walk's reading.  Word surgery on members only reaches members, so a
-        miss is a construction bug."""
+        walk's reading.  Word surgery on members, for almost-split sequences
+        and for covers, only reaches members, so a miss is a construction
+        bug."""
         if walk not in self._readings:
             raise VerificationError(f"surgery gave {format_walk(walk)}, not a catalog word")
         return self._readings[walk]
+
+    def cover(self, entry: CatalogEntry) -> CoverData:
+        """The projective cover of M(C), C = entry.word, written from C
+        (Butler and Ringel 1987) in catalog members, with no solve.
+
+        A peak of C is a node no letter points into.  P0 is the sum of P(v)
+        over the peaks, each in the reading of its word whose two arms run
+        along the slopes of C around the peak, and epi maps it by a graph
+        map onto those slopes, down to the neighbouring valleys or ends.
+        The syzygy and its inclusion come from _syzygy_words.
+        ShortExactSequence.verify certifies 0 -> syzygy -> P0 -> M(C) -> 0,
+        and the cover records the member index and block offsets of every
+        summand, so Hom from P0 or from the syzygy is read off the table."""
+        p = self.p
+        C, M = entry.word.letters, entry.rep
+        n = len(C)
+        top = {v: 0 for v in p.quiver.vertices}
+        readings = []  # per peak: its P(v) member and nodes, and (w, d, lo, hi)
+        for i in range(n + 1):
+            if (i and C[i - 1].is_direct) or (i < n and not C[i].is_direct):
+                continue  # a letter points into node i
+            lo, hi = i, i
+            while lo and not C[lo - 1].is_direct:
+                lo -= 1
+            while hi < n and C[hi].is_direct:
+                hi += 1
+            v = entry.nodes[i][0]
+            proj = self.entries[self.projective_at[v]].word
+            for w in (proj, inverse(proj)):
+                # the top of P(v) is the node before its first direct letter
+                k = next((j for j, l in enumerate(w.letters) if l.is_direct), len(w))
+                arms = w.letters[k - i + lo : k + hi - i]
+                if i - lo <= k <= len(w) - (hi - i) and arms == C[lo:hi]:
+                    break
+            else:
+                raise VerificationError(
+                    f"P({v}) has no arms along the slopes of M({format_walk(entry.word)}) "
+                    f"at node {i}"
+                )
+            member, nodes = self.oriented(w)
+            readings.append((member, nodes, (w, i - k, lo, hi)))
+            top[v] += 1
+        pieces = _syzygy_words(p, [r for _, _, r in readings], n)
+        syzygy_members = [self.oriented(walk) for walk, _ in pieces]
+        P0 = direct_sum([m.rep for m, _, _ in readings], label="P0")
+        syz_reps = [m.rep for m, _ in syzygy_members]
+        label = f"syzygy({M.label})"
+        S = direct_sum(syz_reps, label=label) if syz_reps else make_representation(p, {}, {}, label)
+        blocks0 = _blocks(p, [m.rep for m, _, _ in readings])
+        blocks_s = _blocks(p, syz_reps)
+
+        def place(block, node):
+            v, c = node
+            return v, block[v] + c
+
+        epi = [
+            (place(blocks0[t], nodes[a]), entry.nodes[a + d], 1)
+            for t, (_, nodes, (w, d, lo, hi)) in enumerate(readings)
+            for a in range(lo - d, hi - d + 1)
+        ]
+        incl = [
+            (place(blocks_s[u], snodes[s]), place(blocks0[t], readings[t][1][a]), c)
+            for u, ((_, snodes), (_, maps)) in enumerate(zip(syzygy_members, pieces))
+            for s, t, a, c in maps
+        ]
+        ses = ShortExactSequence(S, P0, M, _node_map(S, P0, incl), _node_map(P0, M, epi))
+        ses.verify()
+        return CoverData(
+            M, P0, ses.proj, S, ses.incl, top, self,
+            [(m.index, b) for (m, _, _), b in zip(readings, blocks0)],
+            [(m.index, b) for (m, _), b in zip(syzygy_members, blocks_s)],
+        )
 
     def profile(self, parts: list[int]) -> list[int]:
         """Hom dimensions from every member into the direct sum of the
@@ -246,6 +327,72 @@ class Catalog:
 
     def __len__(self):
         return len(self.entries)
+
+
+def _syzygy_words(p: Presentation, readings: list, n: int) -> list:
+    """The summands of the syzygy of M(C), C of length n, with their
+    inclusion into P0 (Butler and Ringel 1987).
+
+    readings lists the summands of P0, one per peak of C from left to
+    right, as (w, d, lo, hi): the reading w of the word of P(v) whose arms
+    run along the slopes of C, the shift d that puts node a of w on node
+    a + d of C, and the nodes lo..hi of C its slopes cover.  Two
+    neighbouring peaks share the valley hi = lo of the next.  The summands
+    are, from left to right: the tail of the first peak's arm past the left
+    end of C; at each valley, the arm of the right peak's P(v) below the
+    valley followed by that of the left peak's; the tail past the right
+    end.  An empty tail is no summand.  Each comes as (walk, maps), maps
+    listing (node s of walk, peak t, node a of its w, coefficient): the
+    inclusion sends node s to the sum of coefficient times node a of the
+    t-th summand of P0.  The top of a valley summand goes to y1 - y2, its
+    images y1 in the left peak's P(v) and y2 in the right one's, so its
+    left arm, which lies in the right peak's P(v), carries the sign -1."""
+    out = []
+    w, d, lo, _ = readings[0]
+    e = lo - d  # the node of w on the left end of C
+    if e:
+        out.append((_factor(p, w, 0, e - 1), [(s, 0, s, 1) for s in range(e)]))
+    for t in range(len(readings) - 1):
+        (w1, d1, _, j), (w2, d2, _, _) = readings[t], readings[t + 1]
+        pos1, pos2 = j - d1, j - d2  # the valley's node in w1 and in w2
+        walk = concat(p, _factor(p, w2, 0, pos2), _factor(p, w1, pos1, len(w1)))
+        maps = [(s, t + 1, s, -1) for s in range(pos2 + 1)]
+        maps += [(pos2 + s, t, pos1 + s, 1) for s in range(len(w1) - pos1 + 1)]
+        out.append((walk, maps))
+    w, d, _, hi = readings[-1]
+    e = hi - d  # the node of w on the right end of C
+    if e < len(w):
+        t = len(readings) - 1
+        maps = [(s, t, e + 1 + s, 1) for s in range(len(w) - e)]
+        out.append((_factor(p, w, e + 1, len(w)), maps))
+    return out
+
+
+def _factor(p: Presentation, w: Walk, a: int, b: int) -> Walk:
+    """The factor of w from its node a to its node b >= a."""
+    return Walk(w.letters[a:b]) if a < b else trivial_walk(walk_vertices(p, w)[a])
+
+
+def _blocks(p: Presentation, reps: list[Representation]) -> list[dict[str, int]]:
+    """The offset of each summand's block at every vertex of their direct sum."""
+    out, at = [], {v: 0 for v in p.quiver.vertices}
+    for r in reps:
+        out.append(dict(at))
+        for v in at:
+            at[v] += r.dim(v)
+    return out
+
+
+def _node_map(src: Representation, dst: Representation, entries: list) -> Intertwiner:
+    """The map sending basis vector (v, i) of src to the sum of c times
+    basis vector (v, j) of dst over the entries ((v, i), (v, j), c)."""
+    p = src.pres
+    mats = {v: np.zeros((src.dim(v), dst.dim(v)), dtype=np.int64) for v in p.quiver.vertices}
+    for (v, i), (u, j), c in entries:
+        if u != v:
+            raise VerificationError("graph map misaligned: vertex mismatch")
+        mats[v][i, j] += c
+    return Intertwiner(src, dst, {v: Matrix(m, p.q) for v, m in mats.items()})
 
 
 def catalog_for(p: Presentation) -> Catalog:

@@ -164,7 +164,9 @@ def cmd_middle_census(args) -> int:
     # at most three extension dimensions: the lines of P(F_q^3)
     q = p.field_order
     cap = (q**3 - 1) // (q - 1)
-    census = middle_census(projective_cover(m), n, max_lines=cap, seed=args.seed)
+    cover = projective_cover(m)
+    cover.ext(n, hom_dim(m, n))  # the gate checks the census's Ext basis
+    census = middle_census(cover, n, max_lines=cap, seed=args.seed)
     rep = Report("middle-census")
     rep.add("ext_dim", census.ext_dim)
     rep.add("lines", len(census.lines))

@@ -6,19 +6,25 @@ between string-like modules every equation has at most two terms, so
 elimination never fills in and large band modules stay cheap.
 
 Ext^1(M, N) is realized on a projective cover P0 of M with syzygy S:
-the cokernel of restriction Hom(P0, N) -> Hom(S, N).  The one gate is
-cover.ext(N, hom): it solves the kernel of Hom(S, N) once, counts
-dim Ext^1 from it by the long exact Hom sequence, and runs ext1, which
-builds and verifies only the cocycles its basis takes from that kernel,
-only when the count is nonzero.  Each cocycle gives an explicit short
-exact sequence whose middle is written on N_v + M_v at every vertex,
-with the cocycle in the off-diagonal block of each arrow.
+the cokernel of restriction Hom(P0, N) -> Hom(S, N).  projective_cover
+builds the cover of any module by elimination; a catalog member's cover
+is written from its word (artheory.Catalog.cover), with P0 and S direct
+sums of catalog members.  The one gate is cover.ext(N, hom): it counts
+dim Ext^1 by the long exact Hom sequence, reading hom(S, N) off the
+catalog's Hom table for a member's word cover and a member N, and
+otherwise solving the kernel of Hom(S, N) once.  Only when the count is
+nonzero does it run ext1, which stacks Hom(P0, N) restricted to S over
+that kernel (both read off the table on the catalog path) and builds and
+verifies only the cocycles its basis takes from it.  Each cocycle gives
+an explicit short exact sequence whose middle is written on N_v + M_v at
+every vertex, with the cocycle in the off-diagonal block of each arrow.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +37,9 @@ from .reps import (
     projective_with_basis,
     subrepresentation,
 )
+
+if TYPE_CHECKING:
+    from .artheory import Catalog
 
 
 @dataclass
@@ -97,32 +106,40 @@ def _hom_system(
         raise StringAlgError("modules live over different presentations")
     p = M.pres
     q = M.q
+    dm = {v: M.dim(v) for v in p.quiver.vertices}
+    dn = {v: N.dim(v) for v in p.quiver.vertices}
     off: dict[str, int] = {}
     total = 0
     for v in p.quiver.vertices:
         off[v] = total
-        total += M.dim(v) * N.dim(v)
+        total += dm[v] * dn[v]
 
-    def var(v: str, i: int, j: int) -> int:
-        return off[v] + i * N.dim(v) + j
-
+    # the unknown of entry (i, j) of f_v is off[v] + i * dn[v] + j
     rows: list[dict[int, int]] = []
     for a in p.quiver.arrows:
         s, t = a.source, a.target
         XM = M.mats[a.name].a
         XN = N.mats[a.name].a
-        ds, dt = M.dim(s), N.dim(t)
-        xm_nz = [np.nonzero(XM[i])[0] for i in range(ds)]
-        xn_nz = [np.nonzero(XN[:, j])[0] for j in range(dt)]
-        for i in range(ds):
-            for j in range(dt):
+        ws, wt = dn[s], dn[t]
+        # X^M_a f_t: entry (i, j) takes XM[i, k] times unknown (t, k, j)
+        xm_terms = [
+            [(off[t] + k * wt, int(XM[i, k])) for k in np.nonzero(XM[i])[0].tolist()]
+            for i in range(dm[s])
+        ]
+        # f_s X^N_a: entry (i, j) takes XN[l, j] times unknown (s, i, l)
+        xn_terms = [
+            [(l, int(XN[l, j])) for l in np.nonzero(XN[:, j])[0].tolist()] for j in range(wt)
+        ]
+        for i, xm_i in enumerate(xm_terms):
+            base_s = off[s] + i * ws
+            for j, xn_j in enumerate(xn_terms):
                 row: dict[int, int] = {}
-                for k in xm_nz[i]:
-                    key = var(t, int(k), j)
-                    row[key] = (row.get(key, 0) + int(XM[i, k])) % q
-                for l in xn_nz[j]:
-                    key = var(s, i, int(l))
-                    row[key] = (row.get(key, 0) - int(XN[l, j])) % q
+                for base, x in xm_i:
+                    key = base + j
+                    row[key] = (row.get(key, 0) + x) % q
+                for l, x in xn_j:
+                    key = base_s + l
+                    row[key] = (row.get(key, 0) - x) % q
                 if any(row.values()):
                     rows.append(row)
     return total, rows, off
@@ -176,8 +193,19 @@ class CoverData:
     syzygy: Representation
     incl: Intertwiner  # syzygy -> P0
     top: dict[str, int]  # top_v: the number of copies of P(v) in P0
+    # for a cover written in catalog members (Catalog.cover): the Catalog,
+    # and per summand of P0 and of the syzygy its member index and the
+    # offset of its block at each vertex; None and empty otherwise
+    catalog: Catalog | None = None
+    cover_parts: list[tuple[int, dict[str, int]]] = field(default_factory=list)
+    syzygy_parts: list[tuple[int, dict[str, int]]] = field(default_factory=list)
     _exts: dict = field(default_factory=dict, repr=False, compare=False)
     _slips: dict | None = field(default=None, repr=False, compare=False)
+
+    def member_index(self, N: Representation) -> int | None:
+        """N's index when this cover is written in catalog members and N is
+        one of them, so Hom into N can be read off the table."""
+        return None if self.catalog is None else self.catalog.index_of(N)
 
     def ext(self, N: Representation, hom: int | None = None) -> "Ext1Context":
         """Ext^1(module, N) on this cover, computed once per N and kept, so
@@ -185,18 +213,27 @@ class CoverData:
 
         Given hom = dim Hom(module, N) this is the one gate: the long exact
         Hom sequence of 0 -> syzygy -> P0 -> module -> 0 gives dim Ext^1 =
-        hom(syzygy, N) - sum_v top_v dim N_v + hom (Yoneda for P0) from one
-        kernel solve.  At 0 the context has an empty basis and ext1 never
-        runs; otherwise ext1 builds the verified basis from the same kernel,
-        and it must have that dimension.  A mismatch or a negative value is
-        a construction bug.  Only the first request for N is checked."""
+        hom(syzygy, N) - sum_v top_v dim N_v + hom (Yoneda for P0).  On a
+        cover written in catalog members with N a member, hom(syzygy, N) is
+        the sum of the table entries of the syzygy's summands; otherwise it
+        is the length of one kernel solve.  At 0 the context has an empty
+        basis and ext1 never runs; otherwise ext1 builds the verified basis,
+        from the same kernel when one was solved, and it must have that
+        dimension.  A mismatch or a negative value is a construction bug.
+        Only the first request for N is checked."""
         if N in self._exts:
             return self._exts[N]
         if hom is None:
             ctx = ext1(self, N)
         else:
-            kernel = _hom_kernel(self.syzygy, N)
-            expected = len(kernel[1]) - sum(t * N.dim(v) for v, t in self.top.items()) + hom
+            n = self.member_index(N)
+            if n is None:
+                kernel = _hom_kernel(self.syzygy, N)
+                syzygy_hom = len(kernel[1])
+            else:
+                kernel = None
+                syzygy_hom = sum(self.catalog.hom[i][n] for i, _ in self.syzygy_parts)
+            expected = syzygy_hom - sum(t * N.dim(v) for v, t in self.top.items()) + hom
             if expected < 0:
                 raise VerificationError(
                     f"long exact Hom sequence gives dim Ext^1({self.module.label}, "
@@ -332,6 +369,63 @@ class Ext1Context:
         return extension_of_cocycle(self.cover, self.N, self.cocycle(coeffs))
 
 
+def _table_maps(
+    X: Representation, N: Representation, parts: list, catalog: Catalog, n: int
+) -> dict[str, np.ndarray]:
+    """Hom(X, N) for X the direct sum of the catalog members in parts, read
+    off the table: the stored basis of Hom(member, N) of each summand,
+    extended by zero from its block.  N is member n.  One array per vertex
+    v, of shape (maps, dim X_v, dim N_v)."""
+    maps = [(block, h) for i, block in parts for h in catalog.hom_bases[i][n]]
+    out = {}
+    for v in X.pres.quiver.vertices:
+        arr = np.zeros((len(maps), X.dim(v), N.dim(v)), dtype=np.int64)
+        for row, (block, h) in zip(arr, maps):
+            f = h.mats[v].a
+            row[block[v] : block[v] + f.shape[0]] = f
+        out[v] = arr
+    return out
+
+
+def _flat_rows(X: Representation, N: Representation, mats: dict[str, np.ndarray]) -> np.ndarray:
+    """Maps X -> N stacked as per-vertex arrays, one row each, flattened
+    like Intertwiner.flatten."""
+    k = len(next(iter(mats.values())))
+    return np.concatenate(
+        [mats[v].reshape(k, X.dim(v) * N.dim(v)) for v in X.pres.quiver.vertices], axis=1
+    )
+
+
+def _table_kernel(
+    cover: CoverData, N: Representation, n: int
+) -> tuple[dict[str, int], list[dict[int, int]]]:
+    """What _hom_kernel(cover.syzygy, N) returns, for a cover written in
+    catalog members and N member n, with no solve: Hom is additive, so the
+    table's bases of the syzygy's summands, each extended by zero, are a
+    basis of Hom(syzygy, N)."""
+    S = cover.syzygy
+    off, total = {}, 0
+    for v in S.pres.quiver.vertices:
+        off[v] = total
+        total += S.dim(v) * N.dim(v)
+    flat = _flat_rows(S, N, _table_maps(S, N, cover.syzygy_parts, cover.catalog, n))
+    return off, [{j: int(row[j]) for j in np.flatnonzero(row).tolist()} for row in flat]
+
+
+def _restrictions(cover: CoverData, N: Representation, n: int | None) -> np.ndarray:
+    """The maps Hom(P0, N) restricted to the syzygy, one flattened row each:
+    from the table when the cover is written in catalog members and N is
+    member n, otherwise from a solved and verified Hom basis."""
+    if n is None:
+        rows = [cover.incl.compose(h).flatten() for h in hom_basis(cover.cover, N)]
+        width = sum(cover.syzygy.dim(v) * N.dim(v) for v in N.pres.quiver.vertices)
+        return np.reshape(np.array(rows, dtype=np.int64), (len(rows), width))
+    maps = _table_maps(cover.cover, N, cover.cover_parts, cover.catalog, n)
+    return _flat_rows(
+        cover.syzygy, N, {v: (cover.incl.mats[v].a @ m) % N.q for v, m in maps.items()}
+    )
+
+
 def ext1(
     cover: CoverData,
     N: Representation,
@@ -340,22 +434,27 @@ def ext1(
     """Ext^1(cover.module, N) on the given projective cover.
 
     The restricted maps Hom(P0, N) -> Hom(S, N) come first and the kernel
-    vectors of Hom(S, N) (kernel, solved here unless the caller passes
-    _hom_kernel(cover.syzygy, N)) after them, as the columns of one
-    matrix; a cocycle joins the basis exactly when its column is a pivot,
-    that is, when it is not in the span of the restricted maps and the
-    cocycles already chosen.  Only those are built and verified: the
-    columns before a kernel vector that is not a map span only maps, so
-    the first such vector is a pivot and fails its check.
+    vectors of Hom(S, N) after them, as the columns of one matrix; a
+    cocycle joins the basis exactly when its column is a pivot, that is,
+    when it is not in the span of the restricted maps and the cocycles
+    already chosen.  Only those are built and verified: the columns before
+    a kernel vector that is not a map span only maps, so the first such
+    vector is a pivot and fails its check.  On a cover written in catalog
+    members with N a member, both sets are read off the table; otherwise
+    the kernel is solved here unless the caller passes
+    _hom_kernel(cover.syzygy, N), and Hom(P0, N) is solved.
     """
     if cover.module.pres is not N.pres:
         raise StringAlgError("modules live over different presentations")
-    off, kernel = kernel or _hom_kernel(cover.syzygy, N)
-    restricted = [cover.incl.compose(h).flatten() for h in hom_basis(cover.cover, N)]
-    k = len(restricted)
-    width = sum(cover.syzygy.dim(v) * N.dim(v) for v in N.pres.quiver.vertices)
+    n = cover.member_index(N)
+    if n is None:
+        off, kernel = kernel or _hom_kernel(cover.syzygy, N)
+    else:
+        off, kernel = _table_kernel(cover, N, n)
+    restricted = _restrictions(cover, N, n)
+    k, width = restricted.shape
     stacked = np.zeros((k + len(kernel), width), dtype=np.int64)
-    stacked[:k] = np.reshape(restricted, (k, width))
+    stacked[:k] = restricted
     for row, vec in zip(stacked[k:], kernel):
         row[list(vec)] = list(vec.values())
     _, pivots = Matrix(stacked.T, N.q).rref()
@@ -383,7 +482,9 @@ def composites(first: list[Intertwiner], second: list[Intertwiner]) -> np.ndarra
 
 
 def ext1_dim(M: Representation, N: Representation) -> int:
-    return ext1(projective_cover(M), N).dim
+    """dim Ext^1(M, N) through the gate, so the basis is checked against
+    the long exact Hom sequence."""
+    return projective_cover(M).ext(N, hom_dim(M, N)).dim
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,12 @@ def middle_term_scan(
     """Census over every ordered pair of indecomposables with nonzero
     extension space; reports any middle with more than two summands.
 
-    On a string presentation the modules are the catalog members, and the
-    gate cover.ext(N, hom), given hom from the table, skips the pairs whose
-    Ext^1 the long exact Hom sequence finds zero; every other pair's
-    verified Ext basis must have the dimension it finds.  With
+    On a string presentation the modules are the catalog members, each
+    left module's cover is written from its word (Catalog.cover), and the
+    gate cover.ext(N, hom), given hom from the table, reads the long exact
+    Hom sequence off the table and skips the pairs whose Ext^1 it finds
+    zero; every other pair's verified Ext basis must have the dimension it
+    finds.  With
     allow_non_string the catalog is the simples, the projectives and any
     supplied literal modules.  A simple has
     dimension 1 and P(v) a local endomorphism ring, so only the literals
@@ -80,7 +82,8 @@ def middle_term_scan(
             modules.append((f"M({format_walk(e.word)})", e.rep, e.index))
     report = MiddleScanReport(ok=True, pair_count=0)
     for la, ma, ia in modules:
-        cover = projective_cover(ma)  # one cover per left module, shared by its row
+        # one cover per left module, shared by its row
+        cover = projective_cover(ma) if cat is None else cat.cover(cat.entries[ia])
         for lb, mb, ib in modules:
             if not cover.ext(mb, None if cat is None else cat.hom[ia][ib]).dim:
                 continue

@@ -8,7 +8,10 @@ two counts must agree, and the middle's full profile dim Hom(E, -) over
 the catalog, times the inverse of the hom table, must be a vector of
 nonnegative integer multiplicities that sum to the count.  On the same
 pairs the gate cover.ext(N, hom), which decides which pairs the scan
-hands to ext1, must give the dimension of the verified Ext basis.
+hands to ext1, must give the dimension of the verified Ext basis.  The
+scan's covers are written from the words (Catalog.cover); each must have
+the top of projective_cover, and the table's sum over its syzygy's
+summands must equal the solved dimension of Hom(syzygy, N).
 """
 
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from test_homalg import check_ext_from_long_exact_sequence
 from test_letter_automaton import presentations
 
+import stringalg.artheory
 import stringalg.cli
 import stringalg.decomp
 import stringalg.homalg
@@ -26,6 +30,7 @@ from stringalg.cli import main
 from stringalg.decomp import decompose
 from stringalg.errors import VerificationError
 from stringalg.homalg import (
+    _hom_kernel,
     _hom_system,
     ext1,
     hom_basis,
@@ -36,7 +41,7 @@ from stringalg.homalg import (
 from stringalg.linalg import solve_rational
 from stringalg.presentation import load_presentation
 from stringalg.verify import middle_term_scan
-from stringalg.words import format_walk
+from stringalg.words import Walk, format_walk, parse_word, trivial_walk, walk_source
 
 
 def reference_census(cover, N, seed=0):
@@ -109,6 +114,27 @@ def test_exact_census_matches_reference_on_census_fixture(fixture_dir):
     assert check_pairs(cat, [(M, N) for M in reps for N in reps])
 
 
+def check_word_covers(cat):
+    """Each member's cover written from its word against projective_cover:
+    the same top, and hom(syzygy, N) summed over the table for every member
+    N equal to the length of the solved kernel of Hom(syzygy, N)."""
+    for m in cat.entries:
+        word, solved = cat.cover(m), projective_cover(m.rep)
+        assert word.top == solved.top
+        for n in cat.entries:
+            table = sum(cat.hom[i][n.index] for i, _ in word.syzygy_parts)
+            assert table == len(_hom_kernel(solved.syzygy, n.rep)[1])
+
+
+def test_word_covers_match_projective_cover_on_every_fixture_catalog(fixture_dir):
+    cats = [finite_type_catalog(load_presentation(path))
+            for path in sorted(fixture_dir.glob("*.sba"))]
+    cats = [cat for cat in cats if cat is not None]
+    for cat in cats:
+        check_word_covers(cat)
+    assert len(cats) == 4  # a3, a3nr, census_typeA_seed1_04, loop_arrow
+
+
 def test_exact_census_matches_reference_on_drawn_finite_presentations():
     ext_dims = []
 
@@ -123,6 +149,7 @@ def test_exact_census_matches_reference_on_drawn_finite_presentations():
         p = p.with_field(q)
         cat = finite_type_catalog(p)
         assume(cat is not None)
+        check_word_covers(cat)
         reps = [e.rep for e in cat.entries]
         dims = check_pairs(cat, [(M, N) for M in reps for N in reps])
         assert check_ext_from_long_exact_sequence(cat) == len(dims)
@@ -215,29 +242,28 @@ def test_census_of_non_members_runs_ext1_only_where_the_gate_finds_extensions(
     assert len(calls) == 2
 
 
-def _undercount_top(monkeypatch, module=stringalg.verify):
-    """Every cover that module builds lists one copy too few of P(v) at its
-    first top vertex v, so hom(P0, N) in the identity of cover.ext comes
-    out dim N_v too small, while the verified basis is unchanged."""
-    original = module.projective_cover
+def _undercount_top(monkeypatch, owner, name):
+    """Every cover that owner.name builds lists one copy too few of P(v) at
+    its first top vertex v, so hom(P0, N) in the identity of cover.ext
+    comes out dim N_v too small, while the verified basis is unchanged."""
+    original = getattr(owner, name)
 
-    def undercounted(M):
-        cover = original(M)
-        v = next(v for v, t in cover.top.items() if t)
-        cover.top[v] -= 1
+    def undercounted(*args):
+        cover = original(*args)
+        cover.top[next(v for v, t in cover.top.items() if t)] -= 1
         return cover
 
-    monkeypatch.setattr(module, "projective_cover", undercounted)
+    monkeypatch.setattr(owner, name, undercounted)
 
 
 def test_filter_disagreeing_with_ext1_raises(a3nr, monkeypatch):
-    _undercount_top(monkeypatch)
+    _undercount_top(monkeypatch, Catalog, "cover")
     with pytest.raises(VerificationError, match="long exact Hom sequence gives 1"):
         middle_term_scan(a3nr, 4)
 
 
 def test_filter_disagreeing_with_ext1_exits_3(fixture_dir, monkeypatch, capsys):
-    _undercount_top(monkeypatch)
+    _undercount_top(monkeypatch, Catalog, "cover")
     code = main(["verify-main-theorem", str(fixture_dir / "a3nr.sba")])
     assert code == 3
     captured = capsys.readouterr()
@@ -247,11 +273,45 @@ def test_filter_disagreeing_with_ext1_exits_3(fixture_dir, monkeypatch, capsys):
 
 
 def test_census_of_non_members_checks_the_identity_and_exits_3(fixture_dir, monkeypatch, capsys):
-    _undercount_top(monkeypatch, stringalg.cli)
+    _undercount_top(monkeypatch, stringalg.cli, "projective_cover")
     assert main(_loop_arrow_census(fixture_dir)) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "long exact Hom sequence gives" in captured.err
+
+
+def _drop_a_cocycle(monkeypatch):
+    """Every Ext basis that ext1 builds loses its last cocycle."""
+    original = stringalg.homalg.ext1
+
+    def dropped(cover, N, *kernel):
+        ctx = original(cover, N, *kernel)
+        ctx.basis = ctx.basis[:-1]
+        return ctx
+
+    monkeypatch.setattr(stringalg.homalg, "ext1", dropped)
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["--field", "5", "middle-census", "a3.sba", "--from", "e(1)", "--to", "e(2)"],
+         "ext_dim: 1\nlines: 1\nline=(1) summands=1 middle_dimvec=(1,1,0)\nhistogram: 1:1\n"),
+        (["ext", "a3nr.sba", "--from", "e(1)", "--to", "e(2)"], "ext1_dim: 1\n"),
+    ],
+    ids=["middle-census", "ext"],
+)
+def test_ext_commands_check_the_identity_and_exit_3(fixture_dir, monkeypatch, capsys, argv, out):
+    # the Ext basis of the pair itself is checked against the long exact Hom
+    # sequence, so a basis one cocycle short fails the command
+    argv = [str(fixture_dir / a) if a.endswith(".sba") else a for a in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+    _drop_a_cocycle(monkeypatch)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has a basis of 0 but the long exact Hom sequence gives 1" in captured.err
 
 
 def _is_syzygy(M):
@@ -273,34 +333,56 @@ def test_negative_ext_from_the_identity_raises(a3, monkeypatch):
                 cover.ext(n.rep, cat.hom[m.index][n.index])
 
 
+def _off_the_system(S, N, off, kernel):
+    """kernel, a basis of Hom(S, N) in the form of _hom_kernel, with its first
+    vector moved off one equation of the commutation system, so that it is
+    no longer a map; left as it is when the system has no equation."""
+    rows = _hom_system(S, N)[1]
+    if not kernel or not rows:
+        return off, kernel
+    idx = next(iter(rows[0]))
+    vec = dict(kernel[0])
+    vec[idx] = (vec.get(idx, 0) + 1) % N.q
+    return off, [vec] + kernel[1:]
+
+
 def _break_kernels(monkeypatch):
-    """Every kernel of Hom(syzygy, N) comes with its first vector moved off
-    one equation of the commutation system, so that it is no longer a map;
-    a kernel whose system has no equation, or whose source is not a
-    syzygy, is left as it is."""
-    original = stringalg.homalg._hom_kernel
+    """Every kernel of Hom(syzygy, N), solved or read off the table, comes
+    with its first vector moved off the commutation system."""
+    solved, table = stringalg.homalg._hom_kernel, stringalg.homalg._table_kernel
 
-    def broken(M, N):
-        off, kernel = original(M, N)
-        rows = _hom_system(M, N)[1] if _is_syzygy(M) else []
-        if not kernel or not rows:
-            return off, kernel
-        idx = next(iter(rows[0]))
-        vec = dict(kernel[0])
-        vec[idx] = (vec.get(idx, 0) + 1) % N.q
-        return off, [vec] + kernel[1:]
+    def broken_solve(M, N):
+        kernel = solved(M, N)
+        return _off_the_system(M, N, *kernel) if _is_syzygy(M) else kernel
 
-    monkeypatch.setattr(stringalg.homalg, "_hom_kernel", broken)
+    def broken_table(cover, N, n):
+        return _off_the_system(cover.syzygy, N, *table(cover, N, n))
+
+    monkeypatch.setattr(stringalg.homalg, "_hom_kernel", broken_solve)
+    monkeypatch.setattr(stringalg.homalg, "_table_kernel", broken_table)
+
+
+def _first_breakable_pair(cat, cover_of):
+    """A cover and a member N with nonzero Ext^1 and a commutation system
+    with an equation."""
+    return next(
+        (cover, e.rep)
+        for cover in map(cover_of, cat.entries)
+        for e in cat.entries
+        if ext1(cover, e.rep).dim and _hom_system(cover.syzygy, e.rep)[1]
+    )
 
 
 def test_a_kernel_vector_that_is_not_a_map_fails_ext1(a3nr, monkeypatch):
-    reps = [e.rep for e in catalog_for(a3nr).entries]
-    cover, N = next(
-        (cover, N)
-        for cover in map(projective_cover, reps)
-        for N in reps
-        if ext1(cover, N).dim and _hom_system(cover.syzygy, N)[1]
-    )
+    cover, N = _first_breakable_pair(catalog_for(a3nr), lambda e: projective_cover(e.rep))
+    _break_kernels(monkeypatch)
+    with pytest.raises(VerificationError, match="does not commute"):
+        ext1(cover, N)
+
+
+def test_a_table_kernel_vector_that_is_not_a_map_fails_ext1(a3nr, monkeypatch):
+    cat = catalog_for(a3nr)
+    cover, N = _first_breakable_pair(cat, cat.cover)
     _break_kernels(monkeypatch)
     with pytest.raises(VerificationError, match="does not commute"):
         ext1(cover, N)
@@ -313,6 +395,40 @@ def test_a_kernel_vector_that_is_not_a_map_exits_3(fixture_dir, monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "does not commute" in captured.err
+
+
+def _flip_valley_signs(p, pieces):
+    return [(walk, [(s, t, a, abs(c)) for s, t, a, c in maps]) for walk, maps in pieces]
+
+
+def _drop_last_nodes(p, pieces):
+    """Every syzygy summand one node short: a trivial one is left out."""
+    out = []
+    for walk, maps in pieces:
+        if walk.is_trivial:
+            continue
+        short = Walk(walk.letters[:-1]) if len(walk) > 1 else trivial_walk(walk_source(p, walk))
+        out.append((short, [m for m in maps if m[0] < len(walk)]))
+    return out
+
+
+@pytest.mark.parametrize("fault", [_flip_valley_signs, _drop_last_nodes])
+def test_a_wrong_syzygy_summand_fails_the_word_cover(fixture_dir, monkeypatch, capsys, fault):
+    # a valley summand whose top goes to y1 + y2, or syzygy summands one node
+    # short, break the exactness of 0 -> syzygy -> P0 -> M -> 0
+    path = fixture_dir / "census_typeA_seed1_04.sba"
+    p = load_presentation(path)
+    original = stringalg.artheory._syzygy_words
+    monkeypatch.setattr(stringalg.artheory, "_syzygy_words",
+                        lambda p, *args: fault(p, original(p, *args)))
+    cat = Catalog(p)
+    entry = cat.lookup(parse_word(p, "a2 a3^-1"))  # one valley, between two peaks
+    with pytest.raises(VerificationError):
+        cat.cover(entry)
+    assert main(["verify-main-theorem", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "construction certificate failed" in captured.err
 
 
 def _forbid_middles(monkeypatch):

@@ -6,6 +6,7 @@ from stringalg.artheory import catalog_for
 from stringalg.decomp import decompose
 from stringalg.errors import StringAlgError, VerificationError
 from stringalg.homalg import (
+    _hom_system,
     ext1,
     ext1_dim,
     extension_of_cocycle,
@@ -17,6 +18,7 @@ from stringalg.homalg import (
 )
 from stringalg.presentation import load_presentation
 from stringalg.reps import (
+    band_module,
     direct_sum,
     load_module_literal,
     projective,
@@ -267,3 +269,54 @@ def check_ext_from_long_exact_sequence(cat):
 def test_ext_dimension_from_the_long_exact_hom_sequence(name, fixture_dir):
     cat = catalog_for(load_presentation(fixture_dir / f"{name}.sba"))
     assert check_ext_from_long_exact_sequence(cat)  # 2, 5 and 36 of the 25, 36 and 289 pairs
+
+
+def reference_hom_system(M, N):
+    """The commutation system of Hom(M, N) entry by entry: for arrow a: s -> t
+    and entry (i, j), the unknown of entry (k, l) of f_v is numbered
+    off[v] + k dim N_v + l, and X^M_a f_t - f_s X^N_a contributes one row."""
+    p, q = M.pres, M.q
+    off, total = {}, 0
+    for v in p.quiver.vertices:
+        off[v] = total
+        total += M.dim(v) * N.dim(v)
+
+    def var(v, k, l):
+        return off[v] + k * N.dim(v) + l
+
+    rows = []
+    for a in p.quiver.arrows:
+        s, t = a.source, a.target
+        XM, XN = M.mats[a.name].a, N.mats[a.name].a
+        for i in range(M.dim(s)):
+            for j in range(N.dim(t)):
+                row = {}
+                for k in range(M.dim(t)):
+                    if XM[i, k]:
+                        row[var(t, k, j)] = (row.get(var(t, k, j), 0) + int(XM[i, k])) % q
+                for l in range(N.dim(s)):
+                    if XN[l, j]:
+                        row[var(s, i, l)] = (row.get(var(s, i, l), 0) - int(XN[l, j])) % q
+                if any(row.values()):
+                    rows.append(row)
+    return total, rows, off
+
+
+def test_hom_system_matches_the_entrywise_reference(fixture_dir, gp, d4sub):
+    groups = [
+        [e.rep for e in catalog_for(load_presentation(fixture_dir / f"{name}.sba")).entries]
+        for name in ("a3", "loop_arrow", "census_typeA_seed1_04")
+    ]
+    literals = [load_module_literal(d4sub, fixture_dir / f"{name}.mod")
+                for name in ("d4sub_m2111", "d4sub_m2111_indec")]
+    groups.append(literals + [direct_sum(literals), simple(d4sub, "0")])
+    g = gp.with_field(5)
+    groups.append([band_module(g, parse_word(g, "a b^-1"), 2, 2), simple(g, "v"), projective(g, "v")])
+    for mods in groups:
+        for M in mods:
+            for N in mods:
+                total, rows, off = _hom_system(M, N)
+                ref_total, ref_rows, ref_off = reference_hom_system(M, N)
+                assert (total, off) == (ref_total, ref_off)
+                # the same rows in the same order, each with its entries in order
+                assert [list(r.items()) for r in rows] == [list(r.items()) for r in ref_rows]
