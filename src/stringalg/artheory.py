@@ -16,6 +16,17 @@ Every sequence is certified against the defect identity
     dim Hom(U, tau V) - dim Hom(U, E) + dim Hom(U, V) = [U iso V]
 
 over the full catalog, which characterizes almost-split sequences.
+
+The catalog's Hom table is written from the words as well, with no linear
+solve: between string modules Hom has a basis of graph maps
+(Crawley-Boevey 1989), one for each walk that sits in the source's word
+as a factor string and in the target's word, either reading, as a
+substring.  Each row of maps is verified by one Intertwiner.verify, the
+maps into each member must be independent, and the table must hold the
+projective and the injective at every vertex where Yoneda puts them and
+satisfy the defect identity of the right almost split sequence ending at
+every member, which determines it when the Auslander-Reiten quiver has no
+oriented cycle.
 """
 
 from __future__ import annotations
@@ -77,12 +88,14 @@ class CatalogEntry:
 class Catalog:
     """All indecomposables of a finite-type string presentation.
 
-    Construction refuses infinite type, carrying a band witness.  Hom
-    spaces between members are precomputed, bases and dimensions, and the
-    projective at each vertex is read off the table of dimensions; both
-    readings of every member's word are indexed.  The weight vector and
-    almost-split data are computed lazily, and projective covers are
-    written from the words on request.
+    Construction refuses infinite type, carrying a band witness.  The Hom
+    table between members, bases and dimensions, is written from their
+    words in graph maps and verified row by row; the projective at each
+    vertex is read off its rows, exactly one column must be the
+    injective's, and the dimensions must satisfy the defect identity at
+    every member.  Both readings of every member's word are indexed.  The
+    weight vector and almost-split data are computed lazily, and
+    projective covers are written from the words on request.
     """
 
     def __init__(self, p: Presentation):
@@ -98,15 +111,15 @@ class Catalog:
         # both readings of every member's word, each with the member's nodes
         # in that reading; a trivial walk is its own inverse
         self._readings: dict[Walk, tuple[CatalogEntry, list]] = {}
+        both: list[tuple[tuple[Walk, list], tuple[Walk, list]]] = []
         for w in words:
             rep, nodes = string_module_with_nodes(p, w)
             entry = CatalogEntry(len(self.entries), w, rep, nodes)
             self.entries.append(entry)
-            self._readings[inverse(w)] = (entry, nodes[::-1])
-            self._readings[w] = (entry, nodes)
-        self.hom_bases = [
-            [hom_basis(u.rep, v.rep) for v in self.entries] for u in self.entries
-        ]
+            both.append(((w, nodes), (inverse(w), nodes[::-1])))
+            for walk, walk_nodes in both[-1]:
+                self._readings[walk] = (entry, walk_nodes)
+        self.hom_bases = [self._hom_row(u, both) for u in self.entries]
         self.hom = [[len(b) for b in row] for row in self.hom_bases]
         self._members = {e.rep: e.index for e in self.entries}
         self._weights: list[int] | None = None
@@ -125,6 +138,63 @@ class Catalog:
                 )
             self.projective_at[v] = hits[0]
         self.projectives = frozenset(self.projective_at.values())
+        # dually dim Hom(X, I(v)) = dim X_v, and no two indecomposables
+        # share a column, so exactly one column is the dimensions at v
+        columns = [list(col) for col in zip(*self.hom)]
+        for v in p.quiver.vertices:
+            hits = columns.count([e.rep.dim(v) for e in self.entries])
+            if hits != 1:
+                raise VerificationError(f"injective at {v} matched {hits} catalog entries")
+        # at every member V, against every member U,
+        # hom(U, L) - hom(U, E) + hom(U, V) = [U = V] for the right almost
+        # split 0 -> L -> E -> V: the almost-split sequence when V is not
+        # projective, 0 -> rad V -> V when it is.  Knitting along the
+        # Auslander-Reiten quiver, these identities determine the table when
+        # that quiver has no oriented cycle, so a graph map missed there is
+        # refused here
+        for e in self.entries:
+            if e.index in self.projectives:
+                # the top of a projective's word is the node before its first
+                # direct letter, and rad V is what is left on either side
+                w, n = e.word, len(e.word)
+                k = next((j for j, l in enumerate(w.letters) if l.is_direct), n)
+                rad = [_factor(p, w, a, b) for a, b in ((0, k - 1), (k + 1, n)) if 0 <= a <= b]
+                _check_defect(self, e, [], rad)
+            else:
+                t, right, left = _surgery(self, e)
+                _check_defect(self, e, [t], [x for x in (right, left) if x is not None])
+
+    def _hom_row(self, u: CatalogEntry, both: list) -> list[list[Intertwiner]]:
+        """Bases of Hom(M(u), Y) for every member Y: the graph maps of
+        _graph_maps, given both readings of each member's word.  They are
+        checked together, as one map from M(u) into the direct sum of their
+        targets: its arrow matrices are block diagonal, so one
+        Intertwiner.verify passes exactly when every graph map commutes with
+        the arrows.  The maps into each Y must be linearly independent."""
+        p = self.p
+        maps = []  # (target member, per-vertex matrices)
+        for y in self.entries:
+            for nodes, s, t, m in _graph_maps(u.word, u.nodes, both[y.index]):
+                maps.append(
+                    (y, graph_map(p, u.rep, u.nodes[s : s + m + 1], y.rep, nodes[t : t + m + 1], 0))
+                )
+        if maps:  # an empty row lacks the identity, which the Yoneda checks catch
+            row_sum = Intertwiner(
+                u.rep,
+                direct_sum([y.rep for y, _ in maps]),
+                {v: Matrix(np.hstack([g[v].a for _, g in maps]), p.q) for v in p.quiver.vertices},
+            )
+            row_sum.verify()
+        row: list[list[Intertwiner]] = [[] for _ in self.entries]
+        for y, g in maps:
+            row[y.index].append(Intertwiner(u.rep, y.rep, g))
+        for y, basis in zip(self.entries, row):
+            # one graph map is nonzero; only two or more can be dependent
+            if len(basis) > 1 and Matrix(np.array([f.flatten() for f in basis]), p.q).rank() < len(basis):
+                raise VerificationError(
+                    f"graph maps M({format_walk(u.word)}) -> M({format_walk(y.word)}) are dependent"
+                )
+        return row
 
     def lookup(self, w: Walk) -> CatalogEntry:
         if w not in self._readings:
@@ -329,6 +399,40 @@ class Catalog:
         return len(self.entries)
 
 
+def _graph_maps(C: Walk, c_nodes: list, readings) -> list[tuple[list, int, int, int]]:
+    """A basis of Hom(M(C), M(D)) in graph maps (Crawley-Boevey 1989), one
+    (nodes, s, t, m) per map.  readings holds D and its inverse, each with
+    D's nodes in that reading, and nodes is the one a map is read in: a
+    walk E of length m sits at node s of C as a factor string, with no
+    letter of C pointing into it, and at node t of that reading D' as a
+    substring, with no letter of D' pointing out of it.  The map sends node
+    s + j of C to node t + j of D' and every other node to 0.  A trivial E
+    is read in D only, so that no map is listed twice.  c_nodes are C's
+    nodes; only the vertices of nodes are read."""
+    c, n = C.letters, len(C)
+    out = []
+    for flip, (d, nodes) in enumerate(readings):
+        e, k = d.letters, len(d)
+        for s in range(n + 1):
+            if s and c[s - 1].is_direct:
+                continue  # the letter left of node s points into it
+            for t in range(k + 1):
+                if (t and not e[t - 1].is_direct) or c_nodes[s][0] != nodes[t][0]:
+                    continue  # node t points out of D' along the letter left of it
+                m = 0
+                while True:
+                    if (
+                        m >= flip
+                        and (s + m == n or c[s + m].is_direct)
+                        and (t + m == k or not e[t + m].is_direct)
+                    ):
+                        out.append((nodes, s, t, m))
+                    if s + m == n or t + m == k or c[s + m] != e[t + m]:
+                        break
+                    m += 1
+    return out
+
+
 def _syzygy_words(p: Presentation, readings: list, n: int) -> list:
     """The summands of the syzygy of M(C), C of length n, with their
     inclusion into P0 (Butler and Ringel 1987).
@@ -481,8 +585,10 @@ def ar_sequence(p: Presentation, w: Walk) -> ARSequence:
     return cat.ar_sequence(cat.lookup(w))
 
 
-def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
-    p = cat.p
+def _surgery(cat: Catalog, entry: CatalogEntry) -> tuple[Walk, Walk | None, Walk | None]:
+    """The words of the almost-split sequence ending at a non-projective
+    member, by surgery: tau V, and the middle summands from surgery at the
+    right and at the left end of V's word, None where there is none."""
     if entry.index in cat.projectives:
         raise StringAlgError(
             f"M({format_walk(entry.word)}) is projective; no almost-split sequence ends there"
@@ -514,7 +620,12 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
             t = end(aut, t, beta)
     if t is None:
         raise StringAlgError("surgery deleted everything; input looks projective")
+    return t, walk_r, walk_l
 
+
+def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
+    p = cat.p
+    t, walk_r, walk_l = _surgery(cat, entry)
     tau_entry, tau_nodes = cat.oriented(t)
 
     # node-offset bookkeeping for the four canonical graph maps; each walk's
@@ -537,7 +648,7 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
             graph_map(p, tau_entry.rep, tau_nodes, el.rep, el_nodes, 0)
         )
         maps_to_v.append(
-            graph_map(p, el.rep, el_nodes, entry.rep, entry.nodes, -(len(walk_l) - len(w)))
+            graph_map(p, el.rep, el_nodes, entry.rep, entry.nodes, -(len(walk_l) - len(entry.word)))
         )
     if not middles:
         raise StringAlgError("empty middle; input looks projective")
@@ -554,7 +665,7 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
         ses=ses,
         middle_summand_count=len(middles),
     )
-    _check_defect(cat, entry, tau_entry, seq)
+    _check_defect(cat, entry, [t], seq.middle_words)
     return seq
 
 
@@ -580,13 +691,15 @@ def _assemble_ses(p, tau_rep, middle_rep, v_rep, maps_from_tau, maps_to_v):
     return ses
 
 
-def _check_defect(cat: Catalog, v_entry: CatalogEntry, tau_entry: CatalogEntry, seq: ARSequence):
+def _check_defect(cat: Catalog, v_entry: CatalogEntry, left: list[Walk], middle: list[Walk]):
+    """hom(U, L) - hom(U, E) + hom(U, V) = [U = V] on the table for every
+    member U, where L and E are the sums of the members read by the walks
+    in left and middle."""
+    ls = [cat.oriented(w)[0].index for w in left]
+    ms = [cat.oriented(w)[0].index for w in middle]
     for u in cat.entries:
-        lhs = (
-            cat.hom[u.index][tau_entry.index]
-            - sum(cat.hom[u.index][cat.lookup(mw).index] for mw in seq.middle_words)
-            + cat.hom[u.index][v_entry.index]
-        )
+        row = cat.hom[u.index]
+        lhs = sum(row[i] for i in ls) - sum(row[i] for i in ms) + row[v_entry.index]
         want = 1 if u.index == v_entry.index else 0
         if lhs != want:
             raise VerificationError(

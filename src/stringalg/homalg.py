@@ -1,9 +1,12 @@
 """Hom spaces, first extension groups, and explicit extension middle terms.
 
 Hom(M, N) is the solution space of the commutation system
-X^M_a f_t = f_s X^N_a over all arrows a.  The system is assembled sparsely;
+X^M_a f_t = f_s X^N_a over all arrows a.  hom_basis assembles it sparsely;
 between string-like modules every equation has at most two terms, so
-elimination never fills in and large band modules stay cheap.
+elimination never fills in and large band modules stay cheap.  Between
+members of a catalog no system is solved: the catalog's Hom table holds a
+basis of graph maps written from the words (artheory.Catalog), and
+hom_basis serves every other pair of modules.
 
 Ext^1(M, N) is realized on a projective cover P0 of M with syzygy S:
 the cokernel of restriction Hom(P0, N) -> Hom(S, N).  projective_cover

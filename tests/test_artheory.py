@@ -18,7 +18,7 @@ from stringalg.artheory import (
 )
 from stringalg.decomp import decompose
 from stringalg.errors import InfiniteTypeError, StringAlgError, VerificationError
-from stringalg.homalg import hom_dim
+from stringalg.homalg import Intertwiner, hom_dim
 from stringalg.presentation import load_presentation, parse_presentation
 from stringalg.reps import direct_sum, projective, simple
 from stringalg.verify import _direct_sums_up_to, degeneration_scan
@@ -54,13 +54,62 @@ def test_projectives_read_off_the_table_match_solved_columns(name, fixture_dir):
         assert len(marked) == 1, v
 
 
+def _edit_graph_maps(monkeypatch, edit):
+    """Every catalog built from now on takes edit(C, (D, nodes of D), maps)
+    as the graph maps M(C) -> M(D), where maps is what _graph_maps lists."""
+    graph_maps = artheory._graph_maps
+    monkeypatch.setattr(
+        artheory,
+        "_graph_maps",
+        lambda c, cn, readings: edit(c, readings[0], graph_maps(c, cn, readings)),
+    )
+
+
 def test_catalog_refuses_a_table_without_the_projective_rows(a3, monkeypatch):
     # one dimension short on the diagonal: no row is the dimensions at a vertex
-    solve = artheory.hom_basis
-    monkeypatch.setattr(
-        artheory, "hom_basis", lambda u, m: solve(u, m)[1:] if u is m else solve(u, m)
+    _edit_graph_maps(monkeypatch, lambda c, d, maps: maps[1:] if c == d[0] else maps)
+    with pytest.raises(VerificationError, match="projective at 1 matched 0 catalog entries"):
+        Catalog(a3)
+
+
+def test_catalog_refuses_a_row_with_a_map_that_is_not_a_module_map(a3, monkeypatch):
+    # E = e(2) at node 1 of a is not a factor string, since the letter a
+    # points into that node: M(a) -> S(2) sending node 1 to the simple
+    # does not commute with a, and the one verify of row a catches it
+    s2, a = parse_word(a3, "e(2)"), parse_word(a3, "a")
+    _edit_graph_maps(
+        monkeypatch, lambda c, d, maps: maps + [(d[1], 1, 0, 0)] if (c, d[0]) == (a, s2) else maps
     )
-    with pytest.raises(VerificationError, match="matched 0 catalog entries"):
+    verify = Intertwiner.verify
+    sources = []
+
+    def tracked(f):
+        sources.append(f.source)
+        verify(f)
+
+    monkeypatch.setattr(Intertwiner, "verify", tracked)
+    with pytest.raises(VerificationError, match="does not commute with arrow a"):
+        Catalog(a3)
+    assert sources[-1].label == "M(a)"
+
+
+@pytest.mark.parametrize(
+    "source, target, edit, message",
+    [
+        # no map from S(2) into M(a) = I(2): the column of I(2) is one short
+        # of the dimensions at 2, while every projective row is intact
+        ("e(2)", "a", lambda maps: [], "injective at 2 matched 0 catalog entries"),
+        # the identity of M(a) listed twice: the row commutes, its basis does not
+        ("a", "a", lambda maps: maps * 2, r"graph maps M\(a\) -> M\(a\) are dependent"),
+        # S(2) is neither projective nor injective, so without its identity
+        # it passes the Yoneda checks and fails the defect identity at S(2)
+        ("e(2)", "e(2)", lambda maps: [], r"defect identity fails at U=M\(e\(2\)\)"),
+    ],
+)
+def test_catalog_refuses_a_table_entry_of_the_wrong_dimension(a3, monkeypatch, source, target, edit, message):
+    pair = (parse_word(a3, source), parse_word(a3, target))
+    _edit_graph_maps(monkeypatch, lambda c, d, maps: edit(maps) if (c, d[0]) == pair else maps)
+    with pytest.raises(VerificationError, match=message):
         Catalog(a3)
 
 

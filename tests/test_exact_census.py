@@ -11,9 +11,12 @@ pairs the gate cover.ext(N, hom), which decides which pairs the scan
 hands to ext1, must give the dimension of the verified Ext basis.  The
 scan's covers are written from the words (Catalog.cover); each must have
 the top of projective_cover, and the table's sum over its syzygy's
-summands must equal the solved dimension of Hom(syzygy, N).
+summands must equal the solved dimension of Hom(syzygy, N).  The table
+itself is written in graph maps; on every ordered pair of members it must
+have the dimension of hom_basis and span the same space.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -38,6 +41,7 @@ from stringalg.homalg import (
     projective_cover,
     projective_line_representatives,
 )
+from stringalg.linalg import Matrix
 from stringalg.linalg import solve_rational
 from stringalg.presentation import load_presentation
 from stringalg.verify import middle_term_scan
@@ -126,17 +130,33 @@ def check_word_covers(cat):
             assert table == len(_hom_kernel(solved.syzygy, n.rep)[1])
 
 
+def check_graph_map_table(cat):
+    """The table's graph maps against hom_basis on every ordered pair: the
+    same dimension, and the graph maps stacked alone and over the solved
+    basis both have rank that dimension, so the two bases span one space."""
+    for u in cat.entries:
+        for y in cat.entries:
+            table, solved = cat.hom_bases[u.index][y.index], hom_basis(u.rep, y.rep)
+            assert len(table) == len(solved) == cat.hom[u.index][y.index]
+            if table:
+                rows = [f.flatten() for f in table]
+                assert Matrix(np.array(rows), cat.p.q).rank() == len(table)
+                both = np.array(rows + [f.flatten() for f in solved])
+                assert Matrix(both, cat.p.q).rank() == len(table)
+
+
 def test_word_covers_match_projective_cover_on_every_fixture_catalog(fixture_dir):
     cats = [finite_type_catalog(load_presentation(path))
             for path in sorted(fixture_dir.glob("*.sba"))]
     cats = [cat for cat in cats if cat is not None]
     for cat in cats:
+        check_graph_map_table(cat)
         check_word_covers(cat)
     assert len(cats) == 4  # a3, a3nr, census_typeA_seed1_04, loop_arrow
 
 
 def test_exact_census_matches_reference_on_drawn_finite_presentations():
-    ext_dims = []
+    ext_dims, loops = [], []
 
     @settings(
         max_examples=40,
@@ -149,15 +169,18 @@ def test_exact_census_matches_reference_on_drawn_finite_presentations():
         p = p.with_field(q)
         cat = finite_type_catalog(p)
         assume(cat is not None)
+        check_graph_map_table(cat)
         check_word_covers(cat)
         reps = [e.rep for e in cat.entries]
         dims = check_pairs(cat, [(M, N) for M in reps for N in reps])
         assert check_ext_from_long_exact_sequence(cat) == len(dims)
         ext_dims.extend(dims)
+        loops.append(any(a.source == a.target for a in p.quiver.arrows))
 
     check()
     assert max(ext_dims) >= 2
     assert 2 in ext_dims
+    assert any(loops)
 
 
 def test_weights_of_every_fixture_catalog(fixture_dir):
