@@ -23,10 +23,12 @@ solve: between string modules Hom has a basis of graph maps
 as a factor string and in the target's word, either reading, as a
 substring.  Each row of maps is verified by one Intertwiner.verify, the
 maps into each member must be independent, and the table must hold the
-projective and the injective at every vertex where Yoneda puts them and
-satisfy the defect identity of the right almost split sequence ending at
-every member, which determines it when the Auslander-Reiten quiver has no
-oriented cycle.
+projective and the injective at every vertex where Yoneda puts them.
+Surgery gives the integer mesh matrix A: row V holds +1 at V and at tau V
+and -1 at each middle summand (+1 at a projective V, -1 at each summand of
+rad V).  The defect identities at all (U, V) say hom . A^T = I, so given
+the surgery's words they determine the table, with or without oriented
+cycles in the Auslander-Reiten quiver; the surgery itself stays trusted.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import (
     VerificationError,
 )
 from .homalg import CoverData, Ext1Context, Intertwiner, ShortExactSequence, composites, hom_basis
-from .linalg import Matrix, solve_rational
+from .linalg import Matrix
 from .presentation import Presentation
 from .reps import (
     Representation,
@@ -92,10 +94,11 @@ class Catalog:
     table between members, bases and dimensions, is written from their
     words in graph maps and verified row by row; the projective at each
     vertex is read off its rows, exactly one column must be the
-    injective's, and the dimensions must satisfy the defect identity at
-    every member.  Both readings of every member's word are indexed.  The
-    weight vector and almost-split data are computed lazily, and
-    projective covers are written from the words on request.
+    injective's, and the table must satisfy the defect identity of every
+    member's mesh row.  Surgery runs once, here.  Both readings of every
+    member's word are indexed.  The weight vector and almost-split data are
+    read off the stored mesh rows and walks lazily, and projective covers
+    are written from the words on request.
     """
 
     def __init__(self, p: Presentation):
@@ -145,24 +148,25 @@ class Catalog:
             hits = columns.count([e.rep.dim(v) for e in self.entries])
             if hits != 1:
                 raise VerificationError(f"injective at {v} matched {hits} catalog entries")
-        # at every member V, against every member U,
-        # hom(U, L) - hom(U, E) + hom(U, V) = [U = V] for the right almost
-        # split 0 -> L -> E -> V: the almost-split sequence when V is not
-        # projective, 0 -> rad V -> V when it is.  Knitting along the
-        # Auslander-Reiten quiver, these identities determine the table when
-        # that quiver has no oriented cycle, so a graph map missed there is
-        # refused here
+        # the mesh row (L, E) of each member V in member indices, from the
+        # right almost split 0 -> L -> E -> V (0 -> rad V -> V when V is
+        # projective); hom(U, L) - hom(U, E) + hom(U, V) = [U = V] at all U
+        # and V determine the table, so a graph map missed is refused here
+        self.mesh: list[tuple[list[int], list[int]]] = []
+        self._walks: dict[int, tuple[Walk, Walk | None, Walk | None]] = {}
         for e in self.entries:
             if e.index in self.projectives:
                 # the top of a projective's word is the node before its first
                 # direct letter, and rad V is what is left on either side
                 w, n = e.word, len(e.word)
                 k = next((j for j, l in enumerate(w.letters) if l.is_direct), n)
-                rad = [_factor(p, w, a, b) for a, b in ((0, k - 1), (k + 1, n)) if 0 <= a <= b]
-                _check_defect(self, e, [], rad)
+                ends = [], [_factor(p, w, a, b) for a, b in ((0, k - 1), (k + 1, n)) if 0 <= a <= b]
             else:
-                t, right, left = _surgery(self, e)
-                _check_defect(self, e, [t], [x for x in (right, left) if x is not None])
+                t, right, left = self._walks[e.index] = _surgery(self, e)
+                ends = [t], [x for x in (right, left) if x is not None]
+            row = tuple([self.oriented(x)[0].index for x in walks] for walks in ends)
+            self.mesh.append(row)
+            _check_defect(self, e.index, *row)
 
     def _hom_row(self, u: CatalogEntry, both: list) -> list[list[Intertwiner]]:
         """Bases of Hom(M(u), Y) for every member Y: the graph maps of
@@ -313,21 +317,18 @@ class Catalog:
 
     @property
     def weights(self) -> list[int]:
-        """The integer vector w with hom . w = 1, solved exactly on first use.
+        """The integer vector w with hom . w = 1, summed on first use.
 
         Member i contributes (hom . w)_i = 1 to sum_Y w_Y dim Hom(X, Y) per
         copy in X, so that sum counts the indecomposable summands of any X.
-        hom is the Cartan matrix of the Auslander algebra, which is
-        unimodular, so w must be integral."""
+        hom . A^T = I for the mesh matrix A, so w = A^T . 1, the column sums
+        of the mesh rows; hom . w = 1 is checked, so that a table edited
+        after construction is refused."""
         if self._weights is None:
-            w = solve_rational(self.hom, [1] * len(self.entries))
-            if w is None:
-                raise VerificationError("the hom table is singular")
-            if any(x.denominator != 1 for x in w):
-                raise VerificationError("the hom table has no integral weight vector")
-            w = [int(x) for x in w]
+            n, mesh = len(self.entries), self.mesh
+            w = [1 + sum(ls.count(i) - ms.count(i) for ls, ms in mesh) for i in range(n)]
             if any(sum(h * x for h, x in zip(row, w)) != 1 for row in self.hom):
-                raise VerificationError("the weight vector fails hom . w = 1")
+                raise VerificationError("the mesh column sums are no integral weight vector")
             self._weights = w
         return self._weights
 
@@ -379,8 +380,9 @@ class Catalog:
 
     def delta_formula(self, delta: list[int]) -> int:
         """The accounting sum over non-projective members V of
-        delta(V) * (2 - middle summand count of the sequence at V); only
-        the V with delta(V) != 0 have their sequence built."""
+        delta(V) * (2 - middle summand count of the sequence at V).  Each V
+        with delta(V) != 0 has its sequence built and verified exact: the
+        count is that certified sequence's, not a bare read of V's mesh row."""
         return sum(
             d * (2 - self.ar_sequence(e).middle_summand_count)
             for e in self.nonprojective()
@@ -589,12 +591,7 @@ def _surgery(cat: Catalog, entry: CatalogEntry) -> tuple[Walk, Walk | None, Walk
     """The words of the almost-split sequence ending at a non-projective
     member, by surgery: tau V, and the middle summands from surgery at the
     right and at the left end of V's word, None where there is none."""
-    if entry.index in cat.projectives:
-        raise StringAlgError(
-            f"M({format_walk(entry.word)}) is projective; no almost-split sequence ends there"
-        )
-    w = entry.word
-    aut = cat.automaton
+    w, aut = entry.word, cat.automaton
     right_cands = _direct_extensions(aut, w)
     left_cands = _direct_extensions(aut, inverse(w))
     if w.is_trivial:
@@ -624,8 +621,15 @@ def _surgery(cat: Catalog, entry: CatalogEntry) -> tuple[Walk, Walk | None, Walk
 
 
 def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
+    """The sequence from the surgery walks stored on construction; its mesh
+    row is checked again, so that a table edited since is refused."""
+    if entry.index in cat.projectives:
+        raise StringAlgError(
+            f"M({format_walk(entry.word)}) is projective; no almost-split sequence ends there"
+        )
+    _check_defect(cat, entry.index, *cat.mesh[entry.index])
     p = cat.p
-    t, walk_r, walk_l = _surgery(cat, entry)
+    t, walk_r, walk_l = cat._walks[entry.index]
     tau_entry, tau_nodes = cat.oriented(t)
 
     # node-offset bookkeeping for the four canonical graph maps; each walk's
@@ -650,12 +654,10 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
         maps_to_v.append(
             graph_map(p, el.rep, el_nodes, entry.rep, entry.nodes, -(len(walk_l) - len(entry.word)))
         )
-    if not middles:
-        raise StringAlgError("empty middle; input looks projective")
 
     middle_rep = direct_sum([e.rep for e in middles])
     ses = _assemble_ses(p, tau_entry.rep, middle_rep, entry.rep, maps_from_tau, maps_to_v)
-    seq = ARSequence(
+    return ARSequence(
         target_word=entry.word,
         tau_word=t,
         middle_words=[e.word for e in middles],
@@ -665,8 +667,6 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
         ses=ses,
         middle_summand_count=len(middles),
     )
-    _check_defect(cat, entry, [t], seq.middle_words)
-    return seq
 
 
 def _assemble_ses(p, tau_rep, middle_rep, v_rep, maps_from_tau, maps_to_v):
@@ -691,16 +691,13 @@ def _assemble_ses(p, tau_rep, middle_rep, v_rep, maps_from_tau, maps_to_v):
     return ses
 
 
-def _check_defect(cat: Catalog, v_entry: CatalogEntry, left: list[Walk], middle: list[Walk]):
+def _check_defect(cat: Catalog, v: int, ls: list[int], ms: list[int]):
     """hom(U, L) - hom(U, E) + hom(U, V) = [U = V] on the table for every
-    member U, where L and E are the sums of the members read by the walks
-    in left and middle."""
-    ls = [cat.oriented(w)[0].index for w in left]
-    ms = [cat.oriented(w)[0].index for w in middle]
+    member U, L and E the sums of the members at the indices ls and ms."""
     for u in cat.entries:
         row = cat.hom[u.index]
-        lhs = sum(row[i] for i in ls) - sum(row[i] for i in ms) + row[v_entry.index]
-        want = 1 if u.index == v_entry.index else 0
+        lhs = sum(row[i] for i in ls) - sum(row[i] for i in ms) + row[v]
+        want = 1 if u.index == v else 0
         if lhs != want:
             raise VerificationError(
                 f"defect identity fails at U=M({format_walk(u.word)}): {lhs} != {want}"

@@ -386,3 +386,19 @@ def test_a_bumped_hom_entry_fails_the_defect_identity(a3nr):
     cat.hom[0][e.index] += 1
     with pytest.raises(VerificationError, match="defect identity fails"):
         cat.ar_sequence(e)
+
+
+@pytest.mark.parametrize("name", ["a3nr.sba", "loop_arrow.sba"])
+def test_surgery_runs_once_per_nonprojective_member(name, fixture_dir, monkeypatch):
+    calls = []
+    real = artheory._surgery
+
+    def counted(cat, entry):
+        calls.append(entry.index)
+        return real(cat, entry)
+
+    monkeypatch.setattr(artheory, "_surgery", counted)
+    cat = Catalog(load_presentation(fixture_dir / name))
+    for e in cat.nonprojective():
+        cat.ar_sequence(e)
+    assert sorted(calls) == [e.index for e in cat.nonprojective()]

@@ -171,6 +171,7 @@ def test_exact_census_matches_reference_on_drawn_finite_presentations():
         assume(cat is not None)
         check_graph_map_table(cat)
         check_word_covers(cat)
+        assert cat.weights == solve_rational(cat.hom, [1] * len(cat))
         reps = [e.rep for e in cat.entries]
         dims = check_pairs(cat, [(M, N) for M in reps for N in reps])
         assert check_ext_from_long_exact_sequence(cat) == len(dims)
@@ -193,34 +194,53 @@ def test_weights_of_every_fixture_catalog(fixture_dir):
         assert all(isinstance(x, int) for x in w)
         for row in cat.hom:
             assert sum(x * h for x, h in zip(w, row)) == 1
+        # the mesh column sums against the rational solve they replace
+        assert w == solve_rational(cat.hom, [1] * len(cat))
         checked += 1
     assert checked == 4  # a3, a3nr, census_typeA_seed1_04, loop_arrow
 
 
-def _corrupt_tables(monkeypatch):
-    """Every catalog built from now on doubles its hom table: then no
-    integral w solves hom . w = 1."""
+def _doubled(hom):
+    """Then no integral w solves hom . w = 1."""
+    return [[2 * h for h in row] for row in hom]
+
+
+def _columns_0_and_3_swapped(hom):
+    """On a3nr members 0 and 3 have weights 1 and 0.  A rational solve of
+    hom . w = 1 accepts the swapped table, with w = [0, 1, 1, 1, 0, 0];
+    the mesh column sums [1, 1, 1, 0, 0, 0] fail it."""
+    return [[row[3], *row[1:3], row[0], *row[4:]] for row in hom]
+
+
+def _corrupt_tables(monkeypatch, edit):
+    """Every catalog built from now on edits its hom table after
+    construction, past the checks the constructor makes."""
     original = Catalog.__init__
 
     def corrupted(self, p):
         original(self, p)
-        self.hom = [[2 * h for h in row] for row in self.hom]
+        self.hom = edit(self.hom)
 
     monkeypatch.setattr(Catalog, "__init__", corrupted)
 
 
 def test_corrupted_hom_table_raises(a3nr, monkeypatch):
-    _corrupt_tables(monkeypatch)
-    cat = Catalog(a3nr)
-    with pytest.raises(VerificationError, match="integral weight"):
-        cat.weights
+    assert Catalog(a3nr).weights == [1, 1, 1, 0, 0, 0]
+    for edit in (_doubled, _columns_0_and_3_swapped):
+        with monkeypatch.context() as m:
+            _corrupt_tables(m, edit)
+            cat = Catalog(a3nr)
+            with pytest.raises(VerificationError, match="integral weight"):
+                cat.weights
 
 
 def test_corrupted_hom_table_exits_3(fixture_dir, monkeypatch, capsys):
-    _corrupt_tables(monkeypatch)
-    code = main(["verify-main-theorem", str(fixture_dir / "a3nr.sba")])
-    assert code == 3
-    assert "integral weight" in capsys.readouterr().err
+    for edit in (_doubled, _columns_0_and_3_swapped):
+        with monkeypatch.context() as m:
+            _corrupt_tables(m, edit)
+            code = main(["verify-main-theorem", str(fixture_dir / "a3nr.sba")])
+        assert code == 3
+        assert "integral weight" in capsys.readouterr().err
 
 
 def _count_ext1(monkeypatch):

@@ -47,8 +47,12 @@ CASES = {
     "middle_census_loop_arrow_e1_x0_field5": [
         "--field", "5", "middle-census", "loop_arrow.sba", "--from", "e(1)", "--to", "x0",
     ],
+    # loop_arrow's Auslander-Reiten quiver has oriented cycles; the ar
+    # report pins the surgery's reading of the translate, x1^-1
+    "degeneration_loop_arrow_dim4": ["degeneration", "loop_arrow.sba", "--max-dim", "4"],
     "ext_a3nr_e1_e2": ["ext", "a3nr.sba", "--from", "e(1)", "--to", "e(2)"],
     "ar_a3_e1": ["ar", "a3.sba", "--word", "e(1)"],
+    "ar_loop_arrow_e0": ["ar", "loop_arrow.sba", "--word", "e(0)"],
     "witness_gp_p11_q23": ["witness", "gp.sba", "--p", "11", "--q", "23"],
     "witness_gp_p13_q53": ["witness", "gp.sba", "--p", "13", "--q", "53"],
     "witness_nd_two_loops_p11_q23": ["witness", "nd_two_loops.sba", "--p", "11", "--q", "23"],
