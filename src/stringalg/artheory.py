@@ -570,7 +570,12 @@ def _left_end(aut: LetterAutomaton, w: Walk, beta: Letter | None) -> Walk | None
 
 @dataclass
 class ARSequence:
-    """Almost-split sequence 0 -> tau V -> E -> V -> 0 for V = M(word)."""
+    """Almost-split sequence 0 -> tau V -> E -> V -> 0 for V = M(word).
+
+    tau_word and middle_words are the words of catalog members, in the
+    reading the catalog lists them; the surgery walks, in the readings the
+    graph maps need, stay on the catalog.
+    """
 
     target_word: Walk
     tau_word: Walk
@@ -659,7 +664,7 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
     ses = _assemble_ses(p, tau_entry.rep, middle_rep, entry.rep, maps_from_tau, maps_to_v)
     return ARSequence(
         target_word=entry.word,
-        tau_word=t,
+        tau_word=tau_entry.word,
         middle_words=[e.word for e in middles],
         tau=tau_entry.rep,
         middle=middle_rep,

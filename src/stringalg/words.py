@@ -44,12 +44,24 @@ class Direction(Enum):
 @total_ordering
 @dataclass(frozen=True)
 class Letter:
+    """An arrow or its formal inverse.
+
+    Its printed text, the arrow name with "^-1" on an inverse, is built
+    once per instance; words share the letters of the automaton, so
+    printing a word joins texts already built.  The text is not a field:
+    equality, hashing and the repr see the arrow and direction alone.
+    """
+
     arrow: str
     direction: Direction
 
     @property
     def is_direct(self) -> bool:
         return self.direction is Direction.DIRECT
+
+    @cached_property
+    def text(self) -> str:
+        return self.arrow + ("" if self.is_direct else "^-1")
 
     def inverse(self) -> "Letter":
         return Letter(
@@ -58,7 +70,7 @@ class Letter:
         )
 
     def __repr__(self):
-        return self.arrow + ("" if self.is_direct else "^-1")
+        return self.text
 
     def __lt__(self, other: "Letter"):
         # ordering refined per presentation via letter_key; this is a fallback
@@ -594,15 +606,22 @@ def surviving_paths(p: Presentation, v: str) -> list[tuple[str, tuple[str, ...]]
 def enumerate_words(p: Presentation, max_len: int) -> list[Walk]:
     """All words of length at most max_len, one per inversion pair {w, w^-1}.
 
-    Includes the trivial word at each vertex.  Output is sorted by length
-    and then lexicographically by letter keys.
+    Includes the trivial word at each vertex.  Each word is given in the
+    reading whose codes are smaller, which is the reading smaller by
+    letter keys.  The codes of the inverse reading start with the last
+    code ^ 1, so the end codes decide, and the whole code tuples are
+    compared only when the first letter is the inverse of the last.
+    Output is sorted by length and then lexicographically by letter keys.
     """
     out = [trivial_walk(v) for v in sorted(p.quiver.vertices)]
     automaton = automaton_for(p)
-    letters = automaton.letters
+    letter = automaton.letters.__getitem__
     for codes, _ in automaton.walk(max_len):
-        if codes <= tuple(c ^ 1 for c in reversed(codes)):
-            out.append(Walk(tuple(letters[c] for c in codes)))
+        first, back = codes[0], codes[-1] ^ 1
+        if first < back or (
+            first == back and codes <= tuple(c ^ 1 for c in reversed(codes))
+        ):
+            out.append(Walk(tuple(map(letter, codes))))
     return out
 
 
@@ -614,7 +633,7 @@ def enumerate_words(p: Presentation, max_len: int) -> list[Walk]:
 def format_walk(w: Walk) -> str:
     if w.is_trivial:
         return f"e({w.vertex})"
-    return " ".join(l.arrow + ("" if l.is_direct else "^-1") for l in w.letters)
+    return " ".join([l.text for l in w.letters])
 
 
 def parse_walk(p: Presentation, text: str) -> Walk:

@@ -16,6 +16,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = {
     "words_gp_len8": ["words", "gp.sba", "--max-len", "8"],
+    # loops: 30 of the 219 words begin with the inverse of their last
+    # letter, where the end letters leave the reading open
+    "words_nd_two_loops_len10": ["words", "nd_two_loops.sba", "--max-len", "10"],
     "classify_a3": ["classify", "a3.sba"],
     "classify_a3nr": ["classify", "a3nr.sba"],
     "classify_kronecker": ["classify", "kronecker.sba"],
@@ -48,7 +51,8 @@ CASES = {
         "--field", "5", "middle-census", "loop_arrow.sba", "--from", "e(1)", "--to", "x0",
     ],
     # loop_arrow's Auslander-Reiten quiver has oriented cycles; the ar
-    # report pins the surgery's reading of the translate, x1^-1
+    # report names the translate by its member word, x1, where the
+    # surgery reads it as x1^-1
     "degeneration_loop_arrow_dim4": ["degeneration", "loop_arrow.sba", "--max-dim", "4"],
     "ext_a3nr_e1_e2": ["ext", "a3nr.sba", "--from", "e(1)", "--to", "e(2)"],
     "ar_a3_e1": ["ar", "a3.sba", "--word", "e(1)"],

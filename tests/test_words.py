@@ -5,6 +5,7 @@ import random
 import pytest
 
 from stringalg.errors import CompositionError, StringAlgError
+from stringalg.presentation import load_presentation
 from stringalg.words import (
     Direction,
     Letter,
@@ -206,38 +207,47 @@ def test_enumerate_words_zero(gp):
 
 
 def brute_words_up_to_inversion(p, max_len):
-    """Oracle: enumerate all composable letter strings and filter by is_word."""
-    from stringalg.words import all_letters, letter_source, letter_target
+    """Oracle: every composable letter string that is_word accepts, once per
+    pair {w, w^-1} in the reading smaller under letter_key.  The trivial
+    words come first, then the words by length and letter keys."""
+    from stringalg.words import all_letters, letter_key, letter_source, letter_target
 
     letters = all_letters(p)
-    found = set()
-    for v in p.quiver.vertices:
-        found.add(("e", v))
+
+    def keys(seq):
+        return [letter_key(p, l) for l in seq]
+
+    out = [trivial_walk(v) for v in sorted(p.quiver.vertices)]
     level = [((), v) for v in p.quiver.vertices]
     for _ in range(max_len):
-        nxt = []
-        for seq, endv in level:
-            for l in letters:
-                if letter_source(p, l) != endv:
-                    continue
-                ext = seq + (l,)
-                nxt.append((ext, letter_target(p, l)))
-        level = nxt
+        level = [
+            (seq + (l,), letter_target(p, l))
+            for seq, endv in level
+            for l in letters
+            if letter_source(p, l) == endv
+        ]
+        found = set()
         for seq, _ in level:
             if is_word(p, Walk(seq))[0]:
                 inv = tuple(l.inverse() for l in reversed(seq))
-                found.add(min(
-                    tuple((l.arrow, l.direction.value) for l in seq),
-                    tuple((l.arrow, l.direction.value) for l in inv),
-                ))
-    return found
+                found.add(min(seq, inv, key=keys))
+        out.extend(Walk(seq) for seq in sorted(found, key=keys))
+    return out
 
 
-def test_enumerate_words_matches_bruteforce(gp, a3nr):
-    for p, cap in ((gp, 5), (a3nr, 4)):
-        ours = enumerate_words(p, cap)
-        brute = brute_words_up_to_inversion(p, cap)
-        assert len(ours) == len(brute)
+def test_enumerate_words_matches_bruteforce(gp, a3nr, kronecker, fixture_dir):
+    loop_arrow = load_presentation(fixture_dir / "loop_arrow.sba")
+    nd_two_loops = load_presentation(fixture_dir / "nd_two_loops.sba")
+    cases = ((gp, 5), (a3nr, 4), (kronecker, 4), (loop_arrow, 8), (nd_two_loops, 7))
+    for p, cap in cases:
+        assert enumerate_words(p, cap) == brute_words_up_to_inversion(p, cap)
+    # the end letters leave the reading open when the first letter is the
+    # inverse of the last, as in x1 x0 x1^-1
+    assert any(
+        len(w) > 1 and w.letters[0] == w.letters[-1].inverse()
+        for p, cap in cases
+        for w in enumerate_words(p, cap)
+    )
 
 
 def test_fine_wolf_arithmetic():
@@ -299,6 +309,11 @@ def test_parse_and_format(gp, a3):
     t = parse_walk(a3, "e(2)")
     assert t.is_trivial and t.vertex == "2"
     assert parse_word(gp, "a b").letters == (L("a"), L("b"))
+    # a letter's built text is not a field: a letter that has printed is
+    # equal, hashes and reprs like a fresh one
+    printed, fresh = w.letters[1], L("b-")
+    assert printed.text == "b^-1" and "text" not in fresh.__dict__
+    assert printed == fresh and hash(printed) == hash(fresh) and repr(printed) == repr(fresh)
     with pytest.raises(StringAlgError):
         parse_word(gp, "a a")
 
