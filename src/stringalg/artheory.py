@@ -122,7 +122,11 @@ class Catalog:
             both.append(((w, nodes), (inverse(w), nodes[::-1])))
             for walk, walk_nodes in both[-1]:
                 self._readings[walk] = (entry, walk_nodes)
-        self.hom_bases = [self._hom_row(u, both) for u in self.entries]
+        rows = [self._hom_row(u, both) for u in self.entries]
+        self.hom_bases = [bases for bases, _ in rows]
+        # beside each basis map, where _graph_maps put it: (reading, s, t, m)
+        # with reading 0 for the target's word and 1 for its inverse
+        self.hom_keys = [keys for _, keys in rows]
         self.hom = [[len(b) for b in row] for row in self.hom_bases]
         self._members = {e.rep: e.index for e in self.entries}
         self._weights: list[int] | None = None
@@ -168,37 +172,41 @@ class Catalog:
             self.mesh.append(row)
             _check_defect(self, e.index, *row)
 
-    def _hom_row(self, u: CatalogEntry, both: list) -> list[list[Intertwiner]]:
+    def _hom_row(self, u: CatalogEntry, both: list) -> tuple[list[list[Intertwiner]], list[list[tuple]]]:
         """Bases of Hom(M(u), Y) for every member Y: the graph maps of
-        _graph_maps, given both readings of each member's word.  They are
+        _graph_maps, given both readings of each member's word, each with
+        its (reading, s, t, m).  They are
         checked together, as one map from M(u) into the direct sum of their
         targets: its arrow matrices are block diagonal, so one
         Intertwiner.verify passes exactly when every graph map commutes with
         the arrows.  The maps into each Y must be linearly independent."""
         p = self.p
-        maps = []  # (target member, per-vertex matrices)
+        maps = []  # (target member, (reading, s, t, m), per-vertex matrices)
         for y in self.entries:
             for nodes, s, t, m in _graph_maps(u.word, u.nodes, both[y.index]):
+                key = (int(nodes is both[y.index][1][1]), s, t, m)
                 maps.append(
-                    (y, graph_map(p, u.rep, u.nodes[s : s + m + 1], y.rep, nodes[t : t + m + 1], 0))
+                    (y, key, graph_map(p, u.rep, u.nodes[s : s + m + 1], y.rep, nodes[t : t + m + 1], 0))
                 )
         if maps:  # an empty row lacks the identity, which the Yoneda checks catch
             row_sum = Intertwiner(
                 u.rep,
-                direct_sum([y.rep for y, _ in maps]),
-                {v: Matrix(np.hstack([g[v].a for _, g in maps]), p.q) for v in p.quiver.vertices},
+                direct_sum([y.rep for y, _, _ in maps]),
+                {v: Matrix(np.hstack([g[v].a for _, _, g in maps]), p.q) for v in p.quiver.vertices},
             )
             row_sum.verify()
         row: list[list[Intertwiner]] = [[] for _ in self.entries]
-        for y, g in maps:
+        keys: list[list[tuple]] = [[] for _ in self.entries]
+        for y, key, g in maps:
             row[y.index].append(Intertwiner(u.rep, y.rep, g))
+            keys[y.index].append(key)
         for y, basis in zip(self.entries, row):
             # one graph map is nonzero; only two or more can be dependent
             if len(basis) > 1 and Matrix(np.array([f.flatten() for f in basis]), p.q).rank() < len(basis):
                 raise VerificationError(
                     f"graph maps M({format_walk(u.word)}) -> M({format_walk(y.word)}) are dependent"
                 )
-        return row
+        return row, keys
 
     def lookup(self, w: Walk) -> CatalogEntry:
         if w not in self._readings:
@@ -399,6 +407,10 @@ class Catalog:
 
     def __len__(self):
         return len(self.entries)
+
+    def __contains__(self, walk: Walk) -> bool:
+        """Whether walk is a member's word in either reading."""
+        return walk in self._readings
 
 
 def _graph_maps(C: Walk, c_nodes: list, readings) -> list[tuple[list, int, int, int]]:

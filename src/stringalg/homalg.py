@@ -12,15 +12,19 @@ Ext^1(M, N) is realized on a projective cover P0 of M with syzygy S:
 the cokernel of restriction Hom(P0, N) -> Hom(S, N).  projective_cover
 builds the cover of any module by elimination; a catalog member's cover
 is written from its word (artheory.Catalog.cover), with P0 and S direct
-sums of catalog members.  The one gate is cover.ext(N, hom): it counts
-dim Ext^1 by the long exact Hom sequence, reading hom(S, N) off the
-catalog's Hom table for a member's word cover and a member N, and
-otherwise solving the kernel of Hom(S, N) once.  Only when the count is
-nonzero does it run ext1, which stacks Hom(P0, N) restricted to S over
-that kernel (both read off the table on the catalog path) and builds and
-verifies only the cocycles its basis takes from it.  Each cocycle gives
-an explicit short exact sequence whose middle is written on N_v + M_v at
-every vertex, with the cocycle in the off-diagonal block of each arrow.
+sums of catalog members.  The one gate is cover.ext_dim(N, hom): it
+counts dim Ext^1 by the long exact Hom sequence, reading hom(S, N) off
+the catalog's Hom table for a member's word cover and a member N, and
+otherwise solving the kernel of Hom(S, N) once.  It builds no basis.
+cover.ext(N) builds one with ext1, which stacks Hom(P0, N) restricted to
+S over that kernel (both read off the table on the catalog path) and
+builds and verifies only the cocycles its basis takes from it; the basis
+must have the gate's dimension, and at 0 ext1 never runs.  Each cocycle
+gives an explicit short exact sequence whose middle is written on
+N_v + M_v at every vertex, with the cocycle in the off-diagonal block of
+each arrow.  The census of verify-main-theorem builds no basis where the
+gate finds dimension 1: there the middle is read off the words and
+certified by table maps (wordext).
 """
 
 from __future__ import annotations
@@ -202,6 +206,7 @@ class CoverData:
     catalog: Catalog | None = None
     cover_parts: list[tuple[int, dict[str, int]]] = field(default_factory=list)
     syzygy_parts: list[tuple[int, dict[str, int]]] = field(default_factory=list)
+    _counts: dict = field(default_factory=dict, repr=False, compare=False)
     _exts: dict = field(default_factory=dict, repr=False, compare=False)
     _slips: dict | None = field(default=None, repr=False, compare=False)
 
@@ -210,25 +215,17 @@ class CoverData:
         one of them, so Hom into N can be read off the table."""
         return None if self.catalog is None else self.catalog.index_of(N)
 
-    def ext(self, N: Representation, hom: int | None = None) -> "Ext1Context":
-        """Ext^1(module, N) on this cover, computed once per N and kept, so
-        that a scan row and the exact counts of its middles share it.
+    def ext_dim(self, N: Representation, hom: int) -> int:
+        """The one gate: dim Ext^1(module, N), given hom = dim Hom(module, N),
+        counted once per N and kept, with no Ext basis.
 
-        Given hom = dim Hom(module, N) this is the one gate: the long exact
-        Hom sequence of 0 -> syzygy -> P0 -> module -> 0 gives dim Ext^1 =
-        hom(syzygy, N) - sum_v top_v dim N_v + hom (Yoneda for P0).  On a
-        cover written in catalog members with N a member, hom(syzygy, N) is
-        the sum of the table entries of the syzygy's summands; otherwise it
-        is the length of one kernel solve.  At 0 the context has an empty
-        basis and ext1 never runs; otherwise ext1 builds the verified basis,
-        from the same kernel when one was solved, and it must have that
-        dimension.  A mismatch or a negative value is a construction bug.
-        Only the first request for N is checked."""
-        if N in self._exts:
-            return self._exts[N]
-        if hom is None:
-            ctx = ext1(self, N)
-        else:
+        The long exact Hom sequence of 0 -> syzygy -> P0 -> module -> 0
+        gives dim Ext^1 = hom(syzygy, N) - sum_v top_v dim N_v + hom (Yoneda
+        for P0).  On a cover written in catalog members with N a member,
+        hom(syzygy, N) is the sum of the table entries of the syzygy's
+        summands; otherwise it is the length of one kernel solve, which ext
+        reuses.  A negative value is a construction bug."""
+        if N not in self._counts:
             n = self.member_index(N)
             if n is None:
                 kernel = _hom_kernel(self.syzygy, N)
@@ -242,14 +239,31 @@ class CoverData:
                     f"long exact Hom sequence gives dim Ext^1({self.module.label}, "
                     f"{N.label}) = {expected}"
                 )
-            ctx = ext1(self, N, kernel) if expected else Ext1Context(self, N, [], None)
-            if ctx.dim != expected:
+            self._counts[N] = (expected, kernel)
+        return self._counts[N][0]
+
+    def ext(self, N: Representation, hom: int | None = None) -> "Ext1Context":
+        """Ext^1(module, N) on this cover with a verified basis, computed
+        once per N and kept, so that a scan row and the exact counts of its
+        middles share it.
+
+        Given hom = dim Hom(module, N), or once ext_dim(N, hom) has counted
+        it, the basis must have the gate's dimension, or a construction bug
+        is raised: at 0 ext1 never runs, and otherwise it reuses the gate's
+        kernel when one was solved.  Only the first request for N is
+        checked."""
+        if N not in self._exts:
+            if hom is not None:
+                self.ext_dim(N, hom)
+            expected, kernel = self._counts.get(N, (None, None))
+            ctx = Ext1Context(self, N, [], None) if expected == 0 else ext1(self, N, kernel)
+            if expected is not None and ctx.dim != expected:
                 raise VerificationError(
                     f"Ext^1({self.module.label}, {N.label}) has a basis of {ctx.dim} "
                     f"but the long exact Hom sequence gives {expected}"
                 )
-        self._exts[N] = ctx
-        return ctx
+            self._exts[N] = ctx
+        return self._exts[N]
 
     def slips(self) -> dict[str, Matrix]:
         """Per arrow a: u -> t, the syzygy coordinates slip_a of
@@ -596,12 +610,15 @@ def middle_census(
     seed: int = 0,
 ) -> CensusReport:
     """Summand counts of extension middles over every line of P(Ext^1(M, N)),
-    where M = cover.module.
+    where M = cover.module, on a verified Ext basis.
 
     Over a finite-type string presentation the counts are exact and no
     middle is built (Catalog.middle_counter).  Otherwise each middle is
     built by extension_of_cocycle and decomposed, and its count is a
-    Monte Carlo lower bound.
+    Monte Carlo lower bound.  The census of verify-main-theorem calls this
+    only off the catalog path and, on it, for pairs with dim Ext^1 >= 2;
+    a 1-dimensional Ext^1 between members has its one middle read off the
+    words instead (verify.middle_term_scan).
     """
     from .artheory import finite_type_catalog
     from .decomp import decompose

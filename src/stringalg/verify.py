@@ -7,12 +7,13 @@ from dataclasses import dataclass, field
 
 from .artheory import Catalog, catalog_for, enumerate_indecomposables, hom_delta
 from .decomp import decompose
-from .errors import StringAlgError
+from .errors import StringAlgError, VerificationError
 # hom_basis stays importable as verify.hom_basis: perfbench's tracer test
 # patches and calls it through this alias
-from .homalg import hom_basis, middle_census, projective_cover  # noqa: F401
+from .homalg import CoverData, hom_basis, middle_census, projective_cover  # noqa: F401
 from .presentation import Presentation, validate_axioms
 from .reps import Representation, projective, simple
+from .wordext import certified_middle, word_extensions
 from .words import check_finite_dimensional, format_walk
 
 
@@ -45,10 +46,14 @@ def middle_term_scan(
 
     On a string presentation the modules are the catalog members, each
     left module's cover is written from its word (Catalog.cover), and the
-    gate cover.ext(N, hom), given hom from the table, reads the long exact
-    Hom sequence off the table and skips the pairs whose Ext^1 it finds
-    zero; every other pair's verified Ext basis must have the dimension it
-    finds.  With
+    gate cover.ext_dim(N, hom), given hom from the table, reads the long
+    exact Hom sequence off the table and skips the pairs whose Ext^1 it
+    finds zero.  Every other pair's extensions are listed off the words
+    (wordext.word_extensions), and the list must be as long as the gate's
+    count.  At dimension 1 the one listed middle, certified exact and
+    non-split by wordext.certified_middle, is the middle of every line, and
+    no Ext basis is built; at dimension 2 or more middle_census counts the
+    lines on a verified Ext basis of that dimension.  With
     allow_non_string the catalog is the simples, the projectives and any
     supplied literal modules.  A simple has
     dimension 1 and P(v) a local endomorphism ring, so only the literals
@@ -85,17 +90,37 @@ def middle_term_scan(
         # one cover per left module, shared by its row
         cover = projective_cover(ma) if cat is None else cat.cover(cat.entries[ia])
         for lb, mb, ib in modules:
-            if not cover.ext(mb, None if cat is None else cat.hom[ia][ib]).dim:
+            dim = cover.ext(mb).dim if cat is None else cover.ext_dim(mb, cat.hom[ia][ib])
+            if not dim:
                 continue
-            census = middle_census(cover, mb, seed=seed)
+            if cat is None:
+                histogram = middle_census(cover, mb, seed=seed).histogram
+            else:
+                histogram = _word_census(cat, cover, ia, ib, dim, seed)
             report.pair_count += 1
-            worst = max(census.histogram)
-            finding = CensusFinding(la, lb, census.ext_dim, census.histogram, worst)
+            worst = max(histogram)
+            finding = CensusFinding(la, lb, dim, histogram, worst)
             report.findings.append(finding)
             if worst > 2:
                 report.ok = False
                 report.violations.append(finding)
     return report
+
+
+def _word_census(cat: Catalog, cover: CoverData, ia: int, ib: int, dim: int, seed: int) -> dict[int, int]:
+    """The census histogram of Ext^1(M, N), M and N the members ia and ib
+    with dim Ext^1 = dim > 0 by the gate, from the extensions the words
+    list: the listed middle's certified count on the one line at dimension
+    1, middle_census otherwise."""
+    listed = word_extensions(cat, ia, ib)
+    if len(listed) != dim:
+        raise VerificationError(
+            f"the words list {len(listed)} extensions of {cat.entries[ia].rep.label} by "
+            f"{cat.entries[ib].rep.label} but the long exact Hom sequence gives {dim}"
+        )
+    if dim == 1:
+        return {certified_middle(cat, ia, ib, listed[0]): 1}
+    return middle_census(cover, cat.entries[ib].rep, seed=seed).histogram
 
 
 @dataclass

@@ -7,13 +7,17 @@ cocycle with extension_of_cocycle, then decompose it.  On every line the
 two counts must agree, and the middle's full profile dim Hom(E, -) over
 the catalog, times the inverse of the hom table, must be a vector of
 nonnegative integer multiplicities that sum to the count.  On the same
-pairs the gate cover.ext(N, hom), which decides which pairs the scan
-hands to ext1, must give the dimension of the verified Ext basis.  The
+pairs the gate, cover.ext_dim(N, hom) on the scan's covers and
+cover.ext(N, hom) on solved ones, must give the dimension of the verified
+Ext basis.  The
 scan's covers are written from the words (Catalog.cover); each must have
 the top of projective_cover, and the table's sum over its syzygy's
 summands must equal the solved dimension of Hom(syzygy, N).  The table
 itself is written in graph maps; on every ordered pair of members it must
-have the dimension of hom_basis and span the same space.
+have the dimension of hom_basis and span the same space.  The extensions
+the words list (wordext) must be as many as dim Ext^1 on every pair, each
+certified, and at dimension 1 the certified middle must have the members
+of the middle built from the cocycle.
 """
 
 import numpy as np
@@ -28,6 +32,7 @@ import stringalg.cli
 import stringalg.decomp
 import stringalg.homalg
 import stringalg.verify
+import stringalg.wordext
 from stringalg.artheory import Catalog, catalog_for, finite_type_catalog
 from stringalg.cli import main
 from stringalg.decomp import decompose
@@ -43,8 +48,9 @@ from stringalg.homalg import (
 )
 from stringalg.linalg import Matrix
 from stringalg.linalg import solve_rational
-from stringalg.presentation import load_presentation
+from stringalg.presentation import load_presentation, parse_presentation
 from stringalg.verify import middle_term_scan
+from stringalg.wordext import WordExtension, certified_middle, word_extensions
 from stringalg.words import Walk, format_walk, parse_word, trivial_walk, walk_source
 
 
@@ -66,35 +72,54 @@ def multiplicities(cat, m):
     return solve_rational(transposed, profile)
 
 
-def check_pairs(cat, pairs):
-    """Exact census against the reference on each pair; returns the Ext
-    dimension of every pair with extensions."""
+def check_pairs(cat):
+    """Exact census against the reference on every ordered pair of members,
+    and the extensions the words list against both: as many as dim Ext^1,
+    each certified, and at dimension 1 the certified middle has the members
+    of the middle that ext1 and extension_of_cocycle build.  Returns the
+    Ext dimension of every pair with extensions."""
     dims = []
-    for M, N in pairs:
-        cover = projective_cover(M)
-        # the gate verify-main-theorem runs, against the verified ext1
-        assert cover.ext(N, len(hom_basis(M, N))).dim == ext1(cover, N).dim
-        census = middle_census(cover, N)
-        reference = reference_census(cover, N)
-        assert [(l.coeffs, l.summands) for l in census.lines] == [
-            (coeffs, count) for coeffs, count, _ in reference
-        ]
-        for line, (_, _, middle) in zip(census.lines, reference):
-            mult = multiplicities(cat, middle)
-            assert all(x.denominator == 1 and x >= 0 for x in mult)
-            assert sum(mult) == line.summands
-            assert line.dimvec == tuple(middle.dim(v) for v in N.pres.quiver.vertices)
-        if census.ext_dim:
-            dims.append(census.ext_dim)
+    for u in cat.entries:
+        cover, word_cover = projective_cover(u.rep), cat.cover(u)
+        for y in cat.entries:
+            M, N = u.rep, y.rep
+            # the gate verify-main-theorem runs, and the one on a solved cover,
+            # against the verified ext1
+            assert (word_cover.ext_dim(N, cat.hom[u.index][y.index])
+                    == cover.ext(N, len(hom_basis(M, N))).dim == ext1(cover, N).dim)
+            census = middle_census(cover, N)
+            reference = reference_census(cover, N)
+            assert [(l.coeffs, l.summands) for l in census.lines] == [
+                (coeffs, count) for coeffs, count, _ in reference
+            ]
+            for line, (_, _, middle) in zip(census.lines, reference):
+                mult = multiplicities(cat, middle)
+                assert all(x.denominator == 1 and x >= 0 for x in mult)
+                assert sum(mult) == line.summands
+                assert line.dimvec == tuple(middle.dim(v) for v in N.pres.quiver.vertices)
+            listed = word_extensions(cat, u.index, y.index)
+            assert len(listed) == census.ext_dim
+            counts = [certified_middle(cat, u.index, y.index, ext) for ext in listed]
+            assert counts == [len(ext.middles) for ext in listed]
+            if census.ext_dim == 1:
+                assert members(cat, listed[0]) == multiplicities(cat, reference[0][2])
+            if census.ext_dim:
+                dims.append(census.ext_dim)
     return dims
+
+
+def members(cat, ext):
+    """The multiplicity of every member in the middle of ext."""
+    out = [0] * len(cat)
+    for walk in ext.middles:
+        out[cat.oriented(walk)[0].index] += 1
+    return out
 
 
 @pytest.mark.parametrize("name", ["a3", "a3nr"])
 def test_exact_census_matches_reference_on_the_full_catalog(name, request):
     p = request.getfixturevalue(name)
-    cat = catalog_for(p)
-    reps = [e.rep for e in cat.entries]
-    assert check_pairs(cat, [(M, N) for M in reps for N in reps])
+    assert check_pairs(catalog_for(p))
 
 
 @pytest.mark.parametrize("name", ["a3", "a3nr"])
@@ -113,9 +138,59 @@ def test_scan_at_max_dim_4_matches_reference(name, request):
 
 def test_exact_census_matches_reference_on_census_fixture(fixture_dir):
     p = load_presentation(fixture_dir / "census_typeA_seed1_04.sba")
-    cat = catalog_for(p)
-    reps = [e.rep for e in cat.entries]
-    assert check_pairs(cat, [(M, N) for M in reps for N in reps])
+    assert check_pairs(catalog_for(p))
+
+
+def test_exact_census_matches_reference_on_loop_arrow_over_f5(fixture_dir):
+    p = load_presentation(fixture_dir / "loop_arrow.sba").with_field(5)
+    assert sorted(set(check_pairs(catalog_for(p)))) == [1, 2]
+
+
+def _listing(cat, left, right):
+    """The extensions of M(left) by M(right) that the words list, each as
+    its middle walks and certified summand count."""
+    c, d = (cat.lookup(parse_word(cat.p, w)).index for w in (left, right))
+    return [
+        ([format_walk(x) for x in ext.middles], certified_middle(cat, c, d, ext))
+        for ext in word_extensions(cat, c, d)
+    ]
+
+
+def test_a_trivial_overlap_is_tried_in_both_readings_of_the_left_word():
+    # linear A4, 1 <- 2 <- 3 <- 4: M(a1^-1 a2^-1) and M(a3) overlap in e(3),
+    # at node 0 of a3; the middle walks are words only with a3 read as
+    # a3^-1, while the table lists a trivial E in the word a3 alone
+    a4 = parse_presentation("vertices: 1 2 3 4\narrow: a1 2 1\narrow: a2 3 2\narrow: a3 4 3\n")
+    assert _listing(catalog_for(a4), "a3", "a1^-1 a2^-1") == [(["a1^-1 a2^-1 a3^-1", "e(3)"], 2)]
+
+
+def test_a_trivial_right_word_is_read_against_one_reading(fixture_dir):
+    # both readings of a2 a3^-1 give the middle M(a3) + M(a2); it is listed once
+    p = load_presentation(fixture_dir / "census_typeA_seed1_04.sba")
+    assert _listing(catalog_for(p), "a2 a3^-1", "e(3)") == [(["a3^-1", "a2"], 2)]
+
+
+def test_an_overlap_whose_middle_walk_is_no_word_is_dropped(fixture_dir, monkeypatch):
+    # x0 x0 is a relation of loop_arrow, so the overlaps with the middle
+    # walks x0 x0 and x1 x0 x0 are no extensions
+    cat = catalog_for(load_presentation(fixture_dir / "loop_arrow.sba").with_field(5))
+    walks = []
+    original = stringalg.wordext._walk
+    monkeypatch.setattr(stringalg.wordext, "_walk",
+                        lambda *args: walks.append(original(*args)) or walks[-1])
+    two = []
+    for u in cat.entries:
+        cover = cat.cover(u)
+        for y in cat.entries:
+            dim = cover.ext_dim(y.rep, cat.hom[u.index][y.index])
+            assert len(word_extensions(cat, u.index, y.index)) == dim
+            if dim == 2:
+                two.append((format_walk(u.word), format_walk(y.word)))
+    assert {"x0 x0", "x1 x0 x0"} <= {format_walk(w) for w in walks}
+    assert two == [("e(1)", "x0"), ("x1 x0 x1^-1", "x0")]
+    assert _listing(cat, "x1 x0 x1^-1", "x0") == [
+        (["x0 x1^-1", "x1 x0"], 2), (["x0^-1 x1^-1", "x1 x0"], 2)
+    ]
 
 
 def check_word_covers(cat):
@@ -172,8 +247,7 @@ def test_exact_census_matches_reference_on_drawn_finite_presentations():
         check_graph_map_table(cat)
         check_word_covers(cat)
         assert cat.weights == solve_rational(cat.hom, [1] * len(cat))
-        reps = [e.rep for e in cat.entries]
-        dims = check_pairs(cat, [(M, N) for M in reps for N in reps])
+        dims = check_pairs(cat)
         assert check_ext_from_long_exact_sequence(cat) == len(dims)
         ext_dims.extend(dims)
         loops.append(any(a.source == a.target for a in p.quiver.arrows))
@@ -259,10 +333,22 @@ def test_scan_runs_ext1_only_on_pairs_with_extensions(fixture_dir, monkeypatch):
     p = load_presentation(fixture_dir / "census_typeA_seed1_04.sba")
     calls = _count_ext1(monkeypatch)
     report = middle_term_scan(p, 6)
-    # every member is scanned, so the exact counts need no Ext^1 beyond
-    # the reported pairs'
+    # every member is scanned and every Ext^1 is 1-dimensional, so each
+    # middle is read off the words and no Ext basis is built
     assert all(e.rep.total_dim <= 6 for e in catalog_for(p).entries)
-    assert len(calls) == len(set(calls)) == report.pair_count == 36
+    assert report.pair_count == 36
+    assert {f.ext_dim for f in report.findings} == {1}
+    assert calls == []
+    # over F_5 loop_arrow has two pairs with 2-dimensional Ext^1: each has
+    # its basis built, and their exact counts need one more Ext^1, of
+    # M(e(1)) by M(x0^-1 x1^-1)
+    p = load_presentation(fixture_dir / "loop_arrow.sba").with_field(5)
+    report = middle_term_scan(p, 6)
+    assert report.pair_count == 16
+    assert sorted((f.left_label, f.right_label) for f in report.findings if f.ext_dim == 2) == [
+        ("M(e(1))", "M(x0)"), ("M(x1 x0 x1^-1)", "M(x0)")
+    ]
+    assert len(calls) == len(set(calls)) == 3
 
 
 LOOP_ARROW_CENSUS = ["--format", "structured", "--field", "5", "middle-census", "loop_arrow.sba",
@@ -313,6 +399,80 @@ def test_filter_disagreeing_with_ext1_exits_3(fixture_dir, monkeypatch, capsys):
     assert captured.out == ""
     assert "construction certificate failed" in captured.err
     assert "long exact Hom sequence gives" in captured.err
+
+
+def _edit_listings(monkeypatch, edit):
+    """Every listing of extensions the scan reads comes back as
+    edit(catalog, c, d, listing)."""
+    original = stringalg.wordext.word_extensions
+    monkeypatch.setattr(stringalg.verify, "word_extensions",
+                        lambda cat, c, d: edit(cat, c, d, original(cat, c, d)))
+
+
+@pytest.mark.parametrize(
+    "edit", [lambda listed: listed[:-1], lambda listed: listed + listed[:1]], ids=["short", "long"]
+)
+def test_a_listing_of_the_wrong_length_raises_and_exits_3(fixture_dir, monkeypatch, capsys, edit):
+    path = fixture_dir / "census_typeA_seed1_04.sba"
+    _edit_listings(monkeypatch, lambda cat, c, d, listed: edit(listed))
+    with pytest.raises(VerificationError, match="long exact Hom sequence gives 1"):
+        middle_term_scan(load_presentation(path), 6)
+    assert main(["verify-main-theorem", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "construction certificate failed" in captured.err
+    assert "long exact Hom sequence gives" in captured.err
+
+
+def _split(cat, c, d, listed):
+    """M(C) + M(D) in place of the first middle."""
+    C, D = cat.entries[c].word, cat.entries[d].word
+    return [WordExtension((D, C), listed[0].incl, listed[0].proj)] + listed[1:]
+
+
+def _wrong_member(cat, c, d, listed):
+    """M(D) in place of the first middle's first summand."""
+    ext = listed[0]
+    middles = (cat.entries[d].word,) + ext.middles[1:]
+    return [WordExtension(middles, ext.incl, ext.proj)] + listed[1:]
+
+
+def _sign_lost(monkeypatch):
+    """The second summand's projection of every two-summand middle is
+    looked up negated, so that it enters the sequence with the sign +1."""
+    second = set()
+    original = stringalg.wordext.table_map
+
+    def recorded(cat, c, d, listed):
+        second.update(ext.proj[1] for ext in listed if len(ext.middles) == 2)
+        return listed
+
+    def negated(cat, *g):
+        f = original(cat, *g)
+        return f.scale(-1) if g in second else f
+
+    _edit_listings(monkeypatch, recorded)
+    monkeypatch.setattr(stringalg.wordext, "table_map", negated)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda m: _edit_listings(m, _split), "splits"),
+        (lambda m: _edit_listings(m, _wrong_member), "do not add|through the listed middle"),
+        (_sign_lost, "composite through the middle .* is not zero"),
+    ],
+    ids=["split", "wrong-member", "sign-lost"],
+)
+def test_a_bad_middle_raises_and_exits_3(fixture_dir, monkeypatch, capsys, fault, message):
+    path = fixture_dir / "census_typeA_seed1_04.sba"
+    fault(monkeypatch)
+    with pytest.raises(VerificationError, match=message):
+        middle_term_scan(load_presentation(path), 6)
+    assert main(["verify-main-theorem", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "construction certificate failed" in captured.err
 
 
 def test_census_of_non_members_checks_the_identity_and_exits_3(fixture_dir, monkeypatch, capsys):
@@ -432,8 +592,10 @@ def test_a_table_kernel_vector_that_is_not_a_map_fails_ext1(a3nr, monkeypatch):
 
 
 def test_a_kernel_vector_that_is_not_a_map_exits_3(fixture_dir, monkeypatch, capsys):
+    # the scan builds an Ext basis, from the table's kernel, only at
+    # dimension 2 or more, which loop_arrow has over F_5
     _break_kernels(monkeypatch)
-    code = main(["verify-main-theorem", str(fixture_dir / "a3nr.sba")])
+    code = main(["--field", "5", "verify-main-theorem", str(fixture_dir / "loop_arrow.sba")])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
