@@ -308,7 +308,7 @@ def projective_cover(M: Representation) -> CoverData:
     top = {}
     for v in p.quiver.vertices:
         rad = _radical_rows(M, v)
-        _, pivots = rad.rref()
+        pivots = rad.pivots()
         free = [j for j in range(M.dim(v)) if j not in pivots]
         top[v] = len(free)
         for j in free:
@@ -474,7 +474,7 @@ def ext1(
     stacked[:k] = restricted
     for row, vec in zip(stacked[k:], kernel):
         row[list(vec)] = list(vec.values())
-    _, pivots = Matrix(stacked.T, N.q).rref()
+    pivots = Matrix(stacked.T, N.q).pivots()
     basis = [_intertwiner(cover.syzygy, N, off, kernel[j - k]) for j in pivots if j >= k]
     return Ext1Context(cover, N, basis, stacked[:k])
 

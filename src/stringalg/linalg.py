@@ -3,6 +3,15 @@
 Matrices are numpy int64 arrays with every entry kept in [0, q); all
 arithmetic reduces mod q immediately, so results are exact.  Polynomials
 are dense coefficient lists (low degree first) over the same field.
+
+Two eliminations serve different needs.  Ranks and pivot lists come from
+Matrix.pivots, a row echelon form that touches only the rows below each
+pivot with a nonzero in its column; the rank checks take 0/1 partial
+permutations and block-Vandermonde stacks, where most rows are skipped.
+Kernels and solves read their coefficients off the reduced form, so they
+keep Matrix.rref, which clears each pivot column above and below with one
+dense update of the whole matrix per pivot: restricting that update to
+the rows with a nonzero made small dense matrices 1.2-1.9x slower.
 """
 
 from __future__ import annotations
@@ -173,8 +182,50 @@ class Matrix:
             r += 1
         return Matrix(a, q), pivots
 
+    def pivots(self) -> list[int]:
+        """The pivot columns of A: the leftmost columns independent of the
+        columns before them, the list rref() returns with its form.
+
+        A row echelon form on a copy gives them.  At pivot column c only
+        the rows below the pivot with a nonzero in column c are updated,
+        and only in columns c and after; there is no normalisation and no
+        back-reduction.  Row operations keep every linear relation among
+        the columns, so column c gets a pivot exactly when it is not in
+        the span of the columns before it, as in the reduced form."""
+        q = self.q
+        a = self.a.copy()
+        m, n = a.shape
+        pivots: list[int] = []
+        r = 0
+        for c in range(n):
+            if r == m:
+                break
+            nz = np.nonzero(a[r:, c])[0]
+            if nz.size == 0:
+                continue
+            if nz[0]:
+                # rows r and below are zero left of column c
+                p = r + nz[0]
+                a[[r, p], c:] = a[[p, r], c:]
+            if nz.size > 1:
+                # the rows below the pivot with a nonzero in column c: a
+                # slice when that is every row below, which numpy indexes
+                # faster than a list
+                below = slice(r + 1, m) if nz.size == m - r else r + nz[1:]
+                top = a[r, c:]
+                sub = a[below, c:]
+                f = sub[:, 0] * inv_mod(int(top[0]), q) % q
+                sub -= np.multiply.outer(f, top)
+                sub %= q
+                a[below, c:] = sub
+            pivots.append(c)
+            r += 1
+        return pivots
+
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The dimension of the row (and column) space, the number of
+        pivot columns: len(pivots())."""
+        return len(self.pivots())
 
     def right_kernel(self) -> "Matrix":
         """Basis of {x : A x = 0}, returned as the columns of a matrix.

@@ -274,6 +274,21 @@ def test_witness_split_with_repeated_root_fails(gp, monkeypatch):
         build_witness(p23, triple, 11)
 
 
+def test_witness_split_with_one_repeated_root_fails(gp, monkeypatch):
+    # the last root replaced by the one before it: the stacked images fall
+    # short of full rank by a single block, which the rank must still find
+    import importlib
+
+    module = importlib.import_module("stringalg.classify")
+    roots = module._roots_of_x_p_plus_1
+    monkeypatch.setattr(module, "_roots_of_x_p_plus_1",
+                        lambda p, q: roots(p, q)[:-1] + roots(p, q)[-2:-1])
+    p23 = gp.with_field(23)
+    triple = find_witness_triple(p23, search_len=6)
+    with pytest.raises(VerificationError, match="do not split"):
+        build_witness(p23, triple, 11)
+
+
 def _glue_bands_quoted(p, triple, prime_p):
     """Direct sum B(u) + B(v) with two modified actions along chosen factor
     occurrences: i1 . beta = i2 + j1 and i2 . delta = -j2 (u block first)."""

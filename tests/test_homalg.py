@@ -1,11 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from stringalg.artheory import catalog_for
 from stringalg.decomp import decompose
 from stringalg.errors import StringAlgError, VerificationError
 from stringalg.homalg import (
+    Intertwiner,
+    ShortExactSequence,
     _hom_system,
     ext1,
     ext1_dim,
@@ -16,6 +19,7 @@ from stringalg.homalg import (
     projective_cover,
     zero_map,
 )
+from stringalg.linalg import Matrix
 from stringalg.presentation import load_presentation
 from stringalg.reps import (
     band_module,
@@ -225,6 +229,32 @@ def test_ses_dimension_additivity(a3):
         ses = ctx.extension(coeffs)
         for v in a3.quiver.vertices:
             assert ses.middle.dim(v) == s1.dim(v) + s2.dim(v)
+
+
+def test_inclusion_with_two_rows_on_one_column_is_not_injective(a3):
+    # S3^5 -> P2 + S3^4 -> S2 on a3 (1 -a-> 2 -b-> 3).  Vertex 3 is a sink,
+    # so any matrix there is a module map; the inclusion is a signed 0/1
+    # matrix with at most two nonzeros per row, like a cover's.  Repeating
+    # row 0 as row 3 puts two rows on column 2 beside a row with a zero
+    # there: the rank is one short only if the repeat is reduced away
+    s3 = simple(a3, "3")
+    left = direct_sum([s3] * 5)
+    middle = direct_sum([projective(a3, "2")] + [s3] * 4)
+    right = simple(a3, "2")
+    q = a3.q
+
+    def sequence(at3):
+        incl = Intertwiner(left, middle, {"1": Matrix.zeros(0, 0, q), "2": Matrix.zeros(0, 1, q),
+                                          "3": Matrix(at3, q)})
+        proj = Intertwiner(middle, right, {"1": Matrix.zeros(0, 0, q),
+                                           "2": Matrix.identity(1, q), "3": Matrix.zeros(5, 0, q)})
+        return ShortExactSequence(left, middle, right, incl, proj)
+
+    rows = [[0, 0, 1, 1, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, -1], [0, 0, 1, -1, 0], [0, 0, 0, 0, 1]]
+    sequence(rows).verify()
+    rows[3] = rows[0]
+    with pytest.raises(VerificationError, match="inclusion not injective at vertex 3"):
+        sequence(rows).verify()
 
 
 def test_equal_ext_classes_give_equal_middles(a3):

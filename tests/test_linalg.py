@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stringalg.linalg import (
@@ -96,6 +97,61 @@ def test_left_kernel():
     lk = a.left_kernel()
     assert (lk @ a).is_zero()
     assert lk.rows + a.rank() == 3
+
+
+def _rank_test_matrices(q, rng):
+    """Arrays of the shapes the rank checks see, each with its rank where
+    the construction fixes it (else None)."""
+    out = [(np.zeros(shape, dtype=np.int64), 0) for shape in ((0, 3), (3, 0), (0, 0), (1, 1))]
+    out.append((np.array([[rng.randrange(1, q)]]), 1))
+    for m, n in ((4, 9), (9, 4), (12, 12), (30, 18), (18, 30)):
+        for density in (1.0, 0.5, 0.1):
+            rows = [[rng.randrange(q) if rng.random() < density else 0 for _ in range(n)]
+                    for _ in range(m)]
+            out.append((np.array(rows), None))
+        # a product through k dimensions has rank at most k
+        k = rng.randrange(1, min(m, n) + 1)
+        left = [[rng.randrange(q) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        out.append((np.array(_exact_product_mod(left, right, q)), None))
+        # signed 0/1 maps with at most two nonzeros per row, as in the covers
+        signed = np.zeros((m, n), dtype=np.int64)
+        for row in signed:
+            for j in rng.sample(range(n), rng.randrange(3)):
+                row[j] = rng.choice((1, q - 1))
+        out.append((signed, None))
+        # a partial permutation (injective when wide, surjective when tall),
+        # then the same with one row repeated: the shape of the inclusions
+        # and projections of exact sequences
+        r = min(m, n)
+        perm = np.zeros((r, max(m, n)), dtype=np.int64)
+        perm[np.arange(r), rng.sample(range(max(m, n)), r)] = 1
+        perm = perm if m <= n else perm.T
+        out.append((perm, r))
+        out.append((np.vstack([perm, perm[rng.randrange(m)]]), r))
+    # block-Vandermonde stacks as in the witness split: block (k, i) is
+    # z_k^i times the b x b identity, of rank b times the distinct nodes
+    b = 3
+    for nodes in ([1, 2, 4, 5, 6], [3, 3, 5], [2, 2, 2]):
+        nodes = [z % q for z in nodes]
+        stack = np.kron(np.array([[pow(z, i, q) for i in range(len(nodes))] for z in nodes]),
+                        np.eye(b, dtype=np.int64))
+        out.append((stack, b * len(set(nodes))))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 23, 32003])
+def test_pivots_and_rank_match_rref(q):
+    rng = random.Random(q)
+    for a, rank in _rank_test_matrices(q, rng):
+        m = Matrix(a, q)
+        before = m.a.copy()
+        pivots = m.pivots()
+        assert pivots == m.rref()[1]
+        assert m.rank() == len(pivots)
+        if rank is not None:
+            assert len(pivots) == rank
+        assert np.array_equal(m.a, before)
 
 
 def test_charpoly_matches_brute_force():
