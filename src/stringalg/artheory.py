@@ -34,7 +34,7 @@ cycles in the Auslander-Reiten quiver; the surgery itself stays trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -386,16 +386,24 @@ class Catalog:
 
         return count
 
+    def accounting_coefficients(self, members: Iterable[int]) -> np.ndarray:
+        """The integer vector coef with coef[V] = 2 - the middle summand
+        count of the almost-split sequence at V, for every non-projective V
+        among the member indices in members, and 0 elsewhere.  Each such
+        sequence is built and verified exact, so the count is that certified
+        sequence's, not a bare read of V's mesh row; the vector is exact
+        against any delta that vanishes off members."""
+        coef = np.zeros(len(self.entries), dtype=np.int64)
+        for i in sorted(set(members) - self.projectives):
+            coef[i] = 2 - self.ar_sequence(self.entries[i]).middle_summand_count
+        return coef
+
     def delta_formula(self, delta: list[int]) -> int:
         """The accounting sum over non-projective members V of
-        delta(V) * (2 - middle summand count of the sequence at V).  Each V
-        with delta(V) != 0 has its sequence built and verified exact: the
-        count is that certified sequence's, not a bare read of V's mesh row."""
-        return sum(
-            d * (2 - self.ar_sequence(e).middle_summand_count)
-            for e in self.nonprojective()
-            if (d := delta[e.index])
-        )
+        delta(V) * (2 - middle summand count of the sequence at V), the dot
+        product of delta with the coefficients of the V where it is nonzero."""
+        coef = self.accounting_coefficients(i for i, d in enumerate(delta) if d)
+        return int(coef @ np.asarray(delta, dtype=np.int64))
 
     def ar_sequence(self, e: CatalogEntry) -> "ARSequence":
         if e.index not in self._ar_cache:

@@ -13,6 +13,7 @@ byte-identical across runs for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -259,7 +260,9 @@ def cmd_verify_main_theorem(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="stringalg",
         description="Exact-arithmetic workbench for string algebras.",

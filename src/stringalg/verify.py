@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .artheory import Catalog, catalog_for, enumerate_indecomposables, hom_delta
+import numpy as np
+
+from .artheory import Catalog, catalog_for, enumerate_indecomposables
 from .decomp import decompose
 from .errors import StringAlgError, VerificationError
 # hom_basis stays importable as verify.hom_basis: perfbench's tracer test
@@ -166,23 +168,48 @@ def degeneration_scan(p: Presentation, max_dim: int) -> DegenerationReport:
     class: whenever the hom order holds, the summand counts must be ordered
     and the accounting formula must equal their difference.
 
-    Everything is arithmetic on the catalog's Hom table: a sum's dimension
-    vector and hom profile are the sums of its parts', and a sum of k
-    catalog modules has exactly k indecomposable summands (string modules
-    are indecomposable, Butler and Ringel, and Krull-Schmidt holds)."""
+    Everything is integer array arithmetic on the catalog's Hom table.  The
+    sums are the rows of a multiplicity matrix mult (sums x members), so
+    their hom profiles are mult . hom^T and their dimension vectors
+    mult . dimvecs, one product each, and a sum of k catalog modules has
+    exactly k indecomposable summands (string modules are indecomposable,
+    Butler and Ringel, and Krull-Schmidt holds).  Each class of g sums
+    takes one g x g x n block D[a, b] = profile(b) - profile(a): the hom
+    order is D >= 0 along the members, and the formula is D . coef for the
+    one coefficient vector of Catalog.accounting_coefficients, built from
+    the verified almost-split sequences at the members where some
+    hom-ordered pair has delta nonzero.  One block is held at a time; each
+    class keeps only its hom order and its hom-ordered deltas."""
     cat = catalog_for(p)
     sums = _direct_sums_up_to(cat, max_dim)
-    by_dimvec: dict[tuple, list] = {}
-    for label, parts in sums:
-        key = tuple(sum(cat.entries[i].rep.dim(v) for i in parts) for v in p.quiver.vertices)
-        by_dimvec.setdefault(key, []).append((label, len(parts), cat.profile(parts)))
-    rows = []
+    n = len(cat.entries)
+    mult = np.zeros((len(sums), n), dtype=np.int64)
+    # one count at (sum, member) per part
+    np.add.at(mult, ([s for s, (_, parts) in enumerate(sums) for _ in parts],
+                     [i for _, parts in sums for i in parts]), 1)
+    profiles = mult @ np.array(cat.hom, dtype=np.int64).T
+    dimvecs = mult @ np.array([[e.rep.dim(v) for v in p.quiver.vertices] for e in cat.entries], dtype=np.int64)
+    by_dimvec: dict[tuple, list[int]] = {}
+    for s, key in enumerate(map(tuple, dimvecs.tolist())):
+        by_dimvec.setdefault(key, []).append(s)
+    classes = []  # (sum indices, hom order, delta of each hom-ordered pair)
+    needed = np.zeros(n, dtype=bool)  # members where some hom-ordered delta is nonzero
     for group in by_dimvec.values():
-        for (la, ca, pa), (lb, cb, pb) in itertools.product(group, repeat=2):
-            leq, delta = hom_delta(pa, pb)
-            formula = cat.delta_formula(delta) if leq else None
-            consistent = not leq or (ca <= cb and formula == cb - ca)
-            rows.append(DegenerationRow(la, lb, leq, ca, cb, formula, consistent))
+        P = profiles[group]
+        D = P[None, :, :] - P[:, None, :]
+        leq = (D >= 0).all(axis=-1)
+        ordered = D[leq]
+        classes.append((group, leq, ordered))
+        needed |= ordered.any(axis=0)
+    coef = cat.accounting_coefficients(np.flatnonzero(needed).tolist())
+    rows = []
+    for group, leq, deltas in classes:
+        formulas = iter((deltas @ coef).tolist())
+        counted = [(sums[s][0], len(sums[s][1])) for s in group]  # (label, summand count)
+        for ((la, ca), (lb, cb)), ok in zip(itertools.product(counted, repeat=2), leq.ravel().tolist()):
+            formula = next(formulas) if ok else None
+            consistent = not ok or (ca <= cb and formula == cb - ca)
+            rows.append(DegenerationRow(la, lb, ok, ca, cb, formula, consistent))
     return DegenerationReport(all(r.consistent for r in rows), len(sums), len(rows), rows)
 
 

@@ -72,6 +72,11 @@ class Letter:
     def __repr__(self):
         return self.text
 
+    def __hash__(self):
+        # agrees with the generated __eq__; _value_ is a plain attribute, so
+        # neither Enum.__hash__ nor the Enum value property runs
+        return hash((self.arrow, self.direction._value_))
+
     def __lt__(self, other: "Letter"):
         # ordering refined per presentation via letter_key; this is a fallback
         return (self.arrow, self.direction.value) < (other.arrow, other.direction.value)

@@ -13,6 +13,7 @@ from stringalg.artheory import (
     catalog_for,
     delta_count_formula,
     enumerate_indecomposables,
+    hom_delta,
     hom_leq,
     riedtmann_witness,
 )
@@ -21,7 +22,7 @@ from stringalg.errors import InfiniteTypeError, StringAlgError, VerificationErro
 from stringalg.homalg import Intertwiner, hom_dim
 from stringalg.presentation import load_presentation, parse_presentation
 from stringalg.reps import direct_sum, projective, simple
-from stringalg.verify import _direct_sums_up_to, degeneration_scan
+from stringalg.verify import DegenerationRow, _direct_sums_up_to, degeneration_scan
 from stringalg.words import format_walk, inverse, parse_word
 
 
@@ -333,24 +334,70 @@ def test_hom_into_a_member_reads_its_column(a3nr, monkeypatch):
         assert cat.hom_into(e.rep) == [row[e.index] for row in cat.hom]
 
 
-def test_degeneration_rows_match_the_module_api(a3, a3nr):
+def test_degeneration_rows_match_the_module_api(fixture_dir):
     # oracle: build every sum and run the module-level hom order and
-    # accounting formula, which solve the sums' Hom systems themselves
-    for p in (a3, a3nr):
+    # accounting formula, which solve the sums' Hom systems themselves;
+    # loop_arrow's Auslander-Reiten quiver has oriented cycles
+    for name, max_dim in (("a3", 6), ("a3nr", 6), ("loop_arrow", 6)):
+        p = load_presentation(fixture_dir / f"{name}.sba")
         cat = catalog_for(p)
         built = {
             label: direct_sum([cat.entries[i].rep for i in parts])
-            for label, parts in _direct_sums_up_to(cat, 6)
+            for label, parts in _direct_sums_up_to(cat, max_dim)
         }
-        report = degeneration_scan(p, 6)
+        report = degeneration_scan(p, max_dim)
         assert report.ok and report.module_count == len(built)
+        assert any(row.hom_leq and row.delta_formula for row in report.rows), name
         for row in report.rows:
             ma, mb = built[row.left_label], built[row.right_label]
-            assert row.hom_leq == hom_leq(ma, mb)[0], (row.left_label, row.right_label)
+            assert row.hom_leq == hom_leq(ma, mb)[0], (name, row.left_label, row.right_label)
             if row.hom_leq:
                 assert row.delta_formula == delta_count_formula(ma, mb)
             else:
                 assert row.delta_formula is None
+
+
+def _pairwise_rows(p, max_dim):
+    """The scan as a loop over ordered pairs, one pair at a time: profiles
+    from Catalog.profile, deltas from hom_delta and the formula from
+    Catalog.delta_formula."""
+    cat = catalog_for(p)
+    by_dimvec = {}
+    for label, parts in _direct_sums_up_to(cat, max_dim):
+        key = tuple(sum(cat.entries[i].rep.dim(v) for i in parts) for v in p.quiver.vertices)
+        by_dimvec.setdefault(key, []).append((label, len(parts), cat.profile(parts)))
+    rows = []
+    for group in by_dimvec.values():
+        for (la, ca, pa), (lb, cb, pb) in itertools.product(group, repeat=2):
+            leq, delta = hom_delta(pa, pb)
+            formula = cat.delta_formula(delta) if leq else None
+            consistent = not leq or (ca <= cb and formula == cb - ca)
+            rows.append(DegenerationRow(la, lb, leq, ca, cb, formula, consistent))
+    return rows
+
+
+def test_degeneration_rows_match_the_pairwise_loop(a3nr):
+    rows = degeneration_scan(a3nr, 8).rows
+    assert len(rows) == 3884
+    assert rows == _pairwise_rows(a3nr, 8)
+    # plain Python values, as the json output needs
+    assert {type(x) for r in rows for x in (r.hom_leq, r.consistent)} == {bool}
+    assert {type(r.delta_formula) for r in rows} == {int, type(None)}
+
+
+def test_accounting_coefficients_build_only_the_sequences_asked_for(fixture_dir):
+    p = load_presentation(fixture_dir / "loop_arrow.sba")
+    cat = catalog_for(p)
+    asked = [e.index for e in cat.nonprojective()][:2] + sorted(cat.projectives)[:1]
+    coef = cat.accounting_coefficients(asked)
+    assert sorted(cat._ar_cache) == asked[:2]
+    for e in cat.entries:
+        want = 2 - cat.ar_sequence(e).middle_summand_count if e.index in asked[:2] else 0
+        assert coef[e.index] == want
+    full = cat.accounting_coefficients(range(len(cat)))
+    assert all(full[i] == 0 for i in cat.projectives)
+    delta = [i % 3 for i in range(len(cat))]
+    assert cat.delta_formula(delta) == sum(d * int(c) for d, c in zip(delta, full))
 
 
 def test_almost_split_sequences_verify_on_drawn_type_a_presentations():

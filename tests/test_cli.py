@@ -1,9 +1,11 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from stringalg.cli import main
-from stringalg.errors import StringAlgError
+from stringalg.errors import StringAlgError, VerificationError
 from stringalg.presentation import load_presentation
 from stringalg.reps import simple
 from stringalg.verify import middle_term_scan
@@ -101,6 +103,73 @@ def test_degeneration_command(capsys, fixture_dir):
     assert code == 0
     assert "verdict: PASS" in out
     assert "hom_leq=true" in out
+
+
+def test_a_wrong_middle_count_fails_the_degeneration_scan(capsys, fixture_dir, monkeypatch):
+    from stringalg import artheory
+    from stringalg.verify import degeneration_scan
+    from stringalg.words import format_walk
+
+    real = artheory._build_ar_sequence
+
+    def miscounted(cat, entry):
+        # the sequence ending at M(e(2)) reports one middle summand too many
+        seq = real(cat, entry)
+        if format_walk(entry.word) != "e(2)":
+            return seq
+        return dataclasses.replace(seq, middle_summand_count=seq.middle_summand_count + 1)
+
+    monkeypatch.setattr(artheory, "_build_ar_sequence", miscounted)
+    # a fresh presentation, so that no cached catalog holds a true sequence
+    report = degeneration_scan(load_presentation(fixture_dir / "a3.sba"), 4)
+    bad = [r for r in report.rows if not r.consistent]
+    assert not report.ok and bad and all(r.hom_leq for r in bad)
+    code, out = run(capsys, "--format", "structured", "degeneration",
+                    str(fixture_dir / "a3.sba"), "--max-dim", "4")
+    assert code == 1
+    assert "verdict=FAIL" in out.splitlines()
+
+
+def test_a_sequence_that_fails_to_verify_in_the_degeneration_scan_exits_3(
+    capsys, fixture_dir, monkeypatch
+):
+    from stringalg import artheory
+
+    def broken(cat, entry):
+        raise VerificationError("injected sequence failure")
+
+    monkeypatch.setattr(artheory, "_build_ar_sequence", broken)
+    code = main(["degeneration", str(fixture_dir / "a3.sba"), "--max-dim", "4"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "certificate failed to verify" in captured.err and "injected sequence" in captured.err
+
+
+# sha256 of the benchmark operation's stdout, taken from the pairwise scan
+@pytest.mark.parametrize("extra, digest", [
+    ([], "4b8ba5630b1729521e560e362314b7127948879b516a26159e0c6e0f5246c28f"),
+    (["--all-pairs"], "9fe82c7f190dfebb493f02c39120444224a40a49d2d678744bd6f7046ab72b21"),
+], ids=["hom-ordered", "all-pairs"])
+def test_degeneration_benchmark_output_is_pinned(extra, digest, capsys, fixture_dir):
+    code, out = run(capsys, "--format", "structured", "degeneration",
+                    str(fixture_dir / "a3nr.sba"), "--max-dim", "8", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(capsys, fixture_dir):
+    from stringalg.cli import build_parser
+
+    assert build_parser() is build_parser()
+    a3 = str(fixture_dir / "a3.sba")
+    _, listed = run(capsys, "degeneration", a3, "--max-dim", "3", "--all-pairs")
+    _, ordered = run(capsys, "degeneration", a3, "--max-dim", "3")
+    assert "hom_leq=false" in listed and "hom_leq=false" not in ordered
+    with pytest.raises(SystemExit):
+        main(["degeneration", a3, "--max-dim", "0"])
+    assert "must be at least 1" in capsys.readouterr().err
+    code, out = run(capsys, "degeneration", a3, "--max-dim", "3", "--all-pairs")
+    assert code == 0 and out == listed
 
 
 def test_verify_main_theorem_a3(capsys, fixture_dir):
@@ -206,7 +275,6 @@ def test_field_override(capsys, fixture_dir):
 
 
 def test_verification_error_exits_3(capsys, fixture_dir, monkeypatch):
-    from stringalg.errors import VerificationError
     from stringalg.homalg import ShortExactSequence
 
     def broken(self):

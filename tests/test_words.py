@@ -318,6 +318,25 @@ def test_parse_and_format(gp, a3):
         parse_word(gp, "a a")
 
 
+def test_equal_letters_and_walks_hash_equal_without_enum_hash(gp, monkeypatch):
+    a, a_inv = L("a"), L("a-")
+    assert hash(a) == hash(Letter("a", Direction.DIRECT)) and a != a_inv
+    w = parse_word(gp, "a b^-1 a")
+    rebuilt = Walk(tuple(Letter(l.arrow, l.direction) for l in w.letters))
+    assert w == rebuilt and hash(w) == hash(rebuilt)
+    # a word and its inverse are distinct keys, each found by an equal walk
+    u = parse_word(gp, "a b")
+    keys = {u: "u", inverse(u): "u^-1"}
+    assert len(keys) == 2 and keys[parse_word(gp, "a b")] == "u"
+    assert keys[inverse(parse_word(gp, "a b"))] == "u^-1"
+
+    def forbidden(self):
+        raise AssertionError("Enum.__hash__ ran")
+
+    monkeypatch.setattr(Direction, "__hash__", forbidden)
+    assert keys[Walk((L("a"), L("b")))] == "u" and hash(w) == hash(rebuilt)
+
+
 def test_serial(gp):
     assert is_serial(W(gp, "a", "b"))
     assert is_serial(W(gp, "a-", "b-"))
