@@ -21,9 +21,13 @@ The catalog's Hom table is written from the words as well, with no linear
 solve: between string modules Hom has a basis of graph maps
 (Crawley-Boevey 1989), one for each walk that sits in the source's word
 as a factor string and in the target's word, either reading, as a
-substring.  Each row of maps is verified by one Intertwiner.verify, the
-maps into each member must be independent, and the table must hold the
-projective and the injective at every vertex where Yoneda puts them.
+substring.  The image substrings of every member are indexed once by
+their letters, and each member's factor strings are looked up there.
+Each row of maps is written from the nodes as one stacked matrix and
+checked per arrow against the block diagonal arrow matrices of its
+targets, with no module built; the maps into each member must be
+independent, and the table must hold the projective and the injective at
+every vertex where Yoneda puts them.
 Surgery gives the integer mesh matrix A: row V holds +1 at V and at tau V
 and -1 at each middle summand (+1 at a projective V, -1 at each summand of
 rad V).  The defect identities at all (U, V) say hom . A^T = I, so given
@@ -91,14 +95,17 @@ class Catalog:
     """All indecomposables of a finite-type string presentation.
 
     Construction refuses infinite type, carrying a band witness.  The Hom
-    table between members, bases and dimensions, is written from their
-    words in graph maps and verified row by row; the projective at each
-    vertex is read off its rows, exactly one column must be the
-    injective's, and the table must satisfy the defect identity of every
-    member's mesh row.  Surgery runs once, here.  Both readings of every
-    member's word are indexed.  The weight vector and almost-split data are
-    read off the stored mesh rows and walks lazily, and projective covers
-    are written from the words on request.
+    table between members is written from their words in graph maps,
+    found in an index of the words' image substrings, and each row is
+    checked on arrays as one stacked map; hom holds the dimensions,
+    hom_keys the maps' keys, map_matrix each map as one matrix and basis
+    the maps as Intertwiners on request.  The projective at each vertex is
+    read off its rows, exactly one column must be the injective's, and the
+    table must satisfy the defect identity of every member's mesh row.
+    Surgery runs once, here.  Both readings of every member's word are
+    indexed.  The weight vector and almost-split data are read off the
+    stored mesh rows and walks lazily, and projective covers are written
+    from the words on request.
     """
 
     def __init__(self, p: Presentation):
@@ -122,12 +129,31 @@ class Catalog:
             both.append(((w, nodes), (inverse(w), nodes[::-1])))
             for walk, walk_nodes in both[-1]:
                 self._readings[walk] = (entry, walk_nodes)
-        rows = [self._hom_row(u, both) for u in self.entries]
-        self.hom_bases = [bases for bases, _ in rows]
-        # beside each basis map, where _graph_maps put it: (reading, s, t, m)
+        # the inverse of each member's word, built once
+        self.inverses = [inv for _, (inv, _) in both]
+        vertices = p.quiver.vertices
+        at = {v: j for j, v in enumerate(vertices)}
+        # members x vertices; a member's total coordinates list its basis
+        # vertex by vertex, and _starts holds where each vertex's block starts
+        self.dimvecs = np.array(
+            [[e.rep.dim(v) for v in vertices] for e in self.entries], dtype=np.int64
+        ).reshape(len(self.entries), len(vertices))
+        self._totals = self.dimvecs.sum(axis=1)
+        self._starts = np.cumsum(self.dimvecs, axis=1) - self.dimvecs
+        # per member and reading: the total coordinate and the vertex of each node
+        self._nodes = []
+        for ((_, nodes), _), starts in zip(both, self._starts.tolist()):
+            coords = [starts[at[v]] + c for v, c in nodes]
+            verts = tuple(at[v] for v, _ in nodes)
+            self._nodes.append(((coords, verts), (coords[::-1], verts[::-1])))
+        images, members = _image_index(automaton, both), self._sum_of_members()
+        rows = [self._hom_row(u, self._graph_map_keys(u, images), members) for u in self.entries]
+        # beside each basis map, where the index put it: (reading, s, t, m)
         # with reading 0 for the target's word and 1 for its inverse
-        self.hom_keys = [keys for _, keys in rows]
-        self.hom = [[len(b) for b in row] for row in self.hom_bases]
+        self.hom_keys = [keys for keys, _, _ in rows]
+        self._rows = [(stacked, first) for _, stacked, first in rows]
+        self._bases: dict[tuple[int, int], list[Intertwiner]] = {}
+        self.hom = [[len(keys) for keys in row] for row in self.hom_keys]
         self._members = {e.rep: e.index for e in self.entries}
         self._weights: list[int] | None = None
         self._ar_cache: dict[int, "ARSequence"] = {}
@@ -172,41 +198,139 @@ class Catalog:
             self.mesh.append(row)
             _check_defect(self, e.index, *row)
 
-    def _hom_row(self, u: CatalogEntry, both: list) -> tuple[list[list[Intertwiner]], list[list[tuple]]]:
-        """Bases of Hom(M(u), Y) for every member Y: the graph maps of
-        _graph_maps, given both readings of each member's word, each with
-        its (reading, s, t, m).  They are
-        checked together, as one map from M(u) into the direct sum of their
-        targets: its arrow matrices are block diagonal, so one
-        Intertwiner.verify passes exactly when every graph map commutes with
-        the arrows.  The maps into each Y must be linearly independent."""
-        p = self.p
-        maps = []  # (target member, (reading, s, t, m), per-vertex matrices)
-        for y in self.entries:
-            for nodes, s, t, m in _graph_maps(u.word, u.nodes, both[y.index]):
-                key = (int(nodes is both[y.index][1][1]), s, t, m)
-                maps.append(
-                    (y, key, graph_map(p, u.rep, u.nodes[s : s + m + 1], y.rep, nodes[t : t + m + 1], 0))
-                )
-        if maps:  # an empty row lacks the identity, which the Yoneda checks catch
-            row_sum = Intertwiner(
-                u.rep,
-                direct_sum([y.rep for y, _, _ in maps]),
-                {v: Matrix(np.hstack([g[v].a for _, _, g in maps]), p.q) for v in p.quiver.vertices},
-            )
-            row_sum.verify()
-        row: list[list[Intertwiner]] = [[] for _ in self.entries]
+    def _graph_map_keys(self, u: CatalogEntry, images: dict) -> list[list[tuple]]:
+        """The graph maps M(u) -> Y for every member Y, each as its
+        (reading, s, t, m), in that order: every factor string of u's word,
+        a walk E of length m at node s with no letter of the word pointing
+        into it, looked up among images, the image substrings of
+        _image_index.  The map sends node s + j of u's word to node t + j
+        of Y's word in that reading and every other node to 0
+        (Crawley-Boevey 1989)."""
+        codes = [self.automaton.code[l] for l in u.word.letters]
+        n = len(codes)
+        ends = [j for j in range(n + 1) if j == n or not codes[j] & 1]
         keys: list[list[tuple]] = [[] for _ in self.entries]
-        for y, key, g in maps:
-            row[y.index].append(Intertwiner(u.rep, y.rep, g))
-            keys[y.index].append(key)
-        for y, basis in zip(self.entries, row):
+        for s in range(n + 1):
+            if s and not codes[s - 1] & 1:
+                continue  # the direct letter left of node s points into E
+            for j in ends:
+                if j >= s:
+                    found = images.get(tuple(codes[s:j]) if j > s else u.nodes[s][0], ())
+                    for y, flip, t, m in found:
+                        keys[y].append((flip, s, t, m))
+        for row in keys:
+            row.sort()
+        return keys
+
+    def _sum_of_members(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+        """The direct sum of all members, members one after another, as
+        arrays; no Representation is built.  Per arrow: its name, the
+        indices of its source and target vertex, and its matrix on the sum,
+        one diagonal block per member.  Then the total coordinates of every
+        member, listed member after member: where each member's start, and
+        per coordinate its vertex and its coordinate at that vertex in the
+        sum."""
+        p, dims = self.p, self.dimvecs
+        base = np.cumsum(dims, axis=0) - dims  # where each member's block starts at each vertex
+        at = {v: j for j, v in enumerate(p.quiver.vertices)}
+        arrows = []
+        for a in p.quiver.arrows:
+            s, t = at[a.source], at[a.target]
+            block = np.zeros((dims[:, s].sum(), dims[:, t].sum()), dtype=np.int64)
+            for e, (r, c), (h, w) in zip(self.entries, base[:, [s, t]].tolist(), dims[:, [s, t]].tolist()):
+                block[r : r + h, c : c + w] = e.rep.mats[a.name].a
+            arrows.append((a.name, s, t, block))
+        counts = dims.ravel()
+        within = np.arange(counts.sum()) - (np.cumsum(counts) - counts).repeat(counts)
+        vertex = np.tile(np.arange(dims.shape[1]), len(dims)).repeat(counts)
+        return arrows, np.cumsum(self._totals) - self._totals, vertex, base.ravel().repeat(counts) + within
+
+    def _hom_row(
+        self, u: CatalogEntry, keys: list[list[tuple]], members: tuple
+    ) -> tuple[list[list[tuple]], np.ndarray, dict]:
+        """The graph maps of keys from M(u) into each member, written
+        straight from the nodes as one stacked matrix on total coordinates:
+        its rows are u's basis, vertex by vertex, and each map takes the
+        next block of columns, its target's basis vertex by vertex.  Returns
+        keys, the stacked matrix, read-only, and the first column of each
+        map by (target, key).
+
+        The stacked map goes into the direct sum of the targets, whose arrow
+        matrices are block diagonal.  It is checked per arrow, vertex block
+        by vertex block, against those matrices, cut from the arrows'
+        matrices on the sum of all members (_sum_of_members) with no
+        Representation built, so it passes exactly when every graph map
+        commutes with the arrows.  The maps into each Y must be linearly
+        independent."""
+        q, dims = self.p.q, self.dimvecs
+        placed = [(y, key) for y, row in enumerate(keys) for key in row]
+        targets = np.array([y for y, _ in placed], dtype=np.intp)
+        widths = self._totals[targets]
+        firsts = np.cumsum(widths) - widths
+        starts = firsts.tolist()
+        stacked = np.zeros((u.rep.total_dim, int(widths.sum())), dtype=np.int64)
+        rows, cols = [], []
+        src, src_verts = self._nodes[u.index][0]
+        for (y, (flip, s, t, m)), o in zip(placed, starts):
+            dst, dst_verts = self._nodes[y][flip]
+            if src_verts[s : s + m + 1] != dst_verts[t : t + m + 1]:
+                raise VerificationError("graph map misaligned: vertex mismatch")
+            rows += src[s : s + m + 1]
+            cols += [o + c for c in dst[t : t + m + 1]]
+        stacked[rows, cols] = 1
+        if placed:  # an empty row lacks the identity, which the Yoneda checks catch
+            arrows, member_firsts, vertex, coordinate = members
+            # every column of the row: its vertex, its coordinate in the sum
+            # of all members and its map; then the columns grouped by vertex
+            column = (member_firsts[targets] - firsts).repeat(widths) + np.arange(stacked.shape[1])
+            at_v, in_sum, of_map = vertex[column], coordinate[column], np.arange(len(placed)).repeat(widths)
+            order = np.argsort(at_v, kind="stable")
+            ends = np.cumsum(np.bincount(at_v, minlength=dims.shape[1])).tolist()
+            blocks = []
+            for r, h, a, b in zip(self._starts[u.index].tolist(), dims[u.index].tolist(), [0] + ends, ends):
+                cut = order[a:b]
+                blocks.append((stacked[r : r + h, cut], in_sum[cut], of_map[cut]))
+            for name, s, t, block in arrows:
+                (fs, gs, ms), (ft, gt, mt) = blocks[s], blocks[t]
+                diagonal = np.where(ms[:, None] == mt, block[gs[:, None], gt], 0)
+                if ((u.rep.mats[name].a @ ft - fs @ diagonal) % q).any():
+                    raise VerificationError(
+                        f"row M({format_walk(u.word)}) of the Hom table does not commute with arrow {name}"
+                    )
+        at = 0
+        for y, row in enumerate(keys):
             # one graph map is nonzero; only two or more can be dependent
-            if len(basis) > 1 and Matrix(np.array([f.flatten() for f in basis]), p.q).rank() < len(basis):
+            w, into_y = self._totals[y], starts[at : at + len(row)]
+            at += len(row)
+            if len(row) > 1 and Matrix(np.array([stacked[:, o : o + w].ravel() for o in into_y]), q).rank() < len(row):
                 raise VerificationError(
-                    f"graph maps M({format_walk(u.word)}) -> M({format_walk(y.word)}) are dependent"
+                    f"graph maps M({format_walk(u.word)}) -> M({format_walk(self.entries[y].word)}) are dependent"
                 )
-        return row, keys
+        stacked.setflags(write=False)
+        return keys, stacked, dict(zip(placed, starts))
+
+    def map_matrix(self, u: int, y: int, key: tuple) -> np.ndarray | None:
+        """The graph map of the table from member u to member y at key, its
+        (reading, s, t, m), as one read-only matrix on total coordinates:
+        rows are u's basis and columns y's, each vertex by vertex.  None when
+        the table holds no such map."""
+        stacked, first = self._rows[u]
+        o = first.get((y, key))
+        return None if o is None else stacked[:, o : o + self._totals[y]]
+
+    def basis(self, u: int, y: int) -> list[Intertwiner]:
+        """The table's basis of Hom(member u, member y): its graph maps in
+        the order of hom_keys, cut vertex by vertex from the checked row on
+        first use and kept."""
+        if (u, y) not in self._bases:
+            U, Y, q = self.entries[u].rep, self.entries[y].rep, self.p.q
+            cuts = list(zip(self.p.quiver.vertices, self._starts[u].tolist(), self.dimvecs[u].tolist(),
+                            self._starts[y].tolist(), self.dimvecs[y].tolist()))
+            self._bases[u, y] = [
+                Intertwiner(U, Y, {v: Matrix(f[r : r + h, c : c + w], q) for v, r, h, c, w in cuts})
+                for f in (self.map_matrix(u, y, key) for key in self.hom_keys[u][y])
+            ]
+        return self._bases[u, y]
 
     def lookup(self, w: Walk) -> CatalogEntry:
         if w not in self._readings:
@@ -320,7 +444,7 @@ class Catalog:
         """Bases of Hom(m, Y) for every member Y: the stored row of the
         table when m is a member, solved otherwise."""
         if m in self._members:
-            return self.hom_bases[self._members[m]]
+            return [self.basis(self._members[m], e.index) for e in self.entries]
         return [hom_basis(m, e.rep) for e in self.entries]
 
     @property
@@ -421,38 +545,29 @@ class Catalog:
         return walk in self._readings
 
 
-def _graph_maps(C: Walk, c_nodes: list, readings) -> list[tuple[list, int, int, int]]:
-    """A basis of Hom(M(C), M(D)) in graph maps (Crawley-Boevey 1989), one
-    (nodes, s, t, m) per map.  readings holds D and its inverse, each with
-    D's nodes in that reading, and nodes is the one a map is read in: a
-    walk E of length m sits at node s of C as a factor string, with no
-    letter of C pointing into it, and at node t of that reading D' as a
-    substring, with no letter of D' pointing out of it.  The map sends node
-    s + j of C to node t + j of D' and every other node to 0.  A trivial E
-    is read in D only, so that no map is listed twice.  c_nodes are C's
-    nodes; only the vertices of nodes are read."""
-    c, n = C.letters, len(C)
-    out = []
-    for flip, (d, nodes) in enumerate(readings):
-        e, k = d.letters, len(d)
-        for s in range(n + 1):
-            if s and c[s - 1].is_direct:
-                continue  # the letter left of node s points into it
+def _image_index(aut: LetterAutomaton, both: list) -> dict:
+    """Every image substring of both readings of every member's word, for
+    _graph_map_keys: each (reading, t, m) such that E, the walk of length m
+    at node t of that reading, has no letter of the reading pointing out of
+    it, that is, the letter left of E is direct or absent and the one right
+    of it inverse or absent.  Keyed by the letter codes of E, or by its
+    vertex when m = 0, and listed as (member, reading, t, m) with reading 0
+    for the word and 1 for its inverse.  A trivial E is listed in the word's
+    own reading only, so that no map is listed twice."""
+    index: dict = {}
+    for y, readings in enumerate(both):
+        for flip, (walk, nodes) in enumerate(readings):
+            codes = [aut.code[l] for l in walk.letters]
+            k = len(codes)
+            ends = [j for j in range(k + 1) if j == k or codes[j] & 1]
             for t in range(k + 1):
-                if (t and not e[t - 1].is_direct) or c_nodes[s][0] != nodes[t][0]:
-                    continue  # node t points out of D' along the letter left of it
-                m = 0
-                while True:
-                    if (
-                        m >= flip
-                        and (s + m == n or c[s + m].is_direct)
-                        and (t + m == k or not e[t + m].is_direct)
-                    ):
-                        out.append((nodes, s, t, m))
-                    if s + m == n or t + m == k or c[s + m] != e[t + m]:
-                        break
-                    m += 1
-    return out
+                if t and codes[t - 1] & 1:
+                    continue  # the inverse letter left of node t points out of E
+                for j in ends:
+                    if j >= t + flip:
+                        key = tuple(codes[t:j]) if j > t else nodes[t][0]
+                        index.setdefault(key, []).append((y, flip, t, j - t))
+    return index
 
 
 def _syzygy_words(p: Presentation, readings: list, n: int) -> list:

@@ -12,10 +12,11 @@ Ext^1(M, N) is realized on a projective cover P0 of M with syzygy S:
 the cokernel of restriction Hom(P0, N) -> Hom(S, N).  projective_cover
 builds the cover of any module by elimination; a catalog member's cover
 is written from its word (artheory.Catalog.cover), with P0 and S direct
-sums of catalog members.  The one gate is cover.ext_dim(N, hom): it
-counts dim Ext^1 by the long exact Hom sequence, reading hom(S, N) off
-the catalog's Hom table for a member's word cover and a member N, and
-otherwise solving the kernel of Hom(S, N) once.  It builds no basis.
+sums of catalog members.  The one gate counts dim Ext^1 by the long
+exact Hom sequence and builds no basis: on a member's word cover it is
+one integer row over all members, cover.gate_row(), S.H - T.D^T + H read
+off the catalog's Hom table, and cover.ext_dim(N, hom) reads N's entry;
+on any other cover ext_dim solves the kernel of Hom(S, N) once per N.
 cover.ext(N) builds one with ext1, which stacks Hom(P0, N) restricted to
 S over that kernel (both read off the table on the catalog path) and
 builds and verifies only the cocycles its basis takes from it; the basis
@@ -209,31 +210,54 @@ class CoverData:
     _counts: dict = field(default_factory=dict, repr=False, compare=False)
     _exts: dict = field(default_factory=dict, repr=False, compare=False)
     _slips: dict | None = field(default=None, repr=False, compare=False)
+    _gate: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def member_index(self, N: Representation) -> int | None:
         """N's index when this cover is written in catalog members and N is
         one of them, so Hom into N can be read off the table."""
         return None if self.catalog is None else self.catalog.index_of(N)
 
+    def gate_row(self) -> np.ndarray:
+        """dim Ext^1(module, Y) for every member Y of the catalog this cover
+        is written in, as one integer row, from the long exact Hom sequence
+        of 0 -> syzygy -> P0 -> module -> 0: with S the multiplicities of the
+        members in the syzygy, T the tops and D the dimension vectors, the
+        row is S.H - T.D^T + H, read at the module's row of the Hom table H.
+        It is computed on first use from top, syzygy_parts and the table as
+        they are then, and kept.  A negative entry is a construction bug and
+        is raised naming its pair."""
+        if self._gate is None:
+            cat = self.catalog
+            parts = [i for i, _ in self.syzygy_parts] + [cat.index_of(self.module)]
+            top = np.array([self.top[v] for v in self.module.pres.quiver.vertices], dtype=np.int64)
+            row = np.array([cat.hom[i] for i in parts], dtype=np.int64).sum(axis=0) - cat.dimvecs @ top
+            negative = np.flatnonzero(row < 0)
+            if negative.size:
+                y = int(negative[0])
+                raise VerificationError(
+                    f"long exact Hom sequence gives dim Ext^1({self.module.label}, "
+                    f"{cat.entries[y].rep.label}) = {row[y]}"
+                )
+            self._gate = row
+        return self._gate
+
     def ext_dim(self, N: Representation, hom: int) -> int:
         """The one gate: dim Ext^1(module, N), given hom = dim Hom(module, N),
-        counted once per N and kept, with no Ext basis.
+        with no Ext basis.
 
         The long exact Hom sequence of 0 -> syzygy -> P0 -> module -> 0
         gives dim Ext^1 = hom(syzygy, N) - sum_v top_v dim N_v + hom (Yoneda
         for P0).  On a cover written in catalog members with N a member,
-        hom(syzygy, N) is the sum of the table entries of the syzygy's
-        summands; otherwise it is the length of one kernel solve, which ext
-        reuses.  A negative value is a construction bug."""
+        that is N's entry of gate_row, where hom is the table's; otherwise
+        hom(syzygy, N) is the length of one kernel solve, which ext reuses,
+        and the count is kept per N.  A negative value is a construction
+        bug."""
+        n = self.member_index(N)
+        if n is not None:
+            return int(self.gate_row()[n])
         if N not in self._counts:
-            n = self.member_index(N)
-            if n is None:
-                kernel = _hom_kernel(self.syzygy, N)
-                syzygy_hom = len(kernel[1])
-            else:
-                kernel = None
-                syzygy_hom = sum(self.catalog.hom[i][n] for i, _ in self.syzygy_parts)
-            expected = syzygy_hom - sum(t * N.dim(v) for v, t in self.top.items()) + hom
+            kernel = _hom_kernel(self.syzygy, N)
+            expected = len(kernel[1]) - sum(t * N.dim(v) for v, t in self.top.items()) + hom
             if expected < 0:
                 raise VerificationError(
                     f"long exact Hom sequence gives dim Ext^1({self.module.label}, "
@@ -247,15 +271,19 @@ class CoverData:
         once per N and kept, so that a scan row and the exact counts of its
         middles share it.
 
-        Given hom = dim Hom(module, N), or once ext_dim(N, hom) has counted
-        it, the basis must have the gate's dimension, or a construction bug
-        is raised: at 0 ext1 never runs, and otherwise it reuses the gate's
-        kernel when one was solved.  Only the first request for N is
-        checked."""
+        The basis must have the gate's dimension, or a construction bug is
+        raised: at 0 ext1 never runs.  The gate is always read for a member
+        N of the catalog the cover is written in; otherwise it is counted
+        given hom = dim Hom(module, N), or read once ext_dim(N, hom) has
+        counted it, and ext1 reuses its kernel.  Only the first request for
+        N is checked."""
         if N not in self._exts:
-            if hom is not None:
-                self.ext_dim(N, hom)
-            expected, kernel = self._counts.get(N, (None, None))
+            if self.member_index(N) is not None:
+                expected, kernel = self.ext_dim(N, hom), None
+            else:
+                if hom is not None:
+                    self.ext_dim(N, hom)
+                expected, kernel = self._counts.get(N, (None, None))
             ctx = Ext1Context(self, N, [], None) if expected == 0 else ext1(self, N, kernel)
             if expected is not None and ctx.dim != expected:
                 raise VerificationError(
@@ -393,7 +421,7 @@ def _table_maps(
     off the table: the stored basis of Hom(member, N) of each summand,
     extended by zero from its block.  N is member n.  One array per vertex
     v, of shape (maps, dim X_v, dim N_v)."""
-    maps = [(block, h) for i, block in parts for h in catalog.hom_bases[i][n]]
+    maps = [(block, h) for i, block in parts for h in catalog.basis(i, n)]
     out = {}
     for v in X.pres.quiver.vertices:
         arr = np.zeros((len(maps), X.dim(v), N.dim(v)), dtype=np.int64)

@@ -151,7 +151,9 @@ class Matrix:
             prod = (self.a.astype(np.float64) @ other.a.astype(np.float64)).astype(np.int64)
         else:
             prod = self.a @ other.a
-        return Matrix(prod % self.q, self.q)
+        out = Matrix.__new__(Matrix)  # prod % q is reduced already
+        out.a, out.q = prod % self.q, self.q
+        return out
 
     def __repr__(self):
         return f"Matrix({self.a.tolist()}, q={self.q})"

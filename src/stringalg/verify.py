@@ -48,9 +48,9 @@ def middle_term_scan(
 
     On a string presentation the modules are the catalog members, each
     left module's cover is written from its word (Catalog.cover), and the
-    gate cover.ext_dim(N, hom), given hom from the table, reads the long
-    exact Hom sequence off the table and skips the pairs whose Ext^1 it
-    finds zero.  Every other pair's extensions are listed off the words
+    gate, the cover's gate_row, reads the long exact Hom sequence off the
+    table for every right module at once; the scan walks its nonzero
+    entries.  Every such pair's extensions are listed off the words
     (wordext.word_extensions), and the list must be as long as the gate's
     count.  At dimension 1 the one listed middle, certified exact and
     non-split by wordext.certified_middle, is the middle of every line, and
@@ -87,12 +87,18 @@ def middle_term_scan(
         cat.weights  # a bad Hom table is refused before the identity reads it
         for e in enumerate_indecomposables(p, max_dim):
             modules.append((f"M({format_walk(e.word)})", e.rep, e.index))
+        scanned = np.array([e for _, _, e in modules], dtype=np.intp)
     report = MiddleScanReport(ok=True, pair_count=0)
     for la, ma, ia in modules:
         # one cover per left module, shared by its row
-        cover = projective_cover(ma) if cat is None else cat.cover(cat.entries[ia])
-        for lb, mb, ib in modules:
-            dim = cover.ext(mb).dim if cat is None else cover.ext_dim(mb, cat.hom[ia][ib])
+        if cat is None:
+            cover = projective_cover(ma)
+            row = ((right, cover.ext(right[1]).dim) for right in modules)
+        else:
+            cover = cat.cover(cat.entries[ia])
+            gate = cover.gate_row()[scanned]
+            row = ((modules[k], int(gate[k])) for k in np.flatnonzero(gate))
+        for (lb, mb, ib), dim in row:
             if not dim:
                 continue
             if cat is None:
@@ -188,7 +194,7 @@ def degeneration_scan(p: Presentation, max_dim: int) -> DegenerationReport:
     np.add.at(mult, ([s for s, (_, parts) in enumerate(sums) for _ in parts],
                      [i for _, parts in sums for i in parts]), 1)
     profiles = mult @ np.array(cat.hom, dtype=np.int64).T
-    dimvecs = mult @ np.array([[e.rep.dim(v) for v in p.quiver.vertices] for e in cat.entries], dtype=np.int64)
+    dimvecs = mult @ cat.dimvecs
     by_dimvec: dict[tuple, list[int]] = {}
     for s, key in enumerate(map(tuple, dimvecs.tolist())):
         by_dimvec.setdefault(key, []).append(s)

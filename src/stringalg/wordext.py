@@ -13,8 +13,10 @@ the enumeration is checked on every algebra it runs on, gentle or not.
 certified_middle certifies one listed middle X with no Ext basis: the
 sequence 0 -> M(D) -> X -> M(C) -> 0 is assembled from graph maps of the
 table, which were verified when the catalog was built, and checked exact
-and non-split.  With dim Ext^1 = 1 every non-split extension has that
-middle, so its summand count is the census line's.
+and non-split.  table_map finds each map by its key in a dict of the
+table's row and takes it as one matrix on total coordinates, so the
+sequence is two stacked matrices.  With dim Ext^1 = 1 every non-split
+extension has that middle, so its summand count is the census line's.
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ import numpy as np
 
 from .artheory import Catalog
 from .errors import VerificationError
-from .homalg import Intertwiner
 from .linalg import Matrix
 from .words import (
     Direction,
     Letter,
     Walk,
     format_walk,
-    inverse,
     trivial_walk,
     walk_source,
     walk_target,
@@ -54,23 +54,24 @@ class WordExtension:
     proj: tuple[tuple, ...]
 
 
-def table_map(cat: Catalog, a: Walk, i: int, b: Walk, j: int, m: int) -> Intertwiner:
+def table_map(cat: Catalog, a: Walk, i: int, b: Walk, j: int, m: int) -> tuple[int, int, np.ndarray]:
     """The graph map of cat's table that sends nodes i..i+m of the walk a
-    to nodes j..j+m of the walk b, a and b readings of members' words.  It
-    is looked up by its (reading, s, t, m) in Catalog.hom_keys, read in the
-    source's word; a map the table does not hold is a construction bug."""
+    to nodes j..j+m of the walk b, a and b readings of members' words, as
+    (source member, target member, Catalog.map_matrix).  It is looked up by
+    its (reading, s, t, m), read in the source's word, in a dict of the
+    table's row; a map the table does not hold is a construction bug."""
     u, y = cat.oriented(a)[0], cat.oriented(b)[0]
     if a != u.word:
-        i, j, b = len(a) - i - m, len(b) - j - m, inverse(b)
+        i, j, b = len(a) - i - m, len(b) - j - m, cat.inverses[y.index] if b == y.word else y.word
     key = (int(b != y.word), i, j, m)
     if key[0] and not m:  # a trivial E is listed in the target's word only
         key = (0, i, len(b) - j, 0)
-    keys = cat.hom_keys[u.index][y.index]
-    if key not in keys:
+    f = cat.map_matrix(u.index, y.index, key)
+    if f is None:
         raise VerificationError(
             f"no graph map M({format_walk(u.word)}) -> M({format_walk(y.word)}) at {key}"
         )
-    return cat.hom_bases[u.index][y.index][keys.index(key)]
+    return u.index, y.index, f
 
 
 def word_extensions(cat: Catalog, c: int, d: int) -> list[WordExtension]:
@@ -86,8 +87,8 @@ def word_extensions(cat: Catalog, c: int, d: int) -> list[WordExtension]:
     trivial, where the two readings give the same middle."""
     p = cat.p
     C, D = cat.entries[c].word, cat.entries[d].word
-    c_reads = [C] if C.is_trivial else [C, inverse(C)]
-    d_reads = [D] if D.is_trivial else [D, inverse(D)]
+    c_reads = [C] if C.is_trivial else [C, cat.inverses[c]]
+    d_reads = [D] if D.is_trivial else [D, cat.inverses[d]]
     out = []
     for cr in c_reads:
         for a in p.quiver.arrows_from(walk_target(p, cr)):
@@ -124,39 +125,30 @@ def certified_middle(cat: Catalog, c: int, d: int, ext: WordExtension) -> int:
     Its maps were verified with the table, so what is left is that the
     dimensions add at every vertex, one rank each for the inclusion and the
     projection, their composite and, since every member is indecomposable
-    (Krull-Schmidt), that X's members are not those of M(C) + M(D)."""
+    (Krull-Schmidt), that X's members are not those of M(C) + M(D).  Each
+    map is one matrix on total coordinates (Catalog.map_matrix), so the
+    inclusion is the maps into X's summands side by side and the projection
+    the maps out of them stacked, the second negated."""
     q = cat.p.q
     M, N = cat.entries[c].rep, cat.entries[d].rep
-    members = [cat.oriented(x)[0] for x in ext.middles]
+    members = [cat.oriented(x)[0].index for x in ext.middles]
     name = f"middle of Ext^1({M.label}, {N.label}) read off the words"
-    if sorted(x.index for x in members) == sorted([c, d]):
+    if sorted(members) == sorted([c, d]):
         raise VerificationError(f"{name} splits")
-    vertices = cat.p.quiver.vertices
-    if any(sum(x.rep.dim(v) for x in members) != M.dim(v) + N.dim(v) for v in vertices):
+    if (cat.dimvecs[members].sum(axis=0) != cat.dimvecs[c] + cat.dimvecs[d]).any():
         raise VerificationError(f"dimensions of the {name} do not add")
     maps = [(table_map(cat, *f), table_map(cat, *g)) for f, g in zip(ext.incl, ext.proj)]
     if len(maps) != len(members) or len(ext.incl) != len(ext.proj) or any(
-        (f.source, f.target, g.source, g.target) != (N, x.rep, x.rep, M)
-        for (f, g), x in zip(maps, members)
+        (f[:2], g[:2]) != ((d, x), (x, c)) for (f, g), x in zip(maps, members)
     ):
         raise VerificationError(f"maps of the {name} do not pass through the listed middle")
-    # all vertices at once: the block diagonal matrices, vertex by vertex,
-    # of the inclusion [incl_1 incl_2] and the projection [proj_1; -proj_2]
-    i_all = np.zeros((N.total_dim, M.total_dim + N.total_dim), dtype=np.int64)
-    p_all = np.zeros((M.total_dim + N.total_dim, M.total_dim), dtype=np.int64)
-    at_n = at_x = at_m = 0
-    for v in vertices:
-        for k, (f, g) in enumerate(maps):
-            a, b = f.mats[v].a, g.mats[v].a
-            i_all[at_n : at_n + a.shape[0], at_x : at_x + a.shape[1]] = a
-            p_all[at_x : at_x + b.shape[0], at_m : at_m + b.shape[1]] = -b if k else b
-            at_x += a.shape[1]
-        at_n, at_m = at_n + N.dim(v), at_m + M.dim(v)
-    if Matrix(i_all, q).rank() != N.total_dim:
+    incl = np.hstack([f for (_, _, f), _ in maps])
+    proj = np.vstack([-g if k else g for k, (_, (_, _, g)) in enumerate(maps)])
+    if Matrix(incl, q).rank() != N.total_dim:
         raise VerificationError(f"inclusion into the {name} is not injective")
-    if Matrix(p_all, q).rank() != M.total_dim:
+    if Matrix(proj, q).rank() != M.total_dim:
         raise VerificationError(f"projection from the {name} is not surjective")
-    if ((i_all @ p_all) % q).any():
+    if ((incl @ proj) % q).any():
         raise VerificationError(f"composite through the {name} is not zero")
     return len(members)
 

@@ -4,8 +4,11 @@ import random
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from test_letter_automaton import presentations
 
-from perfbench.census_gen import type_a_presentation
+from perfbench.census_gen import census_inputs, type_a_presentation
+from perfbench.workloads import CENSUS_N, CENSUS_RELATION_P, CENSUS_WEIGHT
 from stringalg import artheory
 from stringalg.artheory import (
     Catalog,
@@ -13,13 +16,14 @@ from stringalg.artheory import (
     catalog_for,
     delta_count_formula,
     enumerate_indecomposables,
+    finite_type_catalog,
     hom_delta,
     hom_leq,
     riedtmann_witness,
 )
 from stringalg.decomp import decompose
 from stringalg.errors import InfiniteTypeError, StringAlgError, VerificationError
-from stringalg.homalg import Intertwiner, hom_dim
+from stringalg.homalg import hom_dim
 from stringalg.presentation import load_presentation, parse_presentation
 from stringalg.reps import direct_sum, projective, simple
 from stringalg.verify import DegenerationRow, _direct_sums_up_to, degeneration_scan
@@ -55,20 +59,101 @@ def test_projectives_read_off_the_table_match_solved_columns(name, fixture_dir):
         assert len(marked) == 1, v
 
 
+def pairwise_graph_maps(C, c_nodes, readings):
+    """The graph maps M(C) -> M(D) found pair by pair, as (reading, s, t, m)
+    in order, the oracle of the catalog's substring index.  readings holds D
+    and its inverse, each with D's nodes in that reading: a walk E of length
+    m sits at node s of C as a factor string, with no letter of C pointing
+    into it, and at node t of that reading as a substring, with no letter
+    of it pointing out of E.  A trivial E is read in D only."""
+    c, n = C.letters, len(C)
+    out = []
+    for flip, (d, nodes) in enumerate(readings):
+        e, k = d.letters, len(d)
+        for s in range(n + 1):
+            if s and c[s - 1].is_direct:
+                continue  # the letter left of node s points into it
+            for t in range(k + 1):
+                if (t and not e[t - 1].is_direct) or c_nodes[s][0] != nodes[t][0]:
+                    continue  # node t points out of the reading along the letter left of it
+                m = 0
+                while True:
+                    if (
+                        m >= flip
+                        and (s + m == n or c[s + m].is_direct)
+                        and (t + m == k or not e[t + m].is_direct)
+                    ):
+                        out.append((flip, s, t, m))
+                    if s + m == n or t + m == k or c[s + m] != e[t + m]:
+                        break
+                    m += 1
+    return out
+
+
+def check_keys_against_pairwise(cat):
+    """The catalog's graph maps, pair by pair and in order, against the
+    pairwise enumeration; returns the number of maps."""
+    for u in cat.entries:
+        for y in cat.entries:
+            readings = ((y.word, y.nodes), (inverse(y.word), y.nodes[::-1]))
+            assert cat.hom_keys[u.index][y.index] == pairwise_graph_maps(u.word, u.nodes, readings)
+    return sum(map(sum, cat.hom))
+
+
+def zigzag(n):
+    """A_n with alternating orientation and no relations."""
+    arrows = "".join(
+        f"arrow: a{i} {i} {i + 1}\n" if i % 2 else f"arrow: a{i} {i + 1} {i}\n" for i in range(1, n)
+    )
+    return parse_presentation(f"vertices: {' '.join(map(str, range(1, n + 1)))}\n{arrows}")
+
+
+def test_graph_map_index_matches_the_pairwise_enumeration(fixture_dir):
+    cats = [finite_type_catalog(load_presentation(path)) for path in sorted(fixture_dir.glob("*.sba"))]
+    cats = [cat for cat in cats if cat is not None]
+    assert len(cats) == 5  # a3, a3nr, census_typeA_seed1_04, loop_arrow, zigzag_a20
+    for seed in (1, 2, 3):
+        for _, text in census_inputs(seed, CENSUS_N, CENSUS_RELATION_P, CENSUS_WEIGHT):
+            cats.append(catalog_for(parse_presentation(text)))
+    cats.append(catalog_for(zigzag(12)))
+    assert len(cats[-1]) == 78
+    for cat in cats:
+        assert check_keys_against_pairwise(cat)
+
+
+def test_graph_map_index_matches_the_pairwise_enumeration_on_drawn_presentations():
+    loops = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(presentations(min_arrows=1, string_only=True))
+    def check(p):
+        cat = finite_type_catalog(p)
+        assume(cat is not None)
+        assert check_keys_against_pairwise(cat)
+        loops.append(any(a.source == a.target for a in p.quiver.arrows))
+
+    check()
+    assert any(loops)
+
+
 def _edit_graph_maps(monkeypatch, edit):
-    """Every catalog built from now on takes edit(C, (D, nodes of D), maps)
-    as the graph maps M(C) -> M(D), where maps is what _graph_maps lists."""
-    graph_maps = artheory._graph_maps
+    """Every catalog built from now on takes edit(C, D, keys) as the graph
+    maps M(C) -> M(D), where keys is the (reading, s, t, m) list that
+    Catalog._graph_map_keys reads off the index for that pair."""
+    original = Catalog._graph_map_keys
     monkeypatch.setattr(
-        artheory,
-        "_graph_maps",
-        lambda c, cn, readings: edit(c, readings[0], graph_maps(c, cn, readings)),
+        Catalog,
+        "_graph_map_keys",
+        lambda cat, u, images: [
+            edit(u.word, y.word, keys) for y, keys in zip(cat.entries, original(cat, u, images))
+        ],
     )
 
 
 def test_catalog_refuses_a_table_without_the_projective_rows(a3, monkeypatch):
     # one dimension short on the diagonal: no row is the dimensions at a vertex
-    _edit_graph_maps(monkeypatch, lambda c, d, maps: maps[1:] if c == d[0] else maps)
+    _edit_graph_maps(monkeypatch, lambda c, d, keys: keys[1:] if c == d else keys)
     with pytest.raises(VerificationError, match="projective at 1 matched 0 catalog entries"):
         Catalog(a3)
 
@@ -76,22 +161,11 @@ def test_catalog_refuses_a_table_without_the_projective_rows(a3, monkeypatch):
 def test_catalog_refuses_a_row_with_a_map_that_is_not_a_module_map(a3, monkeypatch):
     # E = e(2) at node 1 of a is not a factor string, since the letter a
     # points into that node: M(a) -> S(2) sending node 1 to the simple
-    # does not commute with a, and the one verify of row a catches it
+    # does not commute with a, and the arrow check of row a catches it
     s2, a = parse_word(a3, "e(2)"), parse_word(a3, "a")
-    _edit_graph_maps(
-        monkeypatch, lambda c, d, maps: maps + [(d[1], 1, 0, 0)] if (c, d[0]) == (a, s2) else maps
-    )
-    verify = Intertwiner.verify
-    sources = []
-
-    def tracked(f):
-        sources.append(f.source)
-        verify(f)
-
-    monkeypatch.setattr(Intertwiner, "verify", tracked)
-    with pytest.raises(VerificationError, match="does not commute with arrow a"):
+    _edit_graph_maps(monkeypatch, lambda c, d, keys: keys + [(1, 1, 0, 0)] if (c, d) == (a, s2) else keys)
+    with pytest.raises(VerificationError, match=r"row M\(a\) of the Hom table does not commute with arrow a"):
         Catalog(a3)
-    assert sources[-1].label == "M(a)"
 
 
 @pytest.mark.parametrize(
@@ -99,17 +173,17 @@ def test_catalog_refuses_a_row_with_a_map_that_is_not_a_module_map(a3, monkeypat
     [
         # no map from S(2) into M(a) = I(2): the column of I(2) is one short
         # of the dimensions at 2, while every projective row is intact
-        ("e(2)", "a", lambda maps: [], "injective at 2 matched 0 catalog entries"),
+        ("e(2)", "a", lambda keys: [], "injective at 2 matched 0 catalog entries"),
         # the identity of M(a) listed twice: the row commutes, its basis does not
-        ("a", "a", lambda maps: maps * 2, r"graph maps M\(a\) -> M\(a\) are dependent"),
+        ("a", "a", lambda keys: keys * 2, r"graph maps M\(a\) -> M\(a\) are dependent"),
         # S(2) is neither projective nor injective, so without its identity
         # it passes the Yoneda checks and fails the defect identity at S(2)
-        ("e(2)", "e(2)", lambda maps: [], r"defect identity fails at U=M\(e\(2\)\)"),
+        ("e(2)", "e(2)", lambda keys: [], r"defect identity fails at U=M\(e\(2\)\)"),
     ],
 )
 def test_catalog_refuses_a_table_entry_of_the_wrong_dimension(a3, monkeypatch, source, target, edit, message):
     pair = (parse_word(a3, source), parse_word(a3, target))
-    _edit_graph_maps(monkeypatch, lambda c, d, maps: edit(maps) if (c, d[0]) == pair else maps)
+    _edit_graph_maps(monkeypatch, lambda c, d, keys: edit(keys) if (c, d) == pair else keys)
     with pytest.raises(VerificationError, match=message):
         Catalog(a3)
 

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from test_artheory import zigzag
 from test_homalg import check_ext_from_long_exact_sequence
 from test_letter_automaton import presentations
 
@@ -38,6 +39,7 @@ from stringalg.cli import main
 from stringalg.decomp import decompose
 from stringalg.errors import VerificationError
 from stringalg.homalg import (
+    CoverData,
     _hom_kernel,
     _hom_system,
     ext1,
@@ -211,7 +213,7 @@ def check_graph_map_table(cat):
     basis both have rank that dimension, so the two bases span one space."""
     for u in cat.entries:
         for y in cat.entries:
-            table, solved = cat.hom_bases[u.index][y.index], hom_basis(u.rep, y.rep)
+            table, solved = cat.basis(u.index, y.index), hom_basis(u.rep, y.rep)
             assert len(table) == len(solved) == cat.hom[u.index][y.index]
             if table:
                 rows = [f.flatten() for f in table]
@@ -220,14 +222,53 @@ def check_graph_map_table(cat):
                 assert Matrix(both, cat.p.q).rank() == len(table)
 
 
-def test_word_covers_match_projective_cover_on_every_fixture_catalog(fixture_dir):
+def small_fixture_catalogs(fixture_dir):
+    """The catalogs of the finite-type fixtures but zigzag_a20, whose 44 100
+    pairs are left to the index oracle and the CI scan: a3, a3nr,
+    census_typeA_seed1_04 and loop_arrow."""
     cats = [finite_type_catalog(load_presentation(path))
-            for path in sorted(fixture_dir.glob("*.sba"))]
+            for path in sorted(fixture_dir.glob("*.sba")) if path.name != "zigzag_a20.sba"]
     cats = [cat for cat in cats if cat is not None]
-    for cat in cats:
+    assert len(cats) == 4
+    return cats
+
+
+def test_word_covers_match_projective_cover_on_every_fixture_catalog(fixture_dir):
+    for cat in small_fixture_catalogs(fixture_dir):
         check_graph_map_table(cat)
         check_word_covers(cat)
-    assert len(cats) == 4  # a3, a3nr, census_typeA_seed1_04, loop_arrow
+
+
+def check_gate_rows(cat):
+    """Each word cover's gate row against the count of the long exact Hom
+    sequence on the same cover with hom(syzygy, N) solved: ext_dim on a
+    copy of the cover that is not written in catalog members."""
+    for u in cat.entries:
+        cover = cat.cover(u)
+        solved = CoverData(cover.module, cover.cover, cover.epi, cover.syzygy, cover.incl, cover.top)
+        assert cover.gate_row().tolist() == [
+            solved.ext_dim(y.rep, cat.hom[u.index][y.index]) for y in cat.entries
+        ]
+
+
+def test_gate_rows_match_the_solved_count(fixture_dir):
+    for cat in small_fixture_catalogs(fixture_dir):
+        check_gate_rows(cat)
+    check_gate_rows(catalog_for(zigzag(12)))
+
+
+def test_a_table_entry_that_drives_the_gate_negative_raises_naming_the_pair(a3nr):
+    # lower hom(M, N) by one at a pair with Hom and no Ext: that entry of M's
+    # gate row, and only that one, becomes -1
+    clean = Catalog(a3nr)
+    c, n = next((u.index, y.index) for u in clean.entries for y in clean.entries
+                if u is not y and clean.hom[u.index][y.index] and not clean.cover(u).gate_row()[y.index])
+    cat = Catalog(a3nr)
+    cat.hom[c][n] -= 1
+    labels = [cat.entries[i].rep.label for i in (c, n)]
+    with pytest.raises(VerificationError) as err:
+        cat.cover(cat.entries[c]).gate_row()
+    assert str(err.value) == f"long exact Hom sequence gives dim Ext^1({labels[0]}, {labels[1]}) = -1"
 
 
 def test_exact_census_matches_reference_on_drawn_finite_presentations():
@@ -260,10 +301,7 @@ def test_exact_census_matches_reference_on_drawn_finite_presentations():
 
 def test_weights_of_every_fixture_catalog(fixture_dir):
     checked = 0
-    for path in sorted(fixture_dir.glob("*.sba")):
-        cat = finite_type_catalog(load_presentation(path))
-        if cat is None:
-            continue
+    for cat in small_fixture_catalogs(fixture_dir):
         w = cat.weights
         assert all(isinstance(x, int) for x in w)
         for row in cat.hom:
@@ -448,8 +486,8 @@ def _sign_lost(monkeypatch):
         return listed
 
     def negated(cat, *g):
-        f = original(cat, *g)
-        return f.scale(-1) if g in second else f
+        u, y, f = original(cat, *g)
+        return (u, y, -f) if g in second else (u, y, f)
 
     _edit_listings(monkeypatch, recorded)
     monkeypatch.setattr(stringalg.wordext, "table_map", negated)
