@@ -67,12 +67,13 @@ def find_bands(p: Presentation, max_len: int) -> list[Walk]:
     automaton = automaton_for(p)
     letters = automaton.letters
     found: set[Walk] = set()
-    for codes, state in automaton.walk(max_len):
-        if not automaton.is_cyclic(codes, state):
-            continue
-        w = Walk(tuple(letters[c] for c in codes))
-        if is_primitive(p, w)[0]:
-            found.add(canonical_cyclic(p, w))
+    for level in automaton.walk(max_len):
+        for codes, state in zip(map(tuple, level.codes.tolist()), level.states.tolist()):
+            if not automaton.is_cyclic(codes, state):
+                continue
+            w = Walk(tuple(letters[c] for c in codes))
+            if is_primitive(p, w)[0]:
+                found.add(canonical_cyclic(p, w))
     return sorted(found, key=lambda c: (len(c), [letter_key(p, l) for l in c.letters]))
 
 
@@ -169,7 +170,11 @@ def find_witness_triple(p: Presentation, search_len: int = 6) -> WitnessTriple |
         raise StringAlgError("witness triples only exist over non-domestic presentations")
     automaton = automaton_for(p)
     # direct letters have even codes; serial words have codes of one parity
-    words = [(w, s) for w, s in automaton.walk(search_len) if len({c & 1 for c in w}) == 2]
+    words = []
+    for level in automaton.walk(search_len):
+        parity = level.codes & 1
+        mixed = parity.max(axis=1) != parity.min(axis=1)
+        words += zip(map(tuple, level.codes[mixed].tolist()), level.states[mixed].tolist())
     ys = [(w, s) for w, s in words if not (w[0] | w[-1]) & 1]
     zs = [(w, s) for w, s in words if w[0] & w[-1] & 1]
     for total in range(6, 3 * search_len + 1):

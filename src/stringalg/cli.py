@@ -24,7 +24,7 @@ from .homalg import ext1_dim, hom_dim, middle_census, projective_cover
 from .presentation import Presentation, load_presentation
 from .reps import Representation, load_module_literal, string_module
 from .verify import axiom_summary, degeneration_scan, middle_term_scan
-from .words import enumerate_words, format_walk, parse_word
+from .words import format_walk, parse_word, word_texts
 
 FORMAT_TAG = "stringalg.v1"
 
@@ -93,12 +93,11 @@ def cmd_validate(args) -> int:
 
 def cmd_words(args) -> int:
     p = _load(args)
-    ws = enumerate_words(p, args.max_len)
+    texts = word_texts(p, args.max_len)
     rep = Report("words")
     rep.add("max_len", args.max_len)
-    rep.add("count", len(ws))
-    for w in ws:
-        rep.line(format_walk(w))
+    rep.add("count", len(texts))
+    rep.lines.extend(texts)
     print(rep.emit(args.format), end="")
     return 0
 

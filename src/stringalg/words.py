@@ -8,7 +8,9 @@ closed words whose square is again a word; bands are the primitive ones.
 Words and cyclic words are walks that pass these checks, not types of
 their own: word, parse_word, is_cyclic and is_primitive check at the
 boundaries and hand the walk back.  The letter automaton decides which
-letters may follow a word, and word walks follow its edges; is_word and
+letters may follow a word, and its walk builds the words level by level
+as arrays of letter codes along its edges; enumerate_words makes walks of
+the kept rows, and word_texts prints them without making any.  is_word and
 is_cyclic are the checks written from the definitions.  Each presentation
 has one automaton, built on first use by automaton_for and kept on the
 presentation.  Its direct letters also answer the questions about paths:
@@ -25,6 +27,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, total_ordering
+from itertools import accumulate, compress
+from operator import add
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     CompositionError,
@@ -378,6 +385,15 @@ def _first_cycle(starts, successors) -> list | None:
     return None
 
 
+class WordLevel(NamedTuple):
+    """The walked words of one length: one row of codes per word, the state
+    each ends in, and the row of the level before that each extends."""
+
+    codes: np.ndarray
+    states: np.ndarray
+    parent: np.ndarray | None
+
+
 class LetterAutomaton:
     """Extension automaton: states are (vertex, trailing letter window).
 
@@ -389,7 +405,9 @@ class LetterAutomaton:
     Letters are numbered by code = 2 * arrow index + direction: code ^ 1 is
     the inverse letter and code order is letter_key order.  States are
     numbered in the order of nodes, and edges[s] maps the code of each
-    letter that may follow state s to the next state, in code order.
+    letter that may follow state s to the next state, in code order.  The
+    same edges are kept as a table of arrays (offsets per state, then edge
+    codes and next states), from which walk builds whole levels of words.
     """
 
     def __init__(self, p: Presentation):
@@ -420,6 +438,12 @@ class LetterAutomaton:
         self.source = [letter_source(p, l) for l in self.letters]
         # the state after the one-letter word of each code
         self.first = [self.edges[self.index[(v, ())]][c] for c, v in enumerate(self.source)]
+        # the edges once more as a table: those of state s are entries
+        # offsets[s] to offsets[s + 1] of edge_codes and edge_next
+        self.code_dtype = np.min_scalar_type(max(len(self.letters) - 1, 0))
+        self.offsets = np.array([0, *accumulate(map(len, self.edges))], np.intp)
+        self.edge_codes = np.array([c for out in self.edges for c in out], self.code_dtype)
+        self.edge_next = np.array([s for out in self.edges for s in out.values()], np.intp)
 
     @property
     def state_count(self) -> int:
@@ -431,20 +455,36 @@ class LetterAutomaton:
         return [self.letters[c] for c in self.edges[state]]
 
     def walk(self, max_len: int):
-        """(codes, end state) of every nonempty word of length <= max_len.
+        """The levels of the nonempty words of length <= max_len.
 
-        Words come level by level in (length, code) order: each level
-        extends the previous one, in order, along the edges of its end
-        states.
+        Level k holds the words of length k as rows of a (N_k x k) array of
+        codes in code order, with their end states; parent[i] is the row of
+        level k - 1 that row i extends (None at level 1, whose rows are the
+        letters).  Each level repeats every row of the one before by the
+        out-degree of its end state and appends the codes of those edges,
+        so rows are in (length, code) order.  The walk stops at the first
+        empty level, and it holds one level at a time.
         """
-        level = [((c,), self.first[c]) for c in range(len(self.letters))]
-        edges = self.edges
+        if max_len < 1:
+            return
+        codes = np.arange(len(self.letters), dtype=self.code_dtype)[:, None]
+        states = np.array(self.first, dtype=np.intp)
+        parent = None
         for length in range(1, max_len + 1):
-            yield from level
-            if length < max_len:
-                level = [
-                    (codes + (c,), nxt) for codes, s in level for c, nxt in edges[s].items()
-                ]
+            if not len(states):
+                return
+            yield WordLevel(codes, states, parent)
+            if length == max_len:
+                return
+            lo = self.offsets[states]
+            degree = self.offsets[states + 1] - lo
+            parent = np.arange(len(states)).repeat(degree)
+            # edge j of row i sits at offsets[state] + j in the edge table
+            edge = np.arange(len(parent)) + (lo - degree.cumsum() + degree).repeat(degree)
+            grown = np.empty((len(edge), length + 1), self.code_dtype)
+            grown[:, :length] = codes[parent]
+            grown[:, length] = self.edge_codes[edge]
+            codes, states = grown, self.edge_next[edge]
 
     def is_cyclic(self, codes: tuple[int, ...], state: int) -> bool:
         """is_cyclic for a walked word ending in state.
@@ -608,25 +648,66 @@ def surviving_paths(p: Presentation, v: str) -> list[tuple[str, tuple[str, ...]]
     return out
 
 
+def _smaller_reading(codes: np.ndarray) -> np.ndarray:
+    """Mask of the rows of codes that are no larger than their inverse.
+
+    The codes of the inverse reading start with the last code ^ 1, so the
+    end codes decide, and whole rows are compared with their reversed
+    inverses only when the first letter is the inverse of the last.  No
+    word is its own inverse (its middle would be a letter equal to its
+    inverse or a factor l l^-1), so the first position where the two
+    readings differ decides.
+    """
+    first, back = codes[:, 0], codes[:, -1] ^ 1
+    keep = first < back
+    tie = (first == back).nonzero()[0]
+    if len(tie):
+        rows = codes[tie]
+        inverses = rows[:, ::-1] ^ 1
+        at = (rows != inverses).argmax(axis=1)
+        picked = np.arange(len(tie))
+        keep[tie] = rows[picked, at] < inverses[picked, at]
+    return keep
+
+
 def enumerate_words(p: Presentation, max_len: int) -> list[Walk]:
     """All words of length at most max_len, one per inversion pair {w, w^-1}.
 
     Includes the trivial word at each vertex.  Each word is given in the
     reading whose codes are smaller, which is the reading smaller by
-    letter keys.  The codes of the inverse reading start with the last
-    code ^ 1, so the end codes decide, and the whole code tuples are
-    compared only when the first letter is the inverse of the last.
-    Output is sorted by length and then lexicographically by letter keys.
+    letter keys; the walk visits both readings, and each level keeps the
+    rows that _smaller_reading picks.  Output is sorted by length and then
+    lexicographically by letter keys.
     """
     out = [trivial_walk(v) for v in sorted(p.quiver.vertices)]
     automaton = automaton_for(p)
     letter = automaton.letters.__getitem__
-    for codes, _ in automaton.walk(max_len):
-        first, back = codes[0], codes[-1] ^ 1
-        if first < back or (
-            first == back and codes <= tuple(c ^ 1 for c in reversed(codes))
-        ):
-            out.append(Walk(tuple(map(letter, codes))))
+    for level in automaton.walk(max_len):
+        kept = level.codes[_smaller_reading(level.codes)]
+        out.extend(Walk(tuple(map(letter, row))) for row in kept.tolist())
+    return out
+
+
+def word_texts(p: Presentation, max_len: int) -> list[str]:
+    """format_walk of each word of enumerate_words(p, max_len), in order.
+
+    No walk is built: the text of a walked row is the text of the row it
+    extends, a space and the text of its last letter, so each level's texts
+    are made from the level before.  Every kept word is a walked row, and
+    its prefixes are walked rows too, so all texts come out this way.
+    """
+    out = [f"e({v})" for v in sorted(p.quiver.vertices)]
+    automaton = automaton_for(p)
+    spaced = [" " + l.text for l in automaton.letters]
+    texts: list[str] = []
+    for level in automaton.walk(max_len):
+        last = level.codes[:, -1].tolist()
+        if level.parent is None:
+            texts = [automaton.letters[c].text for c in last]
+        else:
+            texts = list(map(add, map(texts.__getitem__, level.parent.tolist()),
+                             map(spaced.__getitem__, last)))
+        out.extend(compress(texts, _smaller_reading(level.codes).tolist()))
     return out
 
 

@@ -157,6 +157,20 @@ def test_degeneration_benchmark_output_is_pinned(extra, digest, capsys, fixture_
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of the benchmark's words operation and of the other two
+# formats, taken when words were printed one Walk at a time through format_walk
+@pytest.mark.parametrize("fmt, max_len, digest", [
+    ("structured", 14, "66bb16e120adc4952c243832ff64f073170239e26a41237430211ff0ca9107d3"),
+    ("text", 8, "4456dad94a80197c12173dd5d98d1456c75b1446656b7b7591eb44bc83dbbe4b"),
+    ("json", 8, "7c0699d940667275d4b97b5f033c801abdca25ed78192b45debd7a6ee06593b7"),
+], ids=["structured-len14", "text-len8", "json-len8"])
+def test_words_benchmark_output_is_pinned(fmt, max_len, digest, capsys, fixture_dir):
+    code, out = run(capsys, "--format", fmt, "words",
+                    str(fixture_dir / "gp.sba"), "--max-len", str(max_len))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_the_parser_is_built_once_and_keeps_no_state(capsys, fixture_dir):
     from stringalg.cli import build_parser
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from test_presentation import brute_surviving_paths
+from test_words import brute_words_up_to_inversion
 
 from stringalg.classify import classify, find_bands
 from stringalg.errors import NotFiniteDimensionalError
@@ -28,6 +29,8 @@ from stringalg.words import (
     automaton_for,
     canonical_cyclic,
     check_finite_dimensional,
+    enumerate_words,
+    format_walk,
     is_cyclic,
     is_primitive,
     is_word,
@@ -35,6 +38,7 @@ from stringalg.words import (
     letter_source,
     letter_target,
     surviving_paths,
+    word_texts,
 )
 
 
@@ -65,7 +69,11 @@ def presentations(draw, min_arrows, string_only):
 def walk_words(p, max_len):
     """The words walked by the letter automaton, as letter tuples."""
     automaton = automaton_for(p)
-    return [tuple(automaton.letters[c] for c in codes) for codes, _ in automaton.walk(max_len)]
+    return [
+        tuple(automaton.letters[c] for c in codes)
+        for level in automaton.walk(max_len)
+        for codes in level.codes.tolist()
+    ]
 
 
 def brute_force_words(p, max_len):
@@ -129,6 +137,38 @@ PROPERTY = settings(
 @given(presentations(min_arrows=2, string_only=True), st.integers(0, 6))
 def test_walk_words_matches_brute_force(p, max_len):
     assert walk_words(p, max_len) == brute_force_words(p, max_len)
+
+
+# a loop and a relation of length three, so the window is two letters; the
+# walk meets words whose first letter is the inverse of the last (x1 x0 x1^-1)
+LOOP_WINDOW_TWO = Presentation(
+    Quiver(("0", "1"), (Arrow("x0", "0", "0"), Arrow("x1", "1", "0"))),
+    (("x0", "x0", "x0"),),
+)
+# a path of two arrows with their composite a relation: no word is longer
+# than one letter, so the levels die out long before the bound
+DIES_OUT = Presentation(
+    Quiver(("0", "1", "2"), (Arrow("x0", "0", "1"), Arrow("x1", "1", "2"))),
+    (("x0", "x1"),),
+)
+
+
+def test_the_examples_show_what_they_are_drawn_for():
+    automaton = automaton_for(LOOP_WINDOW_TWO)
+    assert automaton.window == 2
+    rows = [row for level in automaton.walk(6) for row in level.codes.tolist()]
+    assert any(len(row) > 1 and row[0] == row[-1] ^ 1 for row in rows)
+    assert [len(level.codes) for level in automaton_for(DIES_OUT).walk(20)] == [4]
+
+
+@PROPERTY
+@given(presentations(min_arrows=1, string_only=False), st.integers(0, 6))
+@example(LOOP_WINDOW_TWO, 6)
+@example(DIES_OUT, 6)
+def test_word_texts_and_enumerate_words_match_brute_force(p, max_len):
+    words = enumerate_words(p, max_len)
+    assert word_texts(p, max_len) == [format_walk(w) for w in words]
+    assert words == brute_words_up_to_inversion(p, max_len)
 
 
 # fixtures/gp.sba and fixtures/nd_two_loops.sba: non-domestic, which about

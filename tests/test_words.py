@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from conftest import FIXTURES
 
 from stringalg.errors import CompositionError, StringAlgError
 from stringalg.presentation import load_presentation
@@ -27,6 +28,7 @@ from stringalg.words import (
     trivial_walk,
     walk_source,
     walk_target,
+    word_texts,
 )
 
 
@@ -248,6 +250,23 @@ def test_enumerate_words_matches_bruteforce(gp, a3nr, kronecker, fixture_dir):
         for p, cap in cases
         for w in enumerate_words(p, cap)
     )
+
+
+# the oracle builds every composable letter string, so it is capped on the
+# two fixtures with four letters at a vertex
+BRUTE_CAPS = {"gp.sba": 7, "nd_two_loops.sba": 8}
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in FIXTURES.glob("*.sba")))
+def test_word_texts_and_enumerate_words_on_every_fixture(name):
+    p = load_presentation(FIXTURES / name)
+    cap = BRUTE_CAPS.get(name, 10)
+    brute = brute_words_up_to_inversion(p, cap)
+    for n in range(11):
+        words = enumerate_words(p, n)
+        assert word_texts(p, n) == [format_walk(w) for w in words]
+        if n <= cap:
+            assert words == [w for w in brute if len(w) <= n]
 
 
 def test_fine_wolf_arithmetic():
