@@ -37,6 +37,7 @@ cycles in the Auslander-Reiten quiver; the surgery itself stays trusted.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -56,10 +57,10 @@ from .reps import (
     Representation,
     direct_sum,
     graph_map,
-    make_representation,
     string_module_with_nodes,
     zero_representation,
 )
+from .tablemaps import certify_sequence
 from .words import (
     Letter,
     LetterAutomaton,
@@ -104,8 +105,9 @@ class Catalog:
     table must satisfy the defect identity of every member's mesh row.
     Surgery runs once, here.  Both readings of every member's word are
     indexed.  The weight vector and almost-split data are read off the
-    stored mesh rows and walks lazily, and projective covers are written
-    from the words on request.
+    stored mesh rows and walks lazily.  Projective covers are written from
+    the words on request and certified, like the middles wordext reads off
+    the words, on graph maps of the table (tablemaps.certify_sequence).
     """
 
     def __init__(self, p: Presentation):
@@ -119,30 +121,34 @@ class Catalog:
         self.automaton = automaton
         self.entries: list[CatalogEntry] = []
         # both readings of every member's word, each with the member's nodes
-        # in that reading; a trivial walk is its own inverse
-        self._readings: dict[Walk, tuple[CatalogEntry, list]] = {}
+        # in that reading and 1 for the inverse, 0 for the word; a trivial
+        # walk is its own inverse and keeps 0
+        self._readings: dict[Walk, tuple[CatalogEntry, list, int]] = {}
         both: list[tuple[tuple[Walk, list], tuple[Walk, list]]] = []
         for w in words:
             rep, nodes = string_module_with_nodes(p, w)
             entry = CatalogEntry(len(self.entries), w, rep, nodes)
             self.entries.append(entry)
             both.append(((w, nodes), (inverse(w), nodes[::-1])))
-            for walk, walk_nodes in both[-1]:
-                self._readings[walk] = (entry, walk_nodes)
+            for flip, (walk, walk_nodes) in enumerate(both[-1]):
+                self._readings.setdefault(walk, (entry, walk_nodes, flip))
         # the inverse of each member's word, built once
         self.inverses = [inv for _, (inv, _) in both]
+        self._lengths = [len(w) for w in words]
         vertices = p.quiver.vertices
         at = {v: j for j, v in enumerate(vertices)}
         # members x vertices; a member's total coordinates list its basis
-        # vertex by vertex, and _starts holds where each vertex's block starts
+        # vertex by vertex, starts holds where each vertex's block starts and
+        # widths the total dimension
         self.dimvecs = np.array(
             [[e.rep.dim(v) for v in vertices] for e in self.entries], dtype=np.int64
         ).reshape(len(self.entries), len(vertices))
         self._totals = self.dimvecs.sum(axis=1)
-        self._starts = np.cumsum(self.dimvecs, axis=1) - self.dimvecs
+        self.widths = self._totals.tolist()
+        self.starts = np.cumsum(self.dimvecs, axis=1) - self.dimvecs
         # per member and reading: the total coordinate and the vertex of each node
         self._nodes = []
-        for ((_, nodes), _), starts in zip(both, self._starts.tolist()):
+        for ((_, nodes), _), starts in zip(both, self.starts.tolist()):
             coords = [starts[at[v]] + c for v, c in nodes]
             verts = tuple(at[v] for v, _ in nodes)
             self._nodes.append(((coords, verts), (coords[::-1], verts[::-1])))
@@ -287,7 +293,7 @@ class Catalog:
             order = np.argsort(at_v, kind="stable")
             ends = np.cumsum(np.bincount(at_v, minlength=dims.shape[1])).tolist()
             blocks = []
-            for r, h, a, b in zip(self._starts[u.index].tolist(), dims[u.index].tolist(), [0] + ends, ends):
+            for r, h, a, b in zip(self.starts[u.index].tolist(), dims[u.index].tolist(), [0] + ends, ends):
                 cut = order[a:b]
                 blocks.append((stacked[r : r + h, cut], in_sum[cut], of_map[cut]))
             for name, s, t, block in arrows:
@@ -309,14 +315,30 @@ class Catalog:
         stacked.setflags(write=False)
         return keys, stacked, dict(zip(placed, starts))
 
-    def map_matrix(self, u: int, y: int, key: tuple) -> np.ndarray | None:
+    def map_matrix(self, u: int, y: int, key: tuple) -> np.ndarray:
         """The graph map of the table from member u to member y at key, its
         (reading, s, t, m), as one read-only matrix on total coordinates:
-        rows are u's basis and columns y's, each vertex by vertex.  None when
-        the table holds no such map."""
+        rows are u's basis and columns y's, each vertex by vertex.  A map the
+        table does not hold is a construction bug."""
         stacked, first = self._rows[u]
         o = first.get((y, key))
-        return None if o is None else stacked[:, o : o + self._totals[y]]
+        if o is None:
+            raise VerificationError(
+                f"no graph map M({format_walk(self.entries[u].word)}) -> "
+                f"M({format_walk(self.entries[y].word)}) at {key}"
+            )
+        return stacked[:, o : o + self.widths[y]]
+
+    def map_key(self, u: int, fu: int, i: int, y: int, fy: int, j: int, m: int) -> tuple:
+        """The key (reading, s, t, m) of the graph map that sends nodes
+        i..i+m of member u's word to nodes j..j+m of member y's, each read
+        as its inverse where fu or fy is 1: the table reads the source in its
+        word and lists a trivial E in the target's word only."""
+        if fu:
+            i, j, fy = self._lengths[u] - i - m, self._lengths[y] - j - m, 1 - fy
+        if fy and not m:
+            return 0, i, self._lengths[y] - j, 0
+        return fy, i, j, m
 
     def basis(self, u: int, y: int) -> list[Intertwiner]:
         """The table's basis of Hom(member u, member y): its graph maps in
@@ -324,8 +346,8 @@ class Catalog:
         first use and kept."""
         if (u, y) not in self._bases:
             U, Y, q = self.entries[u].rep, self.entries[y].rep, self.p.q
-            cuts = list(zip(self.p.quiver.vertices, self._starts[u].tolist(), self.dimvecs[u].tolist(),
-                            self._starts[y].tolist(), self.dimvecs[y].tolist()))
+            cuts = list(zip(self.p.quiver.vertices, self.starts[u].tolist(), self.dimvecs[u].tolist(),
+                            self.starts[y].tolist(), self.dimvecs[y].tolist()))
             self._bases[u, y] = [
                 Intertwiner(U, Y, {v: Matrix(f[r : r + h, c : c + w], q) for v, r, h, c, w in cuts})
                 for f in (self.map_matrix(u, y, key) for key in self.hom_keys[u][y])
@@ -348,25 +370,34 @@ class Catalog:
         bug."""
         if walk not in self._readings:
             raise VerificationError(f"surgery gave {format_walk(walk)}, not a catalog word")
-        return self._readings[walk]
+        return self._readings[walk][:2]
+
+    def reading(self, walk: Walk) -> tuple[int, int] | None:
+        """The index of the member whose word is walk or its inverse, and 1
+        when walk is the inverse, 0 when it is the word; None for a walk
+        that is no member's word."""
+        found = self._readings.get(walk)
+        return None if found is None else (found[0].index, found[2])
 
     def cover(self, entry: CatalogEntry) -> CoverData:
         """The projective cover of M(C), C = entry.word, written from C
-        (Butler and Ringel 1987) in catalog members, with no solve.
+        (Butler and Ringel 1987) in catalog members and certified on the
+        table's graph maps, with no solve and no module built.
 
         A peak of C is a node no letter points into.  P0 is the sum of P(v)
         over the peaks, each in the reading of its word whose two arms run
-        along the slopes of C around the peak, and epi maps it by a graph
-        map onto those slopes, down to the neighbouring valleys or ends.
-        The syzygy and its inclusion come from _syzygy_words.
-        ShortExactSequence.verify certifies 0 -> syzygy -> P0 -> M(C) -> 0,
-        and the cover records the member index and block offsets of every
-        summand, so Hom from P0 or from the syzygy is read off the table."""
+        along the slopes of C around the peak, and epi maps it onto those
+        slopes, down to the neighbouring valleys or ends, by a graph map.
+        The syzygy's summands and their graph maps into one or two peaks
+        come from _syzygy_words, and certify_sequence certifies
+        0 -> syzygy -> P0 -> M(C) -> 0 on these maps.  The cover records the
+        member index of every summand, so Hom from P0 or from the syzygy is
+        read off the table; the modules are cut on first use."""
         p = self.p
-        C, M = entry.word.letters, entry.rep
+        c, C = entry.index, entry.word.letters
         n = len(C)
         top = {v: 0 for v in p.quiver.vertices}
-        readings = []  # per peak: its P(v) member and nodes, and (w, d, lo, hi)
+        peaks, readings, epi = [], [], []  # readings: per peak (w, d, lo, hi)
         for i in range(n + 1):
             if (i and C[i - 1].is_direct) or (i < n and not C[i].is_direct):
                 continue  # a letter points into node i
@@ -376,8 +407,8 @@ class Catalog:
             while hi < n and C[hi].is_direct:
                 hi += 1
             v = entry.nodes[i][0]
-            proj = self.entries[self.projective_at[v]].word
-            for w in (proj, inverse(proj)):
+            u = self.projective_at[v]
+            for flip, w in enumerate((self.entries[u].word, self.inverses[u])):
                 # the top of P(v) is the node before its first direct letter
                 k = next((j for j, l in enumerate(w.letters) if l.is_direct), len(w))
                 arms = w.letters[k - i + lo : k + hi - i]
@@ -388,39 +419,28 @@ class Catalog:
                     f"P({v}) has no arms along the slopes of M({format_walk(entry.word)}) "
                     f"at node {i}"
                 )
-            member, nodes = self.oriented(w)
-            readings.append((member, nodes, (w, i - k, lo, hi)))
+            epi.append((len(peaks), 0, self.map_key(u, flip, k - i + lo, c, 0, lo, hi - lo), 1))
+            peaks.append((u, flip))
+            readings.append((w, i - k, lo, hi))
             top[v] += 1
-        pieces = _syzygy_words(p, [r for _, _, r in readings], n)
-        syzygy_members = [self.oriented(walk) for walk, _ in pieces]
-        P0 = direct_sum([m.rep for m, _, _ in readings], label="P0")
-        syz_reps = [m.rep for m, _ in syzygy_members]
-        label = f"syzygy({M.label})"
-        S = direct_sum(syz_reps, label=label) if syz_reps else make_representation(p, {}, {}, label)
-        blocks0 = _blocks(p, [m.rep for m, _, _ in readings])
-        blocks_s = _blocks(p, syz_reps)
-
-        def place(block, node):
-            v, c = node
-            return v, block[v] + c
-
-        epi = [
-            (place(blocks0[t], nodes[a]), entry.nodes[a + d], 1)
-            for t, (_, nodes, (w, d, lo, hi)) in enumerate(readings)
-            for a in range(lo - d, hi - d + 1)
-        ]
-        incl = [
-            (place(blocks_s[u], snodes[s]), place(blocks0[t], readings[t][1][a]), c)
-            for u, ((_, snodes), (_, maps)) in enumerate(zip(syzygy_members, pieces))
-            for s, t, a, c in maps
-        ]
-        ses = ShortExactSequence(S, P0, M, _node_map(S, P0, incl), _node_map(P0, M, epi))
-        ses.verify()
-        return CoverData(
-            M, P0, ses.proj, S, ses.incl, top, self,
-            [(m.index, b) for (m, _, _), b in zip(readings, blocks0)],
-            [(m.index, b) for (m, _), b in zip(syzygy_members, blocks_s)],
-        )
+        syzygy, incl = [], []
+        for walk, maps in _syzygy_words(p, readings, n):
+            found = self.reading(walk)
+            if found is None:
+                raise VerificationError(
+                    f"syzygy of M({format_walk(entry.word)}) has the summand {format_walk(walk)}, "
+                    "not a catalog word"
+                )
+            # each run of nodes into one peak with one sign is a graph map
+            for (t, sign), run in itertools.groupby(maps, key=lambda x: (x[1], x[3])):
+                s, _, a, _ = next(run)
+                m = sum(1 for _ in run)
+                incl.append((len(syzygy), t, self.map_key(*found, s, *peaks[t], a, m), sign))
+            syzygy.append(found[0])
+        members = [u for u, _ in peaks]
+        name = f"projective cover of {entry.rep.label}"
+        stacks = certify_sequence(self, syzygy, members, [c], incl, epi, name)
+        return CoverData(entry.rep, None, None, None, None, top, self, members, syzygy, stacks)
 
     def profile(self, parts: list[int]) -> list[int]:
         """Hom dimensions from every member into the direct sum of the
@@ -540,10 +560,6 @@ class Catalog:
     def __len__(self):
         return len(self.entries)
 
-    def __contains__(self, walk: Walk) -> bool:
-        """Whether walk is a member's word in either reading."""
-        return walk in self._readings
-
 
 def _image_index(aut: LetterAutomaton, both: list) -> dict:
     """Every image substring of both readings of every member's word, for
@@ -612,28 +628,6 @@ def _syzygy_words(p: Presentation, readings: list, n: int) -> list:
 def _factor(p: Presentation, w: Walk, a: int, b: int) -> Walk:
     """The factor of w from its node a to its node b >= a."""
     return Walk(w.letters[a:b]) if a < b else trivial_walk(walk_vertices(p, w)[a])
-
-
-def _blocks(p: Presentation, reps: list[Representation]) -> list[dict[str, int]]:
-    """The offset of each summand's block at every vertex of their direct sum."""
-    out, at = [], {v: 0 for v in p.quiver.vertices}
-    for r in reps:
-        out.append(dict(at))
-        for v in at:
-            at[v] += r.dim(v)
-    return out
-
-
-def _node_map(src: Representation, dst: Representation, entries: list) -> Intertwiner:
-    """The map sending basis vector (v, i) of src to the sum of c times
-    basis vector (v, j) of dst over the entries ((v, i), (v, j), c)."""
-    p = src.pres
-    mats = {v: np.zeros((src.dim(v), dst.dim(v)), dtype=np.int64) for v in p.quiver.vertices}
-    for (v, i), (u, j), c in entries:
-        if u != v:
-            raise VerificationError("graph map misaligned: vertex mismatch")
-        mats[v][i, j] += c
-    return Intertwiner(src, dst, {v: Matrix(m, p.q) for v, m in mats.items()})
 
 
 def catalog_for(p: Presentation) -> Catalog:

@@ -8,30 +8,34 @@ members of a catalog no system is solved: the catalog's Hom table holds a
 basis of graph maps written from the words (artheory.Catalog), and
 hom_basis serves every other pair of modules.
 
-Ext^1(M, N) is realized on a projective cover P0 of M with syzygy S:
-the cokernel of restriction Hom(P0, N) -> Hom(S, N).  projective_cover
-builds the cover of any module by elimination; a catalog member's cover
-is written from its word (artheory.Catalog.cover), with P0 and S direct
-sums of catalog members.  The one gate counts dim Ext^1 by the long
-exact Hom sequence and builds no basis: on a member's word cover it is
-one integer row over all members, cover.gate_row(), S.H - T.D^T + H read
-off the catalog's Hom table, and cover.ext_dim(N, hom) reads N's entry;
-on any other cover ext_dim solves the kernel of Hom(S, N) once per N.
-cover.ext(N) builds one with ext1, which stacks Hom(P0, N) restricted to
-S over that kernel (both read off the table on the catalog path) and
-builds and verifies only the cocycles its basis takes from it; the basis
-must have the gate's dimension, and at 0 ext1 never runs.  Each cocycle
-gives an explicit short exact sequence whose middle is written on
-N_v + M_v at every vertex, with the cocycle in the off-diagonal block of
-each arrow.  The census of verify-main-theorem builds no basis where the
-gate finds dimension 1: there the middle is read off the words and
-certified by table maps (wordext).
+Ext^1(M, N) is realized on a projective cover P0 of M with syzygy S: the
+cokernel of restriction Hom(P0, N) -> Hom(S, N).  projective_cover
+builds and verifies the cover of any module by elimination, and is the
+independent oracle for catalog members.  A catalog member's cover is
+written from its word in catalog members (artheory.Catalog.cover), its
+maps graph maps of the table, and one certificate, the one word middles
+pass too (tablemaps.certify_sequence), checks it exact with no module
+built; P0, S and the maps are cut as modules only when read.  The one
+gate counts dim Ext^1 by the long exact Hom sequence and builds no
+basis: on a member's word cover it is one integer row over all members,
+cover.gate_row(), S.H - T.D^T + H read off the catalog's Hom table, and
+cover.ext_dim(N, hom) reads N's entry; on any other cover ext_dim solves
+the kernel of Hom(S, N) once per N.  cover.ext(N) builds one with ext1,
+which stacks Hom(P0, N) restricted to S over that kernel (both read off
+the table on the catalog path) and builds and verifies only the cocycles
+its basis takes from it; the basis must have the gate's dimension, and
+at 0 ext1 never runs.  Each cocycle gives an explicit short exact
+sequence whose middle is written on N_v + M_v at every vertex, with the
+cocycle in the off-diagonal block of each arrow.  The census of
+verify-main-theorem builds no basis where the gate finds dimension 1:
+there the middle is read off the words and certified by table maps
+(wordext).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,6 +49,7 @@ from .reps import (
     projective_with_basis,
     subrepresentation,
 )
+from .tablemaps import coordinates, flatten, maps_into
 
 if TYPE_CHECKING:
     from .artheory import Catalog
@@ -195,22 +200,57 @@ def hom_dim(M: Representation, N: Representation) -> int:
 
 @dataclass
 class CoverData:
+    """A projective cover 0 -> syzygy -> P0 -> module -> 0.
+
+    projective_cover passes P0 (cover), epi, the syzygy and incl built and
+    verified.  A catalog member's cover (Catalog.cover) is certified on
+    graph maps of the table and passes None for the four, the catalog, the
+    member indices of the summands of P0 and of the syzygy, and the
+    certified stacks of incl and epi, from which the four are cut on first
+    use."""
+
     module: Representation
-    cover: Representation  # P0
-    epi: Intertwiner  # P0 -> M
-    syzygy: Representation
-    incl: Intertwiner  # syzygy -> P0
+    cover: InitVar[Representation | None]  # P0
+    epi: InitVar[Intertwiner | None]  # P0 -> M
+    syzygy: InitVar[Representation | None]
+    incl: InitVar[Intertwiner | None]  # syzygy -> P0
     top: dict[str, int]  # top_v: the number of copies of P(v) in P0
-    # for a cover written in catalog members (Catalog.cover): the Catalog,
-    # and per summand of P0 and of the syzygy its member index and the
-    # offset of its block at each vertex; None and empty otherwise
     catalog: Catalog | None = None
-    cover_parts: list[tuple[int, dict[str, int]]] = field(default_factory=list)
-    syzygy_parts: list[tuple[int, dict[str, int]]] = field(default_factory=list)
+    cover_parts: list[int] = field(default_factory=list)
+    syzygy_parts: list[int] = field(default_factory=list)
+    stacks: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     _counts: dict = field(default_factory=dict, repr=False, compare=False)
     _exts: dict = field(default_factory=dict, repr=False, compare=False)
     _slips: dict | None = field(default=None, repr=False, compare=False)
     _gate: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self, cover, epi, syzygy, incl):
+        if self.stacks is None:
+            self.cover, self.epi, self.syzygy, self.incl = cover, epi, syzygy, incl
+
+    def __getattr__(self, name: str):
+        # reached only while a certified cover's modules are not yet cut
+        if name not in ("cover", "epi", "syzygy", "incl") or self.stacks is None:
+            raise AttributeError(name)
+        self.cover, self.epi, self.syzygy, self.incl = self._cut()
+        return getattr(self, name)
+
+    def _cut(self) -> tuple[Representation, Intertwiner, Representation, Intertwiner]:
+        """P0, epi, the syzygy and incl of a cover certified on the table,
+        cut vertex by vertex from its stacks."""
+        cat, M = self.catalog, self.module
+        p, label = M.pres, f"syzygy({M.label})"
+        P0 = direct_sum([cat.entries[u].rep for u in self.cover_parts], label="P0")
+        S = direct_sum([cat.entries[u].rep for u in self.syzygy_parts], label=label) \
+            if self.syzygy_parts else make_representation(p, {}, {}, label)
+
+        def cut(a, rows, cols):
+            return {v: Matrix(a[coordinates(cat, rows, j)][:, coordinates(cat, cols, j)], M.q)
+                    for j, v in enumerate(p.quiver.vertices)}
+
+        (incl, epi), own = self.stacks, [cat.index_of(M)]
+        return (P0, Intertwiner(P0, M, cut(epi, self.cover_parts, own)), S,
+                Intertwiner(S, P0, cut(incl, self.syzygy_parts, self.cover_parts)))
 
     def member_index(self, N: Representation) -> int | None:
         """N's index when this cover is written in catalog members and N is
@@ -228,7 +268,7 @@ class CoverData:
         is raised naming its pair."""
         if self._gate is None:
             cat = self.catalog
-            parts = [i for i, _ in self.syzygy_parts] + [cat.index_of(self.module)]
+            parts = self.syzygy_parts + [cat.index_of(self.module)]
             top = np.array([self.top[v] for v in self.module.pres.quiver.vertices], dtype=np.int64)
             row = np.array([cat.hom[i] for i in parts], dtype=np.int64).sum(axis=0) - cat.dimvecs @ top
             negative = np.flatnonzero(row < 0)
@@ -414,61 +454,29 @@ class Ext1Context:
         return extension_of_cocycle(self.cover, self.N, self.cocycle(coeffs))
 
 
-def _table_maps(
-    X: Representation, N: Representation, parts: list, catalog: Catalog, n: int
-) -> dict[str, np.ndarray]:
-    """Hom(X, N) for X the direct sum of the catalog members in parts, read
-    off the table: the stored basis of Hom(member, N) of each summand,
-    extended by zero from its block.  N is member n.  One array per vertex
-    v, of shape (maps, dim X_v, dim N_v)."""
-    maps = [(block, h) for i, block in parts for h in catalog.basis(i, n)]
-    out = {}
-    for v in X.pres.quiver.vertices:
-        arr = np.zeros((len(maps), X.dim(v), N.dim(v)), dtype=np.int64)
-        for row, (block, h) in zip(arr, maps):
-            f = h.mats[v].a
-            row[block[v] : block[v] + f.shape[0]] = f
-        out[v] = arr
-    return out
-
-
-def _flat_rows(X: Representation, N: Representation, mats: dict[str, np.ndarray]) -> np.ndarray:
-    """Maps X -> N stacked as per-vertex arrays, one row each, flattened
-    like Intertwiner.flatten."""
-    k = len(next(iter(mats.values())))
-    return np.concatenate(
-        [mats[v].reshape(k, X.dim(v) * N.dim(v)) for v in X.pres.quiver.vertices], axis=1
-    )
-
-
 def _table_kernel(
     cover: CoverData, N: Representation, n: int
 ) -> tuple[dict[str, int], list[dict[int, int]]]:
-    """What _hom_kernel(cover.syzygy, N) returns, for a cover written in
-    catalog members and N member n, with no solve: Hom is additive, so the
-    table's bases of the syzygy's summands, each extended by zero, are a
-    basis of Hom(syzygy, N)."""
-    S = cover.syzygy
-    off, total = {}, 0
-    for v in S.pres.quiver.vertices:
-        off[v] = total
-        total += S.dim(v) * N.dim(v)
-    flat = _flat_rows(S, N, _table_maps(S, N, cover.syzygy_parts, cover.catalog, n))
+    """What _hom_kernel(cover.syzygy, N) returns, for a cover certified on
+    the table (Catalog.cover) and N member n, with no solve: Hom is
+    additive, so the table's maps from the syzygy's summands, each extended
+    by zero, are a basis of Hom(syzygy, N)."""
+    cat = cover.catalog
+    flat, off = flatten(cat, maps_into(cat, cover.syzygy_parts, n), cover.syzygy_parts, n)
     return off, [{j: int(row[j]) for j in np.flatnonzero(row).tolist()} for row in flat]
 
 
 def _restrictions(cover: CoverData, N: Representation, n: int | None) -> np.ndarray:
     """The maps Hom(P0, N) restricted to the syzygy, one flattened row each:
-    from the table when the cover is written in catalog members and N is
-    member n, otherwise from a solved and verified Hom basis."""
+    on a cover certified on the table with N member n, the table's maps
+    from P0 after the certified inclusion, otherwise a solved and verified
+    Hom basis after incl."""
     if n is None:
         rows = [cover.incl.compose(h).flatten() for h in hom_basis(cover.cover, N)]
         width = sum(cover.syzygy.dim(v) * N.dim(v) for v in N.pres.quiver.vertices)
         return np.reshape(np.array(rows, dtype=np.int64), (len(rows), width))
-    maps = _table_maps(cover.cover, N, cover.cover_parts, cover.catalog, n)
-    return _flat_rows(
-        cover.syzygy, N, {v: (cover.incl.mats[v].a @ m) % N.q for v, m in maps.items()}
-    )
+    cat, (into, _) = cover.catalog, cover.stacks
+    return flatten(cat, into @ maps_into(cat, cover.cover_parts, n), cover.syzygy_parts, n)[0] % N.q
 
 
 def ext1(

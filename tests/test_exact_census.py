@@ -10,9 +10,12 @@ nonnegative integer multiplicities that sum to the count.  On the same
 pairs the gate, cover.ext_dim(N, hom) on the scan's covers and
 cover.ext(N, hom) on solved ones, must give the dimension of the verified
 Ext basis.  The
-scan's covers are written from the words (Catalog.cover); each must have
-the top of projective_cover, and the table's sum over its syzygy's
-summands must equal the solved dimension of Hom(syzygy, N).  The table
+scan's covers are certified on graph maps of the table (Catalog.cover);
+each must have the top of projective_cover, the table's sum over its
+syzygy's summands must equal the solved dimension of Hom(syzygy, N), and
+its modules, cut on first use, must form a verified short exact sequence.
+The ranks of that certificate are read off the maps' support, which must
+agree with Matrix.rank.  The table
 itself is written in graph maps; on every ordered pair of members it must
 have the dimension of hom_basis and span the same space.  The extensions
 the words list (wordext) must be as many as dim Ext^1 on every pair, each
@@ -32,14 +35,18 @@ import stringalg.artheory
 import stringalg.cli
 import stringalg.decomp
 import stringalg.homalg
+import stringalg.reps
 import stringalg.verify
 import stringalg.wordext
+from perfbench.census_gen import census_inputs
+from perfbench.workloads import CENSUS_N, CENSUS_RELATION_P, CENSUS_WEIGHT
 from stringalg.artheory import Catalog, catalog_for, finite_type_catalog
 from stringalg.cli import main
 from stringalg.decomp import decompose
 from stringalg.errors import VerificationError
 from stringalg.homalg import (
     CoverData,
+    ShortExactSequence,
     _hom_kernel,
     _hom_system,
     ext1,
@@ -51,6 +58,7 @@ from stringalg.homalg import (
 from stringalg.linalg import Matrix
 from stringalg.linalg import solve_rational
 from stringalg.presentation import load_presentation, parse_presentation
+from stringalg.tablemaps import support_rank
 from stringalg.verify import middle_term_scan
 from stringalg.wordext import WordExtension, certified_middle, word_extensions
 from stringalg.words import Walk, format_walk, parse_word, trivial_walk, walk_source
@@ -196,15 +204,19 @@ def test_an_overlap_whose_middle_walk_is_no_word_is_dropped(fixture_dir, monkeyp
 
 
 def check_word_covers(cat):
-    """Each member's cover written from its word against projective_cover:
-    the same top, and hom(syzygy, N) summed over the table for every member
-    N equal to the length of the solved kernel of Hom(syzygy, N)."""
+    """Each member's cover, certified on graph maps of the table, against
+    projective_cover: the same top, and a syzygy with the members of the
+    solved one, since the table's sum over its summands equals the solved
+    dimension of Hom(syzygy, N) at every member N and no two members share
+    a column of the table.  The epi and incl cut from the certified stacks
+    on first use pass ShortExactSequence.verify."""
     for m in cat.entries:
         word, solved = cat.cover(m), projective_cover(m.rep)
         assert word.top == solved.top
         for n in cat.entries:
-            table = sum(cat.hom[i][n.index] for i, _ in word.syzygy_parts)
+            table = sum(cat.hom[i][n.index] for i in word.syzygy_parts)
             assert table == len(_hom_kernel(solved.syzygy, n.rep)[1])
+        ShortExactSequence(word.syzygy, word.cover, m.rep, word.incl, word.epi).verify()
 
 
 def check_graph_map_table(cat):
@@ -234,9 +246,71 @@ def small_fixture_catalogs(fixture_dir):
 
 
 def test_word_covers_match_projective_cover_on_every_fixture_catalog(fixture_dir):
+    zigzag_a20 = catalog_for(load_presentation(fixture_dir / "zigzag_a20.sba"))
     for cat in small_fixture_catalogs(fixture_dir):
         check_graph_map_table(cat)
+    for cat in small_fixture_catalogs(fixture_dir) + [zigzag_a20, catalog_for(zigzag(12))]:
         check_word_covers(cat)
+
+
+def _shift_epi(monkeypatch):
+    """Every cover looks up each graph map of its epi one node further along
+    the reading of P(v)."""
+    cover, key = Catalog.cover, Catalog.map_key
+
+    def shifted(cat, entry):
+        def shifted_key(u, fu, i, y, *rest):
+            return key(cat, u, fu, i + (y == entry.index), y, *rest)
+
+        with monkeypatch.context() as m:
+            m.setattr(cat, "map_key", shifted_key, raising=False)
+            return cover(cat, entry)
+
+    monkeypatch.setattr(Catalog, "cover", shifted)
+
+
+def test_an_epi_reading_shifted_by_one_node_is_not_in_the_table(fixture_dir, monkeypatch, capsys):
+    path = fixture_dir / "census_typeA_seed1_04.sba"
+    _shift_epi(monkeypatch)
+    cat = Catalog(load_presentation(path))
+    with pytest.raises(VerificationError, match="no graph map"):
+        cat.cover(cat.lookup(parse_word(cat.p, "a2 a3^-1")))
+    assert main(["verify-main-theorem", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "construction certificate failed" in captured.err
+    assert "no graph map" in captured.err
+
+
+def _graph_map_stack(rng, blocks, rows, axis):
+    """blocks partial permutations with signs, each with rows rows and a
+    random number of columns, placed side by side (axis 0) or, transposed,
+    one above another (axis 1)."""
+    parts = []
+    for _ in range(blocks):
+        cols = int(rng.integers(0, 6))
+        f = np.zeros((rows, cols), dtype=np.int64)
+        m = int(rng.integers(0, min(rows, cols) + 1))
+        f[rng.permutation(rows)[:m], rng.permutation(cols)[:m]] = rng.choice([1, -1], size=m)
+        parts.append(f)
+    a = np.hstack(parts)
+    return a if axis == 0 else a.T
+
+
+def test_the_support_rank_of_a_stack_of_graph_maps_is_its_rank():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        q, axis = int(rng.choice([2, 3, 5, 32003])), int(rng.integers(0, 2))
+        a = _graph_map_stack(rng, int(rng.integers(1, 4)), int(rng.integers(0, 7)), axis)
+        assert support_rank(a, q, axis, "stack") == Matrix(a, q).rank()
+
+
+@pytest.mark.parametrize("axis, line", [(0, "column"), (1, "row")])
+def test_a_stack_with_two_nonzeros_in_one_line_has_no_support_rank(axis, line):
+    a = np.eye(3, dtype=np.int64)
+    a[0, 1] = -1  # two nonzeros in row 0 and in column 1, and rank 3
+    with pytest.raises(VerificationError, match=f"stack has two nonzeros in one {line}"):
+        support_rank(a if axis == 0 else a.T, 5, axis, "stack")
 
 
 def check_gate_rows(cat):
@@ -464,41 +538,32 @@ def test_a_listing_of_the_wrong_length_raises_and_exits_3(fixture_dir, monkeypat
 
 def _split(cat, c, d, listed):
     """M(C) + M(D) in place of the first middle."""
-    C, D = cat.entries[c].word, cat.entries[d].word
-    return [WordExtension((D, C), listed[0].incl, listed[0].proj)] + listed[1:]
+    ext = listed[0]
+    return [WordExtension(ext.middles, (d, c), ext.incl, ext.proj)] + listed[1:]
 
 
 def _wrong_member(cat, c, d, listed):
     """M(D) in place of the first middle's first summand."""
     ext = listed[0]
-    middles = (cat.entries[d].word,) + ext.middles[1:]
-    return [WordExtension(middles, ext.incl, ext.proj)] + listed[1:]
+    return [WordExtension(ext.middles, (d,) + ext.members[1:], ext.incl, ext.proj)] + listed[1:]
 
 
-def _sign_lost(monkeypatch):
-    """The second summand's projection of every two-summand middle is
-    looked up negated, so that it enters the sequence with the sign +1."""
-    second = set()
-    original = stringalg.wordext.table_map
-
-    def recorded(cat, c, d, listed):
-        second.update(ext.proj[1] for ext in listed if len(ext.middles) == 2)
-        return listed
-
-    def negated(cat, *g):
-        u, y, f = original(cat, *g)
-        return (u, y, -f) if g in second else (u, y, f)
-
-    _edit_listings(monkeypatch, recorded)
-    monkeypatch.setattr(stringalg.wordext, "table_map", negated)
+def _sign_lost(cat, c, d, listed):
+    """The second summand of every two-summand middle projects with the
+    sign +1."""
+    return [
+        WordExtension(e.middles, e.members, e.incl, e.proj[:1] + ((e.proj[1][0], 1),))
+        if len(e.members) == 2 else e
+        for e in listed
+    ]
 
 
 @pytest.mark.parametrize(
     "fault, message",
     [
         (lambda m: _edit_listings(m, _split), "splits"),
-        (lambda m: _edit_listings(m, _wrong_member), "do not add|through the listed middle"),
-        (_sign_lost, "composite through the middle .* is not zero"),
+        (lambda m: _edit_listings(m, _wrong_member), "do not add|no graph map"),
+        (lambda m: _edit_listings(m, _sign_lost), "composite through the middle .* is not zero"),
     ],
     ids=["split", "wrong-member", "sign-lost"],
 )
@@ -674,13 +739,18 @@ def test_a_wrong_syzygy_summand_fails_the_word_cover(fixture_dir, monkeypatch, c
     assert "construction certificate failed" in captured.err
 
 
-def _forbid_middles(monkeypatch):
+def _forbid_middles(monkeypatch, direct_sums=False):
+    """Building or decomposing a middle raises; with direct_sums, so does
+    building any direct sum, a cover's P0 or syzygy among them."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a middle was built or decomposed on string input")
 
     monkeypatch.setattr(stringalg.decomp, "decompose", forbidden)
     monkeypatch.setattr(stringalg.verify, "decompose", forbidden)
     monkeypatch.setattr(stringalg.homalg, "extension_of_cocycle", forbidden)
+    if direct_sums:
+        for module in (stringalg.reps, stringalg.homalg, stringalg.artheory):
+            monkeypatch.setattr(module, "direct_sum", forbidden)
 
 
 def _count_decompose(monkeypatch):
@@ -723,3 +793,14 @@ def test_no_middle_is_built_on_string_input(fixture_dir, monkeypatch, capsys):
         encoding="utf-8"
     )
     assert len(calls) == 4 + 6
+
+
+def test_a_census_seed_1_scan_builds_no_direct_sum(monkeypatch):
+    # every Ext^1 at seed 1 is 1-dimensional, so no cover is cut into modules
+    scans = [middle_term_scan(parse_presentation(text), CENSUS_N)
+             for _, text in census_inputs(1, CENSUS_N, CENSUS_RELATION_P, CENSUS_WEIGHT)]
+    _forbid_middles(monkeypatch, direct_sums=True)
+    for (_, text), scan in zip(census_inputs(1, CENSUS_N, CENSUS_RELATION_P, CENSUS_WEIGHT), scans):
+        again = middle_term_scan(parse_presentation(text), CENSUS_N)
+        assert again.ok and again.findings == scan.findings
+        assert {f.ext_dim for f in again.findings} == {1}
