@@ -11,11 +11,13 @@ of the inverse walk, and a walk with every letter deleted is the trivial
 walk at its source.  The two one-sided surgeries give the middle summands,
 both-sided surgery gives the translate, and each resulting walk is read
 off the catalog, which indexes both readings of every member's word.
-Every sequence is certified against the defect identity
+Every sequence is checked against the defect identity
 
     dim Hom(U, tau V) - dim Hom(U, E) + dim Hom(U, V) = [U iso V]
 
-over the full catalog, which characterizes almost-split sequences.
+over the full catalog, which characterizes almost-split sequences, and
+certified exact on the table's graph maps by the one certificate of covers
+and word middles (tablemaps.certify_sequence), with no module built.
 
 The catalog's Hom table is written from the words as well, with no linear
 solve: between string modules Hom has a basis of graph maps
@@ -38,7 +40,7 @@ cycles in the Auslander-Reiten quiver; the surgery itself stays trusted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -50,16 +52,10 @@ from .errors import (
     StringAlgError,
     VerificationError,
 )
-from .homalg import CoverData, Ext1Context, Intertwiner, ShortExactSequence, composites, hom_basis
+from .homalg import CoverData, Ext1Context, Intertwiner, composites, hom_basis
 from .linalg import Matrix
 from .presentation import Presentation
-from .reps import (
-    Representation,
-    direct_sum,
-    graph_map,
-    string_module_with_nodes,
-    zero_representation,
-)
+from .reps import Representation, direct_sum, string_module_with_nodes, zero_representation
 from .tablemaps import certify_sequence
 from .words import (
     Letter,
@@ -105,9 +101,10 @@ class Catalog:
     table must satisfy the defect identity of every member's mesh row.
     Surgery runs once, here.  Both readings of every member's word are
     indexed.  The weight vector and almost-split data are read off the
-    stored mesh rows and walks lazily.  Projective covers are written from
-    the words on request and certified, like the middles wordext reads off
-    the words, on graph maps of the table (tablemaps.certify_sequence).
+    stored mesh rows and walks lazily.  Projective covers and almost-split
+    sequences are written from the words on request and certified, like
+    the middles wordext reads off the words, on graph maps of the table by
+    the one certificate (tablemaps.certify_sequence).
     """
 
     def __init__(self, p: Presentation):
@@ -120,18 +117,18 @@ class Catalog:
         self.p = p
         self.automaton = automaton
         self.entries: list[CatalogEntry] = []
-        # both readings of every member's word, each with the member's nodes
-        # in that reading and 1 for the inverse, 0 for the word; a trivial
-        # walk is its own inverse and keeps 0
-        self._readings: dict[Walk, tuple[CatalogEntry, list, int]] = {}
+        # both readings of every member's word, each with the member's index
+        # and 1 for the inverse, 0 for the word; a trivial walk is its own
+        # inverse and keeps 0
+        self._readings: dict[Walk, tuple[int, int]] = {}
         both: list[tuple[tuple[Walk, list], tuple[Walk, list]]] = []
         for w in words:
             rep, nodes = string_module_with_nodes(p, w)
             entry = CatalogEntry(len(self.entries), w, rep, nodes)
             self.entries.append(entry)
             both.append(((w, nodes), (inverse(w), nodes[::-1])))
-            for flip, (walk, walk_nodes) in enumerate(both[-1]):
-                self._readings.setdefault(walk, (entry, walk_nodes, flip))
+            for flip, (walk, _) in enumerate(both[-1]):
+                self._readings.setdefault(walk, (entry.index, flip))
         # the inverse of each member's word, built once
         self.inverses = [inv for _, (inv, _) in both]
         self._lengths = [len(w) for w in words]
@@ -200,7 +197,7 @@ class Catalog:
             else:
                 t, right, left = self._walks[e.index] = _surgery(self, e)
                 ends = [t], [x for x in (right, left) if x is not None]
-            row = tuple([self.oriented(x)[0].index for x in walks] for walks in ends)
+            row = tuple([_surgery_member(self, x)[0] for x in walks] for walks in ends)
             self.mesh.append(row)
             _check_defect(self, e.index, *row)
 
@@ -357,27 +354,17 @@ class Catalog:
     def lookup(self, w: Walk) -> CatalogEntry:
         if w not in self._readings:
             raise StringAlgError(f"word {format_walk(w)} not in the catalog")
-        return self._readings[w][0]
+        return self.entries[self._readings[w][0]]
 
     def index_of(self, m: Representation) -> int | None:
         """The index of the member whose module is m, or None."""
         return self._members.get(m)
 
-    def oriented(self, walk: Walk) -> tuple[CatalogEntry, list]:
-        """The member whose word is walk or its inverse, with its nodes in
-        walk's reading.  Word surgery on members, for almost-split sequences
-        and for covers, only reaches members, so a miss is a construction
-        bug."""
-        if walk not in self._readings:
-            raise VerificationError(f"surgery gave {format_walk(walk)}, not a catalog word")
-        return self._readings[walk][:2]
-
     def reading(self, walk: Walk) -> tuple[int, int] | None:
         """The index of the member whose word is walk or its inverse, and 1
         when walk is the inverse, 0 when it is the word; None for a walk
         that is no member's word."""
-        found = self._readings.get(walk)
-        return None if found is None else (found[0].index, found[2])
+        return self._readings.get(walk)
 
     def cover(self, entry: CatalogEntry) -> CoverData:
         """The projective cover of M(C), C = entry.word, written from C
@@ -534,7 +521,8 @@ class Catalog:
         """The integer vector coef with coef[V] = 2 - the middle summand
         count of the almost-split sequence at V, for every non-projective V
         among the member indices in members, and 0 elsewhere.  Each such
-        sequence is built and verified exact, so the count is that certified
+        sequence is certified exact on the table's graph maps
+        (tablemaps.certify_sequence), so the count is that certified
         sequence's, not a bare read of V's mesh row; the vector is exact
         against any delta that vanishes off members."""
         coef = np.zeros(len(self.entries), dtype=np.int64)
@@ -702,17 +690,19 @@ class ARSequence:
     """Almost-split sequence 0 -> tau V -> E -> V -> 0 for V = M(word).
 
     tau_word and middle_words are the words of catalog members, in the
-    reading the catalog lists them; the surgery walks, in the readings the
-    graph maps need, stay on the catalog.
+    reading the catalog lists them; tau_member, middle_members and
+    target_member are the members' indices, and stacks the inclusion and
+    projection certified on the table's graph maps.  The surgery walks, in
+    the readings the graph maps need, stay on the catalog.
     """
 
     target_word: Walk
     tau_word: Walk
     middle_words: list[Walk]
-    tau: Representation
-    middle: Representation
-    target: Representation
-    ses: ShortExactSequence
+    tau_member: int
+    middle_members: list[int]
+    target_member: int
+    stacks: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     middle_summand_count: int
 
 
@@ -754,75 +744,64 @@ def _surgery(cat: Catalog, entry: CatalogEntry) -> tuple[Walk, Walk | None, Walk
     return t, walk_r, walk_l
 
 
+def _surgery_member(cat: Catalog, walk: Walk) -> tuple[int, int]:
+    """The member index and reading of a walk that surgery on a member gave.
+    Surgery on members only reaches members, so a miss is a construction
+    bug."""
+    found = cat.reading(walk)
+    if found is None:
+        raise VerificationError(f"surgery gave {format_walk(walk)}, not a catalog word")
+    return found
+
+
 def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
-    """The sequence from the surgery walks stored on construction; its mesh
-    row is checked again, so that a table edited since is refused."""
+    """The sequence from the surgery walks stored on construction, certified
+    on graph maps of the table (certify_sequence) with no module built; its
+    mesh row is checked again, so that a table edited since is refused.
+
+    Each map sends node i of its source walk to node i + d of its target
+    walk, where both are in range: d is len(E_r) - len(tau V) into the
+    right-surgery walk E_r and 0 out of it, 0 into the left-surgery walk
+    E_l, which shares its left end with tau V, and len(V) - len(E_l) out of
+    it.  With two summands both composites tau V -> E_i -> V are the same
+    graph map, so the second map to V carries the sign -1 and the composite
+    vanishes."""
     if entry.index in cat.projectives:
         raise StringAlgError(
             f"M({format_walk(entry.word)}) is projective; no almost-split sequence ends there"
         )
     _check_defect(cat, entry.index, *cat.mesh[entry.index])
-    p = cat.p
-    t, walk_r, walk_l = cat._walks[entry.index]
-    tau_entry, tau_nodes = cat.oriented(t)
+    t, right, left = cat._walks[entry.index]
+    shifts = []  # (middle walk, shift from tau V, shift to V)
+    if right is not None:
+        shifts.append((right, len(right) - len(t), 0))
+    if left is not None:
+        shifts.append((left, 0, len(entry.word) - len(left)))
+    tau, target = _surgery_member(cat, t), (entry.index, 0)
 
-    # node-offset bookkeeping for the four canonical graph maps; each walk's
-    # nodes come from the catalog in that walk's own reading
-    middles: list[CatalogEntry] = []
-    maps_from_tau: list[dict] = []
-    maps_to_v: list[dict] = []
-    if walk_r is not None:
-        er, er_nodes = cat.oriented(walk_r)
-        middles.append(er)
-        maps_from_tau.append(
-            graph_map(p, tau_entry.rep, tau_nodes, er.rep, er_nodes, len(walk_r) - len(t))
-        )
-        maps_to_v.append(graph_map(p, er.rep, er_nodes, entry.rep, entry.nodes, 0))
-    if walk_l is not None:
-        el, el_nodes = cat.oriented(walk_l)
-        middles.append(el)
-        # tau and the left-surgery word share their left ends exactly
-        maps_from_tau.append(
-            graph_map(p, tau_entry.rep, tau_nodes, el.rep, el_nodes, 0)
-        )
-        maps_to_v.append(
-            graph_map(p, el.rep, el_nodes, entry.rep, entry.nodes, -(len(walk_l) - len(entry.word)))
-        )
+    def key(src, a, dst, b, d):
+        # the table key of the map from a walk of length a to one of length b
+        i = max(0, -d)
+        return cat.map_key(*src, i, *dst, i + d, min(a, b - d) - i)
 
-    middle_rep = direct_sum([e.rep for e in middles])
-    ses = _assemble_ses(p, tau_entry.rep, middle_rep, entry.rep, maps_from_tau, maps_to_v)
+    middles, incl, proj = [], [], []
+    for k, (walk, into, onto) in enumerate(shifts):
+        middle = _surgery_member(cat, walk)
+        middles.append(middle[0])
+        incl.append((0, k, key(tau, len(t), middle, len(walk), into), 1))
+        proj.append((k, 0, key(middle, len(walk), target, len(entry.word), onto), -1 if k else 1))
+    name = f"almost split sequence ending at {entry.rep.label}"
+    stacks = certify_sequence(cat, [tau[0]], middles, [entry.index], incl, proj, name)
     return ARSequence(
         target_word=entry.word,
-        tau_word=tau_entry.word,
-        middle_words=[e.word for e in middles],
-        tau=tau_entry.rep,
-        middle=middle_rep,
-        target=entry.rep,
-        ses=ses,
+        tau_word=cat.entries[tau[0]].word,
+        middle_words=[cat.entries[i].word for i in middles],
+        tau_member=tau[0],
+        middle_members=middles,
+        target_member=entry.index,
+        stacks=stacks,
         middle_summand_count=len(middles),
     )
-
-
-def _assemble_ses(p, tau_rep, middle_rep, v_rep, maps_from_tau, maps_to_v):
-    """0 -> tau V -> E -> V -> 0 from the graph maps through each middle
-    summand.  With two summands both composites tau V -> E_i -> V are the
-    same graph map, so the second map to V carries the sign -1 and the
-    composite vanishes."""
-    q = p.field_order
-    first, *rest = maps_to_v
-    incl_mats = {v: Matrix(np.hstack([g[v].a for g in maps_from_tau]), q) for v in p.quiver.vertices}
-    proj_mats = {
-        v: Matrix(np.vstack([first[v].a] + [-f[v].a for f in rest]), q) for v in p.quiver.vertices
-    }
-    ses = ShortExactSequence(
-        left=tau_rep,
-        middle=middle_rep,
-        right=v_rep,
-        incl=Intertwiner(tau_rep, middle_rep, incl_mats),
-        proj=Intertwiner(middle_rep, v_rep, proj_mats),
-    )
-    ses.verify()
-    return ses
 
 
 def _check_defect(cat: Catalog, v: int, ls: list[int], ms: list[int]):
@@ -868,21 +847,23 @@ class RiedtmannWitness:
 
 def riedtmann_witness(M: Representation, N: Representation) -> RiedtmannWitness:
     """Build X, Y, Z so that M + X + Z and N + Y have equal hom counts
-    against every catalog member; verified by direct computation."""
+    against every catalog member, as sums of the members of the
+    almost-split sequences at the V with delta(V) > 0, delta(V) times each;
+    verified by direct computation."""
     cat = catalog_for(M.pres)
     ok, delta = hom_leq(M, N)
     if not ok:
         raise StringAlgError("riedtmann witness needs hom_leq(M, N) to hold")
     xs, ys, zs = [], [], []
+    reps = [u.rep for u in cat.entries]
     for e in cat.nonprojective():
         d = delta[e.index]
         if d <= 0:
             continue
         seq = cat.ar_sequence(e)
-        for _ in range(d):
-            xs.append(seq.tau)
-            ys.append(seq.middle)
-            zs.append(seq.target)
+        xs += [reps[seq.tau_member]] * d
+        ys += [reps[i] for i in seq.middle_members] * d
+        zs += [reps[seq.target_member]] * d
     p = M.pres
     X = direct_sum(xs, label="X") if xs else zero_representation(p)
     Y = direct_sum(ys, label="Y") if ys else zero_representation(p)

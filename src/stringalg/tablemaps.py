@@ -6,8 +6,9 @@ member's total coordinates (its basis vertex by vertex), and holds in
 block (k, t), given as (k, t, key, sign), sign times the table's graph
 map at key from the k-th summand to the t-th (Catalog.map_matrix).
 certify_sequence is the one certificate of a short exact sequence of
-such stacks: a member's projective cover (Catalog.cover) and a middle
-read off the words (wordext.certified_middle) both pass it.  maps_into,
+such stacks: a member's projective cover (Catalog.cover), a middle read
+off the words (wordext.certified_middle) and an almost-split sequence
+(Catalog.ar_sequence) all pass it.  maps_into,
 flatten and coordinates read stacks vertex by vertex, for ext1 and for
 the modules of a certified cover (homalg.CoverData).
 """

@@ -155,13 +155,14 @@ def _direct_sums_up_to(cat: Catalog, max_dim: int):
     one per multiset, as (label, parts) with parts the member indices in
     nondecreasing order.  No module is built."""
     labels = [f"M({format_walk(e.word)})" for e in cat.entries]
+    widths = cat.widths
     out = []
 
     def rec(start: int, chosen: list[int], dim_left: int):
         if chosen:
             out.append(("+".join(labels[i] for i in chosen), chosen))
-        for i in range(start, len(cat.entries)):
-            d = cat.entries[i].rep.total_dim
+        for i in range(start, len(widths)):
+            d = widths[i]
             if d <= dim_left:
                 rec(i, chosen + [i], dim_left - d)
 

@@ -10,6 +10,7 @@ import random
 import time
 
 import pytest
+from test_artheory import ar_modules
 
 from stringalg.artheory import (
     catalog_for,
@@ -128,12 +129,14 @@ def test_criterion_5_ar_certification(a3, a3nr):
         for e in cat.nonprojective():
             seq = cat.ar_sequence(e)
             assert seq.middle_summand_count <= 2
-            # re-verify the defect identity here, from scratch
+            # re-verify the defect identity here, from scratch, on modules
+            # built from the sequence's members
+            tau, middle, target = ar_modules(cat, seq)
             for u in cat.entries:
                 val = (
-                    hom_dim(u.rep, seq.tau)
-                    - hom_dim(u.rep, seq.middle)
-                    + hom_dim(u.rep, seq.target)
+                    hom_dim(u.rep, tau)
+                    - hom_dim(u.rep, middle)
+                    + hom_dim(u.rep, target)
                 )
                 assert val == (1 if u.index == e.index else 0)
             sequences += 1

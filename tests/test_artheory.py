@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 
 import pytest
@@ -21,13 +22,40 @@ from stringalg.artheory import (
     hom_leq,
     riedtmann_witness,
 )
+from stringalg.cli import main
 from stringalg.decomp import decompose
 from stringalg.errors import InfiniteTypeError, StringAlgError, VerificationError
-from stringalg.homalg import hom_dim
+from stringalg.homalg import Intertwiner, ShortExactSequence, hom_dim
+from stringalg.linalg import Matrix
 from stringalg.presentation import load_presentation, parse_presentation
 from stringalg.reps import direct_sum, projective, simple
+from stringalg.tablemaps import coordinates
 from stringalg.verify import DegenerationRow, _direct_sums_up_to, degeneration_scan
 from stringalg.words import format_walk, inverse, parse_word
+
+
+def ar_modules(cat, seq):
+    """tau V, the middle E and V of an almost-split sequence as modules,
+    built from its member indices."""
+    rep = [e.rep for e in cat.entries]
+    return rep[seq.tau_member], direct_sum([rep[i] for i in seq.middle_members]), rep[seq.target_member]
+
+
+def ar_exact_sequence(cat, seq):
+    """The sequence on those modules, its two certified stacks cut vertex by
+    vertex, for ShortExactSequence.verify to check independently."""
+    tau, middle, target = ar_modules(cat, seq)
+    incl, proj = seq.stacks
+
+    def cut(a, rows, cols):
+        return {v: Matrix(a[coordinates(cat, rows, j)][:, coordinates(cat, cols, j)], cat.p.q)
+                for j, v in enumerate(cat.p.quiver.vertices)}
+
+    return ShortExactSequence(
+        tau, middle, target,
+        Intertwiner(tau, middle, cut(incl, [seq.tau_member], seq.middle_members)),
+        Intertwiner(middle, target, cut(proj, seq.middle_members, [seq.target_member])),
+    )
 
 
 def test_catalog_a3(a3):
@@ -207,7 +235,7 @@ def test_ar_sequence_s1_a3(a3):
     assert format_walk(seq.tau_word) == "e(2)"
     assert seq.middle_summand_count == 1
     assert [format_walk(w) for w in seq.middle_words] == ["a"]
-    seq.ses.verify()
+    ar_exact_sequence(catalog_for(a3), seq).verify()
 
 
 def test_ar_sequence_s2_a3(a3):
@@ -222,7 +250,7 @@ def test_ar_sequence_s1_a3nr(a3nr):
     seq = ar_sequence(a3nr, parse_word(a3nr, "e(1)"))
     assert format_walk(seq.tau_word) == "e(2)"
     assert seq.middle_summand_count == 1
-    assert seq.middle.dimension_vector() == {"1": 1, "2": 1, "3": 0}
+    assert ar_modules(catalog_for(a3nr), seq)[1].dimension_vector() == {"1": 1, "2": 1, "3": 0}
 
 
 def test_ar_sequence_interval_a3nr(a3nr):
@@ -251,12 +279,12 @@ def test_defect_identity_explicit(a3nr):
     # recompute the defect identity directly from hom dimensions
     cat = catalog_for(a3nr)
     for e in cat.nonprojective():
-        seq = cat.ar_sequence(e)
+        tau, middle, target = ar_modules(cat, cat.ar_sequence(e))
         for u in cat.entries:
             val = (
-                hom_dim(u.rep, seq.tau)
-                - hom_dim(u.rep, seq.middle)
-                + hom_dim(u.rep, seq.target)
+                hom_dim(u.rep, tau)
+                - hom_dim(u.rep, middle)
+                + hom_dim(u.rep, target)
             )
             assert val == (1 if u.word == e.word else 0)
 
@@ -266,11 +294,11 @@ def test_ar_sequences_nonsplit(a3, a3nr):
     for p in (a3, a3nr):
         cat = catalog_for(p)
         for e in cat.nonprojective():
-            seq = cat.ar_sequence(e)
-            split_count = decompose(direct_sum([seq.tau, seq.target])).summand_count
-            assert decompose(seq.middle).summand_count < split_count or (
-                hom_dim(seq.target, seq.middle) < hom_dim(
-                    seq.target, direct_sum([seq.tau, seq.target])
+            tau, middle, target = ar_modules(cat, cat.ar_sequence(e))
+            split_count = decompose(direct_sum([tau, target])).summand_count
+            assert decompose(middle).summand_count < split_count or (
+                hom_dim(target, middle) < hom_dim(
+                    target, direct_sum([tau, target])
                 )
             )
 
@@ -370,7 +398,7 @@ def test_ar_sequences_on_source_quiver():
     assert len(cat) == 6
     seq = ar_sequence(p, parse_word(p, "e(1)"))
     assert seq.middle_summand_count == 2
-    assert seq.tau.dimension_vector() == {"1": 1, "2": 1, "3": 1}
+    assert ar_modules(cat, seq)[0].dimension_vector() == {"1": 1, "2": 1, "3": 1}
     for e in cat.nonprojective():
         s = cat.ar_sequence(e)
         assert s.middle_summand_count <= 2
@@ -485,20 +513,50 @@ def test_almost_split_sequences_verify_on_drawn_type_a_presentations():
         cat = catalog_for(p)
         for e in cat.nonprojective():
             seq = cat.ar_sequence(e)
-            seq.ses.verify()
+            ar_exact_sequence(cat, seq).verify()
             two_middles += seq.middle_summand_count == 2
-            # the catalog holds both readings of a word, the inverse one
-            # with the nodes reversed, and either reading names the sequence
+            # the catalog holds both readings of a word, and either reading
+            # names the sequence
             back = inverse(e.word)
-            for walk, nodes in ((e.word, e.nodes), (back, e.nodes[::-1])):
-                entry, oriented_nodes = cat.oriented(walk)
-                assert entry is e and oriented_nodes == nodes
+            assert cat.reading(e.word) == (e.index, 0)
+            assert cat.reading(back) == (e.index, 0 if e.word.is_trivial else 1)
             seq_back = ar_sequence(p, back)
             assert cat.lookup(seq_back.tau_word) is cat.lookup(seq.tau_word)
             assert [cat.lookup(m) for m in seq_back.middle_words] == [
                 cat.lookup(m) for m in seq.middle_words
             ]
     assert two_middles > 0
+
+
+def _second_projection_sign_kept(incl, proj):
+    return incl, [(k, t, key, 1) for k, t, key, _ in proj]
+
+
+def _key_one_node_off(incl, proj):
+    (k, t, (flip, s, j, m), sign), *rest = incl
+    return [(k, t, (flip, s, j + 1, m), sign), *rest], proj
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_second_projection_sign_kept, "composite through the almost split sequence ending at M(a) is not zero"),
+    (_key_one_node_off, "no graph map M(b) -> M(a b)"),
+], ids=["sign-kept", "key-off"])
+def test_a_faulty_almost_split_sequence_is_refused(edit, message, fixture_dir, monkeypatch, capsys):
+    # the sequence ending at M(a) over a3nr has two middle summands; at F_3
+    # the second projection needs its sign -1
+    real = artheory.certify_sequence
+
+    def edited(cat, left, middle, right, incl, proj, name):
+        return real(cat, left, middle, right, *edit(incl, proj), name)
+
+    monkeypatch.setattr(artheory, "certify_sequence", edited)
+    p = load_presentation(fixture_dir / "a3nr.sba").with_field(3)
+    cat = Catalog(p)
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        cat.ar_sequence(cat.lookup(parse_word(p, "a")))
+    assert main(["--field", "3", "ar", str(fixture_dir / "a3nr.sba"), "--word", "a"]) == 3
+    err = capsys.readouterr().err
+    assert "certificate failed to verify" in err and message in err
 
 
 def test_a_bumped_hom_entry_fails_the_defect_identity(a3nr):

@@ -157,6 +157,32 @@ def test_degeneration_benchmark_output_is_pinned(extra, digest, capsys, fixture_
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the structured ar output for both readings of every non-projective
+# member, one after another in catalog order, taken when each almost-split
+# sequence was built from modules and verified by ShortExactSequence.verify
+@pytest.mark.parametrize("name, count, digest", [
+    ("a3", 2, "0ad07b73ec641f8b446d2079c53a1b9e20caea748bd6996a848ea9a78f7accb5"),
+    ("a3nr", 3, "2acb43704a0d00c90bd823eb555f7afa323bab7f99774465e8eb633f87d14bba"),
+    ("census_typeA_seed1_04", 11, "dfebb408a0f2d21fe04617e9d33b8fbc400772bb2946c1f1576743546f839841"),
+    ("loop_arrow", 5, "952fc2f144d8d97b0b97607bd19ad5f18439ab3d0c541ef373e8a3c99d33def6"),
+])
+def test_ar_output_is_pinned(name, count, digest, capsys, fixture_dir):
+    from stringalg.artheory import catalog_for
+    from stringalg.words import format_walk, inverse
+
+    path = str(fixture_dir / f"{name}.sba")
+    members = catalog_for(load_presentation(path)).nonprojective()
+    assert len(members) == count
+    outs = []
+    for e in members:
+        # a trivial word is its own inverse and is asked once
+        for word in dict.fromkeys(format_walk(w) for w in (e.word, inverse(e.word))):
+            code, out = run(capsys, "--format", "structured", "ar", path, "--word", word)
+            assert code == 0
+            outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest
+
+
 # sha256 of the stdout of the benchmark's words operation and of the other two
 # formats, taken when words were printed one Walk at a time through format_walk
 @pytest.mark.parametrize("fmt, max_len, digest", [
@@ -289,12 +315,13 @@ def test_field_override(capsys, fixture_dir):
 
 
 def test_verification_error_exits_3(capsys, fixture_dir, monkeypatch):
-    from stringalg.homalg import ShortExactSequence
+    from stringalg import artheory
 
-    def broken(self):
+    def broken(*args):
         raise VerificationError("injected exactness failure")
 
-    monkeypatch.setattr(ShortExactSequence, "verify", broken)
+    # ar certifies its sequence on the table's graph maps
+    monkeypatch.setattr(artheory, "certify_sequence", broken)
     code = main(["ar", str(fixture_dir / "a3.sba"), "--word", "e(1)"])
     err = capsys.readouterr().err
     assert code == 3

@@ -122,7 +122,7 @@ def members(cat, ext):
     """The multiplicity of every member in the middle of ext."""
     out = [0] * len(cat)
     for walk in ext.middles:
-        out[cat.oriented(walk)[0].index] += 1
+        out[cat.reading(walk)[0]] += 1
     return out
 
 
