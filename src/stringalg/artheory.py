@@ -52,7 +52,7 @@ from .errors import (
     StringAlgError,
     VerificationError,
 )
-from .homalg import CoverData, Ext1Context, Intertwiner, composites, hom_basis
+from .homalg import Ext1Context, Intertwiner, composites, hom_basis
 from .linalg import Matrix
 from .presentation import Presentation
 from .reps import Representation, direct_sum, string_module_with_nodes, zero_representation
@@ -88,6 +88,47 @@ class CatalogEntry:
     nodes: list  # node placements of the string module
 
 
+@dataclass
+class WordCover:
+    """The projective cover 0 -> syzygy -> P0 -> M -> 0 of member M, written
+    from its word in catalog members and certified on the table's graph
+    maps (Catalog.cover): the member indices of the summands of P0 and of
+    the syzygy, the tops, and the certified stacks of incl and epi.  No
+    module is built."""
+
+    catalog: Catalog
+    member: int
+    top: dict[str, int]  # top_v: the number of copies of P(v) in P0
+    cover_parts: list[int]
+    syzygy_parts: list[int]
+    stacks: tuple[np.ndarray, np.ndarray] = field(repr=False)  # incl, epi
+    _gate: np.ndarray | None = field(default=None, repr=False)
+
+    def gate_row(self) -> np.ndarray:
+        """dim Ext^1(M, Y) for every member Y, as one integer row, from the
+        long exact Hom sequence of the cover: with S the multiplicities of
+        the members in the syzygy, T the tops and D the dimension vectors,
+        the row is S.H - T.D^T + H, read at M's row of the Hom table H
+        (Yoneda gives hom(P0, Y) = T.D_Y).  It is computed on first use from
+        top, syzygy_parts and the table as they are then, and kept.  A
+        negative entry is a construction bug and is raised naming its
+        pair."""
+        if self._gate is None:
+            cat = self.catalog
+            parts = self.syzygy_parts + [self.member]
+            top = np.array([self.top[v] for v in cat.p.quiver.vertices], dtype=np.int64)
+            row = np.array([cat.hom[i] for i in parts], dtype=np.int64).sum(axis=0) - cat.dimvecs @ top
+            negative = np.flatnonzero(row < 0)
+            if negative.size:
+                y = int(negative[0])
+                raise VerificationError(
+                    f"long exact Hom sequence gives dim Ext^1({cat.entries[self.member].rep.label}, "
+                    f"{cat.entries[y].rep.label}) = {row[y]}"
+                )
+            self._gate = row
+        return self._gate
+
+
 class Catalog:
     """All indecomposables of a finite-type string presentation.
 
@@ -101,10 +142,11 @@ class Catalog:
     table must satisfy the defect identity of every member's mesh row.
     Surgery runs once, here.  Both readings of every member's word are
     indexed.  The weight vector and almost-split data are read off the
-    stored mesh rows and walks lazily.  Projective covers and almost-split
-    sequences are written from the words on request and certified, like
-    the middles wordext reads off the words, on graph maps of the table by
-    the one certificate (tablemaps.certify_sequence).
+    stored mesh rows and walks lazily.  Projective covers (WordCover, which
+    holds the gate row of Ext^1 and no module) and almost-split sequences
+    are written from the words on request and certified, like the middles
+    wordext reads off the words, on graph maps of the table by the one
+    certificate (tablemaps.certify_sequence).
     """
 
     def __init__(self, p: Presentation):
@@ -356,17 +398,13 @@ class Catalog:
             raise StringAlgError(f"word {format_walk(w)} not in the catalog")
         return self.entries[self._readings[w][0]]
 
-    def index_of(self, m: Representation) -> int | None:
-        """The index of the member whose module is m, or None."""
-        return self._members.get(m)
-
     def reading(self, walk: Walk) -> tuple[int, int] | None:
         """The index of the member whose word is walk or its inverse, and 1
         when walk is the inverse, 0 when it is the word; None for a walk
         that is no member's word."""
         return self._readings.get(walk)
 
-    def cover(self, entry: CatalogEntry) -> CoverData:
+    def cover(self, entry: CatalogEntry) -> WordCover:
         """The projective cover of M(C), C = entry.word, written from C
         (Butler and Ringel 1987) in catalog members and certified on the
         table's graph maps, with no solve and no module built.
@@ -378,8 +416,8 @@ class Catalog:
         The syzygy's summands and their graph maps into one or two peaks
         come from _syzygy_words, and certify_sequence certifies
         0 -> syzygy -> P0 -> M(C) -> 0 on these maps.  The cover records the
-        member index of every summand, so Hom from P0 or from the syzygy is
-        read off the table; the modules are cut on first use."""
+        member index of every summand, so its gate row reads Hom from the
+        syzygy off the table."""
         p = self.p
         c, C = entry.index, entry.word.letters
         n = len(C)
@@ -427,7 +465,7 @@ class Catalog:
         members = [u for u, _ in peaks]
         name = f"projective cover of {entry.rep.label}"
         stacks = certify_sequence(self, syzygy, members, [c], incl, epi, name)
-        return CoverData(entry.rep, None, None, None, None, top, self, members, syzygy, stacks)
+        return WordCover(self, c, top, members, syzygy, stacks)
 
     def profile(self, parts: list[int]) -> list[int]:
         """Hom dimensions from every member into the direct sum of the
@@ -481,12 +519,12 @@ class Catalog:
         then h.  So dim Hom(E_c, Y) = hom(M, Y) + hom(N, Y) - its rank, and
         weighing by w leaves summands(M) + summands(N) - sum_Y w_Y rank.
         Only Y with w_Y, Hom(N, Y) and Ext^1(M, Y) all nonzero contribute.
-        The one gate cover.ext(Y, hom(M, Y)) rules out the Y without
-        extensions before any Ext basis is computed, and checks the basis
-        of every other Y against the long exact Hom sequence, whether M is
-        a member or not; the map is linear in c, so its matrix at each Ext
-        basis cocycle is found once per Y and each c costs one small rank
-        per Y."""
+        ctx's cover is a solved one (homalg.projective_cover), for member
+        and non-member M alike, and its gate cover.ext(Y, hom(M, Y)) rules
+        out the Y without extensions before any Ext basis is computed and
+        checks the basis of every other Y against the long exact Hom
+        sequence; the map is linear in c, so its matrix at each Ext basis
+        cocycle is found once per Y and each c costs one small rank per Y."""
         w = self.weights
         cover, N = ctx.cover, ctx.N
         q = N.q

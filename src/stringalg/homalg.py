@@ -10,33 +10,24 @@ hom_basis serves every other pair of modules.
 
 Ext^1(M, N) is realized on a projective cover P0 of M with syzygy S: the
 cokernel of restriction Hom(P0, N) -> Hom(S, N).  projective_cover
-builds and verifies the cover of any module by elimination, and is the
-independent oracle for catalog members.  A catalog member's cover is
-written from its word in catalog members (artheory.Catalog.cover), its
-maps graph maps of the table, and one certificate, the one word middles
-pass too (tablemaps.certify_sequence), checks it exact with no module
-built; P0, S and the maps are cut as modules only when read.  The one
-gate counts dim Ext^1 by the long exact Hom sequence and builds no
-basis: on a member's word cover it is one integer row over all members,
-cover.gate_row(), S.H - T.D^T + H read off the catalog's Hom table, and
-cover.ext_dim(N, hom) reads N's entry; on any other cover ext_dim solves
-the kernel of Hom(S, N) once per N.  cover.ext(N) builds one with ext1,
-which stacks Hom(P0, N) restricted to S over that kernel (both read off
-the table on the catalog path) and builds and verifies only the cocycles
-its basis takes from it; the basis must have the gate's dimension, and
-at 0 ext1 never runs.  Each cocycle gives an explicit short exact
-sequence whose middle is written on N_v + M_v at every vertex, with the
-cocycle in the off-diagonal block of each arrow.  The census of
-verify-main-theorem builds no basis where the gate finds dimension 1:
-there the middle is read off the words and certified by table maps
-(wordext).
+builds and verifies the cover of any module by elimination.  The one
+gate, cover.ext_dim(N, hom), counts dim Ext^1 by the long exact Hom
+sequence from one solve of the kernel of Hom(S, N) and builds no basis.
+cover.ext(N, hom) builds one with ext1, which stacks Hom(P0, N)
+restricted to S over that kernel and builds and verifies only the
+cocycles its basis takes from it; the basis must have the gate's
+dimension, and at 0 ext1 never runs.  Each cocycle gives an explicit
+short exact sequence whose middle is written on N_v + M_v at every
+vertex, with the cocycle in the off-diagonal block of each arrow.  The
+census of verify-main-theorem solves no cover where the gate of a
+member's word cover (artheory.WordCover) finds dimension 1: there the
+middle is read off the words and certified by table maps (wordext).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,10 +40,6 @@ from .reps import (
     projective_with_basis,
     subrepresentation,
 )
-from .tablemaps import coordinates, flatten, maps_into
-
-if TYPE_CHECKING:
-    from .artheory import Catalog
 
 
 @dataclass
@@ -200,86 +187,18 @@ def hom_dim(M: Representation, N: Representation) -> int:
 
 @dataclass
 class CoverData:
-    """A projective cover 0 -> syzygy -> P0 -> module -> 0.
-
-    projective_cover passes P0 (cover), epi, the syzygy and incl built and
-    verified.  A catalog member's cover (Catalog.cover) is certified on
-    graph maps of the table and passes None for the four, the catalog, the
-    member indices of the summands of P0 and of the syzygy, and the
-    certified stacks of incl and epi, from which the four are cut on first
-    use."""
+    """A projective cover 0 -> syzygy -> P0 -> module -> 0, built and
+    verified by projective_cover."""
 
     module: Representation
-    cover: InitVar[Representation | None]  # P0
-    epi: InitVar[Intertwiner | None]  # P0 -> M
-    syzygy: InitVar[Representation | None]
-    incl: InitVar[Intertwiner | None]  # syzygy -> P0
+    cover: Representation  # P0
+    epi: Intertwiner  # P0 -> M
+    syzygy: Representation
+    incl: Intertwiner  # syzygy -> P0
     top: dict[str, int]  # top_v: the number of copies of P(v) in P0
-    catalog: Catalog | None = None
-    cover_parts: list[int] = field(default_factory=list)
-    syzygy_parts: list[int] = field(default_factory=list)
-    stacks: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     _counts: dict = field(default_factory=dict, repr=False, compare=False)
     _exts: dict = field(default_factory=dict, repr=False, compare=False)
     _slips: dict | None = field(default=None, repr=False, compare=False)
-    _gate: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self, cover, epi, syzygy, incl):
-        if self.stacks is None:
-            self.cover, self.epi, self.syzygy, self.incl = cover, epi, syzygy, incl
-
-    def __getattr__(self, name: str):
-        # reached only while a certified cover's modules are not yet cut
-        if name not in ("cover", "epi", "syzygy", "incl") or self.stacks is None:
-            raise AttributeError(name)
-        self.cover, self.epi, self.syzygy, self.incl = self._cut()
-        return getattr(self, name)
-
-    def _cut(self) -> tuple[Representation, Intertwiner, Representation, Intertwiner]:
-        """P0, epi, the syzygy and incl of a cover certified on the table,
-        cut vertex by vertex from its stacks."""
-        cat, M = self.catalog, self.module
-        p, label = M.pres, f"syzygy({M.label})"
-        P0 = direct_sum([cat.entries[u].rep for u in self.cover_parts], label="P0")
-        S = direct_sum([cat.entries[u].rep for u in self.syzygy_parts], label=label) \
-            if self.syzygy_parts else make_representation(p, {}, {}, label)
-
-        def cut(a, rows, cols):
-            return {v: Matrix(a[coordinates(cat, rows, j)][:, coordinates(cat, cols, j)], M.q)
-                    for j, v in enumerate(p.quiver.vertices)}
-
-        (incl, epi), own = self.stacks, [cat.index_of(M)]
-        return (P0, Intertwiner(P0, M, cut(epi, self.cover_parts, own)), S,
-                Intertwiner(S, P0, cut(incl, self.syzygy_parts, self.cover_parts)))
-
-    def member_index(self, N: Representation) -> int | None:
-        """N's index when this cover is written in catalog members and N is
-        one of them, so Hom into N can be read off the table."""
-        return None if self.catalog is None else self.catalog.index_of(N)
-
-    def gate_row(self) -> np.ndarray:
-        """dim Ext^1(module, Y) for every member Y of the catalog this cover
-        is written in, as one integer row, from the long exact Hom sequence
-        of 0 -> syzygy -> P0 -> module -> 0: with S the multiplicities of the
-        members in the syzygy, T the tops and D the dimension vectors, the
-        row is S.H - T.D^T + H, read at the module's row of the Hom table H.
-        It is computed on first use from top, syzygy_parts and the table as
-        they are then, and kept.  A negative entry is a construction bug and
-        is raised naming its pair."""
-        if self._gate is None:
-            cat = self.catalog
-            parts = self.syzygy_parts + [cat.index_of(self.module)]
-            top = np.array([self.top[v] for v in self.module.pres.quiver.vertices], dtype=np.int64)
-            row = np.array([cat.hom[i] for i in parts], dtype=np.int64).sum(axis=0) - cat.dimvecs @ top
-            negative = np.flatnonzero(row < 0)
-            if negative.size:
-                y = int(negative[0])
-                raise VerificationError(
-                    f"long exact Hom sequence gives dim Ext^1({self.module.label}, "
-                    f"{cat.entries[y].rep.label}) = {row[y]}"
-                )
-            self._gate = row
-        return self._gate
 
     def ext_dim(self, N: Representation, hom: int) -> int:
         """The one gate: dim Ext^1(module, N), given hom = dim Hom(module, N),
@@ -287,14 +206,9 @@ class CoverData:
 
         The long exact Hom sequence of 0 -> syzygy -> P0 -> module -> 0
         gives dim Ext^1 = hom(syzygy, N) - sum_v top_v dim N_v + hom (Yoneda
-        for P0).  On a cover written in catalog members with N a member,
-        that is N's entry of gate_row, where hom is the table's; otherwise
-        hom(syzygy, N) is the length of one kernel solve, which ext reuses,
-        and the count is kept per N.  A negative value is a construction
-        bug."""
-        n = self.member_index(N)
-        if n is not None:
-            return int(self.gate_row()[n])
+        for P0), with hom(syzygy, N) the length of one kernel solve, which
+        ext reuses.  The count is kept per N; a negative value is a
+        construction bug."""
         if N not in self._counts:
             kernel = _hom_kernel(self.syzygy, N)
             expected = len(kernel[1]) - sum(t * N.dim(v) for v, t in self.top.items()) + hom
@@ -306,26 +220,19 @@ class CoverData:
             self._counts[N] = (expected, kernel)
         return self._counts[N][0]
 
-    def ext(self, N: Representation, hom: int | None = None) -> "Ext1Context":
-        """Ext^1(module, N) on this cover with a verified basis, computed
-        once per N and kept, so that a scan row and the exact counts of its
-        middles share it.
+    def ext(self, N: Representation, hom: int) -> "Ext1Context":
+        """Ext^1(module, N) on this cover with a verified basis, given
+        hom = dim Hom(module, N), computed once per N and kept, so that a
+        scan row and the exact counts of its middles share it.
 
-        The basis must have the gate's dimension, or a construction bug is
-        raised: at 0 ext1 never runs.  The gate is always read for a member
-        N of the catalog the cover is written in; otherwise it is counted
-        given hom = dim Hom(module, N), or read once ext_dim(N, hom) has
-        counted it, and ext1 reuses its kernel.  Only the first request for
-        N is checked."""
+        The basis must have the gate's dimension, ext_dim(N, hom), or a
+        construction bug is raised: at 0 ext1 never runs, and otherwise it
+        reuses the gate's kernel.  Only the first request for N is
+        checked."""
         if N not in self._exts:
-            if self.member_index(N) is not None:
-                expected, kernel = self.ext_dim(N, hom), None
-            else:
-                if hom is not None:
-                    self.ext_dim(N, hom)
-                expected, kernel = self._counts.get(N, (None, None))
-            ctx = Ext1Context(self, N, [], None) if expected == 0 else ext1(self, N, kernel)
-            if expected is not None and ctx.dim != expected:
+            expected = self.ext_dim(N, hom)
+            ctx = Ext1Context(self, N, [], None) if expected == 0 else ext1(self, N, self._counts[N][1])
+            if ctx.dim != expected:
                 raise VerificationError(
                     f"Ext^1({self.module.label}, {N.label}) has a basis of {ctx.dim} "
                     f"but the long exact Hom sequence gives {expected}"
@@ -454,31 +361,6 @@ class Ext1Context:
         return extension_of_cocycle(self.cover, self.N, self.cocycle(coeffs))
 
 
-def _table_kernel(
-    cover: CoverData, N: Representation, n: int
-) -> tuple[dict[str, int], list[dict[int, int]]]:
-    """What _hom_kernel(cover.syzygy, N) returns, for a cover certified on
-    the table (Catalog.cover) and N member n, with no solve: Hom is
-    additive, so the table's maps from the syzygy's summands, each extended
-    by zero, are a basis of Hom(syzygy, N)."""
-    cat = cover.catalog
-    flat, off = flatten(cat, maps_into(cat, cover.syzygy_parts, n), cover.syzygy_parts, n)
-    return off, [{j: int(row[j]) for j in np.flatnonzero(row).tolist()} for row in flat]
-
-
-def _restrictions(cover: CoverData, N: Representation, n: int | None) -> np.ndarray:
-    """The maps Hom(P0, N) restricted to the syzygy, one flattened row each:
-    on a cover certified on the table with N member n, the table's maps
-    from P0 after the certified inclusion, otherwise a solved and verified
-    Hom basis after incl."""
-    if n is None:
-        rows = [cover.incl.compose(h).flatten() for h in hom_basis(cover.cover, N)]
-        width = sum(cover.syzygy.dim(v) * N.dim(v) for v in N.pres.quiver.vertices)
-        return np.reshape(np.array(rows, dtype=np.int64), (len(rows), width))
-    cat, (into, _) = cover.catalog, cover.stacks
-    return flatten(cat, into @ maps_into(cat, cover.cover_parts, n), cover.syzygy_parts, n)[0] % N.q
-
-
 def ext1(
     cover: CoverData,
     N: Representation,
@@ -486,28 +368,25 @@ def ext1(
 ) -> Ext1Context:
     """Ext^1(cover.module, N) on the given projective cover.
 
-    The restricted maps Hom(P0, N) -> Hom(S, N) come first and the kernel
+    The maps Hom(P0, N) restricted to the syzygy come first and the kernel
     vectors of Hom(S, N) after them, as the columns of one matrix; a
     cocycle joins the basis exactly when its column is a pivot, that is,
     when it is not in the span of the restricted maps and the cocycles
     already chosen.  Only those are built and verified: the columns before
     a kernel vector that is not a map span only maps, so the first such
-    vector is a pivot and fails its check.  On a cover written in catalog
-    members with N a member, both sets are read off the table; otherwise
-    the kernel is solved here unless the caller passes
-    _hom_kernel(cover.syzygy, N), and Hom(P0, N) is solved.
+    vector is a pivot and fails its check.  The kernel is solved here
+    unless the caller passes _hom_kernel(cover.syzygy, N), and Hom(P0, N)
+    is solved.
     """
     if cover.module.pres is not N.pres:
         raise StringAlgError("modules live over different presentations")
-    n = cover.member_index(N)
-    if n is None:
-        off, kernel = kernel or _hom_kernel(cover.syzygy, N)
-    else:
-        off, kernel = _table_kernel(cover, N, n)
-    restricted = _restrictions(cover, N, n)
-    k, width = restricted.shape
+    off, kernel = kernel or _hom_kernel(cover.syzygy, N)
+    from_p0 = hom_basis(cover.cover, N)
+    k = len(from_p0)
+    width = sum(cover.syzygy.dim(v) * N.dim(v) for v in N.pres.quiver.vertices)
     stacked = np.zeros((k + len(kernel), width), dtype=np.int64)
-    stacked[:k] = restricted
+    for row, h in zip(stacked, from_p0):
+        row[:] = cover.incl.compose(h).flatten()
     for row, vec in zip(stacked[k:], kernel):
         row[list(vec)] = list(vec.values())
     pivots = Matrix(stacked.T, N.q).pivots()
@@ -642,24 +521,26 @@ def projective_line_representatives(q: int, k: int):
 def middle_census(
     cover: CoverData,
     N: Representation,
+    hom: int,
     max_lines: int = 10_000,
     seed: int = 0,
 ) -> CensusReport:
     """Summand counts of extension middles over every line of P(Ext^1(M, N)),
-    where M = cover.module, on a verified Ext basis.
+    where M = cover.module and hom = dim Hom(M, N), on the Ext basis of
+    cover.ext(N, hom), verified and checked against the gate.
 
     Over a finite-type string presentation the counts are exact and no
     middle is built (Catalog.middle_counter).  Otherwise each middle is
     built by extension_of_cocycle and decomposed, and its count is a
     Monte Carlo lower bound.  The census of verify-main-theorem calls this
-    only off the catalog path and, on it, for pairs with dim Ext^1 >= 2;
-    a 1-dimensional Ext^1 between members has its one middle read off the
-    words instead (verify.middle_term_scan).
+    off the catalog path and, on it, for pairs with dim Ext^1 >= 2, on the
+    solved cover of the left member; a 1-dimensional Ext^1 between members
+    has its one middle read off the words instead (verify.middle_term_scan).
     """
     from .artheory import finite_type_catalog
     from .decomp import decompose
 
-    ctx = cover.ext(N)
+    ctx = cover.ext(N, hom)
     k = ctx.dim
     q = N.q
     if k == 0:

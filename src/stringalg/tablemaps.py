@@ -8,9 +8,8 @@ map at key from the k-th summand to the t-th (Catalog.map_matrix).
 certify_sequence is the one certificate of a short exact sequence of
 such stacks: a member's projective cover (Catalog.cover), a middle read
 off the words (wordext.certified_middle) and an almost-split sequence
-(Catalog.ar_sequence) all pass it.  maps_into,
-flatten and coordinates read stacks vertex by vertex, for ext1 and for
-the modules of a certified cover (homalg.CoverData).
+(Catalog.ar_sequence) all pass it, and no module is built from a
+stack.
 """
 
 from __future__ import annotations
@@ -75,35 +74,3 @@ def certify_sequence(
     if ((into @ onto) % q).any():
         raise VerificationError(f"composite through the {name} is not zero")
     return into, onto
-
-
-def coordinates(cat: Catalog, parts: list[int], j: int) -> list[int]:
-    """Where the basis at vertex j of the direct sum of the members at parts
-    lies in their stack: a direct sum lists the summands at each vertex in
-    turn."""
-    firsts = itertools.accumulate((cat.widths[u] for u in parts), initial=0)
-    return [o + cat.starts[u, j] + x for u, o in zip(parts, firsts) for x in range(cat.dimvecs[u, j])]
-
-
-def maps_into(cat: Catalog, parts: list[int], y: int) -> np.ndarray:
-    """The table's basis of Hom from the direct sum of the members at parts
-    to member y, each map extended by zero from its summand, as stacks in
-    one array of shape (maps, rows, columns)."""
-    blocks = [(k, 0, key, 1) for k, u in enumerate(parts) for key in cat.hom_keys[u][y]]
-    out = np.zeros((len(blocks), sum(cat.widths[u] for u in parts), cat.widths[y]), dtype=np.int64)
-    for f, block in zip(out, blocks):
-        f[:] = stack(cat, parts, [y], [block])
-    return out
-
-
-def flatten(cat: Catalog, maps: np.ndarray, parts: list[int], y: int) -> tuple[np.ndarray, dict[str, int]]:
-    """Stacks of maps from the direct sum of the members at parts to member
-    y, one row each flattened like Intertwiner.flatten, and where each
-    vertex's block of a row starts."""
-    rows, cols, off = [], [], {}
-    for j, v in enumerate(cat.p.quiver.vertices):
-        r, c = coordinates(cat, parts, j), coordinates(cat, [y], j)
-        off[v] = len(rows)
-        rows += [x for x in r for _ in c]
-        cols += c * len(r)
-    return maps[:, rows, cols], off

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -12,7 +14,7 @@ from .decomp import decompose
 from .errors import StringAlgError, VerificationError
 # hom_basis stays importable as verify.hom_basis: perfbench's tracer test
 # patches and calls it through this alias
-from .homalg import CoverData, hom_basis, middle_census, projective_cover  # noqa: F401
+from .homalg import CoverData, hom_basis, hom_dim, middle_census, projective_cover  # noqa: F401
 from .presentation import Presentation, validate_axioms
 from .reps import Representation, projective, simple
 from .wordext import certified_middle, word_extensions
@@ -55,12 +57,16 @@ def middle_term_scan(
     count.  At dimension 1 the one listed middle, certified exact and
     non-split by wordext.certified_middle, is the middle of every line, and
     no Ext basis is built; at dimension 2 or more middle_census counts the
-    lines on a verified Ext basis of that dimension.  With
-    allow_non_string the catalog is the simples, the projectives and any
-    supplied literal modules.  A simple has
-    dimension 1 and P(v) a local endomorphism ring, so only the literals
-    are certified indecomposable, by decompose; a string scan runs over the
-    catalog of words and refuses literals.
+    lines on the left module's solved cover (projective_cover, built at
+    most once per row) with the table's hom, and its verified Ext basis
+    must have the gate's dimension.  With allow_non_string the catalog is
+    the simples, the projectives and any supplied literal modules, each
+    left module has a solved cover, and each pair is gated by
+    cover.ext_dim(N, hom_dim(M, N)); middle_census builds a basis only
+    where the gate is nonzero.  A simple has dimension 1 and P(v) a local
+    endomorphism ring, so only the literals are certified indecomposable,
+    by decompose; a string scan runs over the catalog of words and refuses
+    literals.
     """
     if extra_modules and not allow_non_string:
         raise StringAlgError("literal modules need allow_non_string")
@@ -90,21 +96,22 @@ def middle_term_scan(
         scanned = np.array([e for _, _, e in modules], dtype=np.intp)
     report = MiddleScanReport(ok=True, pair_count=0)
     for la, ma, ia in modules:
-        # one cover per left module, shared by its row
+        # one gate row per left module, and at most one solved cover
         if cat is None:
             cover = projective_cover(ma)
-            row = ((right, cover.ext(right[1]).dim) for right in modules)
+            homs = (hom_dim(ma, mb) for _, mb, _ in modules)
+            row = ((right, hom, cover.ext_dim(right[1], hom)) for right, hom in zip(modules, homs))
         else:
-            cover = cat.cover(cat.entries[ia])
-            gate = cover.gate_row()[scanned]
-            row = ((modules[k], int(gate[k])) for k in np.flatnonzero(gate))
-        for (lb, mb, ib), dim in row:
+            solved = functools.cache(functools.partial(projective_cover, ma))
+            gate = cat.cover(cat.entries[ia]).gate_row()[scanned]
+            row = ((modules[k], cat.hom[ia][modules[k][2]], int(gate[k])) for k in np.flatnonzero(gate))
+        for (lb, mb, ib), hom, dim in row:
             if not dim:
                 continue
             if cat is None:
-                histogram = middle_census(cover, mb, seed=seed).histogram
+                histogram = middle_census(cover, mb, hom, seed=seed).histogram
             else:
-                histogram = _word_census(cat, cover, ia, ib, dim, seed)
+                histogram = _word_census(cat, solved, ia, ib, hom, dim, seed)
             report.pair_count += 1
             worst = max(histogram)
             finding = CensusFinding(la, lb, dim, histogram, worst)
@@ -115,20 +122,31 @@ def middle_term_scan(
     return report
 
 
-def _word_census(cat: Catalog, cover: CoverData, ia: int, ib: int, dim: int, seed: int) -> dict[int, int]:
+def _word_census(
+    cat: Catalog, solved: Callable[[], CoverData], ia: int, ib: int, hom: int, dim: int, seed: int
+) -> dict[int, int]:
     """The census histogram of Ext^1(M, N), M and N the members ia and ib
-    with dim Ext^1 = dim > 0 by the gate, from the extensions the words
-    list: the listed middle's certified count on the one line at dimension
-    1, middle_census otherwise."""
+    with hom = dim Hom(M, N) and dim Ext^1 = dim > 0 by the gate of M's
+    word cover, from the extensions the words list: at dimension 1 the
+    listed middle's certified count on the one line; otherwise
+    middle_census on solved(), M's solved cover, whose verified Ext basis
+    must have the gate's dimension too."""
+    M, N = cat.entries[ia].rep, cat.entries[ib].rep
     listed = word_extensions(cat, ia, ib)
     if len(listed) != dim:
         raise VerificationError(
-            f"the words list {len(listed)} extensions of {cat.entries[ia].rep.label} by "
-            f"{cat.entries[ib].rep.label} but the long exact Hom sequence gives {dim}"
+            f"the words list {len(listed)} extensions of {M.label} by "
+            f"{N.label} but the long exact Hom sequence gives {dim}"
         )
     if dim == 1:
         return {certified_middle(cat, ia, ib, listed[0]): 1}
-    return middle_census(cover, cat.entries[ib].rep, seed=seed).histogram
+    census = middle_census(solved(), N, hom, seed=seed)
+    if census.ext_dim != dim:
+        raise VerificationError(
+            f"Ext^1({M.label}, {N.label}) has a basis of {census.ext_dim} on the solved cover "
+            f"but the word cover's gate gives {dim}"
+        )
+    return census.histogram
 
 
 @dataclass

@@ -7,7 +7,7 @@ Mousavand, Thomas and Yıldırım 2020; Çanakçı, Pauksztello and Schroll
 direct letter; an overlap extension is a graph map M(D) -> M(C) of the
 catalog's Hom table with a letter beyond its common walk on each side.
 word_extensions lists both, and the census requires the list to be as
-long as the count of the long exact Hom sequence (CoverData.ext_dim), so
+long as the count of the long exact Hom sequence (WordCover.gate_row), so
 the enumeration is checked on every algebra it runs on, gentle or not.
 
 certified_middle certifies one listed middle X with no Ext basis: the

@@ -88,7 +88,7 @@ def test_criterion_2_d4_necessity(d4sub, fixture_dir):
     s0 = simple(d4sub, "0")
     assert d4sub.field_order == 5
     assert ext1_dim(m, s0) == 2
-    census = middle_census(projective_cover(m), s0, seed=0)
+    census = middle_census(projective_cover(m), s0, hom_dim(m, s0), seed=0)
     assert len(census.lines) == 6
     assert census.histogram == {2: 3, 3: 3}
     elapsed = time.time() - t0

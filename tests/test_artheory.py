@@ -28,8 +28,7 @@ from stringalg.errors import InfiniteTypeError, StringAlgError, VerificationErro
 from stringalg.homalg import Intertwiner, ShortExactSequence, hom_dim
 from stringalg.linalg import Matrix
 from stringalg.presentation import load_presentation, parse_presentation
-from stringalg.reps import direct_sum, projective, simple
-from stringalg.tablemaps import coordinates
+from stringalg.reps import direct_sum, projective, simple, zero_representation
 from stringalg.verify import DegenerationRow, _direct_sums_up_to, degeneration_scan
 from stringalg.words import format_walk, inverse, parse_word
 
@@ -41,21 +40,34 @@ def ar_modules(cat, seq):
     return rep[seq.tau_member], direct_sum([rep[i] for i in seq.middle_members]), rep[seq.target_member]
 
 
-def ar_exact_sequence(cat, seq):
-    """The sequence on those modules, its two certified stacks cut vertex by
-    vertex, for ShortExactSequence.verify to check independently."""
-    tau, middle, target = ar_modules(cat, seq)
-    incl, proj = seq.stacks
+def coordinates(cat, parts, j):
+    """Where the basis at vertex j of the direct sum of the members at parts
+    lies in their stack: a direct sum lists the summands at each vertex in
+    turn."""
+    firsts = itertools.accumulate((cat.widths[u] for u in parts), initial=0)
+    return [o + cat.starts[u, j] + x for u, o in zip(parts, firsts) for x in range(cat.dimvecs[u, j])]
+
+
+def exact_sequence(cat, left, middle, right, stacks):
+    """0 -> L -> X -> R -> 0 on the direct sums of the members at left,
+    middle and right (the zero module for none), its two certified stacks
+    cut vertex by vertex, for ShortExactSequence.verify to check
+    independently."""
+    L, X, R = (direct_sum([cat.entries[i].rep for i in parts]) if parts else zero_representation(cat.p)
+               for parts in (left, middle, right))
+    incl, proj = stacks
 
     def cut(a, rows, cols):
         return {v: Matrix(a[coordinates(cat, rows, j)][:, coordinates(cat, cols, j)], cat.p.q)
                 for j, v in enumerate(cat.p.quiver.vertices)}
 
-    return ShortExactSequence(
-        tau, middle, target,
-        Intertwiner(tau, middle, cut(incl, [seq.tau_member], seq.middle_members)),
-        Intertwiner(middle, target, cut(proj, seq.middle_members, [seq.target_member])),
-    )
+    return ShortExactSequence(L, X, R, Intertwiner(L, X, cut(incl, left, middle)),
+                              Intertwiner(X, R, cut(proj, middle, right)))
+
+
+def ar_exact_sequence(cat, seq):
+    """An almost-split sequence on modules, cut from its certified stacks."""
+    return exact_sequence(cat, [seq.tau_member], seq.middle_members, [seq.target_member], seq.stacks)
 
 
 def test_catalog_a3(a3):

@@ -7,13 +7,14 @@ cocycle with extension_of_cocycle, then decompose it.  On every line the
 two counts must agree, and the middle's full profile dim Hom(E, -) over
 the catalog, times the inverse of the hom table, must be a vector of
 nonnegative integer multiplicities that sum to the count.  On the same
-pairs the gate, cover.ext_dim(N, hom) on the scan's covers and
+pairs the gate, the gate row of the scan's word covers and
 cover.ext(N, hom) on solved ones, must give the dimension of the verified
-Ext basis.  The
+Ext basis, and the scan's findings must be the reference census.  The
 scan's covers are certified on graph maps of the table (Catalog.cover);
 each must have the top of projective_cover, the table's sum over its
 syzygy's summands must equal the solved dimension of Hom(syzygy, N), and
-its modules, cut on first use, must form a verified short exact sequence.
+its certified stacks, cut into modules here, must form a verified short
+exact sequence.
 The ranks of that certificate are read off the maps' support, which must
 agree with Matrix.rank.  The table
 itself is written in graph maps; on every ordered pair of members it must
@@ -27,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from test_artheory import zigzag
+from test_artheory import exact_sequence, zigzag
 from test_homalg import check_ext_from_long_exact_sequence
 from test_letter_automaton import presentations
 
@@ -45,8 +46,6 @@ from stringalg.cli import main
 from stringalg.decomp import decompose
 from stringalg.errors import VerificationError
 from stringalg.homalg import (
-    CoverData,
-    ShortExactSequence,
     _hom_kernel,
     _hom_system,
     ext1,
@@ -58,6 +57,7 @@ from stringalg.homalg import (
 from stringalg.linalg import Matrix
 from stringalg.linalg import solve_rational
 from stringalg.presentation import load_presentation, parse_presentation
+from stringalg.reps import direct_sum
 from stringalg.tablemaps import support_rank
 from stringalg.verify import middle_term_scan
 from stringalg.wordext import WordExtension, certified_middle, word_extensions
@@ -87,17 +87,18 @@ def check_pairs(cat):
     and the extensions the words list against both: as many as dim Ext^1,
     each certified, and at dimension 1 the certified middle has the members
     of the middle that ext1 and extension_of_cocycle build.  Returns the
-    Ext dimension of every pair with extensions."""
-    dims = []
+    Ext dimension and the reference histogram of every pair with
+    extensions, by member indices."""
+    found = {}
     for u in cat.entries:
-        cover, word_cover = projective_cover(u.rep), cat.cover(u)
+        cover, gate = projective_cover(u.rep), cat.cover(u).gate_row()
         for y in cat.entries:
             M, N = u.rep, y.rep
+            hom = len(hom_basis(M, N))
             # the gate verify-main-theorem runs, and the one on a solved cover,
             # against the verified ext1
-            assert (word_cover.ext_dim(N, cat.hom[u.index][y.index])
-                    == cover.ext(N, len(hom_basis(M, N))).dim == ext1(cover, N).dim)
-            census = middle_census(cover, N)
+            assert gate[y.index] == cover.ext(N, hom).dim == ext1(cover, N).dim
+            census = middle_census(cover, N, hom)
             reference = reference_census(cover, N)
             assert [(l.coeffs, l.summands) for l in census.lines] == [
                 (coeffs, count) for coeffs, count, _ in reference
@@ -114,8 +115,11 @@ def check_pairs(cat):
             if census.ext_dim == 1:
                 assert members(cat, listed[0]) == multiplicities(cat, reference[0][2])
             if census.ext_dim:
-                dims.append(census.ext_dim)
-    return dims
+                histogram = {}
+                for _, count, _ in reference:
+                    histogram[count] = histogram.get(count, 0) + 1
+                found[u.index, y.index] = (census.ext_dim, histogram)
+    return found
 
 
 def members(cat, ext):
@@ -153,7 +157,7 @@ def test_exact_census_matches_reference_on_census_fixture(fixture_dir):
 
 def test_exact_census_matches_reference_on_loop_arrow_over_f5(fixture_dir):
     p = load_presentation(fixture_dir / "loop_arrow.sba").with_field(5)
-    assert sorted(set(check_pairs(catalog_for(p)))) == [1, 2]
+    assert sorted({dim for dim, _ in check_pairs(catalog_for(p)).values()}) == [1, 2]
 
 
 def _listing(cat, left, right):
@@ -190,9 +194,9 @@ def test_an_overlap_whose_middle_walk_is_no_word_is_dropped(fixture_dir, monkeyp
                         lambda *args: walks.append(original(*args)) or walks[-1])
     two = []
     for u in cat.entries:
-        cover = cat.cover(u)
+        gate = cat.cover(u).gate_row()
         for y in cat.entries:
-            dim = cover.ext_dim(y.rep, cat.hom[u.index][y.index])
+            dim = gate[y.index]
             assert len(word_extensions(cat, u.index, y.index)) == dim
             if dim == 2:
                 two.append((format_walk(u.word), format_walk(y.word)))
@@ -208,15 +212,15 @@ def check_word_covers(cat):
     projective_cover: the same top, and a syzygy with the members of the
     solved one, since the table's sum over its summands equals the solved
     dimension of Hom(syzygy, N) at every member N and no two members share
-    a column of the table.  The epi and incl cut from the certified stacks
-    on first use pass ShortExactSequence.verify."""
+    a column of the table.  The incl and epi cut from the certified stacks
+    pass ShortExactSequence.verify."""
     for m in cat.entries:
         word, solved = cat.cover(m), projective_cover(m.rep)
         assert word.top == solved.top
         for n in cat.entries:
             table = sum(cat.hom[i][n.index] for i in word.syzygy_parts)
             assert table == len(_hom_kernel(solved.syzygy, n.rep)[1])
-        ShortExactSequence(word.syzygy, word.cover, m.rep, word.incl, word.epi).verify()
+        exact_sequence(cat, word.syzygy_parts, word.cover_parts, [m.index], word.stacks).verify()
 
 
 def check_graph_map_table(cat):
@@ -315,12 +319,11 @@ def test_a_stack_with_two_nonzeros_in_one_line_has_no_support_rank(axis, line):
 
 def check_gate_rows(cat):
     """Each word cover's gate row against the count of the long exact Hom
-    sequence on the same cover with hom(syzygy, N) solved: ext_dim on a
-    copy of the cover that is not written in catalog members."""
+    sequence on projective_cover, an independent oracle, with
+    hom(syzygy, N) solved."""
     for u in cat.entries:
-        cover = cat.cover(u)
-        solved = CoverData(cover.module, cover.cover, cover.epi, cover.syzygy, cover.incl, cover.top)
-        assert cover.gate_row().tolist() == [
+        solved = projective_cover(u.rep)
+        assert cat.cover(u).gate_row().tolist() == [
             solved.ext_dim(y.rep, cat.hom[u.index][y.index]) for y in cat.entries
         ]
 
@@ -362,9 +365,16 @@ def test_exact_census_matches_reference_on_drawn_finite_presentations():
         check_graph_map_table(cat)
         check_word_covers(cat)
         assert cat.weights == solve_rational(cat.hom, [1] * len(cat))
-        dims = check_pairs(cat)
-        assert check_ext_from_long_exact_sequence(cat) == len(dims)
-        ext_dims.extend(dims)
+        found = check_pairs(cat)
+        assert check_ext_from_long_exact_sequence(cat) == len(found)
+        # the scan, whose pairs of dimension 2 or more run on solved covers,
+        # against the reference census
+        report = middle_term_scan(p, max(e.rep.total_dim for e in cat.entries))
+        labels = {f"M({format_walk(e.word)})": e.index for e in cat.entries}
+        assert {(labels[f.left_label], labels[f.right_label]): (f.ext_dim, f.histogram)
+                for f in report.findings} == found
+        assert report.pair_count == len(found)
+        ext_dims.extend(dim for dim, _ in found.values())
         loops.append(any(a.source == a.target for a in p.quiver.arrows))
 
     check()
@@ -620,6 +630,27 @@ def test_ext_commands_check_the_identity_and_exit_3(fixture_dir, monkeypatch, ca
     assert "has a basis of 0 but the long exact Hom sequence gives 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--field", "3", "--allow-non-string", "verify-main-theorem", "kronecker.sba"],
+        ["--allow-non-string", "verify-main-theorem", "d4sub.sba", "--max-dim", "6",
+         "--module", "d4sub_m2111_indec.mod"],
+    ],
+    ids=["kronecker", "d4sub"],
+)
+def test_non_string_scans_check_every_ext_basis_and_exit_3(fixture_dir, monkeypatch, capsys, argv):
+    # each pair is gated by the long exact Hom sequence before its basis is
+    # built, so a basis one cocycle short fails the scan instead of
+    # shrinking its dimensions
+    argv = [str(fixture_dir / a) if a.endswith((".sba", ".mod")) else a for a in argv]
+    _drop_a_cocycle(monkeypatch)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "but the long exact Hom sequence gives" in captured.err
+
+
 def _is_syzygy(M):
     return M.label.startswith("syzygy(")
 
@@ -653,56 +684,56 @@ def _off_the_system(S, N, off, kernel):
 
 
 def _break_kernels(monkeypatch):
-    """Every kernel of Hom(syzygy, N), solved or read off the table, comes
-    with its first vector moved off the commutation system."""
-    solved, table = stringalg.homalg._hom_kernel, stringalg.homalg._table_kernel
+    """Every solved kernel of Hom(syzygy, N) comes with its first vector
+    moved off the commutation system."""
+    solved = stringalg.homalg._hom_kernel
 
     def broken_solve(M, N):
         kernel = solved(M, N)
         return _off_the_system(M, N, *kernel) if _is_syzygy(M) else kernel
 
-    def broken_table(cover, N, n):
-        return _off_the_system(cover.syzygy, N, *table(cover, N, n))
-
     monkeypatch.setattr(stringalg.homalg, "_hom_kernel", broken_solve)
-    monkeypatch.setattr(stringalg.homalg, "_table_kernel", broken_table)
 
 
-def _first_breakable_pair(cat, cover_of):
-    """A cover and a member N with nonzero Ext^1 and a commutation system
-    with an equation."""
+def _first_breakable_pair(cat):
+    """A member's projective cover and a member N with nonzero Ext^1 and a
+    commutation system with an equation."""
     return next(
         (cover, e.rep)
-        for cover in map(cover_of, cat.entries)
+        for cover in (projective_cover(u.rep) for u in cat.entries)
         for e in cat.entries
         if ext1(cover, e.rep).dim and _hom_system(cover.syzygy, e.rep)[1]
     )
 
 
 def test_a_kernel_vector_that_is_not_a_map_fails_ext1(a3nr, monkeypatch):
-    cover, N = _first_breakable_pair(catalog_for(a3nr), lambda e: projective_cover(e.rep))
-    _break_kernels(monkeypatch)
-    with pytest.raises(VerificationError, match="does not commute"):
-        ext1(cover, N)
-
-
-def test_a_table_kernel_vector_that_is_not_a_map_fails_ext1(a3nr, monkeypatch):
-    cat = catalog_for(a3nr)
-    cover, N = _first_breakable_pair(cat, cat.cover)
+    cover, N = _first_breakable_pair(catalog_for(a3nr))
     _break_kernels(monkeypatch)
     with pytest.raises(VerificationError, match="does not commute"):
         ext1(cover, N)
 
 
 def test_a_kernel_vector_that_is_not_a_map_exits_3(fixture_dir, monkeypatch, capsys):
-    # the scan builds an Ext basis, from the table's kernel, only at
-    # dimension 2 or more, which loop_arrow has over F_5
+    # the scan builds an Ext basis only at dimension 2 or more, which
+    # loop_arrow has over F_5, on the left member's solved cover
     _break_kernels(monkeypatch)
     code = main(["--field", "5", "verify-main-theorem", str(fixture_dir / "loop_arrow.sba")])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "does not commute" in captured.err
+
+
+def test_a_solved_census_of_another_dimension_raises_and_exits_3(fixture_dir, monkeypatch, capsys):
+    # the solved cover of M + M passes its own gate with twice M's Ext^1;
+    # only the word cover's gate tells the two apart
+    original = stringalg.verify.projective_cover
+    monkeypatch.setattr(stringalg.verify, "projective_cover", lambda M: original(direct_sum([M, M])))
+    code = main(["--field", "5", "verify-main-theorem", str(fixture_dir / "loop_arrow.sba")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has a basis of 4 on the solved cover but the word cover's gate gives 2" in captured.err
 
 
 def _flip_valley_signs(p, pieces):
@@ -796,7 +827,7 @@ def test_no_middle_is_built_on_string_input(fixture_dir, monkeypatch, capsys):
 
 
 def test_a_census_seed_1_scan_builds_no_direct_sum(monkeypatch):
-    # every Ext^1 at seed 1 is 1-dimensional, so no cover is cut into modules
+    # every Ext^1 at seed 1 is 1-dimensional, so no cover is solved
     scans = [middle_term_scan(parse_presentation(text), CENSUS_N)
              for _, text in census_inputs(1, CENSUS_N, CENSUS_RELATION_P, CENSUS_WEIGHT)]
     _forbid_middles(monkeypatch, direct_sums=True)

@@ -157,7 +157,8 @@ def test_extension_rejects_non_intertwiner(a3):
 def test_cover_slips_are_computed_once_on_first_use(a3):
     cover = projective_cover(simple(a3, "1"))
     assert cover._slips is None
-    ctx = cover.ext(simple(a3, "2"))
+    s2 = simple(a3, "2")
+    ctx = cover.ext(s2, hom_dim(cover.module, s2))
     ctx.extension([1])
     slips = cover.slips()
     ctx.extension([2])
@@ -186,14 +187,14 @@ def test_d4_ext_dimension_indecomposable_variant(d4sub, fixture_dir):
     m = load_module_literal(d4sub, fixture_dir / "d4sub_m2111_indec.mod")
     s0 = simple(d4sub, "0")
     assert ext1_dim(m, s0) == 1
-    census = middle_census(projective_cover(m), s0)
+    census = middle_census(projective_cover(m), s0, hom_dim(m, s0))
     assert census.histogram == {3: 1}
 
 
 def test_d4_census_m2111(d4sub, fixture_dir):
     m = load_module_literal(d4sub, fixture_dir / "d4sub_m2111.mod")
     s0 = simple(d4sub, "0")
-    census = middle_census(projective_cover(m), s0)
+    census = middle_census(projective_cover(m), s0, hom_dim(m, s0))
     assert census.ext_dim == 2
     assert len(census.lines) == 6  # (5^2-1)/(5-1)
     assert census.histogram == {2: 3, 3: 3}
@@ -202,7 +203,8 @@ def test_d4_census_m2111(d4sub, fixture_dir):
 
 
 def test_census_empty_when_ext_zero(a3):
-    census = middle_census(projective_cover(projective(a3, "1")), simple(a3, "2"))
+    p1, s2 = projective(a3, "1"), simple(a3, "2")
+    census = middle_census(projective_cover(p1), s2, hom_dim(p1, s2))
     assert census.histogram == {}
     assert census.lines == []
 
