@@ -1,16 +1,18 @@
 """Almost-split sequences, the hom order, and summand-count accounting.
 
 Over a finite-type string presentation the indecomposables are exactly the
-string modules of the finitely many words.  The almost-split sequence
-ending at a non-projective string module is built by surgery on the walk
-of its word (Butler and Ringel 1987): at each end, add a hook (a direct
-letter followed by the maximal inverse run) when possible, otherwise delete
-a cohook (the trailing direct run together with the inverse letter before
-it).  One operation works at the right end; the left end is the right end
-of the inverse walk, and a walk with every letter deleted is the trivial
-walk at its source.  The two one-sided surgeries give the middle summands,
-both-sided surgery gives the translate, and each resulting walk is read
-off the catalog, which indexes both readings of every member's word.
+string modules of the finitely many words.  In the catalog a word is its
+row of letter codes (LetterAutomaton; code ^ 1 is the inverse letter), or
+its vertex when trivial; a Walk is made only for printing and lookup.  The
+almost-split sequence ending at a non-projective string module is built
+by surgery on that row (Butler and Ringel 1987): at each end, add a hook
+(a direct letter followed by the maximal inverse run) when the automaton
+allows one, otherwise delete a cohook (the trailing direct run together
+with the inverse letter before it).  One operation works at the right end;
+the left end is the right end of the inverse row.  The two one-sided
+surgeries give the middle summands, both-sided surgery gives the
+translate, and each resulting row is read off the catalog, which indexes
+both readings of every member's word by row.
 Every sequence is checked against the defect identity
 
     dim Hom(U, tau V) - dim Hom(U, E) + dim Hom(U, V) = [U iso V]
@@ -24,7 +26,7 @@ solve: between string modules Hom has a basis of graph maps
 (Crawley-Boevey 1989), one for each walk that sits in the source's word
 as a factor string and in the target's word, either reading, as a
 substring.  The image substrings of every member are indexed once by
-their letters, and each member's factor strings are looked up there.
+their code rows, and each member's factor strings are looked up there.
 Each row of maps is written from the nodes as one stacked matrix and
 checked per arrow against the block diagonal arrow matrices of its
 targets, with no module built; the maps into each member must be
@@ -57,22 +59,7 @@ from .linalg import Matrix
 from .presentation import Presentation
 from .reps import Representation, direct_sum, string_module_with_nodes, zero_representation
 from .tablemaps import certify_sequence
-from .words import (
-    Letter,
-    LetterAutomaton,
-    Walk,
-    automaton_for,
-    concat,
-    enumerate_words,
-    format_walk,
-    inverse,
-    letter_target,
-    require_string,
-    trivial_walk,
-    walk_source,
-    walk_target,
-    walk_vertices,
-)
+from .words import LetterAutomaton, Walk, automaton_for, enumerate_words, format_walk, require_string
 
 
 # ---------------------------------------------------------------------------
@@ -132,21 +119,21 @@ class WordCover:
 class Catalog:
     """All indecomposables of a finite-type string presentation.
 
-    Construction refuses infinite type, carrying a band witness.  The Hom
-    table between members is written from their words in graph maps,
-    found in an index of the words' image substrings, and each row is
-    checked on arrays as one stacked map; hom holds the dimensions,
-    hom_keys the maps' keys, map_matrix each map as one matrix and basis
-    the maps as Intertwiners on request.  The projective at each vertex is
-    read off its rows, exactly one column must be the injective's, and the
-    table must satisfy the defect identity of every member's mesh row.
-    Surgery runs once, here.  Both readings of every member's word are
-    indexed.  The weight vector and almost-split data are read off the
-    stored mesh rows and walks lazily.  Projective covers (WordCover, which
-    holds the gate row of Ext^1 and no module) and almost-split sequences
-    are written from the words on request and certified, like the middles
-    wordext reads off the words, on graph maps of the table by the one
-    certificate (tablemaps.certify_sequence).
+    Construction refuses infinite type, carrying a band witness.  codes
+    holds both readings of every member's word as code rows, and reading
+    finds the member of a row.  The Hom table between members is written
+    from their rows in graph maps, found in an index of the rows' image
+    substrings, and each row of the table is checked on arrays as one
+    stacked map; hom holds the dimensions, hom_keys the maps' keys,
+    map_matrix each map as one matrix and basis the maps as Intertwiners on
+    request.  The projective at each vertex is read off its rows, exactly
+    one column must be the injective's, and hom . A^T = I must hold for the
+    mesh matrix A.  Surgery runs once, here.  The weight vector and
+    almost-split data are read off A and the surgery's members lazily.
+    Projective covers (WordCover, which holds the gate row of Ext^1 and no
+    module) and almost-split sequences are written from the rows on request
+    and certified, like the middles wordext reads off the rows, on graph
+    maps of the table by the one certificate (tablemaps.certify_sequence).
     """
 
     def __init__(self, p: Presentation):
@@ -159,20 +146,18 @@ class Catalog:
         self.p = p
         self.automaton = automaton
         self.entries: list[CatalogEntry] = []
-        # both readings of every member's word, each with the member's index
-        # and 1 for the inverse, 0 for the word; a trivial walk is its own
-        # inverse and keeps 0
-        self._readings: dict[Walk, tuple[int, int]] = {}
-        both: list[tuple[tuple[Walk, list], tuple[Walk, list]]] = []
+        self.codes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        # both readings by code row, or by vertex for a trivial word, each
+        # with the member's index and 1 for the inverse, 0 for the word
+        self._readings: dict[tuple[int, ...] | str, tuple[int, int]] = {}
         for w in words:
             rep, nodes = string_module_with_nodes(p, w)
             entry = CatalogEntry(len(self.entries), w, rep, nodes)
             self.entries.append(entry)
-            both.append(((w, nodes), (inverse(w), nodes[::-1])))
-            for flip, (walk, _) in enumerate(both[-1]):
-                self._readings.setdefault(walk, (entry.index, flip))
-        # the inverse of each member's word, built once
-        self.inverses = [inv for _, (inv, _) in both]
+            row = self.key(w) if w.letters else ()
+            self.codes.append((row, _inverse(row)))
+            for flip, key in enumerate(self.codes[-1]):
+                self._readings.setdefault(key or nodes[0][0], (entry.index, flip))
         self._lengths = [len(w) for w in words]
         vertices = p.quiver.vertices
         at = {v: j for j, v in enumerate(vertices)}
@@ -187,11 +172,11 @@ class Catalog:
         self.starts = np.cumsum(self.dimvecs, axis=1) - self.dimvecs
         # per member and reading: the total coordinate and the vertex of each node
         self._nodes = []
-        for ((_, nodes), _), starts in zip(both, self.starts.tolist()):
-            coords = [starts[at[v]] + c for v, c in nodes]
-            verts = tuple(at[v] for v, _ in nodes)
+        for e, starts in zip(self.entries, self.starts.tolist()):
+            coords = [starts[at[v]] + c for v, c in e.nodes]
+            verts = tuple(at[v] for v, _ in e.nodes)
             self._nodes.append(((coords, verts), (coords[::-1], verts[::-1])))
-        images, members = _image_index(automaton, both), self._sum_of_members()
+        images, members = _image_index(self), self._sum_of_members()
         rows = [self._hom_row(u, self._graph_map_keys(u, images), members) for u in self.entries]
         # beside each basis map, where the index put it: (reading, s, t, m)
         # with reading 0 for the target's word and 1 for its inverse
@@ -223,25 +208,29 @@ class Catalog:
             hits = columns.count([e.rep.dim(v) for e in self.entries])
             if hits != 1:
                 raise VerificationError(f"injective at {v} matched {hits} catalog entries")
-        # the mesh row (L, E) of each member V in member indices, from the
-        # right almost split 0 -> L -> E -> V (0 -> rad V -> V when V is
-        # projective); hom(U, L) - hom(U, E) + hom(U, V) = [U = V] at all U
-        # and V determine the table, so a graph map missed is refused here
-        self.mesh: list[tuple[list[int], list[int]]] = []
-        self._walks: dict[int, tuple[Walk, Walk | None, Walk | None]] = {}
+        # the mesh matrix A; hom . A^T = I determines the table, so a graph
+        # map missed is refused here
+        self.mesh = np.identity(len(self.entries), dtype=np.int64)
+        # per non-projective member: tau V and the right and left surgery's
+        # middle summands as (member, reading), None where there is none
+        self._ends: dict[int, list[tuple[int, int] | None]] = {}
         for e in self.entries:
-            if e.index in self.projectives:
+            v = e.index
+            if v in self.projectives:
                 # the top of a projective's word is the node before its first
                 # direct letter, and rad V is what is left on either side
-                w, n = e.word, len(e.word)
-                k = next((j for j, l in enumerate(w.letters) if l.is_direct), n)
-                ends = [], [_factor(p, w, a, b) for a, b in ((0, k - 1), (k + 1, n)) if 0 <= a <= b]
+                w = self.codes[v][0]
+                k = next((j for j, c in enumerate(w) if not c & 1), len(w))
+                rad = [w[a:b] or e.nodes[a][0] for a, b in ((0, k - 1), (k + 1, len(w))) if 0 <= a <= b]
+                ends = [None, *(_member(self, x, "surgery gave") for x in rad)]
             else:
-                t, right, left = self._walks[e.index] = _surgery(self, e)
-                ends = [t], [x for x in (right, left) if x is not None]
-            row = tuple([_surgery_member(self, x)[0] for x in walks] for walks in ends)
-            self.mesh.append(row)
-            _check_defect(self, e.index, *row)
+                ends = self._ends[v] = [x and _member(self, x, "surgery gave") for x in _surgery(self, e)]
+            tau, *middles = ends
+            if tau:
+                self.mesh[v, tau[0]] += 1
+            for m in filter(None, middles):
+                self.mesh[v, m[0]] -= 1
+        _check_defect(self, np.arange(len(self.entries)))
 
     def _graph_map_keys(self, u: CatalogEntry, images: dict) -> list[list[tuple]]:
         """The graph maps M(u) -> Y for every member Y, each as its
@@ -251,7 +240,7 @@ class Catalog:
         _image_index.  The map sends node s + j of u's word to node t + j
         of Y's word in that reading and every other node to 0
         (Crawley-Boevey 1989)."""
-        codes = [self.automaton.code[l] for l in u.word.letters]
+        codes = self.codes[u.index][0]
         n = len(codes)
         ends = [j for j in range(n + 1) if j == n or not codes[j] & 1]
         keys: list[list[tuple]] = [[] for _ in self.entries]
@@ -260,7 +249,7 @@ class Catalog:
                 continue  # the direct letter left of node s points into E
             for j in ends:
                 if j >= s:
-                    found = images.get(tuple(codes[s:j]) if j > s else u.nodes[s][0], ())
+                    found = images.get(codes[s:j] or u.nodes[s][0], ())
                     for y, flip, t, m in found:
                         keys[y].append((flip, s, t, m))
         for row in keys:
@@ -393,16 +382,21 @@ class Catalog:
             ]
         return self._bases[u, y]
 
-    def lookup(self, w: Walk) -> CatalogEntry:
-        if w not in self._readings:
-            raise StringAlgError(f"word {format_walk(w)} not in the catalog")
-        return self.entries[self._readings[w][0]]
+    def key(self, w: Walk) -> tuple[int, ...] | str:
+        """reading's key for the walk w: its code row, or its vertex if trivial."""
+        return tuple(self.automaton.code[l] for l in w.letters) or w.vertex
 
-    def reading(self, walk: Walk) -> tuple[int, int] | None:
-        """The index of the member whose word is walk or its inverse, and 1
-        when walk is the inverse, 0 when it is the word; None for a walk
-        that is no member's word."""
-        return self._readings.get(walk)
+    def lookup(self, w: Walk) -> CatalogEntry:
+        found = self.reading(self.key(w))
+        if found is None:
+            raise StringAlgError(f"word {format_walk(w)} not in the catalog")
+        return self.entries[found[0]]
+
+    def reading(self, key: tuple[int, ...] | str) -> tuple[int, int] | None:
+        """The index of the member whose word or its inverse has the code
+        row key (the vertex, for a trivial word), and 1 when key reads the
+        inverse, 0 when it reads the word; None for any other key."""
+        return self._readings.get(key)
 
     def cover(self, entry: CatalogEntry) -> WordCover:
         """The projective cover of M(C), C = entry.word, written from C
@@ -418,26 +412,24 @@ class Catalog:
         0 -> syzygy -> P0 -> M(C) -> 0 on these maps.  The cover records the
         member index of every summand, so its gate row reads Hom from the
         syzygy off the table."""
-        p = self.p
-        c, C = entry.index, entry.word.letters
+        c, C = entry.index, self.codes[entry.index][0]
         n = len(C)
-        top = {v: 0 for v in p.quiver.vertices}
+        top = {v: 0 for v in self.p.quiver.vertices}
         peaks, readings, epi = [], [], []  # readings: per peak (w, d, lo, hi)
         for i in range(n + 1):
-            if (i and C[i - 1].is_direct) or (i < n and not C[i].is_direct):
+            if (i and not C[i - 1] & 1) or (i < n and C[i] & 1):
                 continue  # a letter points into node i
             lo, hi = i, i
-            while lo and not C[lo - 1].is_direct:
+            while lo and C[lo - 1] & 1:
                 lo -= 1
-            while hi < n and C[hi].is_direct:
+            while hi < n and not C[hi] & 1:
                 hi += 1
             v = entry.nodes[i][0]
             u = self.projective_at[v]
-            for flip, w in enumerate((self.entries[u].word, self.inverses[u])):
+            for flip, w in enumerate(self.codes[u]):
                 # the top of P(v) is the node before its first direct letter
-                k = next((j for j, l in enumerate(w.letters) if l.is_direct), len(w))
-                arms = w.letters[k - i + lo : k + hi - i]
-                if i - lo <= k <= len(w) - (hi - i) and arms == C[lo:hi]:
+                k = next((j for j, x in enumerate(w) if not x & 1), len(w))
+                if i - lo <= k <= len(w) - (hi - i) and w[k - i + lo : k + hi - i] == C[lo:hi]:
                     break
             else:
                 raise VerificationError(
@@ -449,13 +441,8 @@ class Catalog:
             readings.append((w, i - k, lo, hi))
             top[v] += 1
         syzygy, incl = [], []
-        for walk, maps in _syzygy_words(p, readings, n):
-            found = self.reading(walk)
-            if found is None:
-                raise VerificationError(
-                    f"syzygy of M({format_walk(entry.word)}) has the summand {format_walk(walk)}, "
-                    "not a catalog word"
-                )
+        for key, maps in _syzygy_words(self.automaton, readings, n):
+            found = _member(self, key, f"syzygy of M({format_walk(entry.word)}) has the summand")
             # each run of nodes into one peak with one sign is a graph map
             for (t, sign), run in itertools.groupby(maps, key=lambda x: (x[1], x[3])):
                 s, _, a, _ = next(run)
@@ -499,14 +486,13 @@ class Catalog:
         Member i contributes (hom . w)_i = 1 to sum_Y w_Y dim Hom(X, Y) per
         copy in X, so that sum counts the indecomposable summands of any X.
         hom . A^T = I for the mesh matrix A, so w = A^T . 1, the column sums
-        of the mesh rows; hom . w = 1 is checked, so that a table edited
-        after construction is refused."""
+        of A; hom . w = 1 is checked, so that a table edited after
+        construction is refused."""
         if self._weights is None:
-            n, mesh = len(self.entries), self.mesh
-            w = [1 + sum(ls.count(i) - ms.count(i) for ls, ms in mesh) for i in range(n)]
-            if any(sum(h * x for h, x in zip(row, w)) != 1 for row in self.hom):
+            w = self.mesh.sum(axis=0)
+            if (np.array(self.hom, dtype=np.int64) @ w != 1).any():
                 raise VerificationError("the mesh column sums are no integral weight vector")
-            self._weights = w
+            self._weights = w.tolist()
         return self._weights
 
     def middle_counter(self, ctx: Ext1Context) -> Callable[[tuple[int, ...]], int]:
@@ -587,19 +573,18 @@ class Catalog:
         return len(self.entries)
 
 
-def _image_index(aut: LetterAutomaton, both: list) -> dict:
+def _image_index(cat: Catalog) -> dict:
     """Every image substring of both readings of every member's word, for
     _graph_map_keys: each (reading, t, m) such that E, the walk of length m
     at node t of that reading, has no letter of the reading pointing out of
     it, that is, the letter left of E is direct or absent and the one right
-    of it inverse or absent.  Keyed by the letter codes of E, or by its
-    vertex when m = 0, and listed as (member, reading, t, m) with reading 0
-    for the word and 1 for its inverse.  A trivial E is listed in the word's
-    own reading only, so that no map is listed twice."""
+    of it inverse or absent.  Keyed by the code row of E, or by its vertex
+    when m = 0, and listed as (member, reading, t, m) with reading 0 for the
+    word and 1 for its inverse.  A trivial E is listed in the word's own
+    reading only, so that no map is listed twice."""
     index: dict = {}
-    for y, readings in enumerate(both):
-        for flip, (walk, nodes) in enumerate(readings):
-            codes = [aut.code[l] for l in walk.letters]
+    for y, (entry, readings) in enumerate(zip(cat.entries, cat.codes)):
+        for flip, codes in enumerate(readings):
             k = len(codes)
             ends = [j for j in range(k + 1) if j == k or codes[j] & 1]
             for t in range(k + 1):
@@ -607,53 +592,48 @@ def _image_index(aut: LetterAutomaton, both: list) -> dict:
                     continue  # the inverse letter left of node t points out of E
                 for j in ends:
                     if j >= t + flip:
-                        key = tuple(codes[t:j]) if j > t else nodes[t][0]
+                        key = codes[t:j] or entry.nodes[t][0]
                         index.setdefault(key, []).append((y, flip, t, j - t))
     return index
 
 
-def _syzygy_words(p: Presentation, readings: list, n: int) -> list:
+def _syzygy_words(aut: LetterAutomaton, readings: list, n: int) -> list:
     """The summands of the syzygy of M(C), C of length n, with their
     inclusion into P0 (Butler and Ringel 1987).
 
     readings lists the summands of P0, one per peak of C from left to
-    right, as (w, d, lo, hi): the reading w of the word of P(v) whose arms
-    run along the slopes of C, the shift d that puts node a of w on node
-    a + d of C, and the nodes lo..hi of C its slopes cover.  Two
+    right, as (w, d, lo, hi): the code row w of the reading of P(v) whose
+    arms run along the slopes of C, the shift d that puts node a of w on
+    node a + d of C, and the nodes lo..hi of C its slopes cover.  Two
     neighbouring peaks share the valley hi = lo of the next.  The summands
     are, from left to right: the tail of the first peak's arm past the left
     end of C; at each valley, the arm of the right peak's P(v) below the
     valley followed by that of the left peak's; the tail past the right
-    end.  An empty tail is no summand.  Each comes as (walk, maps), maps
-    listing (node s of walk, peak t, node a of its w, coefficient): the
-    inclusion sends node s to the sum of coefficient times node a of the
-    t-th summand of P0.  The top of a valley summand goes to y1 - y2, its
-    images y1 in the left peak's P(v) and y2 in the right one's, so its
-    left arm, which lies in the right peak's P(v), carries the sign -1."""
+    end.  An empty tail is no summand.  Each comes as (key, maps), key its
+    code row or vertex, maps listing (node s of it, peak t, node a of its w,
+    coefficient): the inclusion sends node s to the sum of coefficient
+    times node a of the t-th summand of P0.  The top of a valley summand
+    goes to y1 - y2, its images y1 in the left peak's P(v) and y2 in the
+    right one's, so its left arm, which lies in the right peak's P(v),
+    carries the sign -1."""
     out = []
     w, d, lo, _ = readings[0]
     e = lo - d  # the node of w on the left end of C
     if e:
-        out.append((_factor(p, w, 0, e - 1), [(s, 0, s, 1) for s in range(e)]))
+        out.append((w[: e - 1] or aut.source[w[0]], [(s, 0, s, 1) for s in range(e)]))
     for t in range(len(readings) - 1):
         (w1, d1, _, j), (w2, d2, _, _) = readings[t], readings[t + 1]
         pos1, pos2 = j - d1, j - d2  # the valley's node in w1 and in w2
-        walk = concat(p, _factor(p, w2, 0, pos2), _factor(p, w1, pos1, len(w1)))
         maps = [(s, t + 1, s, -1) for s in range(pos2 + 1)]
         maps += [(pos2 + s, t, pos1 + s, 1) for s in range(len(w1) - pos1 + 1)]
-        out.append((walk, maps))
+        out.append((w2[:pos2] + w1[pos1:] or aut.source[w2[0]], maps))
     w, d, _, hi = readings[-1]
     e = hi - d  # the node of w on the right end of C
     if e < len(w):
         t = len(readings) - 1
         maps = [(s, t, e + 1 + s, 1) for s in range(len(w) - e)]
-        out.append((_factor(p, w, e + 1, len(w)), maps))
+        out.append((w[e + 1 :] or aut.source[w[-1] ^ 1], maps))
     return out
-
-
-def _factor(p: Presentation, w: Walk, a: int, b: int) -> Walk:
-    """The factor of w from its node a to its node b >= a."""
-    return Walk(w.letters[a:b]) if a < b else trivial_walk(walk_vertices(p, w)[a])
 
 
 def catalog_for(p: Presentation) -> Catalog:
@@ -688,39 +668,55 @@ def enumerate_indecomposables(p: Presentation, max_dim: int) -> list[CatalogEntr
 # ---------------------------------------------------------------------------
 
 
-def _direct_extensions(aut: LetterAutomaton, w: Walk) -> list[Letter]:
-    return [m for m in aut.extensions(w.letters, walk_target(aut.p, w)) if m.is_direct]
+def _state(aut: LetterAutomaton, w: tuple[int, ...] | str) -> int:
+    """The state the automaton reads w to, w a code row or the vertex of a
+    trivial word; a row that is no word is a construction bug."""
+    state = aut.index[(w, ())] if isinstance(w, str) else aut.read(aut.first[w[0]], w[1:])
+    if state is None:
+        raise VerificationError(f"surgery reached {row_text(aut, w)}, not a word")
+    return state
 
 
-def _right_end(aut: LetterAutomaton, w: Walk, beta: Letter | None) -> Walk | None:
-    """Surgery at the right end of w.  With a direct letter beta, add the
-    hook: beta followed by the maximal inverse run.  With None, delete the
-    cohook: the trailing direct run and the inverse letter before it; None
-    when w is entirely direct, and the trivial walk at w's source when no
-    letter is left."""
-    p = aut.p
+def _inverse(w: tuple[int, ...] | str) -> tuple[int, ...] | str:
+    """The inverse of a code row; a trivial word, its vertex, is fixed."""
+    return w if isinstance(w, str) else tuple(c ^ 1 for c in reversed(w))
+
+
+def row_text(aut: LetterAutomaton, w: tuple[int, ...] | str) -> str:
+    """format_walk of the walk of a code row or of a vertex."""
+    return f"e({w})" if isinstance(w, str) else " ".join(aut.letters[c].text for c in w)
+
+
+def _right_end(aut: LetterAutomaton, w: tuple[int, ...] | str, beta: int | None) -> tuple[int, ...] | str | None:
+    """Surgery at the right end of w, a code row or vertex.  With a direct
+    letter's code beta, add the hook: beta followed by the maximal inverse
+    run.  With None, delete the cohook: the trailing direct run and the
+    inverse letter before it; None when w is entirely direct, and the
+    vertex at w's source when no letter is left."""
+    row = () if isinstance(w, str) else w
     if beta is None:
-        k = len(w.letters)
-        while k and w.letters[k - 1].is_direct:
+        k = len(row)
+        while k and not row[k - 1] & 1:
             k -= 1
         if not k:
             return None
-        rest = w.letters[: k - 1]
-        return Walk(rest) if rest else trivial_walk(walk_source(p, w))
-    out = w.letters + (beta,)
+        return row[: k - 1] or aut.source[row[0]]
+    state = aut.edges[_state(aut, w)][beta]
+    out = row + (beta,)
     while True:
-        inv = [m for m in aut.extensions(out, letter_target(p, out[-1])) if not m.is_direct]
+        inv = [c for c in aut.edges[state] if c & 1]
         if not inv:
-            return Walk(out)
+            return out
         if len(inv) > 1:
             raise VerificationError("inverse continuation not unique; axioms violated?")
-        out = out + (inv[0],)
+        out += (inv[0],)
+        state = aut.edges[state][inv[0]]
 
 
-def _left_end(aut: LetterAutomaton, w: Walk, beta: Letter | None) -> Walk | None:
+def _left_end(aut: LetterAutomaton, w: tuple[int, ...] | str, beta: int | None) -> tuple[int, ...] | str | None:
     """Surgery at the left end of w: the right-end surgery of its inverse."""
-    out = _right_end(aut, inverse(w), beta)
-    return None if out is None else inverse(out)
+    out = _right_end(aut, _inverse(w), beta)
+    return None if out is None else _inverse(out)
 
 
 @dataclass
@@ -730,8 +726,8 @@ class ARSequence:
     tau_word and middle_words are the words of catalog members, in the
     reading the catalog lists them; tau_member, middle_members and
     target_member are the members' indices, and stacks the inclusion and
-    projection certified on the table's graph maps.  The surgery walks, in
-    the readings the graph maps need, stay on the catalog.
+    projection certified on the table's graph maps.  The surgery's members,
+    in the readings the graph maps need, stay on the catalog.
     """
 
     target_word: Walk
@@ -749,16 +745,16 @@ def ar_sequence(p: Presentation, w: Walk) -> ARSequence:
     return cat.ar_sequence(cat.lookup(w))
 
 
-def _surgery(cat: Catalog, entry: CatalogEntry) -> tuple[Walk, Walk | None, Walk | None]:
-    """The words of the almost-split sequence ending at a non-projective
-    member, by surgery: tau V, and the middle summands from surgery at the
-    right and at the left end of V's word, None where there is none."""
-    w, aut = entry.word, cat.automaton
-    right_cands = _direct_extensions(aut, w)
-    left_cands = _direct_extensions(aut, inverse(w))
-    if w.is_trivial:
-        # the two ends of a trivial word take distinct extensions, in
-        # letter_key order
+def _surgery(cat: Catalog, entry: CatalogEntry) -> tuple:
+    """The code rows (or vertices) of the almost-split sequence ending at a
+    non-projective member, by surgery: tau V, and the middle summands from
+    surgery at the right and at the left end, None where there is none."""
+    aut = cat.automaton
+    w = cat.codes[entry.index][0] or entry.nodes[0][0]
+    right_cands, left_cands = ([c for c in aut.edges[_state(aut, x)] if not c & 1] for x in (w, _inverse(w)))
+    if isinstance(w, str):
+        # the two ends of a trivial word take distinct extensions, in code
+        # order
         right_cands, left_cands = right_cands[:1], right_cands[1:2]
     elif len(right_cands) > 1 or len(left_cands) > 1:
         raise VerificationError("extension not unique at an end; axioms violated?")
@@ -767,8 +763,8 @@ def _surgery(cat: Catalog, entry: CatalogEntry) -> tuple[Walk, Walk | None, Walk
     beta_l = left_cands[0] if left_cands else None
 
     # middle summands: one-sided surgery on w
-    walk_r = _right_end(aut, w, beta_r)
-    walk_l = _left_end(aut, w, beta_l)
+    right = _right_end(aut, w, beta_r)
+    left = _left_end(aut, w, beta_l)
 
     # translate: both ends, additions before deletions so that a deletion
     # may consume into freshly added material on serial words
@@ -778,56 +774,58 @@ def _surgery(cat: Catalog, entry: CatalogEntry) -> tuple[Walk, Walk | None, Walk
         if t is not None:
             t = end(aut, t, beta)
     if t is None:
-        raise StringAlgError("surgery deleted everything; input looks projective")
-    return t, walk_r, walk_l
+        # Catalog calls this on non-projective members only
+        raise VerificationError(f"surgery deleted all of M({format_walk(entry.word)}), which is not projective")
+    return t, right, left
 
 
-def _surgery_member(cat: Catalog, walk: Walk) -> tuple[int, int]:
-    """The member index and reading of a walk that surgery on a member gave.
-    Surgery on members only reaches members, so a miss is a construction
-    bug."""
-    found = cat.reading(walk)
+def _member(cat: Catalog, key: tuple[int, ...] | str, source: str) -> tuple[int, int]:
+    """The member index and reading of the code row (or vertex) key that
+    surgery or a cover, named by source, made from members.  Both only
+    reach members, so a miss is a construction bug."""
+    found = cat.reading(key)
     if found is None:
-        raise VerificationError(f"surgery gave {format_walk(walk)}, not a catalog word")
+        raise VerificationError(f"{source} {row_text(cat.automaton, key)}, not a catalog word")
     return found
 
 
 def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
-    """The sequence from the surgery walks stored on construction, certified
-    on graph maps of the table (certify_sequence) with no module built; its
-    mesh row is checked again, so that a table edited since is refused.
+    """The sequence from the surgery's members stored on construction,
+    certified on graph maps of the table (certify_sequence) with no module
+    built; its mesh row is checked again, so that a table edited since is
+    refused.
 
-    Each map sends node i of its source walk to node i + d of its target
-    walk, where both are in range: d is len(E_r) - len(tau V) into the
-    right-surgery walk E_r and 0 out of it, 0 into the left-surgery walk
-    E_l, which shares its left end with tau V, and len(V) - len(E_l) out of
-    it.  With two summands both composites tau V -> E_i -> V are the same
-    graph map, so the second map to V carries the sign -1 and the composite
-    vanishes."""
+    Each map sends node i of its source reading to node i + d of its target
+    reading, where both are in range: d is len(E_r) - len(tau V) into the
+    right-surgery summand E_r and 0 out of it, 0 into the left-surgery
+    summand E_l, which shares its left end with tau V, and len(V) - len(E_l)
+    out of it.  With two summands both composites tau V -> E_i -> V are the
+    same graph map, so the second map to V carries the sign -1 and the
+    composite vanishes."""
     if entry.index in cat.projectives:
         raise StringAlgError(
             f"M({format_walk(entry.word)}) is projective; no almost-split sequence ends there"
         )
-    _check_defect(cat, entry.index, *cat.mesh[entry.index])
-    t, right, left = cat._walks[entry.index]
-    shifts = []  # (middle walk, shift from tau V, shift to V)
+    _check_defect(cat, [entry.index])
+    tau, right, left = cat._ends[entry.index]
+    length = cat._lengths
+    shifts = []  # (middle, shift from tau V, shift to V)
     if right is not None:
-        shifts.append((right, len(right) - len(t), 0))
+        shifts.append((right, length[right[0]] - length[tau[0]], 0))
     if left is not None:
-        shifts.append((left, 0, len(entry.word) - len(left)))
-    tau, target = _surgery_member(cat, t), (entry.index, 0)
+        shifts.append((left, 0, length[entry.index] - length[left[0]]))
+    target = (entry.index, 0)
 
-    def key(src, a, dst, b, d):
-        # the table key of the map from a walk of length a to one of length b
+    def key(src, dst, d):
+        # the table key of the map between two readings, by shift d
         i = max(0, -d)
-        return cat.map_key(*src, i, *dst, i + d, min(a, b - d) - i)
+        return cat.map_key(*src, i, *dst, i + d, min(length[src[0]], length[dst[0]] - d) - i)
 
     middles, incl, proj = [], [], []
-    for k, (walk, into, onto) in enumerate(shifts):
-        middle = _surgery_member(cat, walk)
+    for k, (middle, into, onto) in enumerate(shifts):
         middles.append(middle[0])
-        incl.append((0, k, key(tau, len(t), middle, len(walk), into), 1))
-        proj.append((k, 0, key(middle, len(walk), target, len(entry.word), onto), -1 if k else 1))
+        incl.append((0, k, key(tau, middle, into), 1))
+        proj.append((k, 0, key(middle, target, onto), -1 if k else 1))
     name = f"almost split sequence ending at {entry.rep.label}"
     stacks = certify_sequence(cat, [tau[0]], middles, [entry.index], incl, proj, name)
     return ARSequence(
@@ -842,17 +840,25 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
     )
 
 
-def _check_defect(cat: Catalog, v: int, ls: list[int], ms: list[int]):
+def _check_defect(cat: Catalog, vs):
     """hom(U, L) - hom(U, E) + hom(U, V) = [U = V] on the table for every
-    member U, L and E the sums of the members at the indices ls and ms."""
-    for u in cat.entries:
-        row = cat.hom[u.index]
-        lhs = sum(row[i] for i in ls) - sum(row[i] for i in ms) + row[v]
-        want = 1 if u.index == v else 0
-        if lhs != want:
-            raise VerificationError(
-                f"defect identity fails at U=M({format_walk(u.word)}): {lhs} != {want}"
-            )
+    member U and each member V at the indices vs, L and E from V's mesh
+    row: the columns vs of hom . A^T = I, each summed over the at most four
+    nonzero entries of its row of A.  The first pair that fails, V by V and
+    then U by U, is raised."""
+    rows = cat.mesh[vs]
+    cols = np.flatnonzero(rows.any(axis=0))
+    table = np.array([[row[i] for i in cols.tolist()] for row in cat.hom], dtype=np.int64)
+    ks, js = np.nonzero(rows[:, cols])
+    lhs = np.zeros((len(vs), len(cat.entries)), dtype=np.int64)
+    np.add.at(lhs, ks, (table[:, js] * rows[ks, cols[js]]).T)
+    want = np.equal.outer(vs, np.arange(len(cat.entries))).astype(np.int64)
+    bad = np.argwhere(lhs != want)
+    if len(bad):
+        k, u = bad[0]
+        raise VerificationError(
+            f"defect identity fails at U=M({format_walk(cat.entries[u].word)}): {lhs[k, u]} != {want[k, u]}"
+        )
 
 
 # ---------------------------------------------------------------------------

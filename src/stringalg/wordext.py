@@ -14,11 +14,12 @@ certified_middle certifies one listed middle X with no Ext basis: the
 sequence 0 -> M(D) -> X -> M(C) -> 0 is made of graph maps of the table,
 which were verified when the catalog was built, and the one certificate
 the catalog's covers pass as well (tablemaps.certify_sequence) checks it
-exact; X's members show it does not split.  The listing resolves each
-middle walk to its member once, and keeps every map as its members and
-table key, so the certificate looks nothing up by walk.  With
-dim Ext^1 = 1 every non-split extension has that middle, so its summand
-count is the census line's.
+exact; X's members show it does not split.  Words are the catalog's code
+rows throughout: each candidate middle is a concatenation of the members'
+rows, resolved to its member once by Catalog.reading, and every map is
+kept as its members and table key, so the certificate looks nothing up by
+word.  With dim Ext^1 = 1 every non-split extension has that middle, so
+its summand count is the census line's.
 """
 
 from __future__ import annotations
@@ -28,26 +29,18 @@ from dataclasses import dataclass
 from .artheory import Catalog
 from .errors import VerificationError
 from .tablemaps import certify_sequence
-from .words import (
-    Direction,
-    Letter,
-    Walk,
-    trivial_walk,
-    walk_source,
-    walk_target,
-)
 
 
 @dataclass(frozen=True)
 class WordExtension:
     """An extension 0 -> M(D) -> X -> M(C) -> 0 named by words.
 
-    middles holds the walks of X's summands and members their member
-    indices.  incl holds, per summand, the table key (Catalog.map_key) of
-    its graph map from M(D); proj holds the key of its graph map onto M(C)
-    with its sign, -1 on a second summand."""
+    middles holds the code rows of X's summands (the vertex, for a trivial
+    one) and members their member indices.  incl holds, per summand, the
+    table key (Catalog.map_key) of its graph map from M(D); proj holds the
+    key of its graph map onto M(C) with its sign, -1 on a second summand."""
 
-    middles: tuple[Walk, ...]
+    middles: tuple[tuple[int, ...] | str, ...]
     members: tuple[int, ...]
     incl: tuple[tuple, ...]
     proj: tuple[tuple[tuple, int], ...]
@@ -63,36 +56,40 @@ def word_extensions(cat: Catalog, c: int, d: int) -> list[WordExtension]:
     side and whose middle walks D_L E C'_R and C'_L E D_R are both member
     words; its middle is their sum.  The table lists a trivial E in C's
     word only, so it is tried in both readings of C unless C or D is
-    trivial, where the two readings give the same middle."""
-    p = cat.p
-    C, D = cat.entries[c].word, cat.entries[d].word
-    c_reads = [C] if C.is_trivial else [C, cat.inverses[c]]
-    d_reads = [D] if D.is_trivial else [D, cat.inverses[d]]
-    key = cat.map_key
+    trivial, where the two readings give the same middle.  Every candidate
+    is a concatenation of code rows, looked up among the members'
+    readings (Catalog.reading); one that is no member's is dropped."""
+    aut, key = cat.automaton, cat.map_key
+    (C, C_inv), (D, D_inv) = cat.codes[c], cat.codes[d]
+    c_nodes, d_nodes = cat.entries[c].nodes, cat.entries[d].nodes
+    # the readings of each word, those of C with the vertex they end at and
+    # those of D with the vertex they start at
+    c_reads = [(C, c_nodes[-1][0])] + ([(C_inv, c_nodes[0][0])] if C else [])
+    d_reads = [(D, d_nodes[0][0])] + ([(D_inv, d_nodes[-1][0])] if D else [])
     out = []
-    for fc, cr in enumerate(c_reads):
-        for a in p.quiver.arrows_from(walk_target(p, cr)):
-            for fd, dr in enumerate(d_reads):
-                if a.target != walk_source(p, dr):
-                    continue
-                x = Walk(cr.letters + (Letter(a.name, Direction.DIRECT),) + dr.letters)
+    for fc, (cr, end) in enumerate(c_reads):
+        # the direct letters at end, in arrow order: the edges of its state
+        # with an empty window
+        for a in [a for a in aut.edges[aut.index[(end, ())]] if not a & 1]:
+            for fd, (dr, start) in enumerate(d_reads):
+                if aut.source[a ^ 1] != start:
+                    continue  # a ends elsewhere
+                x = cr + (a,) + dr
                 r = cat.reading(x)
                 if r is not None:
                     out.append(WordExtension(
                         (x,), (r[0],), (key(d, fd, 0, *r, len(C) + 1, len(D)),),
                         ((key(*r, 0, c, fc, 0, len(C)), 1),),
                     ))
-    d_nodes = cat.entries[d].nodes
     for flip, s, t, m in cat.hom_keys[d][c]:
         tries = [(flip, t)]
-        if not m and len(C) and len(D):
+        if not m and C and D:
             tries.append((1 - flip, len(C) - t))
         for fc, t in tries:
             if not (s or t) or (s + m == len(D) and t + m == len(C)):
                 continue  # no letter beyond E on one side: the sequence splits
-            cr = c_reads[fc]
-            x1 = _walk(D.letters[: s + m] + cr.letters[t + m :], d_nodes[s][0])
-            x2 = _walk(cr.letters[:t] + D.letters[s:], d_nodes[s][0])
+            cr, v = c_reads[fc][0], d_nodes[s][0]
+            x1, x2 = D[: s + m] + cr[t + m :] or v, cr[:t] + D[s:] or v
             r1, r2 = cat.reading(x1), cat.reading(x2)
             if r1 is not None and r2 is not None:
                 out.append(WordExtension(
@@ -121,8 +118,3 @@ def certified_middle(cat: Catalog, c: int, d: int, ext: WordExtension) -> int:
         name,
     )
     return len(ext.members)
-
-
-def _walk(letters: tuple[Letter, ...], vertex: str) -> Walk:
-    """The walk of letters, or the trivial walk at vertex when there are none."""
-    return Walk(letters) if letters else trivial_walk(vertex)

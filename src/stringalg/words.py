@@ -403,11 +403,14 @@ class LetterAutomaton:
     the words are the paths from the empty-window states.
 
     Letters are numbered by code = 2 * arrow index + direction: code ^ 1 is
-    the inverse letter and code order is letter_key order.  States are
-    numbered in the order of nodes, and edges[s] maps the code of each
-    letter that may follow state s to the next state, in code order.  The
-    same edges are kept as a table of arrays (offsets per state, then edge
-    codes and next states), from which walk builds whole levels of words.
+    the inverse letter and code order is letter_key order, so a word is
+    also its row of codes.  States are numbered in the order of nodes, and
+    edges[s] maps the code of each letter that may follow state s to the
+    next state, in code order; the letters that may follow a row are the
+    edges at the state read reaches from first[row[0]], and those at a
+    vertex the edges of its empty-window state.  The same edges are kept as
+    a table of arrays (offsets per state, then edge codes and next states),
+    from which walk builds whole levels of words.
     """
 
     def __init__(self, p: Presentation):
@@ -448,11 +451,6 @@ class LetterAutomaton:
     @property
     def state_count(self) -> int:
         return len(self.nodes)
-
-    def extensions(self, letters: tuple[Letter, ...], endv: str) -> list[Letter]:
-        """The letters that extend a word ending at endv, in letter_key order."""
-        state = self.index[(endv, letters[-self.window:])]
-        return [self.letters[c] for c in self.edges[state]]
 
     def walk(self, max_len: int):
         """The levels of the nonempty words of length <= max_len.

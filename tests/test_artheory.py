@@ -149,7 +149,9 @@ def zigzag(n):
 
 
 def test_graph_map_index_matches_the_pairwise_enumeration(fixture_dir):
-    cats = [finite_type_catalog(load_presentation(path)) for path in sorted(fixture_dir.glob("*.sba"))]
+    # zigzag_a30's 216 225 pairs are left to the CI scan
+    cats = [finite_type_catalog(load_presentation(path))
+            for path in sorted(fixture_dir.glob("*.sba")) if path.name != "zigzag_a30.sba"]
     cats = [cat for cat in cats if cat is not None]
     assert len(cats) == 5  # a3, a3nr, census_typeA_seed1_04, loop_arrow, zigzag_a20
     for seed in (1, 2, 3):
@@ -530,8 +532,8 @@ def test_almost_split_sequences_verify_on_drawn_type_a_presentations():
             # the catalog holds both readings of a word, and either reading
             # names the sequence
             back = inverse(e.word)
-            assert cat.reading(e.word) == (e.index, 0)
-            assert cat.reading(back) == (e.index, 0 if e.word.is_trivial else 1)
+            assert cat.reading(cat.key(e.word)) == (e.index, 0)
+            assert cat.reading(cat.key(back)) == (e.index, 0 if e.word.is_trivial else 1)
             seq_back = ar_sequence(p, back)
             assert cat.lookup(seq_back.tau_word) is cat.lookup(seq.tau_word)
             assert [cat.lookup(m) for m in seq_back.middle_words] == [
@@ -577,6 +579,26 @@ def test_a_bumped_hom_entry_fails_the_defect_identity(a3nr):
     cat.hom[0][e.index] += 1
     with pytest.raises(VerificationError, match="defect identity fails"):
         cat.ar_sequence(e)
+
+
+@pytest.mark.parametrize("name", ["a3nr.sba", "loop_arrow.sba", "census_typeA_seed1_04.sba"])
+def test_the_mesh_rows_are_the_certified_sequences_and_pass_the_summed_identity(name, fixture_dir):
+    # the reference for the product hom . A^T = I: each non-projective
+    # row of A read off its certified sequence, and the identity summed
+    # entry by entry
+    cat = Catalog(load_presentation(fixture_dir / name))
+    for e in cat.nonprojective():
+        seq = cat.ar_sequence(e)
+        row = [0] * len(cat)
+        row[e.index] += 1
+        row[seq.tau_member] += 1
+        for m in seq.middle_members:
+            row[m] -= 1
+        assert cat.mesh[e.index].tolist() == row
+        for u in cat.entries:
+            h = cat.hom[u.index]
+            lhs = h[seq.tau_member] - sum(h[m] for m in seq.middle_members) + h[e.index]
+            assert lhs == (u.index == e.index)
 
 
 @pytest.mark.parametrize("name", ["a3nr.sba", "loop_arrow.sba"])

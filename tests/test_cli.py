@@ -387,17 +387,17 @@ def test_split_failure_exits_3(capsys, fixture_dir, monkeypatch):
 @pytest.fixture
 def off_catalog_surgery(monkeypatch):
     """Right-end surgery that appends the inverse of its own last letter, so
-    that its result is missing from the catalog."""
+    that its result, a code row with no vertex for a trivial word, is
+    missing from the catalog."""
     from stringalg import artheory
-    from stringalg.words import Walk
 
     real = artheory._right_end
 
     def off_catalog(aut, w, beta):
         out = real(aut, w, beta)
-        if out is None or out.is_trivial:
+        if out is None or isinstance(out, str):
             return out
-        return Walk(out.letters + (out.letters[-1].inverse(),))
+        return out + (out[-1] ^ 1,)
 
     monkeypatch.setattr(artheory, "_right_end", off_catalog)
 
@@ -409,6 +409,18 @@ def test_surgery_off_the_catalog_exits_3(capsys, fixture_dir, off_catalog_surger
     err = capsys.readouterr().err
     assert code == 3
     assert "surgery gave a a^-1, not a catalog word" in err
+
+
+def test_surgery_that_deletes_everything_exits_3(capsys, fixture_dir, monkeypatch):
+    # the catalog runs surgery on non-projective members only, so a
+    # surgery that leaves no word is a construction bug, not an input error
+    from stringalg import artheory
+
+    monkeypatch.setattr(artheory, "_right_end", lambda aut, w, beta: None)
+    code = main(["modules", str(fixture_dir / "a3.sba")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "surgery deleted all of M(e(1)), which is not projective" in err
 
 
 def test_a_construction_bug_is_not_a_usage_error(capsys, fixture_dir, off_catalog_surgery):

@@ -89,3 +89,23 @@ def test_words_gp_len14_output_hash(capsys, fixture_dir):
     assert code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WORDS_GP_LEN14_SHA256
+
+
+@pytest.mark.parametrize("name", [
+    "verify_main_theorem_census_typeA_seed1_04_jobs1",
+    "verify_main_theorem_loop_arrow_field5",
+    "degeneration_a3nr_dim6_seed0",
+])
+def test_the_catalog_path_hashes_no_walk(name, capsys, fixture_dir, monkeypatch):
+    # inside the catalog a word is a row of letter codes; a Walk is made for
+    # printing and taken by lookup, but never used as a key
+    from stringalg.words import Walk
+
+    def forbidden(self):
+        raise AssertionError(f"{self!r} was hashed")
+
+    monkeypatch.setattr(Walk, "__hash__", forbidden)
+    argv = [_fixture_arg(a, fixture_dir) for a in CASES[name]]
+    code = main(["--format", "structured", *argv])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
