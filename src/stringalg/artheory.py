@@ -19,7 +19,8 @@ Every sequence is checked against the defect identity
 
 over the full catalog, which characterizes almost-split sequences, and
 certified exact on the table's graph maps by the one certificate of covers
-and word middles (tablemaps.certify_sequence), with no module built.
+and word middles (tablemaps.certify_sequence), which reads each map's run
+of nodes off its table key, with no matrix or module built.
 
 The catalog's Hom table is written from the words as well, with no linear
 solve: between string modules Hom has a basis of graph maps
@@ -31,7 +32,8 @@ Each row of maps is written from the nodes as one stacked matrix and
 checked per arrow against the block diagonal arrow matrices of its
 targets, with no module built; the maps into each member must be
 independent, and the table must hold the projective and the injective at
-every vertex where Yoneda puts them.
+every vertex where Yoneda puts them.  Once checked the row is dropped: a
+map is kept as its key, and written out as a matrix again only on request.
 Surgery gives the integer mesh matrix A: row V holds +1 at V and at tau V
 and -1 at each middle summand (+1 at a projective V, -1 at each summand of
 rad V).  The defect identities at all (U, V) say hom . A^T = I, so given
@@ -80,15 +82,17 @@ class WordCover:
     """The projective cover 0 -> syzygy -> P0 -> M -> 0 of member M, written
     from its word in catalog members and certified on the table's graph
     maps (Catalog.cover): the member indices of the summands of P0 and of
-    the syzygy, the tops, and the certified stacks of incl and epi.  No
-    module is built."""
+    the syzygy, the tops, and the certified incl and epi as their blocks
+    (k, t, key, sign) of table keys (tablemaps).  No matrix or module is
+    built."""
 
     catalog: Catalog
     member: int
     top: dict[str, int]  # top_v: the number of copies of P(v) in P0
     cover_parts: list[int]
     syzygy_parts: list[int]
-    stacks: tuple[np.ndarray, np.ndarray] = field(repr=False)  # incl, epi
+    incl: list[tuple] = field(repr=False)
+    epi: list[tuple] = field(repr=False)
     _gate: np.ndarray | None = field(default=None, repr=False)
 
     def gate_row(self) -> np.ndarray:
@@ -124,11 +128,12 @@ class Catalog:
     finds the member of a row.  The Hom table between members is written
     from their rows in graph maps, found in an index of the rows' image
     substrings, and each row of the table is checked on arrays as one
-    stacked map; hom holds the dimensions, hom_keys the maps' keys,
-    map_matrix each map as one matrix and basis the maps as Intertwiners on
-    request.  The projective at each vertex is read off its rows, exactly
-    one column must be the injective's, and hom . A^T = I must hold for the
-    mesh matrix A.  Surgery runs once, here.  The weight vector and
+    stacked map, which is not kept; hom holds the dimensions, hom_keys the
+    maps' keys, run reads a key's run of nodes, and map_matrix writes a map
+    as one matrix and basis the maps as Intertwiners on request.  The
+    projective at each vertex is read off its rows, exactly one column
+    must be the injective's, and hom . A^T = I must hold for the mesh
+    matrix A.  Surgery runs once, here.  The weight vector and
     almost-split data are read off A and the surgery's members lazily.
     Projective covers (WordCover, which holds the gate row of Ext^1 and no
     module) and almost-split sequences are written from the rows on request
@@ -158,7 +163,7 @@ class Catalog:
             self.codes.append((row, _inverse(row)))
             for flip, key in enumerate(self.codes[-1]):
                 self._readings.setdefault(key or nodes[0][0], (entry.index, flip))
-        self._lengths = [len(w) for w in words]
+        self.lengths = [len(w) for w in words]
         vertices = p.quiver.vertices
         at = {v: j for j, v in enumerate(vertices)}
         # members x vertices; a member's total coordinates list its basis
@@ -167,6 +172,7 @@ class Catalog:
         self.dimvecs = np.array(
             [[e.rep.dim(v) for v in vertices] for e in self.entries], dtype=np.int64
         ).reshape(len(self.entries), len(vertices))
+        self.dim_rows = self.dimvecs.tolist()
         self._totals = self.dimvecs.sum(axis=1)
         self.widths = self._totals.tolist()
         self.starts = np.cumsum(self.dimvecs, axis=1) - self.dimvecs
@@ -177,11 +183,9 @@ class Catalog:
             verts = tuple(at[v] for v, _ in e.nodes)
             self._nodes.append(((coords, verts), (coords[::-1], verts[::-1])))
         images, members = _image_index(self), self._sum_of_members()
-        rows = [self._hom_row(u, self._graph_map_keys(u, images), members) for u in self.entries]
         # beside each basis map, where the index put it: (reading, s, t, m)
         # with reading 0 for the target's word and 1 for its inverse
-        self.hom_keys = [keys for keys, _, _ in rows]
-        self._rows = [(stacked, first) for _, stacked, first in rows]
+        self.hom_keys = [self._hom_row(u, self._graph_map_keys(u, images), members) for u in self.entries]
         self._bases: dict[tuple[int, int], list[Intertwiner]] = {}
         self.hom = [[len(keys) for keys in row] for row in self.hom_keys]
         self._members = {e.rep: e.index for e in self.entries}
@@ -279,15 +283,13 @@ class Catalog:
         vertex = np.tile(np.arange(dims.shape[1]), len(dims)).repeat(counts)
         return arrows, np.cumsum(self._totals) - self._totals, vertex, base.ravel().repeat(counts) + within
 
-    def _hom_row(
-        self, u: CatalogEntry, keys: list[list[tuple]], members: tuple
-    ) -> tuple[list[list[tuple]], np.ndarray, dict]:
+    def _hom_row(self, u: CatalogEntry, keys: list[list[tuple]], members: tuple) -> list[list[tuple]]:
         """The graph maps of keys from M(u) into each member, written
-        straight from the nodes as one stacked matrix on total coordinates:
-        its rows are u's basis, vertex by vertex, and each map takes the
-        next block of columns, its target's basis vertex by vertex.  Returns
-        keys, the stacked matrix, read-only, and the first column of each
-        map by (target, key).
+        straight from the nodes (_cells) as one stacked matrix on total
+        coordinates: its rows are u's basis, vertex by vertex, and each map
+        takes the next block of columns, its target's basis vertex by
+        vertex.  Returns keys once the matrix is verified; the matrix is
+        not kept.
 
         The stacked map goes into the direct sum of the targets, whose arrow
         matrices are block diagonal.  It is checked per arrow, vertex block
@@ -304,13 +306,10 @@ class Catalog:
         starts = firsts.tolist()
         stacked = np.zeros((u.rep.total_dim, int(widths.sum())), dtype=np.int64)
         rows, cols = [], []
-        src, src_verts = self._nodes[u.index][0]
-        for (y, (flip, s, t, m)), o in zip(placed, starts):
-            dst, dst_verts = self._nodes[y][flip]
-            if src_verts[s : s + m + 1] != dst_verts[t : t + m + 1]:
-                raise VerificationError("graph map misaligned: vertex mismatch")
-            rows += src[s : s + m + 1]
-            cols += [o + c for c in dst[t : t + m + 1]]
+        for (y, key), o in zip(placed, starts):
+            r, c = self._cells(u.index, y, key)
+            rows += r
+            cols += [o + x for x in c]
         stacked[rows, cols] = 1
         if placed:  # an empty row lacks the identity, which the Yoneda checks catch
             arrows, member_firsts, vertex, coordinate = members
@@ -340,22 +339,46 @@ class Catalog:
                 raise VerificationError(
                     f"graph maps M({format_walk(u.word)}) -> M({format_walk(self.entries[y].word)}) are dependent"
                 )
-        stacked.setflags(write=False)
-        return keys, stacked, dict(zip(placed, starts))
+        return keys
 
-    def map_matrix(self, u: int, y: int, key: tuple) -> np.ndarray:
-        """The graph map of the table from member u to member y at key, its
-        (reading, s, t, m), as one read-only matrix on total coordinates:
-        rows are u's basis and columns y's, each vertex by vertex.  A map the
-        table does not hold is a construction bug."""
-        stacked, first = self._rows[u]
-        o = first.get((y, key))
-        if o is None:
+    def _cells(self, u: int, y: int, key: tuple) -> tuple[list[int], list[int]]:
+        """The rows and the columns of the ones of the graph map at key, its
+        (reading, s, t, m), from member u to member y, on total coordinates:
+        node s + j of u's word goes to node t + j of y's word in that
+        reading.  Both _hom_row and map_matrix write maps from these."""
+        flip, s, t, m = key
+        (src, src_verts), (dst, dst_verts) = self._nodes[u][0], self._nodes[y][flip]
+        if src_verts[s : s + m + 1] != dst_verts[t : t + m + 1]:
+            raise VerificationError("graph map misaligned: vertex mismatch")
+        return src[s : s + m + 1], dst[t : t + m + 1]
+
+    def _held(self, u: int, y: int, key: tuple) -> None:
+        """Refuse a key of a graph map from member u to member y that the
+        table does not hold, a construction bug."""
+        if key not in self.hom_keys[u][y]:
             raise VerificationError(
                 f"no graph map M({format_walk(self.entries[u].word)}) -> "
                 f"M({format_walk(self.entries[y].word)}) at {key}"
             )
-        return stacked[:, o : o + self.widths[y]]
+
+    def map_matrix(self, u: int, y: int, key: tuple) -> np.ndarray:
+        """The graph map of the table from member u to member y at key, its
+        (reading, s, t, m), written from its nodes (_cells) as one matrix on
+        total coordinates: rows are u's basis and columns y's, each vertex
+        by vertex."""
+        self._held(u, y, key)
+        out = np.zeros((self.widths[u], self.widths[y]), dtype=np.int64)
+        out[self._cells(u, y, key)] = 1
+        return out
+
+    def run(self, u: int, y: int, key: tuple) -> tuple[int, int, int, int]:
+        """The graph map of the table from member u to member y at key as
+        its run of nodes (i, j, d, m): node i + x of u's word goes to node
+        j + d*x of y's word, x = 0..m, with d = -1 where key reads y's
+        inverse, whose node t is node len(y) - t of the word."""
+        self._held(u, y, key)
+        flip, s, t, m = key
+        return (s, self.lengths[y] - t, -1, m) if flip else (s, t, 1, m)
 
     def map_key(self, u: int, fu: int, i: int, y: int, fy: int, j: int, m: int) -> tuple:
         """The key (reading, s, t, m) of the graph map that sends nodes
@@ -363,9 +386,9 @@ class Catalog:
         as its inverse where fu or fy is 1: the table reads the source in its
         word and lists a trivial E in the target's word only."""
         if fu:
-            i, j, fy = self._lengths[u] - i - m, self._lengths[y] - j - m, 1 - fy
+            i, j, fy = self.lengths[u] - i - m, self.lengths[y] - j - m, 1 - fy
         if fy and not m:
-            return 0, i, self._lengths[y] - j, 0
+            return 0, i, self.lengths[y] - j, 0
         return fy, i, j, m
 
     def basis(self, u: int, y: int) -> list[Intertwiner]:
@@ -451,8 +474,8 @@ class Catalog:
             syzygy.append(found[0])
         members = [u for u, _ in peaks]
         name = f"projective cover of {entry.rep.label}"
-        stacks = certify_sequence(self, syzygy, members, [c], incl, epi, name)
-        return WordCover(self, c, top, members, syzygy, stacks)
+        certify_sequence(self, syzygy, members, [c], incl, epi, name)
+        return WordCover(self, c, top, members, syzygy, incl, epi)
 
     def profile(self, parts: list[int]) -> list[int]:
         """Hom dimensions from every member into the direct sum of the
@@ -725,9 +748,10 @@ class ARSequence:
 
     tau_word and middle_words are the words of catalog members, in the
     reading the catalog lists them; tau_member, middle_members and
-    target_member are the members' indices, and stacks the inclusion and
-    projection certified on the table's graph maps.  The surgery's members,
-    in the readings the graph maps need, stay on the catalog.
+    target_member are the members' indices, and incl and proj the
+    inclusion and projection certified on the table's graph maps, as their
+    blocks (k, t, key, sign) of table keys (tablemaps).  The surgery's
+    members, in the readings the graph maps need, stay on the catalog.
     """
 
     target_word: Walk
@@ -736,7 +760,8 @@ class ARSequence:
     tau_member: int
     middle_members: list[int]
     target_member: int
-    stacks: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    incl: list[tuple] = field(repr=False, compare=False)
+    proj: list[tuple] = field(repr=False, compare=False)
     middle_summand_count: int
 
 
@@ -808,7 +833,7 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
         )
     _check_defect(cat, [entry.index])
     tau, right, left = cat._ends[entry.index]
-    length = cat._lengths
+    length = cat.lengths
     shifts = []  # (middle, shift from tau V, shift to V)
     if right is not None:
         shifts.append((right, length[right[0]] - length[tau[0]], 0))
@@ -827,7 +852,7 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
         incl.append((0, k, key(tau, middle, into), 1))
         proj.append((k, 0, key(middle, target, onto), -1 if k else 1))
     name = f"almost split sequence ending at {entry.rep.label}"
-    stacks = certify_sequence(cat, [tau[0]], middles, [entry.index], incl, proj, name)
+    certify_sequence(cat, [tau[0]], middles, [entry.index], incl, proj, name)
     return ARSequence(
         target_word=entry.word,
         tau_word=cat.entries[tau[0]].word,
@@ -835,7 +860,8 @@ def _build_ar_sequence(cat: Catalog, entry: CatalogEntry) -> ARSequence:
         tau_member=tau[0],
         middle_members=middles,
         target_member=entry.index,
-        stacks=stacks,
+        incl=incl,
+        proj=proj,
         middle_summand_count=len(middles),
     )
 

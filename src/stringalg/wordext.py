@@ -14,7 +14,8 @@ certified_middle certifies one listed middle X with no Ext basis: the
 sequence 0 -> M(D) -> X -> M(C) -> 0 is made of graph maps of the table,
 which were verified when the catalog was built, and the one certificate
 the catalog's covers pass as well (tablemaps.certify_sequence) checks it
-exact; X's members show it does not split.  Words are the catalog's code
+exact on the maps' runs of nodes, with no matrix built; X's members show
+it does not split.  Words are the catalog's code
 rows throughout: each candidate middle is a concatenation of the members'
 rows, resolved to its member once by Catalog.reading, and every map is
 kept as its members and table key, so the certificate looks nothing up by
@@ -102,9 +103,10 @@ def word_extensions(cat: Catalog, c: int, d: int) -> list[WordExtension]:
 
 def certified_middle(cat: Catalog, c: int, d: int, ext: WordExtension) -> int:
     """The summand count of the middle X of ext, certified: the sequence
-    0 -> M(D) -> X -> M(C) -> 0 of table maps, the inclusion the maps into
-    X's summands side by side and the projection the maps out of them one
-    above another, is exact (tablemaps.certify_sequence), and since every
+    0 -> M(D) -> X -> M(C) -> 0 of table maps, the inclusion the blocks of
+    the maps into X's summands and the projection the blocks of the maps
+    out of them, is exact on the maps' runs of nodes
+    (tablemaps.certify_sequence), and since every
     member is indecomposable (Krull-Schmidt) it does not split: X's members
     are not those of M(C) + M(D)."""
     M, N = cat.entries[c].rep, cat.entries[d].rep

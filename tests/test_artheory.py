@@ -5,6 +5,7 @@ import re
 import weakref
 
 import pytest
+from dense_maps import stack
 from hypothesis import HealthCheck, assume, given, settings
 from test_letter_automaton import presentations
 
@@ -48,14 +49,15 @@ def coordinates(cat, parts, j):
     return [o + cat.starts[u, j] + x for u, o in zip(parts, firsts) for x in range(cat.dimvecs[u, j])]
 
 
-def exact_sequence(cat, left, middle, right, stacks):
+def exact_sequence(cat, left, middle, right, incl, proj):
     """0 -> L -> X -> R -> 0 on the direct sums of the members at left,
-    middle and right (the zero module for none), its two certified stacks
-    cut vertex by vertex, for ShortExactSequence.verify to check
+    middle and right (the zero module for none), its two certified maps,
+    given by their blocks, written out as stacks (dense_maps.stack) and cut
+    vertex by vertex, for ShortExactSequence.verify to check
     independently."""
     L, X, R = (direct_sum([cat.entries[i].rep for i in parts]) if parts else zero_representation(cat.p)
                for parts in (left, middle, right))
-    incl, proj = stacks
+    incl, proj = stack(cat, left, middle, incl), stack(cat, middle, right, proj)
 
     def cut(a, rows, cols):
         return {v: Matrix(a[coordinates(cat, rows, j)][:, coordinates(cat, cols, j)], cat.p.q)
@@ -66,8 +68,8 @@ def exact_sequence(cat, left, middle, right, stacks):
 
 
 def ar_exact_sequence(cat, seq):
-    """An almost-split sequence on modules, cut from its certified stacks."""
-    return exact_sequence(cat, [seq.tau_member], seq.middle_members, [seq.target_member], seq.stacks)
+    """An almost-split sequence on modules, cut from its certified maps."""
+    return exact_sequence(cat, [seq.tau_member], seq.middle_members, [seq.target_member], seq.incl, seq.proj)
 
 
 def test_catalog_a3(a3):

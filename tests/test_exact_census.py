@@ -13,10 +13,12 @@ Ext basis, and the scan's findings must be the reference census.  The
 scan's covers are certified on graph maps of the table (Catalog.cover);
 each must have the top of projective_cover, the table's sum over its
 syzygy's summands must equal the solved dimension of Hom(syzygy, N), and
-its certified stacks, cut into modules here, must form a verified short
-exact sequence.
-The ranks of that certificate are read off the maps' support, which must
-agree with Matrix.rank.  The table
+its certified maps, written out as stacks and cut into modules here, must
+form a verified short exact sequence.
+That certificate reads its checks off the maps' runs of nodes; it must
+accept and refuse what its dense reference (dense_maps) does on real and
+mutated sequences, and the reference's ranks, read off the stacks'
+support, must agree with Matrix.rank.  The table
 itself is written in graph maps; on every ordered pair of members it must
 have the dimension of hom_basis and span the same space.  The extensions
 the words list (wordext) must be as many as dim Ext^1 on every pair, each
@@ -24,8 +26,12 @@ certified, and at dimension 1 the certified middle must have the members
 of the middle built from the cocycle.
 """
 
+import random
+
+import dense_maps
 import numpy as np
 import pytest
+from dense_maps import support_rank
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_artheory import exact_sequence, zigzag
@@ -37,6 +43,7 @@ import stringalg.cli
 import stringalg.decomp
 import stringalg.homalg
 import stringalg.reps
+import stringalg.tablemaps
 import stringalg.verify
 import stringalg.wordext
 from perfbench.census_gen import census_inputs
@@ -58,7 +65,6 @@ from stringalg.linalg import Matrix
 from stringalg.linalg import solve_rational
 from stringalg.presentation import load_presentation, parse_presentation
 from stringalg.reps import direct_sum
-from stringalg.tablemaps import support_rank
 from stringalg.verify import middle_term_scan
 from stringalg.wordext import WordExtension, certified_middle, word_extensions
 from stringalg.words import format_walk, parse_word
@@ -227,15 +233,15 @@ def check_word_covers(cat):
     projective_cover: the same top, and a syzygy with the members of the
     solved one, since the table's sum over its summands equals the solved
     dimension of Hom(syzygy, N) at every member N and no two members share
-    a column of the table.  The incl and epi cut from the certified stacks
-    pass ShortExactSequence.verify."""
+    a column of the table.  The certified incl and epi, written out as
+    stacks and cut into modules, pass ShortExactSequence.verify."""
     for m in cat.entries:
         word, solved = cat.cover(m), projective_cover(m.rep)
         assert word.top == solved.top
         for n in cat.entries:
             table = sum(cat.hom[i][n.index] for i in word.syzygy_parts)
             assert table == len(_hom_kernel(solved.syzygy, n.rep)[1])
-        exact_sequence(cat, word.syzygy_parts, word.cover_parts, [m.index], word.stacks).verify()
+        exact_sequence(cat, word.syzygy_parts, word.cover_parts, [m.index], word.incl, word.epi).verify()
 
 
 def check_graph_map_table(cat):
@@ -270,6 +276,20 @@ def test_word_covers_match_projective_cover_on_every_fixture_catalog(fixture_dir
         check_graph_map_table(cat)
     for cat in small_fixture_catalogs(fixture_dir) + [zigzag_a20, catalog_for(zigzag(12))]:
         check_word_covers(cat)
+
+
+def test_every_table_map_written_on_request_is_a_module_map(fixture_dir):
+    # the catalog keeps no verified row: basis writes each graph map from
+    # its key's nodes when asked (Catalog.map_matrix), and each must commute
+    # with the arrows, the maps into each member independent
+    for cat in small_fixture_catalogs(fixture_dir) + [catalog_for(zigzag(12))]:
+        for u in cat.entries:
+            for y in cat.entries:
+                maps = cat.basis(u.index, y.index)
+                for f in maps:
+                    f.verify()
+                if maps:
+                    assert Matrix(np.array([f.flatten() for f in maps]), cat.p.q).rank() == len(maps)
 
 
 def _shift_epi(monkeypatch):
@@ -330,6 +350,117 @@ def test_a_stack_with_two_nonzeros_in_one_line_has_no_support_rank(axis, line):
     a[0, 1] = -1  # two nonzeros in row 0 and in column 1, and rank 3
     with pytest.raises(VerificationError, match=f"stack has two nonzeros in one {line}"):
         support_rank(a if axis == 0 else a.T, 5, axis, "stack")
+
+
+def certified_sequences(cat, monkeypatch):
+    """Every sequence the certificate is given on cat: each member's cover,
+    each almost-split sequence and each middle the words list on every
+    ordered pair, as its arguments after the catalog."""
+    seen, real = [], stringalg.tablemaps.certify_sequence
+
+    def record(cat, *args):
+        seen.append(args)
+        real(cat, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(stringalg.artheory, "certify_sequence", record)
+        m.setattr(stringalg.wordext, "certify_sequence", record)
+        for u in cat.entries:
+            cat.cover(u)
+            if u.index not in cat.projectives:
+                cat.ar_sequence(u)
+            for y in cat.entries:
+                for ext in word_extensions(cat, u.index, y.index):
+                    certified_middle(cat, u.index, y.index, ext)
+    return seen
+
+
+def mutants(cat, rng, left, middle, right, incl, proj, name):
+    """The sequence as it is, and mutated: in a block drawn from each map,
+    the sign flipped or the key shifted by one node in its source or its
+    target; that block dropped, or added again with the opposite or the same sign (the
+    same sign cancels at q = 2 only) or with another key the table holds
+    for its pair; a middle member swapped for another."""
+    yield left, middle, right, incl, proj, name
+    for side, (blocks, sources, targets) in enumerate(((incl, left, middle), (proj, middle, right))):
+        if not blocks:
+            continue
+        n = rng.randrange(len(blocks))
+        k, t, (flip, s, j, m), sign = blocks[n]
+        rest = blocks[:n] + blocks[n + 1:]
+        others = [key for key in cat.hom_keys[sources[k]][targets[t]] if key != (flip, s, j, m)]
+        for edited in (
+            rest + [(k, t, (flip, s, j, m), -sign)],
+            rest + [(k, t, (flip, s + 1, j, m), sign)],
+            rest + [(k, t, (flip, s, j + 1, m), sign)],
+            rest,
+            blocks + [(k, t, (flip, s, j, m), -sign)],
+            blocks + [(k, t, (flip, s, j, m), sign)],
+            *([blocks + [(k, t, rng.choice(others), sign)]] if others else []),
+        ):
+            maps = (edited, proj) if side == 0 else (incl, edited)
+            yield (left, middle, right, *maps, name)
+    if middle:
+        n = rng.randrange(len(middle))
+        swapped = middle[:n] + [rng.choice([i for i in range(len(cat)) if i != middle[n]])] + middle[n + 1:]
+        yield left, swapped, right, incl, proj, name
+
+
+def verdict(certify, cat, args):
+    """None when certify accepts the sequence, its message when it refuses."""
+    try:
+        certify(cat, *args)
+    except VerificationError as err:
+        return str(err)
+    return None
+
+
+def check_certificate_against_dense(cat, monkeypatch, rng, messages):
+    """The certificate on node runs and the dense one accept and refuse
+    every sequence of cat and every mutant of it alike, with one message;
+    the messages seen are added to messages."""
+    for args in certified_sequences(cat, monkeypatch):
+        for mutant in mutants(cat, rng, *args):
+            found = verdict(stringalg.tablemaps.certify_sequence, cat, mutant)
+            assert found == verdict(dense_maps.certify_sequence, cat, mutant), mutant
+            messages.add(found and found.replace(mutant[-1], "X"))
+
+
+REFUSALS = ("do not add", "no graph map", "inclusion into the X has two nonzeros in one column",
+            "not injective", "projection from the X has two nonzeros in one row", "not surjective",
+            "not zero")
+
+
+def test_the_certificate_on_node_runs_agrees_with_the_dense_one(fixture_dir, monkeypatch):
+    rng, messages = random.Random(11), set()
+    fixed = [load_presentation(path) for path in sorted(fixture_dir.glob("*.sba"))
+             if not path.name.startswith("zigzag_")]
+    for seed in (1, 2, 3):
+        fixed += [parse_presentation(text)
+                  for _, text in census_inputs(seed, CENSUS_N, CENSUS_RELATION_P, CENSUS_WEIGHT)]
+    fixed.append(zigzag(12))
+    for p in fixed:
+        for q in (2, 3, 5):
+            cat = finite_type_catalog(p.with_field(q))
+            if cat is not None:
+                check_certificate_against_dense(cat, monkeypatch, rng, messages)
+    loops = []
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(presentations(min_arrows=1, string_only=True), st.sampled_from([2, 3, 5]))
+    def drawn(p, q):
+        cat = finite_type_catalog(p.with_field(q))
+        assume(cat is not None)
+        check_certificate_against_dense(cat, monkeypatch, rng, messages)
+        loops.append(any(a.source == a.target for a in p.quiver.arrows))
+
+    drawn()
+    assert any(loops)
+    # every outcome occurs: acceptance and each refusal, in the order checked
+    kinds = {m and next(k for k in REFUSALS if k in m) for m in messages}
+    assert kinds == {None, *REFUSALS}
 
 
 def check_gate_rows(cat):
@@ -583,14 +714,27 @@ def _sign_lost(cat, c, d, listed):
     ]
 
 
+def _inclusion_dropped(cat, c, d, listed):
+    """Every one-summand middle loses its inclusion, its only one: with two
+    summands the inclusion left could still reach every node of M(D)."""
+    return [WordExtension(e.middles, e.members, (), e.proj) if len(e.members) == 1 else e for e in listed]
+
+
+def _projection_dropped(cat, c, d, listed):
+    """Every one-summand middle loses its projection, its only one."""
+    return [WordExtension(e.middles, e.members, e.incl, ()) if len(e.members) == 1 else e for e in listed]
+
+
 @pytest.mark.parametrize(
     "fault, message",
     [
         (lambda m: _edit_listings(m, _split), "splits"),
         (lambda m: _edit_listings(m, _wrong_member), "do not add|no graph map"),
         (lambda m: _edit_listings(m, _sign_lost), "composite through the middle .* is not zero"),
+        (lambda m: _edit_listings(m, _inclusion_dropped), "inclusion into the middle .* is not injective"),
+        (lambda m: _edit_listings(m, _projection_dropped), "projection from the middle .* is not surjective"),
     ],
-    ids=["split", "wrong-member", "sign-lost"],
+    ids=["split", "wrong-member", "sign-lost", "inclusion-dropped", "projection-dropped"],
 )
 def test_a_bad_middle_raises_and_exits_3(fixture_dir, monkeypatch, capsys, fault, message):
     path = fixture_dir / "census_typeA_seed1_04.sba"
