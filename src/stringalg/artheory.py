@@ -28,12 +28,14 @@ solve: between string modules Hom has a basis of graph maps
 as a factor string and in the target's word, either reading, as a
 substring.  The image substrings of every member are indexed once by
 their code rows, and each member's factor strings are looked up there.
-Each row of maps is written from the nodes as one stacked matrix and
-checked per arrow against the block diagonal arrow matrices of its
-targets, with no module built; the maps into each member must be
+Each map is kept as its key and checked on its run of nodes, with no
+matrix or module built: the run's vertices must agree, and the map must
+commute with every arrow, which it does inside the run when the run's
+letters are those of its image and otherwise depends only on the letters
+next to the run's two ends.  The maps into each member must be
 independent, and the table must hold the projective and the injective at
-every vertex where Yoneda puts them.  Once checked the row is dropped: a
-map is kept as its key, and written out as a matrix again only on request.
+every vertex where Yoneda puts them.  A map is written out as a matrix
+only on request.
 Surgery gives the integer mesh matrix A: row V holds +1 at V and at tau V
 and -1 at each middle summand (+1 at a projective V, -1 at each summand of
 rad V).  The defect identities at all (U, V) say hom . A^T = I, so given
@@ -127,10 +129,10 @@ class Catalog:
     holds both readings of every member's word as code rows, and reading
     finds the member of a row.  The Hom table between members is written
     from their rows in graph maps, found in an index of the rows' image
-    substrings, and each row of the table is checked on arrays as one
-    stacked map, which is not kept; hom holds the dimensions, hom_keys the
-    maps' keys, run reads a key's run of nodes, and map_matrix writes a map
-    as one matrix and basis the maps as Intertwiners on request.  The
+    substrings, and each map is checked on its run of nodes (_hom_row); hom
+    holds the dimensions, hom_keys the maps' keys, run reads a key's run of
+    nodes, and map_matrix writes a map as one matrix and basis the maps as
+    Intertwiners on request.  The
     projective at each vertex is read off its rows, exactly one column
     must be the injective's, and hom . A^T = I must hold for the mesh
     matrix A.  Surgery runs once, here.  The weight vector and
@@ -173,8 +175,7 @@ class Catalog:
             [[e.rep.dim(v) for v in vertices] for e in self.entries], dtype=np.int64
         ).reshape(len(self.entries), len(vertices))
         self.dim_rows = self.dimvecs.tolist()
-        self._totals = self.dimvecs.sum(axis=1)
-        self.widths = self._totals.tolist()
+        self.widths = self.dimvecs.sum(axis=1).tolist()
         self.starts = np.cumsum(self.dimvecs, axis=1) - self.dimvecs
         # per member and reading: the total coordinate and the vertex of each node
         self._nodes = []
@@ -182,10 +183,10 @@ class Catalog:
             coords = [starts[at[v]] + c for v, c in e.nodes]
             verts = tuple(at[v] for v, _ in e.nodes)
             self._nodes.append(((coords, verts), (coords[::-1], verts[::-1])))
-        images, members = _image_index(self), self._sum_of_members()
+        images = _image_index(self)
         # beside each basis map, where the index put it: (reading, s, t, m)
         # with reading 0 for the target's word and 1 for its inverse
-        self.hom_keys = [self._hom_row(u, self._graph_map_keys(u, images), members) for u in self.entries]
+        self.hom_keys = [self._hom_row(u, self._graph_map_keys(u, images)) for u in self.entries]
         self._bases: dict[tuple[int, int], list[Intertwiner]] = {}
         self.hom = [[len(keys) for keys in row] for row in self.hom_keys]
         self._members = {e.rep: e.index for e in self.entries}
@@ -260,92 +261,70 @@ class Catalog:
             row.sort()
         return keys
 
-    def _sum_of_members(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-        """The direct sum of all members, members one after another, as
-        arrays; no Representation is built.  Per arrow: its name, the
-        indices of its source and target vertex, and its matrix on the sum,
-        one diagonal block per member.  Then the total coordinates of every
-        member, listed member after member: where each member's start, and
-        per coordinate its vertex and its coordinate at that vertex in the
-        sum."""
-        p, dims = self.p, self.dimvecs
-        base = np.cumsum(dims, axis=0) - dims  # where each member's block starts at each vertex
-        at = {v: j for j, v in enumerate(p.quiver.vertices)}
-        arrows = []
-        for a in p.quiver.arrows:
-            s, t = at[a.source], at[a.target]
-            block = np.zeros((dims[:, s].sum(), dims[:, t].sum()), dtype=np.int64)
-            for e, (r, c), (h, w) in zip(self.entries, base[:, [s, t]].tolist(), dims[:, [s, t]].tolist()):
-                block[r : r + h, c : c + w] = e.rep.mats[a.name].a
-            arrows.append((a.name, s, t, block))
-        counts = dims.ravel()
-        within = np.arange(counts.sum()) - (np.cumsum(counts) - counts).repeat(counts)
-        vertex = np.tile(np.arange(dims.shape[1]), len(dims)).repeat(counts)
-        return arrows, np.cumsum(self._totals) - self._totals, vertex, base.ravel().repeat(counts) + within
-
-    def _hom_row(self, u: CatalogEntry, keys: list[list[tuple]], members: tuple) -> list[list[tuple]]:
-        """The graph maps of keys from M(u) into each member, written
-        straight from the nodes (_cells) as one stacked matrix on total
-        coordinates: its rows are u's basis, vertex by vertex, and each map
-        takes the next block of columns, its target's basis vertex by
-        vertex.  Returns keys once the matrix is verified; the matrix is
-        not kept.
-
-        The stacked map goes into the direct sum of the targets, whose arrow
-        matrices are block diagonal.  It is checked per arrow, vertex block
-        by vertex block, against those matrices, cut from the arrows'
-        matrices on the sum of all members (_sum_of_members) with no
-        Representation built, so it passes exactly when every graph map
-        commutes with the arrows.  The maps into each Y must be linearly
-        independent."""
-        q, dims = self.p.q, self.dimvecs
-        placed = [(y, key) for y, row in enumerate(keys) for key in row]
-        targets = np.array([y for y, _ in placed], dtype=np.intp)
-        widths = self._totals[targets]
-        firsts = np.cumsum(widths) - widths
-        starts = firsts.tolist()
-        stacked = np.zeros((u.rep.total_dim, int(widths.sum())), dtype=np.int64)
-        rows, cols = [], []
-        for (y, key), o in zip(placed, starts):
-            r, c = self._cells(u.index, y, key)
-            rows += r
-            cols += [o + x for x in c]
-        stacked[rows, cols] = 1
-        if placed:  # an empty row lacks the identity, which the Yoneda checks catch
-            arrows, member_firsts, vertex, coordinate = members
-            # every column of the row: its vertex, its coordinate in the sum
-            # of all members and its map; then the columns grouped by vertex
-            column = (member_firsts[targets] - firsts).repeat(widths) + np.arange(stacked.shape[1])
-            at_v, in_sum, of_map = vertex[column], coordinate[column], np.arange(len(placed)).repeat(widths)
-            order = np.argsort(at_v, kind="stable")
-            ends = np.cumsum(np.bincount(at_v, minlength=dims.shape[1])).tolist()
-            blocks = []
-            for r, h, a, b in zip(self.starts[u.index].tolist(), dims[u.index].tolist(), [0] + ends, ends):
-                cut = order[a:b]
-                blocks.append((stacked[r : r + h, cut], in_sum[cut], of_map[cut]))
-            for name, s, t, block in arrows:
-                (fs, gs, ms), (ft, gt, mt) = blocks[s], blocks[t]
-                diagonal = np.where(ms[:, None] == mt, block[gs[:, None], gt], 0)
-                if ((u.rep.mats[name].a @ ft - fs @ diagonal) % q).any():
-                    raise VerificationError(
-                        f"row M({format_walk(u.word)}) of the Hom table does not commute with arrow {name}"
-                    )
-        at = 0
+    def _hom_row(self, u: CatalogEntry, keys: list[list[tuple]]) -> list[list[tuple]]:
+        """keys, the graph maps from M(u) into each member, once each map
+        is verified on its run of nodes (_faults) with no matrix built: a
+        run whose vertices differ is refused first, then the first arrow, in
+        declaration order, that some map of the row does not commute with.
+        The maps into each member must be linearly independent; where there
+        are two or more, their rank is taken on their cells (_cells)."""
+        arrows, q = self.p.quiver.arrows, self.p.q
+        faults = set()
+        for y, row in enumerate(keys):
+            for key in row:
+                faults |= self._faults(u.index, y, key)
+        if faults:
+            raise VerificationError(
+                f"row M({format_walk(u.word)}) of the Hom table does not commute with arrow {arrows[min(faults)].name}"
+            )
         for y, row in enumerate(keys):
             # one graph map is nonzero; only two or more can be dependent
-            w, into_y = self._totals[y], starts[at : at + len(row)]
-            at += len(row)
-            if len(row) > 1 and Matrix(np.array([stacked[:, o : o + w].ravel() for o in into_y]), q).rank() < len(row):
-                raise VerificationError(
-                    f"graph maps M({format_walk(u.word)}) -> M({format_walk(self.entries[y].word)}) are dependent"
-                )
+            if len(row) > 1:
+                maps = np.zeros((len(row), self.widths[u.index], self.widths[y]), dtype=np.int64)
+                for k, key in enumerate(row):
+                    maps[(k, *self._cells(u.index, y, key))] = 1
+                if Matrix(maps.reshape(len(row), -1), q).rank() < len(row):
+                    raise VerificationError(
+                        f"graph maps M({format_walk(u.word)}) -> M({format_walk(self.entries[y].word)}) are dependent"
+                    )
         return keys
+
+    def _faults(self, u: int, y: int, key: tuple) -> set[int]:
+        """The indices of the arrows that the graph map at key, its
+        (reading, s, t, m), from member u to member y does not commute
+        with, read off its run of nodes: node s + j of u's word goes to node
+        t + j of y's reading, as _cells cuts them.  The vertices of the whole
+        run must agree.  Inside the run the map commutes exactly when the
+        letters of the run in u are those of its image in y; where they are
+        not, every node of the run and beside it is checked.  Otherwise only
+        the letters next to the run's two ends can act on a node of the run
+        or move one into it, so only the two end nodes of the run and the
+        node beside each are checked."""
+        flip, s, t, m = key
+        src, dst = self._nodes[u][0][1], self._nodes[y][flip][1]
+        if src[s : s + m + 1] != dst[t : t + m + 1]:
+            raise VerificationError("graph map misaligned: vertex mismatch")
+        run = range(len(src))[s : s + m + 1]
+        if not run:
+            return set()  # the zero map
+        s, t, m = run.start, range(len(dst))[t : t + m + 1].start, len(run) - 1
+        U, Y = self.codes[u][0], self.codes[y][flip]
+        nodes = (s - 1, s, s + m, s + m + 1) if U[s : s + m] == Y[t : t + m] else range(s - 1, s + m + 2)
+        faults = set()
+        for i in nodes:
+            if 0 <= i < len(src):
+                # e_i . U_a . f against e_i . f . Y_a, each as the step the arrow takes
+                moved = {(a, d) for a, d in _moves(U, i) if s <= i + d <= s + m}
+                image = _moves(Y, t + i - s) if s <= i <= s + m else set()
+                faults |= {a for a, _ in moved ^ image}
+        return faults
 
     def _cells(self, u: int, y: int, key: tuple) -> tuple[list[int], list[int]]:
         """The rows and the columns of the ones of the graph map at key, its
         (reading, s, t, m), from member u to member y, on total coordinates:
         node s + j of u's word goes to node t + j of y's word in that
-        reading.  Both _hom_row and map_matrix write maps from these."""
+        reading.  map_matrix writes maps from these, and _hom_row the maps
+        whose rank it takes."""
         flip, s, t, m = key
         (src, src_verts), (dst, dst_verts) = self._nodes[u][0], self._nodes[y][flip]
         if src_verts[s : s + m + 1] != dst_verts[t : t + m + 1]:
@@ -393,8 +372,8 @@ class Catalog:
 
     def basis(self, u: int, y: int) -> list[Intertwiner]:
         """The table's basis of Hom(member u, member y): its graph maps in
-        the order of hom_keys, cut vertex by vertex from the checked row on
-        first use and kept."""
+        the order of hom_keys, each written from its key (map_matrix) and
+        cut vertex by vertex on first use, and kept."""
         if (u, y) not in self._bases:
             U, Y, q = self.entries[u].rep, self.entries[y].rep, self.p.q
             cuts = list(zip(self.p.quiver.vertices, self.starts[u].tolist(), self.dimvecs[u].tolist(),
@@ -618,6 +597,18 @@ def _image_index(cat: Catalog) -> dict:
                         key = codes[t:j] or entry.nodes[t][0]
                         index.setdefault(key, []).append((y, flip, t, j - t))
     return index
+
+
+def _moves(row: tuple[int, ...], i: int) -> set[tuple[int, int]]:
+    """The arrows, by index, that act on node i of a reading's code row,
+    each with the step, +1 or -1, to the node it sends i to: a direct
+    letter right of node i, an inverse letter left of it."""
+    out = set()
+    if i < len(row) and not row[i] & 1:
+        out.add((row[i] >> 1, 1))
+    if i and row[i - 1] & 1:
+        out.add((row[i - 1] >> 1, -1))
+    return out
 
 
 def _syzygy_words(aut: LetterAutomaton, readings: list, n: int) -> list:

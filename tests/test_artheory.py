@@ -4,9 +4,11 @@ import random
 import re
 import weakref
 
+import dense_maps
 import pytest
 from dense_maps import stack
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from test_letter_automaton import presentations
 
 from perfbench.census_gen import census_inputs, type_a_presentation
@@ -230,6 +232,131 @@ def test_catalog_refuses_a_table_entry_of_the_wrong_dimension(a3, monkeypatch, s
     _edit_graph_maps(monkeypatch, lambda c, d, keys: edit(keys) if (c, d) == pair else keys)
     with pytest.raises(VerificationError, match=message):
         Catalog(a3)
+
+
+@pytest.mark.parametrize(
+    "target, key, arrow",
+    [
+        # I(2) -> S(3) at node 2 of a1 a2^-1, extended one node left into
+        # M(a2) read as a2^-1: the letter a1 points into the run's left end
+        ("a2", (1, 1, 0, 1), "a1"),
+        # I(2) -> S(1) at node 0, extended one node right into M(a1): the
+        # letter a2^-1 points into the run's right end, a2 sending node 2 to it
+        ("a1", (0, 0, 0, 1), "a2"),
+    ],
+)
+def test_catalog_refuses_a_run_with_a_letter_pointing_into_an_end(monkeypatch, target, key, arrow):
+    p = zigzag(3)
+    pair = (parse_word(p, "a1 a2^-1"), parse_word(p, target))
+    _edit_graph_maps(monkeypatch, lambda c, d, keys: keys + [key] if (c, d) == pair else keys)
+    with pytest.raises(VerificationError, match=rf"row M\(a1 a2\^-1\) of the Hom table does not commute with arrow {arrow}$"):
+        Catalog(p)
+
+
+def test_catalog_refuses_a_run_read_in_the_wrong_reading(fixture_dir, monkeypatch):
+    # the identity of M(x1 x0 x1^-1) read into x1 x0^-1 x1^-1, the other
+    # reading of the same vertices: the letters at both ends agree, and x0
+    # runs the other way inside the run
+    p = load_presentation(fixture_dir / "loop_arrow.sba")
+    w = parse_word(p, "x1 x0 x1^-1")
+    _edit_graph_maps(monkeypatch, lambda c, d, keys: [(1, 0, 0, 3) if k == (0, 0, 0, 3) else k for k in keys]
+                     if (c, d) == (w, w) else keys)
+    with pytest.raises(VerificationError, match=r"row M\(x1 x0 x1\^-1\) of the Hom table does not commute with arrow x0$"):
+        Catalog(p)
+
+
+def test_catalog_refuses_a_run_whose_vertices_differ(fixture_dir, monkeypatch):
+    # nodes 1..2 of x0 x1^-1 sit at 0 and 1, nodes 1..2 of x1 x0 x1^-1 at 0
+    # and 0: the first vertices agree and the run is still misaligned
+    p = load_presentation(fixture_dir / "loop_arrow.sba")
+    pair = (parse_word(p, "x0 x1^-1"), parse_word(p, "x1 x0 x1^-1"))
+    _edit_graph_maps(monkeypatch, lambda c, d, keys: keys + [(0, 1, 1, 1)] if (c, d) == pair else keys)
+    with pytest.raises(VerificationError, match="graph map misaligned: vertex mismatch"):
+        Catalog(p)
+
+
+KEY_EDITS = (
+    lambda f, s, t, m: (f, s + 1, t, m),
+    lambda f, s, t, m: (f, s - 1, t, m),
+    lambda f, s, t, m: (f, s, t + 1, m),
+    lambda f, s, t, m: (f, s, t - 1, m),
+    lambda f, s, t, m: (f, s, t, m + 1),
+    lambda f, s, t, m: (f, s, t, m - 1),
+    lambda f, s, t, m: (1 - f, s, t, m),
+    lambda f, s, t, m: (f, s + 1, t + 1, m - 1),
+    lambda f, s, t, m: (f, s - 1, t - 1, m + 1),
+)
+
+
+def row_mutants(cat, rng, u):
+    """Member u's row of the table as it is, then for each key of it: the
+    key edited by three of KEY_EDITS, drawn (the start or the length moved
+    by one node, in the source, the target or both, or the reading
+    flipped), and the key moved to another member, drawn."""
+    row = cat.hom_keys[u]
+    yield row
+    for y, keys in enumerate(row):
+        for n, key in enumerate(keys):
+            for edit in rng.sample(KEY_EDITS, 3):
+                yield [keys[:n] + [edit(*key)] + keys[n + 1:] if z == y else ks for z, ks in enumerate(row)]
+            other = rng.choice([z for z in range(len(cat)) if z != y])
+            yield [keys[:n] + keys[n + 1:] if z == y else ks + [key] if z == other else ks
+                   for z, ks in enumerate(row)]
+
+
+def check_row_check_against_dense(cat, rng, messages):
+    """The row check on node runs and the dense one accept and refuse every
+    row of cat and every mutant of it alike, with one message; the
+    messages seen are added to messages."""
+    members = dense_maps.sum_of_members(cat)
+    for u in cat.entries:
+        for row in row_mutants(cat, rng, u.index):
+            found = verdict(cat._hom_row, u, row)
+            assert found == verdict(dense_maps.hom_row, cat, u, row, members), (u.index, row)
+            messages.add(found)
+
+
+def verdict(check, *args):
+    """None when check accepts, its message when it refuses."""
+    try:
+        check(*args)
+    except VerificationError as err:
+        return str(err)
+    return None
+
+
+ROW_REFUSALS = ("graph map misaligned: vertex mismatch", "of the Hom table does not commute with arrow",
+                "are dependent")
+
+
+def test_the_row_check_on_node_runs_agrees_with_the_dense_one(fixture_dir):
+    rng, messages = random.Random(5), set()
+    fixed = [load_presentation(path) for path in sorted(fixture_dir.glob("*.sba"))
+             if not path.name.startswith("zigzag_")]
+    for seed in (1, 2, 3):
+        fixed += [parse_presentation(text)
+                  for _, text in census_inputs(seed, CENSUS_N, CENSUS_RELATION_P, CENSUS_WEIGHT)]
+    for p in fixed:
+        for q in (2, 3, 5):
+            cat = finite_type_catalog(p.with_field(q))
+            if cat is not None:
+                check_row_check_against_dense(cat, rng, messages)
+    loops = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(presentations(min_arrows=1, string_only=True), st.sampled_from([2, 3, 5]))
+    def drawn(p, q):
+        cat = finite_type_catalog(p.with_field(q))
+        assume(cat is not None)
+        check_row_check_against_dense(cat, rng, messages)
+        loops.append(any(a.source == a.target for a in p.quiver.arrows))
+
+    drawn()
+    assert any(loops)
+    # acceptance and each refusal occur
+    kinds = {m and next(k for k in ROW_REFUSALS if k in m) for m in messages}
+    assert kinds == {None, *ROW_REFUSALS}
 
 
 def test_catalog_refuses_infinite_type(gp, kronecker):

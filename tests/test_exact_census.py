@@ -34,7 +34,7 @@ import pytest
 from dense_maps import support_rank
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from test_artheory import exact_sequence, zigzag
+from test_artheory import exact_sequence, verdict, zigzag
 from test_homalg import check_ext_from_long_exact_sequence
 from test_letter_automaton import presentations
 
@@ -406,23 +406,14 @@ def mutants(cat, rng, left, middle, right, incl, proj, name):
         yield left, swapped, right, incl, proj, name
 
 
-def verdict(certify, cat, args):
-    """None when certify accepts the sequence, its message when it refuses."""
-    try:
-        certify(cat, *args)
-    except VerificationError as err:
-        return str(err)
-    return None
-
-
 def check_certificate_against_dense(cat, monkeypatch, rng, messages):
     """The certificate on node runs and the dense one accept and refuse
     every sequence of cat and every mutant of it alike, with one message;
     the messages seen are added to messages."""
     for args in certified_sequences(cat, monkeypatch):
         for mutant in mutants(cat, rng, *args):
-            found = verdict(stringalg.tablemaps.certify_sequence, cat, mutant)
-            assert found == verdict(dense_maps.certify_sequence, cat, mutant), mutant
+            found = verdict(stringalg.tablemaps.certify_sequence, cat, *mutant)
+            assert found == verdict(dense_maps.certify_sequence, cat, *mutant), mutant
             messages.add(found and found.replace(mutant[-1], "X"))
 
 
